@@ -8,13 +8,19 @@ Two derivative fields over the same 12-component state:
 * ``planar_derivatives`` - the level-attitude simplification (phi = theta =
   p = q = 0) where only surge/sway/heave, yaw and the ground track evolve.
 
-State layout used by ``BodyState.as_array``/``from_array`` (and by every
-derivative function):
+State layout used by ``BodyState.as_array``/``from_array`` and by both
+derivative fields:
 
     [u, v, w, p, q, r, x, y, h, phi, theta, psi]
 
 u, v, w are body-frame velocities (m/s); p, q, r body rates (rad/s); x, y
 ground-plane position (m); h altitude, positive up (m).
+
+Both fields take this 12-vector directly (a ``BodyState`` is accepted too)
+and compute with plain floats. One scalar kernel, ``_body_wrench``, sums
+the aero, thrust, gravity/buoyancy and yaw-damping terms for both models,
+so each term has one definition; ``aero_wrench``, ``thruster_wrench`` and
+``gravity_buoyancy_wrench`` wrap its per-term code in ``Wrench`` objects.
 
 Both derivative fields include a net vertical lift force (buoyancy minus
 weight, a single configurable number) and a linear yaw-damping moment
@@ -22,20 +28,13 @@ weight, a single configurable number) and a linear yaw-damping moment
 planar manifold.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .constants import STANDARD_GRAVITY
-from .frames import (
-    AttitudeAngles,
-    StagnantFlow,
-    Wrench,
-    airflow_to_body,
-    euler_rates_from_body_rates,
-    flow_angles_from_velocity,
-    ground_to_body,
-)
+from .frames import FLOW_ANGLE_LIMIT, V_EPS, AttitudeAngles, Wrench, wrap_angle
 
 # Tolerance for the planar-manifold constraint phi = theta = p = q = 0.
 PLANAR_TOL = 1e-9
@@ -81,6 +80,9 @@ class AirshipParams:
     gravity: float = STANDARD_GRAVITY  # m/s^2
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if min(self.inertia_x, self.inertia_y, self.inertia_z) <= 0.0:
@@ -126,9 +128,7 @@ class BodyState:
 
     @classmethod
     def from_array(cls, vec) -> "BodyState":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (12,):
-            raise ValueError(f"state vector must have 12 components, got shape {vec.shape}")
+        vec = _state_vector(vec)
         return cls(
             u=vec[0], v=vec[1], w=vec[2], p=vec[3], q=vec[4], r=vec[5],
             x=vec[6], y=vec[7], h=vec[8],
@@ -159,6 +159,46 @@ class ThrusterCommand:
             raise ValueError(f"|pitch_deflection| exceeds the {GIMBAL_LIMIT} rad servo limit")
 
 
+def _state_vector(vec) -> np.ndarray:
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (12,):
+        raise ValueError(f"state vector must have 12 components, got shape {vec.shape}")
+    return vec
+
+
+def _state_values(state):
+    """(u, v, w, p, q, r, phi, theta, psi) as floats, angles wrapped as in AttitudeAngles."""
+    vec = state.as_array() if isinstance(state, BodyState) else _state_vector(state)
+    u, v, w, p, q, r, _, _, _, phi, theta, psi = vec.tolist()
+    return u, v, w, p, q, r, wrap_angle(phi), wrap_angle(theta), wrap_angle(psi)
+
+
+def _wrench(terms: tuple) -> Wrench:
+    return Wrench(force=terms[:3], moment=terms[3:], frame="body")
+
+
+def _aero_terms(params: AirshipParams, u: float, v: float, w: float) -> tuple:
+    """``aero_wrench`` as (fx, fy, fz, mx, my, mz); flow angles as in ``frames``."""
+    speed_sq = u * u + v * v + w * w
+    speed = math.sqrt(speed_sq)
+    if speed <= V_EPS:
+        return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    limit = FLOW_ANGLE_LIMIT
+    alpha = min(max(math.atan2(w, u), -limit), limit)
+    beta = min(max(math.asin(min(max(v / speed, -1.0), 1.0)), -limit), limit)
+    q_dyn = 0.5 * params.air_density * speed_sq
+    drag = q_dyn * params.drag_coeff
+    lift = q_dyn * params.lift_slope * alpha
+    pitch_moment = q_dyn * params.ref_chord * params.moment_slope * alpha
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    # frames.airflow_to_body applied to (-D, 0, -L) and (0, M, 0), written out
+    return (
+        -drag * ca - lift * sa, (lift * ca - drag * sa) * sb, (drag * sa - lift * ca) * cb,
+        0.0, pitch_moment * cb, pitch_moment * sb,
+    )
+
+
 def aero_wrench(params: AirshipParams, v_body) -> Wrench:
     """Aerodynamic force/moment in the body frame.
 
@@ -168,20 +208,19 @@ def aero_wrench(params: AirshipParams, v_body) -> Wrench:
     moment (0, M, 0), then rotated to the body frame. Returns a zero wrench
     for stagnant flow.
     """
-    v_body = np.asarray(v_body, dtype=float).reshape(3)
-    try:
-        flow = flow_angles_from_velocity(v_body)
-    except StagnantFlow:
-        return Wrench(force=np.zeros(3), moment=np.zeros(3), frame="body")
-    speed_sq = float(v_body @ v_body)
-    q_dyn = 0.5 * params.air_density * speed_sq
-    drag = q_dyn * params.drag_coeff
-    lift = q_dyn * params.lift_slope * flow.alpha
-    pitch_moment = q_dyn * params.ref_chord * params.moment_slope * flow.alpha
-    l_ba = airflow_to_body(flow)
-    force = l_ba @ np.array([-drag, 0.0, -lift])
-    moment = l_ba @ np.array([0.0, pitch_moment, 0.0])
-    return Wrench(force=force, moment=moment, frame="body")
+    u, v, w = np.asarray(v_body, dtype=float).reshape(3).tolist()
+    return _wrench(_aero_terms(params, u, v, w))
+
+
+def _thrust_terms(params: AirshipParams, cmd: ThrusterCommand) -> tuple:
+    """``thruster_wrench`` as (fx, fy, fz, mx, my, mz); the moment is arm x force."""
+    t = cmd.thrust
+    cy, sy = math.cos(cmd.yaw_deflection), math.sin(cmd.yaw_deflection)
+    cp, sp = math.cos(cmd.pitch_deflection), math.sin(cmd.pitch_deflection)
+    fx, fy, fz = t * (cy * cp), t * (sy * cp), t * -sp
+    link = params.link_length
+    ax, ay, az = params.mount_x + link * (cy * sp), link * (sy * sp), params.mount_z + link * cp
+    return (fx, fy, fz, ay * fz - az * fy, az * fx - ax * fz, ax * fy - ay * fx)
 
 
 def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
@@ -191,14 +230,20 @@ def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
     arm is the mount position (mount_x, 0, mount_z) plus the deflected
     link. zero deflection puts the full thrust along +x_b.
     """
-    t = cmd.thrust
-    cy, sy = np.cos(cmd.yaw_deflection), np.sin(cmd.yaw_deflection)
-    cp, sp = np.cos(cmd.pitch_deflection), np.sin(cmd.pitch_deflection)
-    force = t * np.array([cy * cp, sy * cp, -sp])
-    arm = np.array([params.mount_x, 0.0, params.mount_z]) + params.link_length * np.array(
-        [cy * sp, sy * sp, cp]
+    return _wrench(_thrust_terms(params, cmd))
+
+
+def _static_terms(params: AirshipParams, cphi: float, sphi: float, cth: float, sth: float) -> tuple:
+    """``gravity_buoyancy_wrench`` as (fx, fy, fz, mx, my, mz) from the attitude trig."""
+    # Ground z (down) in body components: the last column of frames.ground_to_body.
+    down_x, down_y, down_z = -sth, sphi * cth, cphi * cth
+    lift = params.net_lift
+    # Weight along ground z at the CB offset (0, 0, -cb_offset): moment = offset x weight.
+    arm_weight = params.cb_offset * params.mass * params.gravity
+    return (
+        -lift * down_x, -lift * down_y, -lift * down_z,
+        -arm_weight * down_y, arm_weight * down_x, 0.0,
     )
-    return Wrench(force=force, moment=np.cross(arm, force), frame="body")
 
 
 def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrench:
@@ -209,89 +254,87 @@ def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrenc
     is driven by the full weight acting against the CB offset, which is
     what sets the pendulum stiffness near neutral buoyancy.
     """
-    l_bg = ground_to_body(att)
-    force = l_bg @ np.array([0.0, 0.0, -params.net_lift])
-    weight = params.mass * params.gravity
-    moment = np.cross(
-        np.array([0.0, 0.0, -params.cb_offset]),
-        l_bg @ np.array([0.0, 0.0, -weight]),
+    return _wrench(_static_terms(
+        params, math.cos(att.phi), math.sin(att.phi), math.cos(att.theta), math.sin(att.theta)
+    ))
+
+
+def _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd) -> tuple:
+    """The kernel both fields share: the total body-frame (fx, fy, fz, mx, my, mz).
+
+    Yaw damping is in both models so that they agree on the shared manifold.
+    """
+    a = _aero_terms(params, u, v, w)
+    t = _thrust_terms(params, cmd)
+    s = _static_terms(params, cphi, sphi, cth, sth)
+    return (
+        a[0] + t[0] + s[0], a[1] + t[1] + s[1], a[2] + t[2] + s[2],
+        a[3] + t[3] + s[3], a[4] + t[4] + s[4], a[5] + t[5] + s[5] - params.yaw_damping * r,
     )
-    return Wrench(force=force, moment=moment, frame="body")
 
 
-def _total_wrench(params: AirshipParams, state: BodyState, cmd: ThrusterCommand):
-    aero = aero_wrench(params, state.velocity())
-    thrust = thruster_wrench(params, cmd)
-    static = gravity_buoyancy_wrench(params, state.attitude)
-    force = aero.force + thrust.force + static.force
-    moment = aero.moment + thrust.moment + static.moment
-    # Linear yaw damping; present in both the planar and the full model so
-    # the two derivative fields agree on the shared manifold.
-    moment = moment + np.array([0.0, 0.0, -params.yaw_damping * state.r])
-    return force, moment
-
-
-def full_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterCommand) -> np.ndarray:
-    """Time derivative of the 12-component state for the 6-DOF model."""
-    u, v, w = state.u, state.v, state.w
-    p, q, r = state.p, state.q, state.r
-    force, moment = _total_wrench(params, state, cmd)
-
-    coriolis = np.array([v * r - w * q, -u * r + w * p, u * q - v * p])
-    vel_dot = coriolis + force / params.mass
+def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np.ndarray:
+    """Time derivative of the 12-component state (vector or BodyState) for the 6-DOF model."""
+    u, v, w, p, q, r, phi, theta, psi = _state_values(state)
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cpsi, spsi = math.cos(psi), math.sin(psi)
+    fx, fy, fz, mx, my, mz = _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd)
+    mass = params.mass
 
     ix, iy, iz, ixz = params.inertia_x, params.inertia_y, params.inertia_z, params.inertia_xz
-    rhs = np.array(
-        [
-            moment[0] - q * r * (iz - iy) + p * q * ixz,
-            moment[1] - p * r * (ix - iz) - (p * p - r * r) * ixz,
-            moment[2] - p * q * (iy - ix) - q * r * ixz,
-        ]
-    )
-    try:
-        rate_dot = np.linalg.solve(params.inertia_matrix(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInertia(f"inertia system not invertible: {exc}") from exc
+    rhs_x = mx - q * r * (iz - iy) + p * q * ixz
+    rhs_y = my - p * r * (ix - iz) - (p * p - r * r) * ixz
+    rhs_z = mz - p * q * (iy - ix) - q * r * ixz
+    # Ixz couples only roll and yaw: q decouples and (p, r) is a 2x2 system.
+    det = ix * iz - ixz * ixz
+    if det == 0.0:
+        raise SingularInertia("inertia system not invertible: the (p, r) block is singular")
 
-    euler_dot = euler_rates_from_body_rates(state.attitude, state.rates())
-    ground_vel = ground_to_body(state.attitude).T @ state.velocity()
+    if abs(cth) < 1e-12:
+        raise ZeroDivisionError("attitude-rate kinematics singular at theta = +-pi/2")
+    yaw_rate_part = q * sphi + r * cphi
+    # Ground velocity is ground_to_body(att).T @ (u, v, w), written out;
+    # ground z points down and h is measured up.
+    sth_cpsi, sth_spsi = sth * cpsi, sth * spsi
+    return np.array([
+        v * r - w * q + fx / mass,
+        -u * r + w * p + fy / mass,
+        u * q - v * p + fz / mass,
+        (iz * rhs_x + ixz * rhs_z) / det,
+        rhs_y / iy,
+        (ixz * rhs_x + ix * rhs_z) / det,
+        cth * cpsi * u + (sphi * sth_cpsi - cphi * spsi) * v + (cphi * sth_cpsi + sphi * spsi) * w,
+        cth * spsi * u + (sphi * sth_spsi + cphi * cpsi) * v + (cphi * sth_spsi - sphi * cpsi) * w,
+        sth * u - sphi * cth * v - cphi * cth * w,
+        p + yaw_rate_part * math.tan(theta),
+        q * cphi - r * sphi,
+        yaw_rate_part / cth,
+    ])
 
-    out = np.empty(12)
-    out[0:3] = vel_dot
-    out[3:6] = rate_dot
-    out[6] = ground_vel[0]
-    out[7] = ground_vel[1]
-    out[8] = -ground_vel[2]  # ground z points down, h is measured up
-    out[9:12] = euler_dot
-    return out
 
-
-def planar_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterCommand) -> np.ndarray:
-    """Time derivative of the state for the level-attitude planar model.
+def planar_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np.ndarray:
+    """Time derivative of the state (vector or BodyState) for the level-attitude planar model.
 
     Raises ConstraintViolation if phi, theta, p or q exceed PLANAR_TOL:
     this model assumes the pendulum stability of the hull pins pitch and
     roll at zero, so those components must arrive (and stay) zero.
     """
-    att = state.attitude
-    off_manifold = max(abs(att.phi), abs(att.theta), abs(state.p), abs(state.q))
+    u, v, w, p, q, r, phi, theta, psi = _state_values(state)
+    off_manifold = max(abs(phi), abs(theta), abs(p), abs(q))
     if off_manifold > PLANAR_TOL:
         raise ConstraintViolation(
             f"planar model requires phi=theta=p=q=0, worst violation {off_manifold:.3e}"
         )
 
-    u, v, w, r = state.u, state.v, state.w, state.r
-    force, moment = _total_wrench(params, state, cmd)
-
-    vel_dot = np.array([v * r, -u * r, 0.0]) + force / params.mass
-    r_dot = moment[2] / params.inertia_z
-
-    cpsi, spsi = np.cos(att.psi), np.sin(att.psi)
-    out = np.zeros(12)
-    out[0:3] = vel_dot
-    out[5] = r_dot
-    out[6] = u * cpsi - v * spsi
-    out[7] = u * spsi + v * cpsi
-    out[8] = -w
-    out[11] = r
-    return out
+    fx, fy, fz, _, _, mz = _body_wrench(
+        params, u, v, w, r, math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta), cmd
+    )
+    mass = params.mass
+    cpsi, spsi = math.cos(psi), math.sin(psi)
+    return np.array([
+        v * r + fx / mass, -u * r + fy / mass, fz / mass,
+        0.0, 0.0, mz / params.inertia_z,
+        u * cpsi - v * spsi, u * spsi + v * cpsi, -w,
+        0.0, 0.0, r,
+    ])

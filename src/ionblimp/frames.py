@@ -23,7 +23,7 @@ import numpy as np
 V_EPS = 1e-6
 
 # Flow angles saturate just inside +-pi/2 so the aero closures stay finite.
-_FLOW_ANGLE_LIMIT = np.pi / 2 - 1e-9
+FLOW_ANGLE_LIMIT = np.pi / 2 - 1e-9
 
 
 class StagnantFlow(ValueError):
@@ -160,8 +160,8 @@ def flow_angles_from_velocity(v_body) -> FlowAngles:
     speed = float(np.sqrt(u * u + v * v + w * w))
     if speed <= V_EPS:
         raise StagnantFlow(f"airspeed {speed} m/s is below V_EPS={V_EPS}")
-    alpha = np.clip(np.arctan2(w, u), -_FLOW_ANGLE_LIMIT, _FLOW_ANGLE_LIMIT)
-    beta = np.clip(np.arcsin(np.clip(v / speed, -1.0, 1.0)), -_FLOW_ANGLE_LIMIT, _FLOW_ANGLE_LIMIT)
+    alpha = np.clip(np.arctan2(w, u), -FLOW_ANGLE_LIMIT, FLOW_ANGLE_LIMIT)
+    beta = np.clip(np.arcsin(np.clip(v / speed, -1.0, 1.0)), -FLOW_ANGLE_LIMIT, FLOW_ANGLE_LIMIT)
     return FlowAngles(alpha=float(alpha), beta=float(beta))
 
 

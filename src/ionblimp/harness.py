@@ -20,6 +20,7 @@ fixed column order and summaries to ``key=value`` text.
 import configparser
 import csv
 import io
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -209,10 +210,14 @@ class Scenario:
             raise ValueError(f"unknown model {self.model!r}")
         if self.controller not in ("open_loop", "inner_loop", "smc"):
             raise ValueError(f"unknown controller {self.controller!r}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
         if self.duration < self.dt:
             raise ValueError("duration must be at least one step")
+        if not math.isclose(round(self.duration / self.dt) * self.dt, self.duration, rel_tol=1e-9):
+            raise ValueError(f"duration {self.duration} s is not a whole number of dt={self.dt} s steps")
         if self.controller == "inner_loop" and self.inner_loop is None:
             raise ValueError("inner_loop controller requires an [inner_loop] section")
         if self.controller == "smc" and self.smc is None:
@@ -296,7 +301,7 @@ def _run_rigid_body(sc: Scenario) -> SimResult:
         if step == n_steps:
             break
         try:
-            y = integrate_step(lambda vec, u: deriv(sc.params, BodyState.from_array(vec), u), y, cmd, sc.dt)
+            y = integrate_step(lambda vec, u: deriv(sc.params, vec, u), y, cmd, sc.dt)
         except Exception as exc:
             raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
     return SimResult(records=records, summary=_summarize(sc, records))

@@ -1,0 +1,137 @@
+"""Matrix formulation of the rigid-body derivative fields, kept as a test oracle.
+
+Wrenches come from ``np.cross`` and the ``frames`` rotation matrices,
+body-rate accelerations from a 3x3 ``np.linalg.solve`` on
+``AirshipParams.inertia_matrix()``, and the state passes through
+``BodyState``/``AttitudeAngles`` (which wraps the angles).
+``ionblimp.dynamics`` computes the same fields with scalar code; the
+property tests in ``test_dynamics_reference.py`` compare the two.
+"""
+
+import numpy as np
+
+from ionblimp.dynamics import (
+    PLANAR_TOL,
+    AirshipParams,
+    BodyState,
+    ConstraintViolation,
+    SingularInertia,
+    ThrusterCommand,
+)
+from ionblimp.frames import (
+    AttitudeAngles,
+    StagnantFlow,
+    Wrench,
+    airflow_to_body,
+    euler_rates_from_body_rates,
+    flow_angles_from_velocity,
+    ground_to_body,
+)
+
+
+def aero_wrench(params: AirshipParams, v_body) -> Wrench:
+    v_body = np.asarray(v_body, dtype=float).reshape(3)
+    try:
+        flow = flow_angles_from_velocity(v_body)
+    except StagnantFlow:
+        return Wrench(force=np.zeros(3), moment=np.zeros(3), frame="body")
+    speed_sq = float(v_body @ v_body)
+    q_dyn = 0.5 * params.air_density * speed_sq
+    drag = q_dyn * params.drag_coeff
+    lift = q_dyn * params.lift_slope * flow.alpha
+    pitch_moment = q_dyn * params.ref_chord * params.moment_slope * flow.alpha
+    l_ba = airflow_to_body(flow)
+    force = l_ba @ np.array([-drag, 0.0, -lift])
+    moment = l_ba @ np.array([0.0, pitch_moment, 0.0])
+    return Wrench(force=force, moment=moment, frame="body")
+
+
+def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
+    t = cmd.thrust
+    cy, sy = np.cos(cmd.yaw_deflection), np.sin(cmd.yaw_deflection)
+    cp, sp = np.cos(cmd.pitch_deflection), np.sin(cmd.pitch_deflection)
+    force = t * np.array([cy * cp, sy * cp, -sp])
+    arm = np.array([params.mount_x, 0.0, params.mount_z]) + params.link_length * np.array(
+        [cy * sp, sy * sp, cp]
+    )
+    return Wrench(force=force, moment=np.cross(arm, force), frame="body")
+
+
+def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrench:
+    l_bg = ground_to_body(att)
+    force = l_bg @ np.array([0.0, 0.0, -params.net_lift])
+    weight = params.mass * params.gravity
+    moment = np.cross(
+        np.array([0.0, 0.0, -params.cb_offset]),
+        l_bg @ np.array([0.0, 0.0, -weight]),
+    )
+    return Wrench(force=force, moment=moment, frame="body")
+
+
+def _total_wrench(params: AirshipParams, state: BodyState, cmd: ThrusterCommand):
+    aero = aero_wrench(params, state.velocity())
+    thrust = thruster_wrench(params, cmd)
+    static = gravity_buoyancy_wrench(params, state.attitude)
+    force = aero.force + thrust.force + static.force
+    moment = aero.moment + thrust.moment + static.moment
+    moment = moment + np.array([0.0, 0.0, -params.yaw_damping * state.r])
+    return force, moment
+
+
+def full_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterCommand) -> np.ndarray:
+    u, v, w = state.u, state.v, state.w
+    p, q, r = state.p, state.q, state.r
+    force, moment = _total_wrench(params, state, cmd)
+
+    coriolis = np.array([v * r - w * q, -u * r + w * p, u * q - v * p])
+    vel_dot = coriolis + force / params.mass
+
+    ix, iy, iz, ixz = params.inertia_x, params.inertia_y, params.inertia_z, params.inertia_xz
+    rhs = np.array(
+        [
+            moment[0] - q * r * (iz - iy) + p * q * ixz,
+            moment[1] - p * r * (ix - iz) - (p * p - r * r) * ixz,
+            moment[2] - p * q * (iy - ix) - q * r * ixz,
+        ]
+    )
+    try:
+        rate_dot = np.linalg.solve(params.inertia_matrix(), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInertia(f"inertia system not invertible: {exc}") from exc
+
+    euler_dot = euler_rates_from_body_rates(state.attitude, state.rates())
+    ground_vel = ground_to_body(state.attitude).T @ state.velocity()
+
+    out = np.empty(12)
+    out[0:3] = vel_dot
+    out[3:6] = rate_dot
+    out[6] = ground_vel[0]
+    out[7] = ground_vel[1]
+    out[8] = -ground_vel[2]
+    out[9:12] = euler_dot
+    return out
+
+
+def planar_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterCommand) -> np.ndarray:
+    att = state.attitude
+    off_manifold = max(abs(att.phi), abs(att.theta), abs(state.p), abs(state.q))
+    if off_manifold > PLANAR_TOL:
+        raise ConstraintViolation(
+            f"planar model requires phi=theta=p=q=0, worst violation {off_manifold:.3e}"
+        )
+
+    u, v, w, r = state.u, state.v, state.w, state.r
+    force, moment = _total_wrench(params, state, cmd)
+
+    vel_dot = np.array([v * r, -u * r, 0.0]) + force / params.mass
+    r_dot = moment[2] / params.inertia_z
+
+    cpsi, spsi = np.cos(att.psi), np.sin(att.psi)
+    out = np.zeros(12)
+    out[0:3] = vel_dot
+    out[5] = r_dot
+    out[6] = u * cpsi - v * spsi
+    out[7] = u * spsi + v * cpsi
+    out[8] = -w
+    out[11] = r
+    return out

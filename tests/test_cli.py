@@ -127,6 +127,20 @@ def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+
+def test_non_finite_param_error_names_the_key(tmp_path, capsys):
+    path = tmp_path / "nan_drag.cfg"
+    path.write_text(
+        CONFIG_HEADER + "\n[params]\ndrag_coeff = nan\n\n"
+        "[scenario]\nmodel = full\nduration = 0.1\ndt = 0.01\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "drag_coeff" in lines[0]
+
+
 def test_missing_file_error(capsys):
     assert main(["linearize", "/nonexistent/params.cfg"]) == 1
     assert "error:" in capsys.readouterr().err

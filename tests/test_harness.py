@@ -228,6 +228,23 @@ def test_scenario_validation():
         hover_scenario(controller="smc")  # missing smc config
 
 
+
+@pytest.mark.parametrize("timing", [
+    {"dt": float("nan")}, {"dt": float("inf")},
+    {"duration": float("nan")}, {"duration": float("inf")},
+])
+def test_scenario_rejects_non_finite_timing(timing):
+    with pytest.raises(ValueError, match="finite"):
+        hover_scenario(**timing)
+
+
+def test_scenario_rejects_duration_off_the_step_grid():
+    with pytest.raises(ValueError, match="whole number"):
+        hover_scenario(duration=0.025, dt=0.01)
+    # 0.03 / 0.01 is 2.9999999999999996 in floating point: still three steps
+    assert len(run_scenario(hover_scenario(duration=0.03, dt=0.01)).records) == 4
+
+
 # --- outputs -----------------------------------------------------------------
 
 def test_csv_fixed_columns_and_determinism(tmp_path):
