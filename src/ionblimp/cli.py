@@ -13,9 +13,7 @@ Every verb exits 0 on success; failures print one machine-parseable
 """
 
 import argparse
-import configparser
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -28,24 +26,17 @@ _MAP_PRESETS = {
 }
 
 
+_PARAMS_SCHEMA = {
+    "params": harness.SCENARIO_SCHEMA["params"],
+    "trim": {"speed": harness.finite_float, "thrust": harness.finite_float},
+}
+
+
 def _load_params_config(path):
-    """Read [params] and optional [trim] from a versioned config file."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    first = text.splitlines()[0].strip() if text.strip() else ""
-    if first != harness.CONFIG_HEADER:
-        raise ValueError(f"{path}: first line must be {harness.CONFIG_HEADER!r}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_string(text)
-    kv = {}
-    if parser.has_section("params"):
-        kv = {key: parser.getfloat("params", key) for key in parser.options("params")}
-    params = AirshipParams(**kv)
-    speed, thrust = 1.0, 0.05
-    if parser.has_section("trim"):
-        speed = parser.getfloat("trim", "speed", fallback=speed)
-        thrust = parser.getfloat("trim", "thrust", fallback=thrust)
-    return params, speed, thrust
+    """Read [params] and optional [trim] (nothing else) from a versioned config file."""
+    config = harness.read_config(path, _PARAMS_SCHEMA)
+    trim = config.get("trim", {})
+    return AirshipParams(**config.get("params", {})), trim.get("speed", 1.0), trim.get("thrust", 0.05)
 
 
 def _grid(text: str) -> np.ndarray:

@@ -1,20 +1,23 @@
 """Fixed-step scenario engine, config ingestion and time-series output.
 
-A scenario couples one vehicle model with one controller:
+``run_scenario`` steps every scenario through one loop over a plant: a
+derivative field integrated with classic fixed-step RK4, its initial
+vector, and a controller giving the recorded state, the thruster command
+and the input held over the step. Two functions build the plant:
 
-* model ``full`` or ``planar`` with the ``open_loop`` or ``inner_loop``
-  controller: the rigid-body state is integrated with classic fixed-step
-  RK4 and the thruster command is held over each step.
-* controller ``smc``: the closed loop is integrated over the lateral pose
-  model the tracker is designed for (position/heading plus their rates).
-  The single-thruster allocation is evaluated and recorded at every step
-  (command, saturation, residual) so under-actuation is visible, but it
-  does not feed back into this idealized loop.
+* ``_rigid_body_plant``: model ``full`` or ``planar`` with the
+  ``open_loop`` or ``inner_loop`` controller.
+* ``_pose_plant``: controller ``smc`` on the lateral pose model the tracker
+  is designed for (position/heading plus their rates). The single-thruster
+  allocation is evaluated and recorded at every step (command, saturation,
+  residual) so under-actuation is visible, but it does not feed back into
+  this idealized loop.
 
 Runs are deterministic: a fixed scenario file and seed reproduce output
 files byte for byte. Scenario configs are plain-text INI-style files whose
-first line must read ``# blimpsim-config v1``; time series go to CSV with a
-fixed column order and summaries to ``key=value`` text.
+first line must read ``# blimpsim-config v1``; ``read_config`` checks every
+section and key against a schema table at load time. Time series go to CSV
+with a fixed column order and summaries to ``key=value`` text.
 """
 
 import configparser
@@ -170,8 +173,6 @@ class InnerLoopConfig:
     k_w: float = 0.0
     k1: float = 0.0
     k2: float = 0.0
-    thrust_feedforward: float = 0.0  # external surge input, N
-    pitch_feedforward: float = 0.0  # external pitch-gimbal input, rad
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,8 @@ class Scenario:
             raise ValueError("duration must be at least one step")
         if not math.isclose(round(self.duration / self.dt) * self.dt, self.duration, rel_tol=1e-9):
             raise ValueError(f"duration {self.duration} s is not a whole number of dt={self.dt} s steps")
+        if not (math.isfinite(self.gimbal_noise) and self.gimbal_noise >= 0.0):
+            raise ValueError(f"gimbal_noise must be finite and non-negative, got {self.gimbal_noise}")
         if self.controller == "inner_loop" and self.inner_loop is None:
             raise ValueError("inner_loop controller requires an [inner_loop] section")
         if self.controller == "smc" and self.smc is None:
@@ -250,61 +253,38 @@ class SimResult:
         return np.array([rec.t for rec in self.records])
 
 
-def _clamped_command(thrust, delta_y, delta_p, flags):
-    """Build a ThrusterCommand, clamping to actuator limits and flagging it."""
-    if thrust < 0.0:
-        thrust = 0.0
-        flags.add("saturation")
-    dy = float(np.clip(delta_y, -GIMBAL_LIMIT, GIMBAL_LIMIT))
-    dp = float(np.clip(delta_p, -GIMBAL_LIMIT, GIMBAL_LIMIT))
-    if dy != delta_y or dp != delta_p:
-        flags.add("saturation")
-    return ThrusterCommand(thrust=thrust, yaw_deflection=dy, pitch_deflection=dp)
+# What the run loop integrates: derivative(y, u) from y0 (components named
+# by labels), driven by control(t, y) -> (record state, command, integrator
+# input u, flags, (s, lyap_v, lyap_vdot)), the last all None outside SMC.
+Plant = namedtuple("Plant", "derivative y0 labels control")
 
 
-def _run_rigid_body(sc: Scenario) -> SimResult:
+def _rigid_body_plant(sc: Scenario) -> Plant:
+    """Full or planar field; open-loop or inner-loop command with seeded gimbal noise."""
     deriv = full_derivatives if sc.model == "full" else planar_derivatives
     rng = np.random.default_rng(sc.seed)
-    n_steps = int(round(sc.duration / sc.dt))
-    y = sc.initial.as_array()
-    records = []
-    prev_servo = None
+    il = sc.inner_loop
 
-    def controller_command(state: BodyState):
-        flags = set()
+    def control(t, y):
+        state = BodyState.from_array(y)
         if sc.controller == "open_loop":
             base = sc.open_loop.command_at(t)
             thrust, dy, dp = base.thrust, base.yaw_deflection, base.pitch_deflection
         else:
-            il = sc.inner_loop
-            thrust = il.trim_thrust - il.k_u * (state.u - il.trim_speed) + il.thrust_feedforward
-            dy = -il.k1 * state.v - il.k2 * state.r
-            dp = il.k_w * state.w + il.pitch_feedforward
+            thrust = il.trim_thrust - il.k_u * (state.u - il.trim_speed)
+            dy, dp = -il.k1 * state.v - il.k2 * state.r, il.k_w * state.w
         if sc.gimbal_noise > 0.0:
             dy = dy + rng.uniform(-sc.gimbal_noise, sc.gimbal_noise)
-        return _clamped_command(thrust, dy, dp, flags), flags
-
-    t = 0.0
-    for step in range(n_steps + 1):
-        t = step * sc.dt
-        state = BodyState.from_array(y)
-        cmd, flags = controller_command(state)
-        servo = servo_map(cmd, sc.servo, previous=prev_servo, dt=sc.dt)
-        if servo.saturated:
-            flags.add("saturation")
-        if state.h < 0.0:
-            flags.add("ground")
-        records.append(
-            SimRecord(t=t, state=state, command=cmd, servo=servo, flags=tuple(sorted(flags)))
+        # Clamp to the actuator limits and flag it.
+        cmd = ThrusterCommand(
+            thrust=max(thrust, 0.0),
+            yaw_deflection=float(np.clip(dy, -GIMBAL_LIMIT, GIMBAL_LIMIT)),
+            pitch_deflection=float(np.clip(dp, -GIMBAL_LIMIT, GIMBAL_LIMIT)),
         )
-        prev_servo = servo
-        if step == n_steps:
-            break
-        try:
-            y = integrate_step(lambda vec, u: deriv(sc.params, vec, u), y, cmd, sc.dt)
-        except Exception as exc:
-            raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
-    return SimResult(records=records, summary=_summarize(sc, records))
+        clamped = (cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection) != (thrust, dy, dp)
+        return state, cmd, cmd, {"saturation"} if clamped else set(), (None, None, None)
+
+    return Plant(lambda vec, cmd: deriv(sc.params, vec, cmd), sc.initial.as_array(), STATE_LABELS, control)
 
 
 def _planar_rotation(psi: float) -> np.ndarray:
@@ -317,7 +297,8 @@ def _planar_rotation_rate(psi: float, psi_dot: float) -> np.ndarray:
     return psi_dot * np.array([[-s, c, 0.0], [-c, -s, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _run_smc(sc: Scenario) -> SimResult:
+def _pose_plant(sc: Scenario) -> Plant:
+    """SMC on the pose state (x, y, psi, x_dot, y_dot, psi_dot)."""
     cfg = sc.smc
     model = SmcModel.from_components(
         mass=sc.params.mass,
@@ -330,23 +311,18 @@ def _run_smc(sc: Scenario) -> SimResult:
         aero_matrix=np.diag([0.0, 0.0, -sc.params.yaw_damping]),
     )
     gains = cfg.gains
-    n_steps = int(round(sc.duration / sc.dt))
     init = sc.initial
-    # pose state: (x, y, psi, x_dot, y_dot, psi_dot)
     c0 = _planar_rotation(init.attitude.psi)
     eta_dot0 = c0.T @ np.array([init.u, init.v, init.r])
-    y = np.array([init.x, init.y, init.attitude.psi, eta_dot0[0], eta_dot0[1], eta_dot0[2]])
+    y0 = np.array([init.x, init.y, init.attitude.psi, eta_dot0[0], eta_dot0[1], eta_dot0[2]])
 
-    def pose_derivative(vec, u_forces):
+    def derivative(vec, u_forces):
         c_bg = _planar_rotation(vec[2])
         c_bg_dot = _planar_rotation_rate(vec[2], vec[5])
         eta_ddot = pose_acceleration(model, u_forces, vec[3:6], c_bg, c_bg_dot)
         return np.concatenate([vec[3:6], eta_ddot])
 
-    records = []
-    prev_servo = None
-    for step in range(n_steps + 1):
-        t = step * sc.dt
+    def control(t, y):
         ref_pose, ref_rate = cfg.reference.sample(t)
         err = TrackingError.from_pose(y[0:3], y[3:6], ref_pose, ref_rate)
         s = sliding_surface(gains, err)
@@ -357,41 +333,42 @@ def _run_smc(sc: Scenario) -> SimResult:
         cmd, residual = allocate_actuation(
             u_forces, t_max=cfg.t_max, mount_arm_x=sc.params.mount_x
         )
-        flags = set()
-        if np.max(np.abs(residual)) > 1e-9:
-            flags.add("saturation")
-        servo = servo_map(cmd, sc.servo, previous=prev_servo, dt=sc.dt)
-        if servo.saturated:
-            flags.add("saturation")
+        flags = {"saturation"} if np.max(np.abs(residual)) > 1e-9 else set()
         body_vel = c_bg @ y[3:6]
         state = BodyState(
             u=body_vel[0], v=body_vel[1], w=0.0, r=y[5],
             x=y[0], y=y[1], h=init.h,
             attitude=AttitudeAngles(psi=y[2]),
         )
-        records.append(
-            SimRecord(
-                t=t, state=state, command=cmd, servo=servo,
-                s=s.copy(), lyap_v=float(np.sum(v)), lyap_vdot=float(np.sum(v_dot)),
-                flags=tuple(sorted(flags)),
-            )
-        )
-        prev_servo = servo
-        if step == n_steps:
-            break
-        try:
-            y = integrate_step(
-                pose_derivative, y, u_forces, sc.dt,
-                labels=("x", "y", "psi", "x_dot", "y_dot", "psi_dot"),
-            )
-        except Exception as exc:
-            raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
-    return SimResult(records=records, summary=_summarize(sc, records))
+        return state, cmd, u_forces, flags, (s.copy(), float(np.sum(v)), float(np.sum(v_dot)))
+
+    return Plant(derivative, y0, ("x", "y", "psi", "x_dot", "y_dot", "psi_dot"), control)
 
 
 def run_scenario(sc: Scenario) -> SimResult:
     """Run a scenario to completion and, if paths are set, write its outputs."""
-    result = _run_smc(sc) if sc.controller == "smc" else _run_rigid_body(sc)
+    plant = _pose_plant(sc) if sc.controller == "smc" else _rigid_body_plant(sc)
+    n_steps = int(round(sc.duration / sc.dt))
+    y = plant.y0
+    records = []
+    prev_servo = None
+    for step in range(n_steps + 1):
+        t = step * sc.dt
+        state, cmd, u, flags, internals = plant.control(t, y)
+        servo = servo_map(cmd, sc.servo, previous=prev_servo, dt=sc.dt)
+        if servo.saturated:
+            flags.add("saturation")
+        if state.h < 0.0:
+            flags.add("ground")
+        records.append(SimRecord(t, state, cmd, servo, *internals, flags=tuple(sorted(flags))))
+        prev_servo = servo
+        if step == n_steps:
+            break
+        try:
+            y = integrate_step(plant.derivative, y, u, sc.dt, plant.labels)
+        except Exception as exc:
+            raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
+    result = SimResult(records=records, summary=_summarize(sc, records))
     if sc.csv_path:
         write_records_csv(result.records, sc.csv_path)
     if sc.summary_path:
@@ -477,21 +454,52 @@ def format_summary(summary: dict) -> str:
 # Scenario config files
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = {f.name: f.type for f in fields(AirshipParams)}
-_STATE_FIELDS = ("u", "v", "w", "p", "q", "r", "x", "y", "h", "phi", "theta", "psi")
+def finite_float(text: str) -> float:
+    """Config converter: a finite float (nan and inf are input errors)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
 
 
-def _section_floats(parser, section) -> dict:
-    if not parser.has_section(section):
-        return {}
-    return {key: parser.getfloat(section, key) for key in parser.options(section)}
+def _path(text: str) -> Path:
+    if not text:
+        raise ValueError("empty path")
+    return Path(text)
 
 
-def load_scenario(path) -> Scenario:
-    """Parse a versioned scenario config file into a Scenario.
+# Everything a scenario file may contain: section -> key -> converter.
+# A converter returning a Path marks a file name, resolved by read_config.
+SCENARIO_SCHEMA = {
+    "scenario": {
+        "model": str, "controller": str, "duration": finite_float, "dt": finite_float,
+        "seed": int, "gimbal_noise": finite_float,
+    },
+    "params": dict.fromkeys((f.name for f in fields(AirshipParams)), finite_float),
+    "initial": dict.fromkeys(STATE_LABELS, finite_float),
+    "open_loop": {
+        "thrust": finite_float, "throttle": finite_float, "delta_y": finite_float,
+        "delta_p": finite_float, "script": _path,
+    },
+    "inner_loop": dict.fromkeys((f.name for f in fields(InnerLoopConfig)), finite_float),
+    "smc": {
+        **dict.fromkeys(
+            ("c1", "c2", "epsilon", "k", "boundary_layer", "t_max", "added_mass_x",
+             "added_mass_y", "added_inertia_z", "cg_x", "cg_y"),
+            finite_float,
+        ),
+        "reference": _path,
+    },
+    "output": {"csv": _path, "summary": _path},
+}
 
-    Relative paths inside the file (scripts, references, outputs) resolve
-    against the scenario file's own directory.
+
+def read_config(path, schema: dict) -> dict:
+    """Read a versioned config file as {section: {key: converted value}}.
+
+    The first line must be CONFIG_HEADER. Every section and key must appear
+    in ``schema``; an unknown one, or a value its converter rejects, raises
+    ValueError naming it. Paths resolve against the file's own directory.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -500,103 +508,54 @@ def load_scenario(path) -> Scenario:
         raise ValueError(
             f"{path}: first line must be {CONFIG_HEADER!r}, got {first_line!r}"
         )
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No default section: a [DEFAULT] header is an unknown section like any other.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     parser.read_string(text)
-    base = path.parent
+    config = {}
+    for section in parser.sections():
+        if section not in schema:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        config[section] = {}
+        for key, raw in parser.items(section):
+            if key not in schema[section]:
+                raise ValueError(f"{path}: unknown key [{section}] {key}")
+            try:
+                value = schema[section][key](raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+            config[section][key] = path.parent / value if isinstance(value, Path) else value
+    return config
 
-    params_kv = _section_floats(parser, "params")
-    unknown = set(params_kv) - set(_PARAM_FIELDS)
-    if unknown:
-        raise ValueError(f"{path}: unknown [params] keys {sorted(unknown)}")
-    params = AirshipParams(**params_kv)
 
-    init_kv = _section_floats(parser, "initial")
-    unknown = set(init_kv) - set(_STATE_FIELDS)
-    if unknown:
-        raise ValueError(f"{path}: unknown [initial] keys {sorted(unknown)}")
-    attitude_kv = {k: init_kv.pop(k) for k in ("phi", "theta", "psi") if k in init_kv}
-    initial = BodyState(attitude=AttitudeAngles(**attitude_kv), **init_kv)
+def load_scenario(path) -> Scenario:
+    """Parse a versioned scenario config file into a Scenario (see read_config)."""
+    config = read_config(path, SCENARIO_SCHEMA)
+    initial = config.get("initial", {})
+    attitude = AttitudeAngles(**{k: initial.pop(k) for k in ("phi", "theta", "psi") if k in initial})
 
-    sc_kv = {}
-    if parser.has_section("scenario"):
-        sec = parser["scenario"]
-        sc_kv["model"] = sec.get("model", "planar")
-        sc_kv["controller"] = sec.get("controller", "open_loop")
-        sc_kv["duration"] = sec.getfloat("duration", 10.0)
-        sc_kv["dt"] = sec.getfloat("dt", 0.001)
-        sc_kv["seed"] = sec.getint("seed", 0)
-        sc_kv["gimbal_noise"] = sec.getfloat("gimbal_noise", 0.0)
+    open_loop = config.get("open_loop", {})
+    if "script" in open_loop:
+        open_loop["script"] = np.loadtxt(open_loop["script"], comments="#", ndmin=2)
+        if open_loop["script"].shape[1] != 4:
+            raise ValueError("open-loop script needs columns t, thrust, delta_y, delta_p")
 
-    open_loop = OpenLoopCommand()
-    if parser.has_section("open_loop"):
-        sec = parser["open_loop"]
-        script = None
-        if sec.get("script", None):
-            script = np.loadtxt(base / sec.get("script"), comments="#", ndmin=2)
-            if script.shape[1] != 4:
-                raise ValueError("open-loop script needs columns t, thrust, delta_y, delta_p")
-        throttle = sec.getfloat("throttle") if sec.get("throttle", None) else None
-        open_loop = OpenLoopCommand(
-            thrust=sec.getfloat("thrust", 0.0),
-            throttle=throttle,
-            delta_y=sec.getfloat("delta_y", 0.0),
-            delta_p=sec.getfloat("delta_p", 0.0),
-            script=script,
-        )
-
-    inner = None
-    if parser.has_section("inner_loop"):
-        sec = parser["inner_loop"]
-        inner = InnerLoopConfig(
-            trim_speed=sec.getfloat("trim_speed"),
-            trim_thrust=sec.getfloat("trim_thrust"),
-            k_u=sec.getfloat("k_u"),
-            k_w=sec.getfloat("k_w", 0.0),
-            k1=sec.getfloat("k1", 0.0),
-            k2=sec.getfloat("k2", 0.0),
-            thrust_feedforward=sec.getfloat("thrust_feedforward", 0.0),
-            pitch_feedforward=sec.getfloat("pitch_feedforward", 0.0),
-        )
-
-    smc_cfg = None
-    if parser.has_section("smc"):
-        sec = parser["smc"]
-        gains = SmcGains(
-            c1=sec.getfloat("c1"),
-            c2=sec.getfloat("c2"),
-            epsilon=sec.getfloat("epsilon"),
-            k=sec.getfloat("k"),
-            boundary_layer=sec.getfloat("boundary_layer", 0.0),
-        )
-        ref_name = sec.get("reference")
-        if not ref_name:
+    inner = config.get("inner_loop")
+    smc_cfg = config.get("smc")
+    if smc_cfg is not None:
+        if "reference" not in smc_cfg:
             raise ValueError("[smc] section requires a reference trajectory file")
-        smc_cfg = SmcScenarioConfig(
-            gains=gains,
-            reference=ReferenceTrajectory.from_file(base / ref_name),
-            t_max=sec.getfloat("t_max", 0.051),
-            added_mass_x=sec.getfloat("added_mass_x", 0.0),
-            added_mass_y=sec.getfloat("added_mass_y", 0.0),
-            added_inertia_z=sec.getfloat("added_inertia_z", 0.0),
-            cg_x=sec.getfloat("cg_x", 0.0),
-            cg_y=sec.getfloat("cg_y", 0.0),
-        )
+        gains = SmcGains(**{f.name: smc_cfg.pop(f.name) for f in fields(SmcGains) if f.name in smc_cfg})
+        reference = ReferenceTrajectory.from_file(smc_cfg.pop("reference"))
+        smc_cfg = SmcScenarioConfig(gains=gains, reference=reference, **smc_cfg)
 
-    csv_path = summary_path = None
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if sec.get("csv", None):
-            csv_path = str(base / sec.get("csv"))
-        if sec.get("summary", None):
-            summary_path = str(base / sec.get("summary"))
-
+    output = {key: str(value) for key, value in config.get("output", {}).items()}
     return Scenario(
-        params=params,
-        initial=initial,
-        open_loop=open_loop,
-        inner_loop=inner,
+        params=AirshipParams(**config.get("params", {})),
+        initial=BodyState(attitude=attitude, **initial),
+        open_loop=OpenLoopCommand(**open_loop),
+        inner_loop=None if inner is None else InnerLoopConfig(**inner),
         smc=smc_cfg,
-        csv_path=csv_path,
-        summary_path=summary_path,
-        **sc_kv,
+        csv_path=output.get("csv"),
+        summary_path=output.get("summary"),
+        **config.get("scenario", {}),
     )

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,57 @@ def test_non_finite_param_error_names_the_key(tmp_path, capsys):
 def test_missing_file_error(capsys):
     assert main(["linearize", "/nonexistent/params.cfg"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+CRUISE_CFG = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "cruise.cfg"
+SMC_NAN_K = """[scenario]
+controller = smc
+
+[smc]
+c1 = 1.0
+c2 = 1.0
+epsilon = 0.05
+k = nan
+reference = ref.txt
+"""
+INNER_LOOP_FEEDFORWARD = """[scenario]
+controller = inner_loop
+
+[inner_loop]
+trim_speed = 0.3
+trim_thrust = 0.01
+k_u = 0.5
+thrust_feedforward = 0.01
+"""
+
+
+@pytest.mark.parametrize("verb, config, named", [
+    ("simulate", "[scenario]\nmodle = full\n", "[scenario] modle"),
+    ("simulate", "[open_loop]\nthurst = 0.05\n", "[open_loop] thurst"),
+    ("simulate", "[scenaro]\nduration = 1.0\n", "[scenaro]"),
+    ("simulate", "[DEFAULT]\nmodle = full\n", "[DEFAULT]"),
+    ("simulate", INNER_LOOP_FEEDFORWARD, "[inner_loop] thrust_feedforward"),
+    ("linearize", CRUISE_CFG, "[scenario]"),
+    ("certify-gains", "[trim]\nsped = 1.0\n", "[trim] sped"),
+    ("simulate", SMC_NAN_K, "[smc] k"),
+    ("simulate", "[initial]\nh = nan\n", "[initial] h"),
+    ("simulate", "[open_loop]\nthrust = nan\n", "[open_loop] thrust"),
+    ("simulate", "[scenario]\ngimbal_noise = nan\n", "[scenario] gimbal_noise"),
+    ("simulate", "[scenario]\ndt = inf\n", "[scenario] dt"),
+    ("linearize", "[trim]\nspeed = -inf\n", "[trim] speed"),
+    ("simulate", "[output]\ncsv =\n", "[output] csv"),
+], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
+        "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
+        "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path"])
+def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys):
+    path = config
+    if isinstance(config, str):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_HEADER + "\n" + config, encoding="utf-8")
+    extra = ["--k1", "0.0", "--k2", "1.5"] if verb == "certify-gains" else []
+    assert main([verb, str(path), *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and named in lines[0]

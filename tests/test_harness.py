@@ -238,6 +238,23 @@ def test_scenario_rejects_non_finite_timing(timing):
         hover_scenario(**timing)
 
 
+@pytest.mark.parametrize("noise", [-0.01, float("nan"), float("inf")])
+def test_scenario_rejects_bad_gimbal_noise(noise):
+    with pytest.raises(ValueError, match="gimbal_noise"):
+        hover_scenario(gimbal_noise=noise)
+
+
+def test_ground_flag_on_every_plant():
+    ref = ReferenceTrajectory(times=[0.0, 1.0], poses=[[0, 0, 0.5], [0, 0, 0.5]])
+    smc = SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=ref)
+    for controller in ("open_loop", "smc"):
+        sc = hover_scenario(model="planar", controller=controller, smc=smc,
+                            initial=BodyState(h=-1.0), duration=0.1, dt=0.01)
+        result = run_scenario(sc)
+        assert all("ground" in rec.flags for rec in result.records)
+        assert result.summary["ground_steps"] == 11
+
+
 def test_scenario_rejects_duration_off_the_step_grid():
     with pytest.raises(ValueError, match="whole number"):
         hover_scenario(duration=0.025, dt=0.01)
