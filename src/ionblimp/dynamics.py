@@ -52,6 +52,14 @@ class ConstraintViolation(ValueError):
     """State handed to the planar model leaves the level-attitude manifold."""
 
 
+def require_finite(instance) -> None:
+    """Raise ValueError naming the first dataclass field holding nan or inf (None is skipped)."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{f.name} must be finite" + ("" if np.ndim(value) else f", got {value}"))
+
+
 @dataclass(frozen=True)
 class AirshipParams:
     """Physical constants of the vehicle (SI units).
@@ -80,9 +88,7 @@ class AirshipParams:
     gravity: float = STANDARD_GRAVITY  # m/s^2
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        require_finite(self)
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if min(self.inertia_x, self.inertia_y, self.inertia_z) <= 0.0:

@@ -37,6 +37,7 @@ from .dynamics import (
     ThrusterCommand,
     full_derivatives,
     planar_derivatives,
+    require_finite,
 )
 from .frames import AttitudeAngles
 from .smc import (
@@ -103,6 +104,7 @@ class ServoCommandMap:
     slew_rate_deg_s: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.min_deg <= self.center_deg <= self.max_deg):
             raise ValueError("center_deg must lie within [min_deg, max_deg]")
 
@@ -127,15 +129,13 @@ def servo_map(
     angles = []
     prev_vals = (previous.yaw_deg, previous.pitch_deg) if previous is not None else (None, None)
     for deflection, prev in zip((cmd.yaw_deflection, cmd.pitch_deflection), prev_vals):
-        deg = smap.center_deg + np.degrees(deflection)
-        clamped = float(np.clip(deg, smap.min_deg, smap.max_deg))
-        if clamped != deg:
-            saturated = True
+        deg = smap.center_deg + math.degrees(deflection)
+        clamped = min(max(deg, smap.min_deg), smap.max_deg)
+        saturated |= clamped != deg
         if smap.slew_rate_deg_s is not None and prev is not None and dt is not None:
             max_step = smap.slew_rate_deg_s * dt
-            limited = float(np.clip(clamped, prev - max_step, prev + max_step))
-            if limited != clamped:
-                saturated = True
+            limited = min(max(clamped, prev - max_step), prev + max_step)
+            saturated |= limited != clamped
             clamped = limited
         angles.append(clamped)
     return ServoAngles(yaw_deg=angles[0], pitch_deg=angles[1], saturated=saturated)
@@ -150,6 +150,9 @@ class OpenLoopCommand:
     delta_y: float = 0.0
     delta_p: float = 0.0
     script: np.ndarray | None = None  # rows of (t, thrust, delta_y, delta_p)
+
+    def __post_init__(self):
+        require_finite(self)
 
     def command_at(self, t: float) -> ThrusterCommand:
         if self.script is not None:
@@ -173,6 +176,9 @@ class InnerLoopConfig:
     k_w: float = 0.0
     k1: float = 0.0
     k2: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -287,16 +293,6 @@ def _rigid_body_plant(sc: Scenario) -> Plant:
     return Plant(lambda vec, cmd: deriv(sc.params, vec, cmd), sc.initial.as_array(), STATE_LABELS, control)
 
 
-def _planar_rotation(psi: float) -> np.ndarray:
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _planar_rotation_rate(psi: float, psi_dot: float) -> np.ndarray:
-    c, s = np.cos(psi), np.sin(psi)
-    return psi_dot * np.array([[-s, c, 0.0], [-c, -s, 0.0], [0.0, 0.0, 0.0]])
-
-
 def _pose_plant(sc: Scenario) -> Plant:
     """SMC on the pose state (x, y, psi, x_dot, y_dot, psi_dot)."""
     cfg = sc.smc
@@ -312,35 +308,33 @@ def _pose_plant(sc: Scenario) -> Plant:
     )
     gains = cfg.gains
     init = sc.initial
-    c0 = _planar_rotation(init.attitude.psi)
-    eta_dot0 = c0.T @ np.array([init.u, init.v, init.r])
-    y0 = np.array([init.x, init.y, init.attitude.psi, eta_dot0[0], eta_dot0[1], eta_dot0[2]])
+    psi0 = init.attitude.psi
+    c0, s0 = math.cos(psi0), math.sin(psi0)
+    # eta_dot = C_bg(psi)^T (u, v, r)
+    y0 = np.array([init.x, init.y, psi0, c0 * init.u - s0 * init.v, s0 * init.u + c0 * init.v, init.r])
 
     def derivative(vec, u_forces):
-        c_bg = _planar_rotation(vec[2])
-        c_bg_dot = _planar_rotation_rate(vec[2], vec[5])
-        eta_ddot = pose_acceleration(model, u_forces, vec[3:6], c_bg, c_bg_dot)
-        return np.concatenate([vec[3:6], eta_ddot])
+        eta_dot = vec[3:6].tolist()
+        return (*eta_dot, *pose_acceleration(model, u_forces, eta_dot, vec[2]))
 
     def control(t, y):
+        x, y_pos, psi, x_dot, y_dot, psi_dot = y.tolist()
         ref_pose, ref_rate = cfg.reference.sample(t)
-        err = TrackingError.from_pose(y[0:3], y[3:6], ref_pose, ref_rate)
+        err = TrackingError.from_pose((x, y_pos, psi), (x_dot, y_dot, psi_dot), ref_pose, ref_rate)
         s = sliding_surface(gains, err)
         v, v_dot = lyapunov_monitor(gains, s)
-        c_bg = _planar_rotation(y[2])
-        c_bg_dot = _planar_rotation_rate(y[2], y[5])
-        u_forces = smc_control(model, gains, y[0:3], y[3:6], err, c_bg, c_bg_dot)
+        u_forces = smc_control(model, gains, err, (x_dot, y_dot, psi_dot), psi)
         cmd, residual = allocate_actuation(
             u_forces, t_max=cfg.t_max, mount_arm_x=sc.params.mount_x
         )
-        flags = {"saturation"} if np.max(np.abs(residual)) > 1e-9 else set()
-        body_vel = c_bg @ y[3:6]
+        flags = {"saturation"} if max(map(abs, residual)) > 1e-9 else set()
+        c, sn = math.cos(psi), math.sin(psi)
         state = BodyState(
-            u=body_vel[0], v=body_vel[1], w=0.0, r=y[5],
-            x=y[0], y=y[1], h=init.h,
-            attitude=AttitudeAngles(psi=y[2]),
+            u=c * x_dot + sn * y_dot, v=-sn * x_dot + c * y_dot, w=0.0, r=psi_dot,
+            x=x, y=y_pos, h=init.h,
+            attitude=AttitudeAngles(psi=psi),
         )
-        return state, cmd, u_forces, flags, (s.copy(), float(np.sum(v)), float(np.sum(v_dot)))
+        return state, cmd, u_forces, flags, (s, sum(v), sum(v_dot))
 
     return Plant(derivative, y0, ("x", "y", "psi", "x_dot", "y_dot", "psi_dot"), control)
 
@@ -400,7 +394,7 @@ def _summarize(sc: Scenario, records) -> dict:
         "ground_steps": sum(1 for rec in records if "ground" in rec.flags),
     }
     if sc.controller == "smc":
-        s_inf = np.array([np.max(np.abs(rec.s)) for rec in records])
+        s_inf = np.max(np.abs([rec.s for rec in records]), axis=1)
         s0 = records[0].s
         bound = max(reaching_time_bound(sc.smc.gains, float(ch)) for ch in s0)
         below = np.flatnonzero(s_inf < 1e-3)
@@ -534,6 +528,11 @@ def load_scenario(path) -> Scenario:
     attitude = AttitudeAngles(**{k: initial.pop(k) for k in ("phi", "theta", "psi") if k in initial})
 
     open_loop = config.get("open_loop", {})
+    # Each pair would silently drop a key: script wins, throttle overrides thrust.
+    for a, b in (("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"),
+                 ("script", "delta_y"), ("script", "delta_p")):
+        if a in open_loop and b in open_loop:
+            raise ValueError(f"{path}: [open_loop] {a} and {b} cannot both be set")
     if "script" in open_loop:
         open_loop["script"] = np.loadtxt(open_loop["script"], comments="#", ndmin=2)
         if open_loop["script"].shape[1] != 4:

@@ -20,25 +20,36 @@ Substituted back into the plant this yields s_dot equal to the reaching
 law exactly (the reference acceleration is treated as zero, so references
 should be piecewise-linear in time).
 
+C = C_bg(psi) is the planar rotation, so C^-1 = C^T and C_dot eta_dot =
+psi_dot * (v, -u, 0); M_s^-1 and B_s^-1 are computed once per ``SmcModel``,
+and the per-step functions compute with plain floats.
+
 The controller is a pure function of its arguments; the simulation harness
 owns all state.
 """
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GIMBAL_LIMIT, ThrusterCommand
+from .dynamics import GIMBAL_LIMIT, ThrusterCommand, require_finite
 from .frames import angle_difference
 
 
-class SingularTransform(np.linalg.LinAlgError):
-    """Pose transform not invertible; the control law cannot be evaluated."""
+def _mul(matrix, x0, x1, x2) -> tuple:
+    """matrix @ (x0, x1, x2) for a 3x3 matrix held as row tuples."""
+    (a, b, c), (d, e, f), (g, h, i) = matrix
+    return (a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2)
 
 
 @dataclass(frozen=True)
 class SmcModel:
-    """Lateral-plane plant matrices for controller synthesis."""
+    """Lateral-plane plant matrices for controller synthesis.
+
+    ``_m``, ``_a``, ``_b``, ``_m_inv``, ``_b_inv`` hold M, A, B, M^-1, B^-1 as row tuples.
+    """
 
     mass_matrix: np.ndarray
     aero_matrix: np.ndarray
@@ -52,6 +63,10 @@ class SmcModel:
             raise ValueError("mass_matrix is singular")
         if abs(np.linalg.det(self.input_matrix)) < 1e-15:
             raise ValueError("input_matrix is singular")
+        m, b = self.mass_matrix, self.input_matrix
+        for name, matrix in (("_m", m), ("_a", self.aero_matrix), ("_b", b),
+                             ("_m_inv", np.linalg.inv(m)), ("_b_inv", np.linalg.inv(b))):
+            object.__setattr__(self, name, tuple(map(tuple, matrix.tolist())))
 
     @classmethod
     def from_components(
@@ -116,6 +131,7 @@ class SmcGains:
     boundary_layer: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.c2 == 0.0:
             raise ValueError("c2 must be nonzero")
         if self.epsilon < 0.0:
@@ -128,47 +144,46 @@ class SmcGains:
 
 @dataclass(frozen=True)
 class TrackingError:
-    """Pose tracking error and its rate; the yaw component is wrapped."""
+    """Pose tracking error and its rate as (x, y, psi) float tuples; the yaw component is wrapped."""
 
-    error: np.ndarray
-    error_rate: np.ndarray
+    error: tuple
+    error_rate: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "error", np.asarray(self.error, dtype=float).reshape(3))
-        object.__setattr__(self, "error_rate", np.asarray(self.error_rate, dtype=float).reshape(3))
+        for name in ("error", "error_rate"):
+            x, y, psi = map(float, getattr(self, name))  # ValueError unless exactly three
+            object.__setattr__(self, name, (x, y, psi))
 
     @classmethod
     def from_pose(cls, pose, pose_rate, ref_pose, ref_rate) -> "TrackingError":
-        pose = np.asarray(pose, dtype=float)
-        ref_pose = np.asarray(ref_pose, dtype=float)
-        err = pose - ref_pose
-        err[2] = angle_difference(pose[2], ref_pose[2])
-        return cls(error=err, error_rate=np.asarray(pose_rate, dtype=float) - np.asarray(ref_rate, dtype=float))
+        (x, y, psi), (ref_x, ref_y, ref_psi) = pose, ref_pose
+        error = (x - ref_x, y - ref_y, angle_difference(psi, ref_psi))
+        return cls(error=error, error_rate=tuple(a - b for a, b in zip(pose_rate, ref_rate)))
 
 
-def _sgn(s: np.ndarray, boundary_layer: float) -> np.ndarray:
+def _sgn(s: float, boundary_layer: float) -> float:
+    """sgn(s), with sgn(0) = 0 and nan kept, or s/(|s|+boundary_layer) when smoothing."""
     if boundary_layer > 0.0:
-        return s / (np.abs(s) + boundary_layer)
-    return np.sign(s)
+        return s / (abs(s) + boundary_layer)
+    return 1.0 if s > 0.0 else -1.0 if s < 0.0 else s + 0.0  # +-0 -> 0, nan stays nan
 
 
 def sliding_surface(gains: SmcGains, err: TrackingError) -> np.ndarray:
     """s = c1*e + c2*e_dot, componentwise over (x, y, psi)."""
-    return gains.c1 * err.error + gains.c2 * err.error_rate
+    return np.array([gains.c1 * e + gains.c2 * r for e, r in zip(err.error, err.error_rate)])
 
 
 def reaching_law(gains: SmcGains, s) -> np.ndarray:
     """Target sliding-variable rate: -eps*sgn(s) - k*s, with sgn(0) = 0."""
     s = np.asarray(s, dtype=float)
-    return -gains.epsilon * _sgn(s, gains.boundary_layer) - gains.k * s
+    sgn = np.vectorize(_sgn, otypes=[float])(s, gains.boundary_layer)
+    return -gains.epsilon * sgn - gains.k * s
 
 
-def lyapunov_monitor(gains: SmcGains, s):
-    """Per-channel Lyapunov value V = s^2/2 and its rate -eps|s| - k s^2."""
-    s = np.asarray(s, dtype=float)
-    v = 0.5 * s * s
-    v_dot = -gains.epsilon * np.abs(s) - gains.k * s * s
-    return v, v_dot
+def lyapunov_monitor(gains: SmcGains, s) -> tuple:
+    """Per-channel Lyapunov value V = s^2/2 and its rate -eps|s| - k s^2, as float tuples."""
+    s = np.asarray(s, dtype=float).tolist()
+    return tuple([0.5 * x * x for x in s]), tuple([-gains.epsilon * abs(x) - gains.k * x * x for x in s])
 
 
 def reaching_time_bound(gains: SmcGains, s0: float) -> float:
@@ -183,59 +198,42 @@ def reaching_time_bound(gains: SmcGains, s0: float) -> float:
     return float(np.log1p(gains.k * abs(s0) / gains.epsilon) / gains.k)
 
 
-def smc_control(
-    model: SmcModel,
-    gains: SmcGains,
-    eta,
-    eta_dot,
-    err: TrackingError,
-    c_bg: np.ndarray,
-    c_bg_dot: np.ndarray,
-) -> np.ndarray:
+def smc_control(model: SmcModel, gains: SmcGains, err: TrackingError, eta_dot, psi: float) -> tuple:
     """Generalized force demand U = (F_x, F_y, N_z) for the lateral plant.
 
-    Inverse dynamics through X = C_bg @ eta_dot with the reaching law as
-    the demanded error acceleration. The ``eta`` argument is accepted for
-    interface completeness (the law itself depends on pose only through
-    the supplied error and transforms).
+    Inverse dynamics through X = C_bg(psi) eta_dot with the reaching law as
+    the demanded error acceleration; the pose enters through ``err`` and the
+    heading psi.
     """
-    del eta  # pose enters via err and the transforms
-    eta_dot = np.asarray(eta_dot, dtype=float).reshape(3)
-    c_bg = np.asarray(c_bg, dtype=float).reshape(3, 3)
-    c_bg_dot = np.asarray(c_bg_dot, dtype=float).reshape(3, 3)
-    if abs(np.linalg.det(c_bg)) < 1e-12:
-        raise SingularTransform("pose transform c_bg is singular")
-
-    s = sliding_surface(gains, err)
-    eta_ddot_req = -(1.0 / gains.c2) * (
-        gains.epsilon * _sgn(s, gains.boundary_layer)
-        + gains.k * s
-        + gains.c1 * err.error_rate
+    c1, c2, eps, k, bl = gains.c1, gains.c2, gains.epsilon, gains.k, gains.boundary_layer
+    q0, q1, q2 = (
+        -(1.0 / c2) * (eps * _sgn(s, bl) + k * s + c1 * rate)
+        for s, rate in zip(sliding_surface(gains, err).tolist(), err.error_rate)
     )
-    demand = (
-        model.mass_matrix @ (c_bg_dot @ eta_dot)
-        - model.aero_matrix @ (c_bg @ eta_dot)
-        + model.mass_matrix @ (c_bg @ eta_ddot_req)
-    )
-    return np.linalg.solve(model.input_matrix, demand)
+    xd, yd, psi_dot = eta_dot
+    c, sn = math.cos(psi), math.sin(psi)
+    u, v = c * xd + sn * yd, -sn * xd + c * yd
+    # M (C_dot eta_dot + C eta_ddot_req) - A C eta_dot
+    m0, m1, m2 = _mul(model._m, psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1, q2)
+    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
+    return _mul(model._b_inv, m0 - a0, m1 - a1, m2 - a2)
 
 
-def pose_acceleration(model: SmcModel, u_forces, eta_dot, c_bg, c_bg_dot) -> np.ndarray:
+def pose_acceleration(model: SmcModel, u_forces, eta_dot, psi: float) -> tuple:
     """Pose acceleration of the lateral plant under generalized forces.
 
-    eta_ddot = C^-1 (M^-1 (A C eta_dot + B U) - C_dot eta_dot); the same
+    eta_ddot = C^T (M^-1 (A C eta_dot + B U) - C_dot eta_dot); the same
     kinematic identity the control law inverts, so controller and plant
     share one definition of the dynamics.
     """
-    u_forces = np.asarray(u_forces, dtype=float).reshape(3)
-    eta_dot = np.asarray(eta_dot, dtype=float).reshape(3)
-    c_bg = np.asarray(c_bg, dtype=float).reshape(3, 3)
-    c_bg_dot = np.asarray(c_bg_dot, dtype=float).reshape(3, 3)
-    x_dot = np.linalg.solve(
-        model.mass_matrix,
-        model.aero_matrix @ (c_bg @ eta_dot) + model.input_matrix @ u_forces,
-    )
-    return np.linalg.solve(c_bg, x_dot - c_bg_dot @ eta_dot)
+    xd, yd, psi_dot = eta_dot
+    c, sn = math.cos(psi), math.sin(psi)
+    u, v = c * xd + sn * yd, -sn * xd + c * yd
+    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
+    b0, b1, b2 = _mul(model._b, *u_forces)
+    x0, x1, x2 = _mul(model._m_inv, a0 + b0, a1 + b1, a2 + b2)
+    w0, w1 = x0 - psi_dot * v, x1 + psi_dot * u
+    return (c * w0 - sn * w1, sn * w0 + c * w1, x2)
 
 
 def allocate_actuation(
@@ -248,24 +246,22 @@ def allocate_actuation(
 
     T = min(|F_xy|, t_max) and delta_y = atan2(F_y, F_x) clamped to the
     gimbal limit; the pitch gimbal stays at zero (no vertical channel in
-    the lateral plant). The residual reports the unmet generalized force:
-    force components are requested-minus-realized exactly, and the moment
-    component is N_z minus the moment the mount arm produces
-    (mount_arm_x * T * sin(delta_y)). Saturation is never hidden: it shows
-    up in the residual.
+    the lateral plant). The residual (a float tuple) reports the unmet
+    generalized force: force components are requested-minus-realized
+    exactly, and the moment component is N_z minus the moment the mount arm
+    produces (mount_arm_x * T * sin(delta_y)). Saturation is never hidden:
+    it shows up in the residual.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    fx, fy, nz = np.asarray(u_forces, dtype=float).reshape(3)
-    requested = float(np.hypot(fx, fy))
+    fx, fy, nz = map(float, u_forces)
+    requested = math.hypot(fx, fy)
     thrust = min(requested, t_max)
-    delta_y = float(np.arctan2(fy, fx)) if requested > 0.0 else 0.0
-    delta_y = float(np.clip(delta_y, -yaw_limit, yaw_limit))
-    realized_x = thrust * np.cos(delta_y)
-    realized_y = thrust * np.sin(delta_y)
-    residual = np.array(
-        [fx - realized_x, fy - realized_y, nz - mount_arm_x * realized_y]
-    )
+    delta_y = math.atan2(fy, fx) if requested > 0.0 else 0.0
+    delta_y = min(max(delta_y, -yaw_limit), yaw_limit)
+    realized_x = thrust * math.cos(delta_y)
+    realized_y = thrust * math.sin(delta_y)
+    residual = (fx - realized_x, fy - realized_y, nz - mount_arm_x * realized_y)
     cmd = ThrusterCommand(thrust=thrust, yaw_deflection=delta_y, pitch_deflection=0.0)
     return cmd, residual
 
@@ -276,6 +272,7 @@ class ReferenceTrajectory:
 
     The yaw column is unwrapped on construction so interpolation never
     jumps across the +-pi seam; sampled rates are the segment slopes.
+    ``sample`` reads both arrays as lists, ``_t`` and ``_p``.
     """
 
     times: np.ndarray
@@ -292,6 +289,8 @@ class ReferenceTrajectory:
         poses[:, 2] = np.unwrap(poses[:, 2])
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "_t", times.tolist())
+        object.__setattr__(self, "_p", poses.tolist())
 
     @classmethod
     def from_file(cls, path) -> "ReferenceTrajectory":
@@ -301,15 +300,14 @@ class ReferenceTrajectory:
         return cls(times=data[:, 0], poses=data[:, 1:4])
 
     def sample(self, t: float):
-        """Pose and pose rate at time t; constant beyond the table ends."""
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        idx = int(np.searchsorted(self.times, t, side="right") - 1)
-        idx = min(max(idx, 0), self.times.size - 2)
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        p0, p1 = self.poses[idx], self.poses[idx + 1]
+        """Pose and pose rate at time t as float tuples; constant beyond the table ends."""
+        times = self._t
+        t = min(max(float(t), times[0]), times[-1])
+        idx = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
+        t0, t1 = times[idx], times[idx + 1]
+        p0, p1 = self._p[idx], self._p[idx + 1]
         frac = (t - t0) / (t1 - t0)
-        pose = p0 + frac * (p1 - p0)
-        rate = (p1 - p0) / (t1 - t0)
-        if t >= self.times[-1]:
-            rate = np.zeros(3)
-        return pose, rate
+        pose = tuple(a + frac * (b - a) for a, b in zip(p0, p1))
+        if t >= times[-1]:
+            return pose, (0.0, 0.0, 0.0)
+        return pose, tuple((b - a) / (t1 - t0) for a, b in zip(p0, p1))

@@ -143,6 +143,25 @@ def test_non_finite_param_error_names_the_key(tmp_path, capsys):
     assert lines[0].startswith("error: ") and "drag_coeff" in lines[0]
 
 
+@pytest.mark.parametrize("keys", [("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"),
+                                  ("script", "delta_y")],
+                         ids=["thrust-throttle", "script-thrust", "script-throttle", "script-delta-y"])
+def test_conflicting_open_loop_keys_fail_at_load(keys, tmp_path, capsys):
+    values = {"thrust": "0.05", "throttle": "0.0", "script": "script.txt", "delta_y": "0.3"}
+    path = tmp_path / "conflict.cfg"
+    path.write_text(
+        CONFIG_HEADER + "\n[open_loop]\n" + "".join(f"{key} = {values[key]}\n" for key in keys),
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "[open_loop]" in lines[0]
+    assert all(key in lines[0] for key in keys)
+
+
 def test_missing_file_error(capsys):
     assert main(["linearize", "/nonexistent/params.cfg"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from ionblimp.dynamics import AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
     CONFIG_HEADER,
     CSV_COLUMNS,
+    InnerLoopConfig,
     NonFiniteState,
     OpenLoopCommand,
     Scenario,
@@ -242,6 +243,27 @@ def test_scenario_rejects_non_finite_timing(timing):
 def test_scenario_rejects_bad_gimbal_noise(noise):
     with pytest.raises(ValueError, match="gimbal_noise"):
         hover_scenario(gimbal_noise=noise)
+
+
+VALID_GAINS = {"c1": 1.0, "c2": 1.0, "epsilon": 0.05, "k": 1.0}
+VALID_INNER = {"trim_speed": 0.3, "trim_thrust": 0.01, "k_u": 0.5}
+NUMERIC_FIELDS = (
+    [(SmcGains, VALID_GAINS, name) for name in ("c1", "c2", "epsilon", "k", "boundary_layer")]
+    + [(InnerLoopConfig, VALID_INNER, name)
+       for name in ("trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2")]
+    + [(OpenLoopCommand, {}, name) for name in ("thrust", "throttle", "delta_y", "delta_p", "script")]
+    + [(ServoCommandMap, {}, name) for name in ("center_deg", "min_deg", "max_deg", "slew_rate_deg_s")]
+)
+
+
+@pytest.mark.parametrize("cls, valid, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name in NUMERIC_FIELDS])
+def test_config_dataclasses_reject_non_finite(cls, valid, name):
+    cls(**valid)  # the valid base builds
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        value = np.array([[0.0, bad, 0.0, 0.0]]) if name == "script" else bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cls(**{**valid, name: value})
 
 
 def test_ground_flag_on_every_plant():

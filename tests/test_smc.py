@@ -3,7 +3,6 @@ import pytest
 
 from ionblimp.smc import (
     ReferenceTrajectory,
-    SingularTransform,
     SmcGains,
     SmcModel,
     TrackingError,
@@ -17,13 +16,6 @@ from ionblimp.smc import (
 )
 
 GAINS = SmcGains(c1=1.0, c2=0.5, epsilon=0.1, k=1.0)
-
-
-def planar_transforms(psi, psi_dot):
-    c, s = np.cos(psi), np.sin(psi)
-    c_bg = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    c_bg_dot = psi_dot * np.array([[-s, c, 0.0], [-c, -s, 0.0], [0.0, 0.0, 0.0]])
-    return c_bg, c_bg_dot
 
 
 # --- surface / reaching law / monitor ----------------------------------------
@@ -73,7 +65,7 @@ def test_lyapunov_monitor_strictly_decreasing_off_surface():
     for _ in range(200):
         s = rng.normal(0, 1, 3)
         _, v_dot = lyapunov_monitor(GAINS, s)
-        assert np.all(v_dot[s != 0.0] < 0.0)
+        assert np.all(np.asarray(v_dot)[s != 0.0] < 0.0)
 
 
 def test_smc_gains_validation():
@@ -90,20 +82,20 @@ def test_smc_gains_validation():
 def test_control_zero_on_trajectory_at_rest():
     model = SmcModel.from_components(mass=0.3, inertia_z=0.06)
     err = TrackingError(np.zeros(3), np.zeros(3))
-    c_bg, c_bg_dot = planar_transforms(0.4, 0.0)
-    u = smc_control(model, GAINS, np.zeros(3), np.zeros(3), err, c_bg, c_bg_dot)
+    u = smc_control(model, GAINS, err, np.zeros(3), 0.4)
     assert np.allclose(u, 0.0, atol=1e-15)
 
 
 def test_control_identity_reduction():
-    # With identity transforms, unit mass matrix and no aero the law must
-    # collapse to -(1/c2)(eps sgn(s) + k s + c1 e_dot) channel by channel.
+    # At psi = 0 and at rest (identity transform, zero rate), with unit mass
+    # matrix and no aero the law must collapse to
+    # -(1/c2)(eps sgn(s) + k s + c1 e_dot) channel by channel.
     model = SmcModel(mass_matrix=np.eye(3), aero_matrix=np.zeros((3, 3)))
     err = TrackingError(error=[0.0, 0.0, 0.4], error_rate=[0.0, 0.0, -0.1])
     s = sliding_surface(GAINS, err)
-    u = smc_control(model, GAINS, np.zeros(3), np.zeros(3), err, np.eye(3), np.zeros((3, 3)))
+    u = smc_control(model, GAINS, err, np.zeros(3), 0.0)
     expected = -(1.0 / GAINS.c2) * (
-        GAINS.epsilon * np.sign(s) + GAINS.k * s + GAINS.c1 * err.error_rate
+        GAINS.epsilon * np.sign(s) + GAINS.k * s + GAINS.c1 * np.asarray(err.error_rate)
     )
     assert np.allclose(u, expected, rtol=1e-14)
     assert u[0] == u[1] == 0.0
@@ -125,21 +117,13 @@ def test_control_realizes_reaching_law_in_closed_form():
             c1=rng.uniform(0.5, 2), c2=rng.uniform(0.5, 2),
             epsilon=rng.uniform(0, 0.2), k=rng.uniform(0.2, 2),
         )
-        c_bg, c_bg_dot = planar_transforms(rng.uniform(-3, 3), rng.uniform(-1, 1))
-        eta = rng.normal(0, 1, 3)
+        psi = rng.uniform(-3, 3)
         eta_dot = rng.normal(0, 0.5, 3)
         err = TrackingError(error=rng.normal(0, 0.5, 3), error_rate=eta_dot - rng.normal(0, 0.5, 3))
-        u = smc_control(model, gains, eta, eta_dot, err, c_bg, c_bg_dot)
-        eta_ddot = pose_acceleration(model, u, eta_dot, c_bg, c_bg_dot)
-        s_dot = gains.c1 * err.error_rate + gains.c2 * eta_ddot
+        u = smc_control(model, gains, err, eta_dot, psi)
+        eta_ddot = pose_acceleration(model, u, eta_dot, psi)
+        s_dot = gains.c1 * np.asarray(err.error_rate) + gains.c2 * np.asarray(eta_ddot)
         assert np.allclose(s_dot, reaching_law(gains, sliding_surface(gains, err)), atol=1e-8)
-
-
-def test_control_rejects_singular_transform():
-    model = SmcModel.from_components(mass=0.3, inertia_z=0.06)
-    err = TrackingError(np.zeros(3), np.zeros(3))
-    with pytest.raises(SingularTransform):
-        smc_control(model, GAINS, np.zeros(3), np.zeros(3), err, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 def test_reaching_law_integration_respects_time_bound():
