@@ -26,13 +26,13 @@ result = run_scenario(scenario)
 print("thrust:            %.4f N" % 0.0114)
 print("steady speed:      %.3f m/s" % result.summary["steady_speed"])
 print("max speed:         %.3f m/s" % result.summary["max_speed"])
-print("distance covered:  %.1f m in %.0f s" % (result.records[-1].state.x, scenario.duration))
+print("distance covered:  %.1f m in %.0f s" % (result.records[-1].x, scenario.duration))
 print()
 
 # speed build-up, sampled every 5 s
 print("   t      u")
 for rec in result.records[:: int(5.0 / scenario.dt)]:
-    print("%5.1f  %.3f" % (rec.t, rec.state.u))
+    print("%5.1f  %.3f" % (rec.t, rec.u))
 
 # sanity: the analytic terminal speed of u' = (T - 0.5 rho C_D u^2)/m
 terminal = np.sqrt(2 * 0.0114 / (params.air_density * params.drag_coeff))

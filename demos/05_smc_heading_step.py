@@ -27,14 +27,14 @@ summary = result.summary
 print("initial sliding variable |s0|: %.3f" % summary["s0_inf"])
 print("analytic reaching bound:       %.3f s" % summary["reaching_bound"])
 print("measured |s| < 1e-3 at:        %.3f s" % summary["reaching_time"])
-print("final heading error:           %.2e rad" % abs(result.records[-1].state.attitude.psi - 0.5))
+print("final heading error:           %.2e rad" % abs(result.records[-1].psi - 0.5))
 print("final Lyapunov energy:         %.2e" % summary["s_energy_final"])
 print()
 
 print("   t     psi      s_psi        V        V_dot")
 for rec in result.records[:: int(1.0 / scenario.dt)]:
     print("%5.1f  %6.3f  %+9.2e  %9.2e  %+9.2e"
-          % (rec.t, rec.state.attitude.psi, rec.s[2], rec.lyap_v, rec.lyap_vdot))
+          % (rec.t, rec.psi, rec.s[2], rec.lyap_v, rec.lyap_vdot))
 print()
 
 # reaching-law theory for the yaw channel

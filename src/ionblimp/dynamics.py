@@ -29,7 +29,7 @@ planar manifold.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -56,7 +56,8 @@ def require_finite(instance) -> None:
     """Raise ValueError naming the first dataclass field holding nan or inf (None is skipped)."""
     for f in fields(instance):
         value = getattr(instance, f.name)
-        if value is not None and not np.all(np.isfinite(value)):
+        # Nested dataclasses check themselves.
+        if value is not None and not is_dataclass(value) and not np.all(np.isfinite(value)):
             raise ValueError(f"{f.name} must be finite" + ("" if np.ndim(value) else f", got {value}"))
 
 

@@ -16,8 +16,10 @@ and the input held over the step. Two functions build the plant:
 Runs are deterministic: a fixed scenario file and seed reproduce output
 files byte for byte. Scenario configs are plain-text INI-style files whose
 first line must read ``# blimpsim-config v1``; ``read_config`` checks every
-section and key against a schema table at load time. Time series go to CSV
-with a fixed column order and summaries to ``key=value`` text.
+section and key against a schema table at load time. A run's records are
+its CSV rows: each ``SimRecord`` is a named tuple whose fields are
+``CSV_COLUMNS``, so the column order is the record layout, defined once.
+Summaries are ``key=value`` text.
 """
 
 import configparser
@@ -39,7 +41,7 @@ from .dynamics import (
     planar_derivatives,
     require_finite,
 )
-from .frames import AttitudeAngles
+from .frames import AttitudeAngles, wrap_angle
 from .smc import (
     ReferenceTrajectory,
     SmcGains,
@@ -59,7 +61,7 @@ CONFIG_HEADER = "# blimpsim-config v1"
 STATE_LABELS = ("u", "v", "w", "p", "q", "r", "x", "y", "h", "phi", "theta", "psi")
 
 CSV_COLUMNS = (
-    "t", "u", "v", "w", "p", "q", "r", "x", "y", "h", "phi", "theta", "psi",
+    "t", *STATE_LABELS,
     "thrust", "delta_y", "delta_p", "servo_yaw_deg", "servo_pitch_deg",
     "s_x", "s_y", "s_psi", "lyap_v", "lyap_vdot", "flags",
 )
@@ -107,6 +109,8 @@ class ServoCommandMap:
         require_finite(self)
         if not (self.min_deg <= self.center_deg <= self.max_deg):
             raise ValueError("center_deg must lie within [min_deg, max_deg]")
+        if self.slew_rate_deg_s is not None and self.slew_rate_deg_s < 0.0:
+            raise ValueError(f"slew_rate_deg_s must be non-negative, got {self.slew_rate_deg_s}")
 
 
 ServoAngles = namedtuple("ServoAngles", "yaw_deg pitch_deg saturated")
@@ -141,6 +145,13 @@ def servo_map(
     return ServoAngles(yaw_deg=angles[0], pitch_deg=angles[1], saturated=saturated)
 
 
+# Open-loop values that cannot be set together: the script wins, throttle overrides thrust.
+OPEN_LOOP_CONFLICTS = (
+    ("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"),
+    ("script", "delta_y"), ("script", "delta_p"),
+)
+
+
 @dataclass(frozen=True)
 class OpenLoopCommand:
     """Constant command, or a (t, thrust, delta_y, delta_p) script with ZOH."""
@@ -153,16 +164,19 @@ class OpenLoopCommand:
 
     def __post_init__(self):
         require_finite(self)
+        given = {"thrust": self.thrust != 0.0, "throttle": self.throttle is not None,
+                 "delta_y": self.delta_y != 0.0, "delta_p": self.delta_p != 0.0,
+                 "script": self.script is not None}
+        for a, b in OPEN_LOOP_CONFLICTS:
+            if given[a] and given[b]:
+                raise ValueError(f"{a} and {b} cannot both be set")
 
     def command_at(self, t: float) -> ThrusterCommand:
         if self.script is not None:
             idx = int(np.searchsorted(self.script[:, 0], t, side="right") - 1)
-            idx = max(idx, 0)
-            row = self.script[idx]
+            row = self.script[max(idx, 0)]
             return ThrusterCommand(thrust=row[1], yaw_deflection=row[2], pitch_deflection=row[3])
-        thrust = self.thrust
-        if self.throttle is not None:
-            thrust = throttle_to_thrust(THROTTLE_MAP, self.throttle)
+        thrust = self.thrust if self.throttle is None else throttle_to_thrust(THROTTLE_MAP, self.throttle)
         return ThrusterCommand(thrust=thrust, yaw_deflection=self.delta_y, pitch_deflection=self.delta_p)
 
 
@@ -193,6 +207,11 @@ class SmcScenarioConfig:
     added_inertia_z: float = 0.0
     cg_x: float = 0.0
     cg_y: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.t_max <= 0.0:
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
 
 
 @dataclass(frozen=True)
@@ -233,18 +252,19 @@ class Scenario:
             raise ValueError("smc controller requires an [smc] section")
 
 
-@dataclass(frozen=True)
-class SimRecord:
-    """One sample of a run: state, command, actuator view, controller internals."""
+class SimRecord(namedtuple("SimRecord", CSV_COLUMNS)):
+    """One sample of a run, which is one CSV row: its fields are CSV_COLUMNS.
 
-    t: float
-    state: BodyState
-    command: ThrusterCommand
-    servo: ServoAngles
-    s: np.ndarray | None = None
-    lyap_v: float | None = None
-    lyap_vdot: float | None = None
-    flags: tuple = ()
+    ``rec[1:13]`` is the state. ``s_*``/``lyap_*`` are None outside SMC runs;
+    ``flags`` is a sorted tuple of flag names.
+    """
+
+    __slots__ = ()
+
+    @property
+    def s(self) -> np.ndarray | None:
+        """Sliding variable (s_x, s_y, s_psi), or None outside SMC runs."""
+        return None if self.s_x is None else np.array((self.s_x, self.s_y, self.s_psi))
 
 
 @dataclass(frozen=True)
@@ -253,15 +273,16 @@ class SimResult:
     summary: dict
 
     def states(self) -> np.ndarray:
-        return np.array([rec.state.as_array() for rec in self.records])
+        return np.array([rec[1:13] for rec in self.records])
 
     def times(self) -> np.ndarray:
         return np.array([rec.t for rec in self.records])
 
 
 # What the run loop integrates: derivative(y, u) from y0 (components named
-# by labels), driven by control(t, y) -> (record state, command, integrator
-# input u, flags, (s, lyap_v, lyap_vdot)), the last all None outside SMC.
+# by labels), driven by control(t, y) -> (12 recorded state floats, command,
+# integrator input u, flags, (s_x, s_y, s_psi, lyap_v, lyap_vdot)), the last
+# all None outside SMC.
 Plant = namedtuple("Plant", "derivative y0 labels control")
 
 
@@ -272,23 +293,20 @@ def _rigid_body_plant(sc: Scenario) -> Plant:
     il = sc.inner_loop
 
     def control(t, y):
-        state = BodyState.from_array(y)
+        u, v, w, p, q, r, x, y_pos, h, phi, theta, psi = y.tolist()
+        state = (u, v, w, p, q, r, x, y_pos, h, wrap_angle(phi), wrap_angle(theta), wrap_angle(psi))
         if sc.controller == "open_loop":
             base = sc.open_loop.command_at(t)
             thrust, dy, dp = base.thrust, base.yaw_deflection, base.pitch_deflection
         else:
-            thrust = il.trim_thrust - il.k_u * (state.u - il.trim_speed)
-            dy, dp = -il.k1 * state.v - il.k2 * state.r, il.k_w * state.w
+            thrust = il.trim_thrust - il.k_u * (u - il.trim_speed)
+            dy, dp = -il.k1 * v - il.k2 * r, il.k_w * w
         if sc.gimbal_noise > 0.0:
             dy = dy + rng.uniform(-sc.gimbal_noise, sc.gimbal_noise)
         # Clamp to the actuator limits and flag it.
-        cmd = ThrusterCommand(
-            thrust=max(thrust, 0.0),
-            yaw_deflection=float(np.clip(dy, -GIMBAL_LIMIT, GIMBAL_LIMIT)),
-            pitch_deflection=float(np.clip(dp, -GIMBAL_LIMIT, GIMBAL_LIMIT)),
-        )
-        clamped = (cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection) != (thrust, dy, dp)
-        return state, cmd, cmd, {"saturation"} if clamped else set(), (None, None, None)
+        limited = (max(thrust, 0.0), *(min(max(d, -GIMBAL_LIMIT), GIMBAL_LIMIT) for d in (dy, dp)))
+        cmd = ThrusterCommand(*limited)
+        return state, cmd, cmd, {"saturation"} if limited != (thrust, dy, dp) else set(), (None,) * 5
 
     return Plant(lambda vec, cmd: deriv(sc.params, vec, cmd), sc.initial.as_array(), STATE_LABELS, control)
 
@@ -297,13 +315,9 @@ def _pose_plant(sc: Scenario) -> Plant:
     """SMC on the pose state (x, y, psi, x_dot, y_dot, psi_dot)."""
     cfg = sc.smc
     model = SmcModel.from_components(
-        mass=sc.params.mass,
-        inertia_z=sc.params.inertia_z,
-        added_mass_x=cfg.added_mass_x,
-        added_mass_y=cfg.added_mass_y,
-        added_inertia_z=cfg.added_inertia_z,
-        cg_x=cfg.cg_x,
-        cg_y=cfg.cg_y,
+        mass=sc.params.mass, inertia_z=sc.params.inertia_z,
+        added_mass_x=cfg.added_mass_x, added_mass_y=cfg.added_mass_y,
+        added_inertia_z=cfg.added_inertia_z, cg_x=cfg.cg_x, cg_y=cfg.cg_y,
         aero_matrix=np.diag([0.0, 0.0, -sc.params.yaw_damping]),
     )
     gains = cfg.gains
@@ -324,17 +338,12 @@ def _pose_plant(sc: Scenario) -> Plant:
         s = sliding_surface(gains, err)
         v, v_dot = lyapunov_monitor(gains, s)
         u_forces = smc_control(model, gains, err, (x_dot, y_dot, psi_dot), psi)
-        cmd, residual = allocate_actuation(
-            u_forces, t_max=cfg.t_max, mount_arm_x=sc.params.mount_x
-        )
+        cmd, residual = allocate_actuation(u_forces, t_max=cfg.t_max, mount_arm_x=sc.params.mount_x)
         flags = {"saturation"} if max(map(abs, residual)) > 1e-9 else set()
         c, sn = math.cos(psi), math.sin(psi)
-        state = BodyState(
-            u=c * x_dot + sn * y_dot, v=-sn * x_dot + c * y_dot, w=0.0, r=psi_dot,
-            x=x, y=y_pos, h=init.h,
-            attitude=AttitudeAngles(psi=psi),
-        )
-        return state, cmd, u_forces, flags, (s, sum(v), sum(v_dot))
+        state = (c * x_dot + sn * y_dot, -sn * x_dot + c * y_dot, 0.0, 0.0, 0.0, psi_dot,
+                 x, y_pos, init.h, 0.0, 0.0, wrap_angle(psi))
+        return state, cmd, u_forces, flags, (*s.tolist(), sum(v), sum(v_dot))
 
     return Plant(derivative, y0, ("x", "y", "psi", "x_dot", "y_dot", "psi_dot"), control)
 
@@ -352,9 +361,10 @@ def run_scenario(sc: Scenario) -> SimResult:
         servo = servo_map(cmd, sc.servo, previous=prev_servo, dt=sc.dt)
         if servo.saturated:
             flags.add("saturation")
-        if state.h < 0.0:
+        if state[8] < 0.0:  # h
             flags.add("ground")
-        records.append(SimRecord(t, state, cmd, servo, *internals, flags=tuple(sorted(flags))))
+        records.append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
+                                 servo.yaw_deg, servo.pitch_deg, *internals, tuple(sorted(flags))))
         prev_servo = servo
         if step == n_steps:
             break
@@ -371,10 +381,10 @@ def run_scenario(sc: Scenario) -> SimResult:
 
 
 def _summarize(sc: Scenario, records) -> dict:
-    states = np.array([rec.state.as_array() for rec in records])
+    states = np.array([rec[1:13] for rec in records])
     speeds = np.linalg.norm(states[:, 0:3], axis=1)
     tail = max(1, len(records) // 10)
-    final = records[-1].state
+    final = records[-1]
     summary = {
         "model": sc.model,
         "controller": sc.controller,
@@ -389,24 +399,23 @@ def _summarize(sc: Scenario, records) -> dict:
         "final_x": final.x,
         "final_y": final.y,
         "final_h": final.h,
-        "final_psi": final.attitude.psi,
+        "final_psi": final.psi,
         "saturation_steps": sum(1 for rec in records if "saturation" in rec.flags),
         "ground_steps": sum(1 for rec in records if "ground" in rec.flags),
     }
     if sc.controller == "smc":
-        s_inf = np.max(np.abs([rec.s for rec in records]), axis=1)
-        s0 = records[0].s
+        s_all = np.array([(rec.s_x, rec.s_y, rec.s_psi) for rec in records])
+        s_inf = np.max(np.abs(s_all), axis=1)
+        s0 = s_all[0]
         bound = max(reaching_time_bound(sc.smc.gains, float(ch)) for ch in s0)
         below = np.flatnonzero(s_inf < 1e-3)
         summary.update(
-            {
-                "s0_inf": float(np.max(np.abs(s0))),
-                "reaching_bound": float(bound),
-                "reaching_time": float(records[below[0]].t) if below.size else float("inf"),
-                "s_final_max": float(np.max(s_inf[-tail:])),
-                "vdot_max": float(max(rec.lyap_vdot for rec in records)),
-                "s_energy_final": records[-1].lyap_v,
-            }
+            s0_inf=float(np.max(np.abs(s0))),
+            reaching_bound=float(bound),
+            reaching_time=float(records[below[0]].t) if below.size else float("inf"),
+            s_final_max=float(np.max(s_inf[-tail:])),
+            vdot_max=float(max(rec.lyap_vdot for rec in records)),
+            s_energy_final=records[-1].lyap_v,
         )
     return summary
 
@@ -420,22 +429,12 @@ def _fmt(value) -> str:
 
 
 def write_records_csv(records, path) -> None:
-    """Write SimRecords as CSV with the fixed CSV_COLUMNS order."""
+    """Write SimRecords as CSV: one row per record, columns in CSV_COLUMNS order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        st = rec.state
-        s_vals = (None, None, None) if rec.s is None else tuple(float(x) for x in rec.s)
-        row = [
-            rec.t, st.u, st.v, st.w, st.p, st.q, st.r, st.x, st.y, st.h,
-            st.attitude.phi, st.attitude.theta, st.attitude.psi,
-            rec.command.thrust, rec.command.yaw_deflection, rec.command.pitch_deflection,
-            rec.servo.yaw_deg, rec.servo.pitch_deg,
-            s_vals[0], s_vals[1], s_vals[2], rec.lyap_v, rec.lyap_vdot,
-            ";".join(rec.flags),
-        ]
-        writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
+        writer.writerow([*map(_fmt, rec[:-1]), ";".join(rec.flags)])
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -499,9 +498,7 @@ def read_config(path, schema: dict) -> dict:
     text = path.read_text(encoding="utf-8")
     first_line = text.splitlines()[0].strip() if text.strip() else ""
     if first_line != CONFIG_HEADER:
-        raise ValueError(
-            f"{path}: first line must be {CONFIG_HEADER!r}, got {first_line!r}"
-        )
+        raise ValueError(f"{path}: first line must be {CONFIG_HEADER!r}, got {first_line!r}")
     # No default section: a [DEFAULT] header is an unknown section like any other.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     parser.read_string(text)
@@ -528,9 +525,8 @@ def load_scenario(path) -> Scenario:
     attitude = AttitudeAngles(**{k: initial.pop(k) for k in ("phi", "theta", "psi") if k in initial})
 
     open_loop = config.get("open_loop", {})
-    # Each pair would silently drop a key: script wins, throttle overrides thrust.
-    for a, b in (("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"),
-                 ("script", "delta_y"), ("script", "delta_p")):
+    # Keys, not values: a pair is an error even when one key holds its default.
+    for a, b in OPEN_LOOP_CONFLICTS:
         if a in open_loop and b in open_loop:
             raise ValueError(f"{path}: [open_loop] {a} and {b} cannot both be set")
     if "script" in open_loop:

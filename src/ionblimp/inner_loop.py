@@ -50,8 +50,6 @@ class TrimPoint:
 
     speed: float
     thrust: float
-    yaw_deflection: float = 0.0
-    pitch_deflection: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,7 @@ class ReferenceTrajectory:
         poses = np.asarray(self.poses, dtype=float)
         if times.ndim != 1 or poses.shape != (times.size, 3):
             raise ValueError("times must be (n,) and poses (n, 3)")
+        require_finite(self)
         if times.size < 2 or np.any(np.diff(times) <= 0.0):
             raise ValueError("need at least two strictly increasing sample times")
         poses = poses.copy()
@@ -297,7 +298,10 @@ class ReferenceTrajectory:
         data = np.loadtxt(path, comments="#", ndmin=2)
         if data.shape[1] != 4:
             raise ValueError(f"expected four columns (t, x, y, psi) in {path}")
-        return cls(times=data[:, 0], poses=data[:, 1:4])
+        try:
+            return cls(times=data[:, 0], poses=data[:, 1:4])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def sample(self, t: float):
         """Pose and pose rate at time t as float tuples; constant beyond the table ends."""

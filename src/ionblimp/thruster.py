@@ -258,7 +258,6 @@ class ThrustMap:
     inputs: tuple
     thrust_grams: tuple
     valid_range: tuple
-    interpolation: str = "linear"
 
     def __post_init__(self):
         if len(self.inputs) != len(self.thrust_grams) or len(self.inputs) < 2:
@@ -267,8 +266,6 @@ class ThrustMap:
             raise ValueError("inputs must be strictly increasing")
         if any(g < 0.0 for g in self.thrust_grams):
             raise ValueError("thrust samples must be non-negative")
-        if self.interpolation != "linear":
-            raise ValueError("only linear interpolation is supported")
 
 
 # Quad-ring thrust vs throttle fraction. Below 20% throttle the corona has

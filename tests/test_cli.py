@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionblimp.cli import main
-from ionblimp.harness import CONFIG_HEADER
+from ionblimp.harness import CONFIG_HEADER, load_scenario
 from ionblimp.thruster import THROTTLE_MAP, load_thrust_map
 
 PARAMS_CFG = (
@@ -160,6 +160,37 @@ def test_conflicting_open_loop_keys_fail_at_load(keys, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "[open_loop]" in lines[0]
     assert all(key in lines[0] for key in keys)
+
+
+SMC_SECTION = """[scenario]
+controller = smc
+
+[smc]
+c1 = 1.0
+c2 = 1.0
+epsilon = 0.05
+k = 1.0
+reference = ref.txt
+"""
+
+
+@pytest.mark.parametrize("extra, ref, named", [
+    ("t_max = -0.01\n", "0.0 0 0 0.5\n1.0 0 0 0.5\n", "t_max"),
+    ("", "0.0 0 0 0.5\n1.0 0 0 nan\n", "ref.txt"),
+], ids=["negative-t-max", "nan-reference"])
+def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
+    (tmp_path / "ref.txt").write_text(ref, encoding="utf-8")
+    path = tmp_path / "smc.cfg"
+    path.write_text(CONFIG_HEADER + "\n" + SMC_SECTION + extra, encoding="utf-8")
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and named in lines[0]
+    assert "step 0" not in lines[0]
+    with pytest.raises(ValueError, match=named):  # at load, before any step runs
+        load_scenario(path)
 
 
 def test_missing_file_error(capsys):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,16 @@ from ionblimp.dynamics import AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
     CONFIG_HEADER,
     CSV_COLUMNS,
+    STATE_LABELS,
     InnerLoopConfig,
     NonFiniteState,
     OpenLoopCommand,
     Scenario,
     ScenarioError,
     ServoCommandMap,
+    SimRecord,
     SmcScenarioConfig,
+    _fmt,
     format_summary,
     integrate_step,
     load_scenario,
@@ -107,6 +112,12 @@ def test_servo_map_slew_limit():
     assert out.saturated
 
 
+def test_servo_map_rejects_negative_slew_rate():
+    with pytest.raises(ValueError, match="slew_rate_deg_s"):
+        ServoCommandMap(slew_rate_deg_s=-100.0)
+    ServoCommandMap(slew_rate_deg_s=0.0)
+
+
 # --- scenarios ---------------------------------------------------------------
 
 def hover_scenario(**overrides):
@@ -124,8 +135,8 @@ def hover_scenario(**overrides):
 
 def test_hover_scenario_stays_put():
     result = run_scenario(hover_scenario())
-    final = result.records[-1].state
-    assert np.allclose(final.as_array(), BodyState(h=1.8).as_array(), atol=1e-12)
+    final = result.states()[-1]
+    assert np.allclose(final, BodyState(h=1.8).as_array(), atol=1e-12)
     assert all(rec.flags == () for rec in result.records)
     assert result.summary["max_speed"] == 0.0
 
@@ -148,6 +159,33 @@ def test_open_loop_script_zoh():
 def test_open_loop_throttle_routes_through_map():
     cmd = OpenLoopCommand(throttle=1.0).command_at(0.0)
     assert cmd.thrust == pytest.approx(1.20e-3 * 9.80665)
+
+
+SCRIPT = np.array([[0.0, 0.01, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("values", [
+    {"thrust": 0.05, "throttle": 0.3},
+    {"script": SCRIPT, "thrust": 0.05},
+    {"script": SCRIPT, "throttle": 0.0},
+    {"script": SCRIPT, "delta_y": 0.1},
+    {"script": SCRIPT, "delta_p": -0.1},
+], ids=["thrust-throttle", "script-thrust", "script-throttle", "script-delta-y", "script-delta-p"])
+def test_open_loop_command_rejects_dropped_values(values):
+    a, b = values
+    with pytest.raises(ValueError, match=f"^{a} and {b} cannot both be set"):
+        OpenLoopCommand(**values)
+
+
+def test_open_loop_command_allows_defaults_beside_script_or_throttle():
+    OpenLoopCommand(throttle=0.3, thrust=0.0)
+    OpenLoopCommand(script=SCRIPT, thrust=0.0, delta_y=0.0, delta_p=0.0)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -0.01])
+def test_smc_config_rejects_non_positive_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max must be positive"):
+        SmcScenarioConfig(**VALID_SMC, t_max=t_max)
 
 
 def test_scenario_error_carries_timestep_context():
@@ -181,7 +219,7 @@ def test_inner_loop_regulates_surge_on_planar_model():
         inner_loop=InnerLoopConfig(trim_speed=0.3, trim_thrust=0.01, k_u=0.5),
     )
     result = run_scenario(sc)
-    final_u = result.records[-1].state.u
+    final_u = result.records[-1].u
     # feedback pulls u toward the trim speed from above
     assert abs(final_u - 0.3) < 0.05
 
@@ -190,8 +228,8 @@ def test_gimbal_noise_is_seeded_and_bounded():
     sc1 = hover_scenario(gimbal_noise=0.05, seed=5, duration=0.1, dt=0.01)
     sc2 = hover_scenario(gimbal_noise=0.05, seed=5, duration=0.1, dt=0.01)
     r1, r2 = run_scenario(sc1), run_scenario(sc2)
-    y1 = [rec.command.yaw_deflection for rec in r1.records]
-    y2 = [rec.command.yaw_deflection for rec in r2.records]
+    y1 = [rec.delta_y for rec in r1.records]
+    y2 = [rec.delta_y for rec in r2.records]
     assert y1 == y2
     assert all(abs(v) <= 0.05 for v in y1)
     assert any(v != 0.0 for v in y1)
@@ -210,7 +248,7 @@ def test_smc_scenario_converges_on_heading_step():
     result = run_scenario(sc)
     sm = result.summary
     assert sm["reaching_time"] <= sm["reaching_bound"] * 1.1
-    assert abs(result.records[-1].state.attitude.psi - 0.5) < 0.01
+    assert abs(result.records[-1].psi - 0.5) < 0.01
     assert sm["s_energy_final"] < 1e-6
     # |s| never grows after the reaching phase
     s_inf = np.array([np.max(np.abs(rec.s)) for rec in result.records])
@@ -247,12 +285,18 @@ def test_scenario_rejects_bad_gimbal_noise(noise):
 
 VALID_GAINS = {"c1": 1.0, "c2": 1.0, "epsilon": 0.05, "k": 1.0}
 VALID_INNER = {"trim_speed": 0.3, "trim_thrust": 0.01, "k_u": 0.5}
+VALID_SMC = {
+    "gains": SmcGains(**VALID_GAINS),
+    "reference": ReferenceTrajectory(times=[0.0, 1.0], poses=[[0, 0, 0], [0, 0, 0.5]]),
+}
 NUMERIC_FIELDS = (
     [(SmcGains, VALID_GAINS, name) for name in ("c1", "c2", "epsilon", "k", "boundary_layer")]
     + [(InnerLoopConfig, VALID_INNER, name)
        for name in ("trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2")]
     + [(OpenLoopCommand, {}, name) for name in ("thrust", "throttle", "delta_y", "delta_p", "script")]
     + [(ServoCommandMap, {}, name) for name in ("center_deg", "min_deg", "max_deg", "slew_rate_deg_s")]
+    + [(SmcScenarioConfig, VALID_SMC, name)
+       for name in ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y")]
 )
 
 
@@ -295,6 +339,43 @@ def test_csv_fixed_columns_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+LAYOUT_SCENARIOS = {
+    "rigid-body": lambda: hover_scenario(duration=0.05, dt=0.01, gimbal_noise=0.05, seed=3),
+    # below ground with a tiny thrust limit, so rows carry two flags
+    "smc": lambda: hover_scenario(model="planar", controller="smc", initial=BodyState(h=-1.0),
+                                  smc=SmcScenarioConfig(**VALID_SMC, t_max=1e-4),
+                                  duration=0.05, dt=0.01),
+}
+
+
+@pytest.mark.parametrize("kind", LAYOUT_SCENARIOS)
+def test_records_are_the_csv_rows(kind, tmp_path):
+    assert SimRecord._fields == CSV_COLUMNS
+    result = run_scenario(LAYOUT_SCENARIOS[kind]())
+    path = tmp_path / "run.csv"
+    write_records_csv(result.records, path)
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(result.records) == 6
+    for row, rec in zip(rows, result.records):
+        assert tuple(row) == CSV_COLUMNS
+        for name in CSV_COLUMNS[:-1]:
+            value = getattr(rec, name)
+            assert row[name] == ("" if value is None else _fmt(value)), name
+        assert row["flags"] == ";".join(rec.flags)
+        if kind == "smc":
+            assert isinstance(rec.s, np.ndarray) and rec.s.shape == (3,)
+            assert rec.s.tolist() == [rec.s_x, rec.s_y, rec.s_psi]
+        else:
+            assert rec.s is None
+    if kind == "smc":
+        assert all(row["flags"] == "ground;saturation" for row in rows)
+    else:
+        assert any(rec.delta_y != 0.0 for rec in result.records)  # the noise is recorded
+    states = np.array([[float(row[name]) for name in STATE_LABELS] for row in rows])
+    assert np.array_equal(result.states(), states)
 
 
 def test_summary_format_key_value():

@@ -242,6 +242,24 @@ def test_reference_trajectory_unwraps_yaw_column():
     assert pose[2] == pytest.approx(np.pi, abs=0.05)
 
 
+@pytest.mark.parametrize("times, poses, name", [
+    ([0.0, np.nan], [[0, 0, 0], [1, 0, 0]], "times"),
+    ([0.0, np.inf], [[0, 0, 0], [1, 0, 0]], "times"),
+    ([0.0, 1.0], [[0, 0, 0], [np.nan, 0, 0]], "poses"),
+    ([0.0, 1.0], [[0, 0, -np.inf], [0, 0, 0]], "poses"),
+])
+def test_reference_trajectory_rejects_non_finite(times, poses, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ReferenceTrajectory(times=times, poses=poses)
+
+
+def test_reference_trajectory_file_error_names_the_file(tmp_path):
+    path = tmp_path / "ref.txt"
+    path.write_text("0.0 0.0 0.0 0.0\n10.0 nan 0.0 0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="ref.txt: poses must be finite"):
+        ReferenceTrajectory.from_file(path)
+
+
 def test_reference_trajectory_file_load(tmp_path):
     path = tmp_path / "ref.txt"
     path.write_text("# t x y psi\n0.0 0.0 0.0 0.0\n10.0 1.0 0.0 0.5\n", encoding="utf-8")
