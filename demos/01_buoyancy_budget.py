@@ -7,7 +7,13 @@ upright without any active control.
 
 import numpy as np
 
-from ionblimp import AttitudeAngles, BuoyancyConfig, EnvelopeGeometry, buoyancy_wrench, lift_budget
+from ionblimp import (
+    AirshipParams,
+    AttitudeAngles,
+    EnvelopeGeometry,
+    gravity_buoyancy_wrench,
+    lift_budget,
+)
 
 # ---------------------------------------------------------------------------
 # Envelope: 1.97 m long, 51 cm max diameter, 79.36 g of aluminized film.
@@ -39,9 +45,9 @@ print()
 # Pendulum stability: the center of buoyancy sits above the center of mass,
 # so tilting the hull produces a moment that pushes it back level.
 # ---------------------------------------------------------------------------
-cfg = BuoyancyConfig(weight_n=0.2978 * 9.80665, cb_offset_m=0.20)
+params = AirshipParams(mass=0.2978, cb_offset=0.20)
 print("pitch angle -> restoring moment about body y:")
 for theta_deg in (2, 5, 10, 20):
-    wrench = buoyancy_wrench(cfg, AttitudeAngles(theta=np.radians(theta_deg)))
+    wrench = gravity_buoyancy_wrench(params, AttitudeAngles(theta=np.radians(theta_deg)))
     print("  theta = %4.1f deg   M_y = %+.4f N m" % (theta_deg, wrench.moment[1]))
 print("(negative moment opposes positive pitch: statically stable)")

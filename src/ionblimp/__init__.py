@@ -1,19 +1,13 @@
 """Flight dynamics and controller synthesis for an ionic-wind thrust-vectored blimp."""
 
-from .buoyancy import (
-    BuoyancyConfig,
-    EnvelopeGeometry,
-    LiftBudget,
-    buoyancy_wrench,
-    ellipsoid_volume,
-    lift_budget,
-)
+from .buoyancy import EnvelopeGeometry, LiftBudget, ellipsoid_volume, lift_budget
 from .dynamics import (
     AirshipParams,
     BodyState,
     ThrusterCommand,
     aero_wrench,
     full_derivatives,
+    gravity_buoyancy_wrench,
     planar_derivatives,
     thruster_wrench,
 )

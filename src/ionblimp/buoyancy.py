@@ -1,16 +1,14 @@
-"""Envelope geometry, helium lift budget and the static buoyancy wrench.
+"""Envelope geometry and helium lift budget.
 
-The envelope is approximated as an ellipsoid. The buoyancy wrench models a
-single vertical force of magnitude G applied at the center of buoyancy,
-which sits a distance d above the center of mass along body -z; tilting the
-hull therefore produces a pendulum restoring moment.
+The envelope is approximated as an ellipsoid. The static wrench that keeps
+the hull upright (net lift plus the pendulum moment of the center of
+buoyancy sitting above the center of mass) is
+``dynamics.gravity_buoyancy_wrench``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .frames import AttitudeAngles, Wrench, ground_to_body
 
 # Buoyant lift of helium at room conditions, kg per liter of displaced air.
 DEFAULT_LIFT_PER_LITER = 0.00111
@@ -46,20 +44,6 @@ class LiftBudget:
         return self.net_lift_kg < 0.0
 
 
-@dataclass(frozen=True)
-class BuoyancyConfig:
-    """Vertical force magnitude (N) and CB-to-CM offset (m, along body -z)."""
-
-    weight_n: float
-    cb_offset_m: float
-
-    def __post_init__(self):
-        if self.weight_n <= 0.0:
-            raise ValueError("weight_n must be positive")
-        if self.cb_offset_m < 0.0:
-            raise ValueError("cb_offset_m must be non-negative")
-
-
 def ellipsoid_volume(geom: EnvelopeGeometry) -> float:
     """Envelope volume (m^3): V = 4/3 * pi * a * b * c."""
     return 4.0 / 3.0 * np.pi * geom.semi_axis_a * geom.semi_axis_b * geom.semi_axis_c
@@ -77,18 +61,3 @@ def lift_budget(geom: EnvelopeGeometry, lift_per_liter: float = DEFAULT_LIFT_PER
     volume = ellipsoid_volume(geom)
     gross = volume * 1000.0 * lift_per_liter
     return LiftBudget(volume_m3=volume, gross_lift_kg=gross, net_lift_kg=gross - geom.envelope_mass)
-
-
-def buoyancy_wrench(cfg: BuoyancyConfig, att: AttitudeAngles) -> Wrench:
-    """Body-frame force and pendulum moment of a vertical force at the CB.
-
-    The force is the ground-frame vector (0, 0, -G) (up, since ground z
-    points down) rotated into the body frame; the moment is the cross
-    product of the CB position (0, 0, -d) with that force. At level
-    attitude the moment vanishes; for d > 0 a small pitch or roll angle
-    produces a restoring moment opposing the tilt.
-    """
-    l_bg = ground_to_body(att)
-    force = l_bg @ np.array([0.0, 0.0, -cfg.weight_n])
-    moment = np.cross(np.array([0.0, 0.0, -cfg.cb_offset_m]), force)
-    return Wrench(force=force, moment=moment, frame="body")

@@ -142,12 +142,6 @@ class BodyState:
             attitude=AttitudeAngles(phi=vec[9], theta=vec[10], psi=vec[11]),
         )
 
-    def velocity(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.w])
-
-    def rates(self) -> np.ndarray:
-        return np.array([self.p, self.q, self.r])
-
 
 @dataclass(frozen=True)
 class ThrusterCommand:
@@ -181,7 +175,7 @@ def _state_values(state):
 
 
 def _wrench(terms: tuple) -> Wrench:
-    return Wrench(force=terms[:3], moment=terms[3:], frame="body")
+    return Wrench(force=terms[:3], moment=terms[3:])
 
 
 def _aero_terms(params: AirshipParams, u: float, v: float, w: float) -> tuple:

@@ -73,19 +73,14 @@ class FlowAngles:
 
 @dataclass(frozen=True)
 class Wrench:
-    """Force/moment pair tagged with the frame its components live in."""
+    """Body-frame force/moment pair."""
 
     force: np.ndarray
     moment: np.ndarray
-    frame: str = "body"
-
-    _FRAMES = ("body", "airflow", "ground")
 
     def __post_init__(self):
         object.__setattr__(self, "force", np.asarray(self.force, dtype=float).reshape(3))
         object.__setattr__(self, "moment", np.asarray(self.moment, dtype=float).reshape(3))
-        if self.frame not in self._FRAMES:
-            raise ValueError(f"unknown frame tag {self.frame!r}, expected one of {self._FRAMES}")
 
 
 def ground_to_body(att: AttitudeAngles) -> np.ndarray:
@@ -163,19 +158,3 @@ def flow_angles_from_velocity(v_body) -> FlowAngles:
     alpha = np.clip(np.arctan2(w, u), -FLOW_ANGLE_LIMIT, FLOW_ANGLE_LIMIT)
     beta = np.clip(np.arcsin(np.clip(v / speed, -1.0, 1.0)), -FLOW_ANGLE_LIMIT, FLOW_ANGLE_LIMIT)
     return FlowAngles(alpha=float(alpha), beta=float(beta))
-
-
-def velocity_from_flow_angles(speed: float, flow: FlowAngles) -> np.ndarray:
-    """Rebuild the body-frame velocity from airspeed and flow angles."""
-    ca, sa = np.cos(flow.alpha), np.sin(flow.alpha)
-    cb, sb = np.cos(flow.beta), np.sin(flow.beta)
-    return speed * np.array([ca * cb, sb, sa * cb])
-
-
-def is_rotation_matrix(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when mat is orthonormal with determinant +1 within tol."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (3, 3):
-        return False
-    ortho = np.max(np.abs(mat.T @ mat - np.eye(3)))
-    return bool(ortho <= tol and abs(np.linalg.det(mat) - 1.0) <= tol)

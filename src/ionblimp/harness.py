@@ -145,7 +145,7 @@ def servo_map(
     return ServoAngles(yaw_deg=angles[0], pitch_deg=angles[1], saturated=saturated)
 
 
-# Open-loop values that cannot be set together: the script wins, throttle overrides thrust.
+# Open-loop values that cannot be set together: the script wins, throttle replaces thrust.
 OPEN_LOOP_CONFLICTS = (
     ("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"),
     ("script", "delta_y"), ("script", "delta_p"),
@@ -163,6 +163,8 @@ class OpenLoopCommand:
     script: np.ndarray | None = None  # rows of (t, thrust, delta_y, delta_p)
 
     def __post_init__(self):
+        script = None if self.script is None else np.asarray(self.script, dtype=float)
+        object.__setattr__(self, "script", script)
         require_finite(self)
         given = {"thrust": self.thrust != 0.0, "throttle": self.throttle is not None,
                  "delta_y": self.delta_y != 0.0, "delta_p": self.delta_p != 0.0,
@@ -170,6 +172,19 @@ class OpenLoopCommand:
         for a, b in OPEN_LOOP_CONFLICTS:
             if given[a] and given[b]:
                 raise ValueError(f"{a} and {b} cannot both be set")
+        if script is not None and (script.shape[1:] != (4,) or not len(script)):
+            raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {script.shape}")
+        rows = [(None, self.thrust, self.delta_y, self.delta_p)] if script is None else script.tolist()
+        for t, thrust, dy, dp in rows:
+            where = "" if t is None else f"script row at t={t!r}: "
+            if thrust < 0.0:
+                raise ValueError(f"{where}thrust must be non-negative, got {thrust}")
+            for name, value in (("delta_y", dy), ("delta_p", dp)):
+                if abs(value) > GIMBAL_LIMIT + 1e-12:  # as ThrusterCommand allows
+                    raise ValueError(f"{where}|{name}| must not exceed {GIMBAL_LIMIT} rad, got {value}")
+        lo, hi = THROTTLE_MAP.valid_range
+        if self.throttle is not None and not lo <= self.throttle <= hi:
+            raise ValueError(f"throttle must lie in [{lo}, {hi}], got {self.throttle}")
 
     def command_at(self, t: float) -> ThrusterCommand:
         if self.script is not None:
@@ -274,9 +289,6 @@ class SimResult:
 
     def states(self) -> np.ndarray:
         return np.array([rec[1:13] for rec in self.records])
-
-    def times(self) -> np.ndarray:
-        return np.array([rec.t for rec in self.records])
 
 
 # What the run loop integrates: derivative(y, u) from y0 (components named
@@ -518,6 +530,21 @@ def read_config(path, schema: dict) -> dict:
     return config
 
 
+def _section(path, name: str, make, values: dict):
+    """make(**values); a ValueError it raises is prefixed with the file and [name], as in read_config."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{name}] {exc}") from None
+
+
+def _smc_config(reference=None, **values) -> SmcScenarioConfig:
+    if reference is None:
+        raise ValueError("reference: a trajectory file is required")
+    gains = SmcGains(**{f.name: values.pop(f.name) for f in fields(SmcGains) if f.name in values})
+    return SmcScenarioConfig(gains=gains, reference=ReferenceTrajectory.from_file(reference), **values)
+
+
 def load_scenario(path) -> Scenario:
     """Parse a versioned scenario config file into a Scenario (see read_config)."""
     config = read_config(path, SCENARIO_SCHEMA)
@@ -531,26 +558,16 @@ def load_scenario(path) -> Scenario:
             raise ValueError(f"{path}: [open_loop] {a} and {b} cannot both be set")
     if "script" in open_loop:
         open_loop["script"] = np.loadtxt(open_loop["script"], comments="#", ndmin=2)
-        if open_loop["script"].shape[1] != 4:
-            raise ValueError("open-loop script needs columns t, thrust, delta_y, delta_p")
 
-    inner = config.get("inner_loop")
-    smc_cfg = config.get("smc")
-    if smc_cfg is not None:
-        if "reference" not in smc_cfg:
-            raise ValueError("[smc] section requires a reference trajectory file")
-        gains = SmcGains(**{f.name: smc_cfg.pop(f.name) for f in fields(SmcGains) if f.name in smc_cfg})
-        reference = ReferenceTrajectory.from_file(smc_cfg.pop("reference"))
-        smc_cfg = SmcScenarioConfig(gains=gains, reference=reference, **smc_cfg)
-
+    # These Scenario fields are named after the sections they are built from.
+    makers = {"params": AirshipParams, "open_loop": OpenLoopCommand,
+              "inner_loop": InnerLoopConfig, "smc": _smc_config}
+    built = {s: _section(path, s, make, config[s]) for s, make in makers.items() if s in config}
     output = {key: str(value) for key, value in config.get("output", {}).items()}
-    return Scenario(
-        params=AirshipParams(**config.get("params", {})),
+    return _section(path, "scenario", Scenario, dict(
         initial=BodyState(attitude=attitude, **initial),
-        open_loop=OpenLoopCommand(**open_loop),
-        inner_loop=None if inner is None else InnerLoopConfig(**inner),
-        smc=smc_cfg,
         csv_path=output.get("csv"),
         summary_path=output.get("summary"),
+        **built,
         **config.get("scenario", {}),
-    )
+    ))

@@ -79,38 +79,21 @@ class SmcModel:
         cg_x: float = 0.0,
         cg_y: float = 0.0,
         aero_matrix=None,
-        printed_mass_matrix: bool = False,
     ) -> "SmcModel":
         """Assemble the generalized mass matrix from physical components.
 
-        The default is the standard symmetric form
+        The matrix has the standard symmetric form
 
             [[m + m11,      0,     -m*y_G],
              [0,        m + m22,    m*x_G],
              [-m*y_G,    m*x_G,  Iz + m66]]
-
-        ``printed_mass_matrix=True`` selects a legacy variant whose second
-        row reads (m + m22, 0, m*x_G); that matrix is singular whenever
-        x_G = 0, in which case construction fails fast rather than letting
-        a later inversion blow up.
         """
         m11, m22, m66 = added_mass_x, added_mass_y, added_inertia_z
-        if printed_mass_matrix:
-            mass_matrix = np.array(
-                [
-                    [mass + m11, 0.0, -mass * cg_y],
-                    [mass + m22, 0.0, mass * cg_x],
-                    [-mass * cg_y, mass * cg_x, inertia_z + m66],
-                ]
-            )
-        else:
-            mass_matrix = np.array(
-                [
-                    [mass + m11, 0.0, -mass * cg_y],
-                    [0.0, mass + m22, mass * cg_x],
-                    [-mass * cg_y, mass * cg_x, inertia_z + m66],
-                ]
-            )
+        mass_matrix = np.array([
+            [mass + m11, 0.0, -mass * cg_y],
+            [0.0, mass + m22, mass * cg_x],
+            [-mass * cg_y, mass * cg_x, inertia_z + m66],
+        ])
         if aero_matrix is None:
             aero_matrix = np.zeros((3, 3))
         return cls(mass_matrix=mass_matrix, aero_matrix=aero_matrix)

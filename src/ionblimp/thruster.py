@@ -166,7 +166,7 @@ def collision_force_density_mc(
     return p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density * mean
 
 
-def ion_mobility(p: GasIonParams, override: float | None = None) -> float:
+def ion_mobility(p: GasIonParams) -> float:
     """Ion mobility, m^2/(V s).
 
     Implements the kinetic definition verbatim:
@@ -177,12 +177,9 @@ def ion_mobility(p: GasIonParams, override: float | None = None) -> float:
     As written the cross section multiplies the mobility; dimensional
     analysis (more collisions should mean lower mobility) suggests it
     should divide instead, see mobility_from_force_balance. Both are
-    exposed rather than silently reconciled, and a numeric override is
-    available for when a measured mobility is known (pass e.g.
-    DEFAULT_ION_MOBILITY).
+    exposed rather than silently reconciled; where a numeric mobility is
+    needed, use a measured one such as DEFAULT_ION_MOBILITY.
     """
-    if override is not None:
-        return float(override)
     return (
         9.0 / 64.0
         * (p.ion_charge / p.neutral_density)
@@ -340,24 +337,8 @@ def thrust_to_weight(thrust: float, dry_mass: float) -> float:
     return thrust / dry_mass
 
 
-def load_thrust_map(path, valid_range=None) -> ThrustMap:
-    """Read a two-column (input, thrust-grams) text file into a ThrustMap.
-
-    Lines starting with '#' are comments. The validity range defaults to
-    the span of the inputs.
-    """
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"expected two numeric columns in {path}, got {data.shape[1]}")
-    inputs = tuple(float(x) for x in data[:, 0])
-    grams = tuple(float(g) for g in data[:, 1])
-    if valid_range is None:
-        valid_range = (inputs[0], inputs[-1])
-    return ThrustMap(inputs=inputs, thrust_grams=grams, valid_range=tuple(valid_range))
-
-
 def dump_thrust_map(tmap: ThrustMap) -> str:
-    """Serialize a ThrustMap to the two-column text form load_thrust_map reads."""
+    """Serialize a ThrustMap as two-column (input, thrust-grams) text under a '#' header line."""
     lines = ["# input  thrust_grams"]
     for x, g in zip(tmap.inputs, tmap.thrust_grams):
         lines.append(f"{x!r}  {g!r}")

@@ -29,12 +29,22 @@ from ionblimp.frames import (
 )
 
 
+def velocity(state: BodyState) -> np.ndarray:
+    """Body-frame velocity (u, v, w)."""
+    return np.array([state.u, state.v, state.w])
+
+
+def rates(state: BodyState) -> np.ndarray:
+    """Body rates (p, q, r)."""
+    return np.array([state.p, state.q, state.r])
+
+
 def aero_wrench(params: AirshipParams, v_body) -> Wrench:
     v_body = np.asarray(v_body, dtype=float).reshape(3)
     try:
         flow = flow_angles_from_velocity(v_body)
     except StagnantFlow:
-        return Wrench(force=np.zeros(3), moment=np.zeros(3), frame="body")
+        return Wrench(force=np.zeros(3), moment=np.zeros(3))
     speed_sq = float(v_body @ v_body)
     q_dyn = 0.5 * params.air_density * speed_sq
     drag = q_dyn * params.drag_coeff
@@ -43,7 +53,7 @@ def aero_wrench(params: AirshipParams, v_body) -> Wrench:
     l_ba = airflow_to_body(flow)
     force = l_ba @ np.array([-drag, 0.0, -lift])
     moment = l_ba @ np.array([0.0, pitch_moment, 0.0])
-    return Wrench(force=force, moment=moment, frame="body")
+    return Wrench(force=force, moment=moment)
 
 
 def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
@@ -54,7 +64,7 @@ def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
     arm = np.array([params.mount_x, 0.0, params.mount_z]) + params.link_length * np.array(
         [cy * sp, sy * sp, cp]
     )
-    return Wrench(force=force, moment=np.cross(arm, force), frame="body")
+    return Wrench(force=force, moment=np.cross(arm, force))
 
 
 def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrench:
@@ -65,11 +75,11 @@ def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrenc
         np.array([0.0, 0.0, -params.cb_offset]),
         l_bg @ np.array([0.0, 0.0, -weight]),
     )
-    return Wrench(force=force, moment=moment, frame="body")
+    return Wrench(force=force, moment=moment)
 
 
 def _total_wrench(params: AirshipParams, state: BodyState, cmd: ThrusterCommand):
-    aero = aero_wrench(params, state.velocity())
+    aero = aero_wrench(params, velocity(state))
     thrust = thruster_wrench(params, cmd)
     static = gravity_buoyancy_wrench(params, state.attitude)
     force = aero.force + thrust.force + static.force
@@ -99,8 +109,8 @@ def full_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterComma
     except np.linalg.LinAlgError as exc:
         raise SingularInertia(f"inertia system not invertible: {exc}") from exc
 
-    euler_dot = euler_rates_from_body_rates(state.attitude, state.rates())
-    ground_vel = ground_to_body(state.attitude).T @ state.velocity()
+    euler_dot = euler_rates_from_body_rates(state.attitude, rates(state))
+    ground_vel = ground_to_body(state.attitude).T @ velocity(state)
 
     out = np.empty(12)
     out[0:3] = vel_dot

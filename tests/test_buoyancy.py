@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from ionblimp.buoyancy import (
-    BuoyancyConfig,
-    EnvelopeGeometry,
-    buoyancy_wrench,
-    ellipsoid_volume,
-    lift_budget,
-)
+from ionblimp.buoyancy import EnvelopeGeometry, ellipsoid_volume, lift_budget
+from ionblimp.constants import STANDARD_GRAVITY
+from ionblimp.dynamics import AirshipParams, gravity_buoyancy_wrench
 from ionblimp.frames import AttitudeAngles
 
 # 1.97 m long, 51 cm max diameter envelope of the bench vehicle.
 BENCH_GEOMETRY = EnvelopeGeometry(0.985, 0.255, 0.255, envelope_mass=0.07936)
+
+
+def pendulum(weight_n, cb_offset_m):
+    """Params whose static wrench is a vertical force weight_n at the CB, cb_offset_m above the CM."""
+    return AirshipParams(mass=weight_n / STANDARD_GRAVITY, cb_offset=cb_offset_m, net_lift=weight_n)
 
 
 def test_ellipsoid_volume_bench_geometry():
@@ -61,9 +62,9 @@ def test_geometry_validation():
 
 
 def test_buoyancy_wrench_level_any_yaw():
-    cfg = BuoyancyConfig(weight_n=2.92, cb_offset_m=0.2)
+    params = pendulum(2.92, 0.2)
     for psi in (0.0, 0.7, -2.0, np.pi):
-        wr = buoyancy_wrench(cfg, AttitudeAngles(psi=psi))
+        wr = gravity_buoyancy_wrench(params, AttitudeAngles(psi=psi))
         assert np.allclose(wr.force, [0.0, 0.0, -2.92], atol=1e-14)
         assert np.allclose(wr.moment, np.zeros(3), atol=1e-14)
 
@@ -71,7 +72,7 @@ def test_buoyancy_wrench_level_any_yaw():
 def test_buoyancy_wrench_pitch_restoring():
     # Oracle: evaluate the rotated force and (0, 0, -d) x F by scalar trig.
     g_n, d, theta = 2.92, 0.2, 0.1
-    wr = buoyancy_wrench(BuoyancyConfig(g_n, d), AttitudeAngles(theta=theta))
+    wr = gravity_buoyancy_wrench(pendulum(g_n, d), AttitudeAngles(theta=theta))
     assert np.allclose(wr.force, [g_n * np.sin(theta), 0.0, -g_n * np.cos(theta)], atol=1e-14)
     assert np.allclose(wr.moment, [0.0, -d * g_n * np.sin(theta), 0.0], atol=1e-14)
     assert wr.moment[1] < 0.0  # opposes positive pitch
@@ -79,40 +80,34 @@ def test_buoyancy_wrench_pitch_restoring():
 
 def test_buoyancy_wrench_roll_restoring():
     g_n, d, phi = 2.92, 0.2, 0.1
-    wr = buoyancy_wrench(BuoyancyConfig(g_n, d), AttitudeAngles(phi=phi))
+    wr = gravity_buoyancy_wrench(pendulum(g_n, d), AttitudeAngles(phi=phi))
     assert np.allclose(wr.force, [0.0, -g_n * np.sin(phi), -g_n * np.cos(phi)], atol=1e-14)
     assert np.allclose(wr.moment, [-d * g_n * np.sin(phi), 0.0, 0.0], atol=1e-14)
     assert wr.moment[0] < 0.0  # opposes positive roll
 
 
 def test_buoyancy_force_norm_preserved():
-    cfg = BuoyancyConfig(weight_n=3.5, cb_offset_m=0.15)
+    params = pendulum(3.5, 0.15)
     rng = np.random.default_rng(6)
     for _ in range(100):
         att = AttitudeAngles(*rng.uniform(-np.pi, np.pi, 3))
-        wr = buoyancy_wrench(cfg, att)
+        wr = gravity_buoyancy_wrench(params, att)
         assert np.linalg.norm(wr.force) == pytest.approx(3.5, rel=1e-13)
 
 
 def test_buoyancy_moment_zero_only_when_axis_vertical():
-    cfg = BuoyancyConfig(weight_n=3.5, cb_offset_m=0.15)
-    assert np.allclose(buoyancy_wrench(cfg, AttitudeAngles()).moment, 0.0, atol=1e-15)
-    inverted = buoyancy_wrench(cfg, AttitudeAngles(phi=np.pi))
+    params = pendulum(3.5, 0.15)
+    assert np.allclose(gravity_buoyancy_wrench(params, AttitudeAngles()).moment, 0.0, atol=1e-15)
+    inverted = gravity_buoyancy_wrench(params, AttitudeAngles(phi=np.pi))
     assert np.allclose(inverted.moment, 0.0, atol=1e-12)
-    tilted = buoyancy_wrench(cfg, AttitudeAngles(theta=0.3))
+    tilted = gravity_buoyancy_wrench(params, AttitudeAngles(theta=0.3))
     assert np.linalg.norm(tilted.moment) > 0.01
 
 
 def test_pitch_stiffness_negative_at_level():
-    cfg = BuoyancyConfig(weight_n=2.92, cb_offset_m=0.2)
+    params = pendulum(2.92, 0.2)
     h = 1e-6
-    m_plus = buoyancy_wrench(cfg, AttitudeAngles(theta=+h)).moment[1]
-    m_minus = buoyancy_wrench(cfg, AttitudeAngles(theta=-h)).moment[1]
+    m_plus = gravity_buoyancy_wrench(params, AttitudeAngles(theta=+h)).moment[1]
+    m_minus = gravity_buoyancy_wrench(params, AttitudeAngles(theta=-h)).moment[1]
     assert (m_plus - m_minus) / (2 * h) < 0.0
 
-
-def test_buoyancy_config_validation():
-    with pytest.raises(ValueError):
-        BuoyancyConfig(weight_n=0.0, cb_offset_m=0.1)
-    with pytest.raises(ValueError):
-        BuoyancyConfig(weight_n=1.0, cb_offset_m=-0.1)

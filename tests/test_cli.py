@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from ionblimp.cli import main
 from ionblimp.harness import CONFIG_HEADER, load_scenario
-from ionblimp.thruster import THROTTLE_MAP, load_thrust_map
+from ionblimp.thruster import THROTTLE_MAP
 
 PARAMS_CFG = (
     CONFIG_HEADER
@@ -43,9 +44,9 @@ def test_thruster_map_output_round_trips(tmp_path, capsys):
     out = capsys.readouterr().out
     path = tmp_path / "map.txt"
     path.write_text(out, encoding="utf-8")
-    loaded = load_thrust_map(path)
-    assert loaded.inputs == THROTTLE_MAP.inputs
-    assert loaded.thrust_grams == THROTTLE_MAP.thrust_grams
+    data = np.loadtxt(path, comments="#", ndmin=2)
+    assert tuple(data[:, 0].tolist()) == THROTTLE_MAP.inputs
+    assert tuple(data[:, 1].tolist()) == THROTTLE_MAP.thrust_grams
 
 
 def test_thruster_map_query(capsys):
@@ -175,7 +176,7 @@ reference = ref.txt
 
 
 @pytest.mark.parametrize("extra, ref, named", [
-    ("t_max = -0.01\n", "0.0 0 0 0.5\n1.0 0 0 0.5\n", "t_max"),
+    ("t_max = -0.01\n", "0.0 0 0 0.5\n1.0 0 0 0.5\n", "smc.cfg: [smc] t_max"),
     ("", "0.0 0 0 0.5\n1.0 0 0 nan\n", "ref.txt"),
 ], ids=["negative-t-max", "nan-reference"])
 def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
@@ -189,8 +190,24 @@ def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and named in lines[0]
     assert "step 0" not in lines[0]
-    with pytest.raises(ValueError, match=named):  # at load, before any step runs
+    with pytest.raises(ValueError, match=re.escape(named)):  # at load, before any step runs
         load_scenario(path)
+
+
+@pytest.mark.parametrize("script, named", [
+    ("0.0 0.01 0.0 0\n0.005 0.01 2.0 0\n", "[open_loop] script row at t=0.005: |delta_y|"),
+    ("0.0 0.01 0.0\n", "[open_loop] script needs rows"),
+], ids=["out-of-range-row", "three-columns"])
+def test_bad_open_loop_script_fails_at_load(script, named, tmp_path, capsys):
+    (tmp_path / "script.txt").write_text(script, encoding="utf-8")
+    path = tmp_path / "open_loop.cfg"
+    path.write_text(CONFIG_HEADER + "\n[open_loop]\nscript = script.txt\n", encoding="utf-8")
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and f"{path}: {named}" in lines[0]
 
 
 def test_missing_file_error(capsys):
@@ -235,9 +252,17 @@ thrust_feedforward = 0.01
     ("simulate", "[scenario]\ndt = inf\n", "[scenario] dt"),
     ("linearize", "[trim]\nspeed = -inf\n", "[trim] speed"),
     ("simulate", "[output]\ncsv =\n", "[output] csv"),
+    ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
+    ("simulate", "[scenario]\ndt = -1\n", "bad.cfg: [scenario] dt"),
+    ("simulate", "[open_loop]\nthrust = -0.1\n", "bad.cfg: [open_loop] thrust"),
+    ("simulate", "[open_loop]\ndelta_y = 2.0\n", "bad.cfg: [open_loop] |delta_y|"),
+    ("simulate", "[open_loop]\ndelta_p = -2.0\n", "bad.cfg: [open_loop] |delta_p|"),
+    ("simulate", "[open_loop]\nthrottle = 1.5\n", "bad.cfg: [open_loop] throttle"),
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
-        "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path"])
+        "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
+        "negative-mass", "negative-dt", "negative-thrust", "delta-y-beyond-gimbal",
+        "delta-p-beyond-gimbal", "throttle-above-one"])
 def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys):
     path = config
     if isinstance(config, str):

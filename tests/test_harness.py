@@ -1,9 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ionblimp.dynamics import AirshipParams, BodyState, ThrusterCommand
+from ionblimp.dynamics import GIMBAL_LIMIT, AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
     CONFIG_HEADER,
     CSV_COLUMNS,
@@ -13,6 +16,7 @@ from ionblimp.harness import (
     OpenLoopCommand,
     Scenario,
     ScenarioError,
+    ServoAngles,
     ServoCommandMap,
     SimRecord,
     SmcScenarioConfig,
@@ -118,6 +122,36 @@ def test_servo_map_rejects_negative_slew_rate():
     ServoCommandMap(slew_rate_deg_s=0.0)
 
 
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def servo_step(draw):
+    """A servo map, a previous output inside its range, a command and a time step."""
+    lo, center, hi = sorted(draw(st.tuples(*[st.floats(-90.0, 270.0)] * 3)))
+    smap = ServoCommandMap(center_deg=center, min_deg=lo, max_deg=hi,
+                           slew_rate_deg_s=draw(st.none() | st.floats(0.0, 2000.0)))
+    inside = st.floats(0.0, 1.0).map(lambda f: min(lo + f * (hi - lo), hi))
+    previous = ServoAngles(draw(inside), draw(inside), False)
+    deflection = st.floats(-GIMBAL_LIMIT, GIMBAL_LIMIT)
+    cmd = ThrusterCommand(thrust=0.01, yaw_deflection=draw(deflection), pitch_deflection=draw(deflection))
+    return smap, previous, cmd, draw(st.floats(1e-4, 0.1))
+
+
+@PROPERTY
+@given(servo_step())
+def test_servo_map_range_slew_and_saturation_flag(case):
+    smap, previous, cmd, dt = case
+    out = servo_map(cmd, smap, previous=previous, dt=dt)
+    angles = [out.yaw_deg, out.pitch_deg]
+    for angle, prev in zip(angles, previous[:2]):
+        assert smap.min_deg <= angle <= smap.max_deg
+        if smap.slew_rate_deg_s is not None:
+            assert abs(angle - prev) <= smap.slew_rate_deg_s * dt + 1e-9
+    requested = [smap.center_deg + math.degrees(d) for d in (cmd.yaw_deflection, cmd.pitch_deflection)]
+    assert out.saturated == (angles != requested)
+
+
 # --- scenarios ---------------------------------------------------------------
 
 def hover_scenario(**overrides):
@@ -143,7 +177,7 @@ def test_hover_scenario_stays_put():
 
 def test_scenario_records_time_grid():
     result = run_scenario(hover_scenario(duration=0.1, dt=0.01))
-    t = result.times()
+    t = np.array([rec.t for rec in result.records])
     assert len(t) == 11
     assert np.allclose(np.diff(t), 0.01)
 
@@ -180,6 +214,22 @@ def test_open_loop_command_rejects_dropped_values(values):
 def test_open_loop_command_allows_defaults_beside_script_or_throttle():
     OpenLoopCommand(throttle=0.3, thrust=0.0)
     OpenLoopCommand(script=SCRIPT, thrust=0.0, delta_y=0.0, delta_p=0.0)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"thrust": -0.1}, "^thrust must be non-negative"),
+    ({"delta_y": 2.0}, r"^\|delta_y\| must not exceed"),
+    ({"delta_p": -2.0}, r"^\|delta_p\| must not exceed"),
+    ({"throttle": 1.5}, r"^throttle must lie in \[0.0, 1.0\]"),
+    ({"throttle": -0.1}, r"^throttle must lie in \[0.0, 1.0\]"),
+    ({"script": [[0.0, 0.01, 0.0, 0.0], [0.005, 0.01, 2.0, 0.0]]}, r"^script row at t=0.005: \|delta_y\|"),
+    ({"script": [[0.0, -0.01, 0.0, 0.0]]}, "^script row at t=0.0: thrust must be non-negative"),
+    ({"script": [[0.0, 0.01, 0.0]]}, r"^script needs rows of .* got shape \(1, 3\)"),
+], ids=["thrust", "delta-y", "delta-p", "throttle-high", "throttle-low", "script-delta-y",
+        "script-thrust", "script-shape"])
+def test_open_loop_command_rejects_out_of_range_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        OpenLoopCommand(**values)
 
 
 @pytest.mark.parametrize("t_max", [0.0, -0.01])

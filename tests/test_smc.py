@@ -163,15 +163,6 @@ def test_symmetric_mass_matrix_default():
     assert m[1, 2] == pytest.approx(0.3 * 0.03)
 
 
-def test_printed_mass_matrix_fails_fast_when_singular():
-    with pytest.raises(ValueError):
-        SmcModel.from_components(mass=0.3, inertia_z=0.06, printed_mass_matrix=True)
-    model = SmcModel.from_components(
-        mass=0.3, inertia_z=0.06, cg_x=0.05, printed_mass_matrix=True
-    )
-    assert not np.allclose(model.mass_matrix, model.mass_matrix.T)
-
-
 # --- allocation ----------------------------------------------------------------
 
 def test_allocation_forward_thrust():

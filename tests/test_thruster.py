@@ -19,7 +19,6 @@ from ionblimp.thruster import (
     einstein_diffusivity,
     grams_force_to_newtons,
     ion_mobility,
-    load_thrust_map,
     mobility_from_force_balance,
     spacing_to_thrust,
     throttle_to_thrust,
@@ -69,10 +68,9 @@ def test_monte_carlo_reproducible_for_fixed_seed():
     assert np.array_equal(a, b)
 
 
-def test_ion_mobility_verbatim_and_override():
+def test_ion_mobility_verbatim():
     mu = ion_mobility(NITROGEN_LIKE)
     assert mu == pytest.approx(2.30202007906057e-41, rel=1e-12)
-    assert ion_mobility(NITROGEN_LIKE, override=2.0e-4) == 2.0e-4
     # the cross-section placement makes the verbatim form differ from the
     # force-balance form by exactly cross_section^2
     assert mu == pytest.approx(
@@ -193,7 +191,9 @@ def test_thrust_to_weight_cases():
 def test_thrust_map_file_round_trip(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text(dump_thrust_map(THROTTLE_MAP), encoding="utf-8")
-    loaded = load_thrust_map(path, valid_range=(0.0, 1.0))
+    data = np.loadtxt(path, comments="#", ndmin=2)
+    loaded = ThrustMap(inputs=tuple(data[:, 0].tolist()), thrust_grams=tuple(data[:, 1].tolist()),
+                       valid_range=(0.0, 1.0))
     assert loaded.inputs == THROTTLE_MAP.inputs
     assert loaded.thrust_grams == THROTTLE_MAP.thrust_grams
     assert throttle_to_thrust(loaded, 0.95) == throttle_to_thrust(THROTTLE_MAP, 0.95)
