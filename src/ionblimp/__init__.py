@@ -16,7 +16,6 @@ from .frames import (
     FlowAngles,
     Wrench,
     airflow_to_body,
-    body_rates_from_euler_rates,
     flow_angles_from_velocity,
     ground_to_body,
 )
@@ -40,7 +39,6 @@ from .smc import (
     TrackingError,
     allocate_actuation,
     lyapunov_monitor,
-    reaching_law,
     sliding_surface,
     smc_control,
 )

@@ -109,20 +109,6 @@ def airflow_to_body(flow: FlowAngles) -> np.ndarray:
     return roll_beta @ pitch_alpha
 
 
-def body_rates_from_euler_rates(att: AttitudeAngles, euler_rates) -> np.ndarray:
-    """Map attitude-angle rates (phi_dot, theta_dot, psi_dot) to body rates (p, q, r)."""
-    phid, thd, psid = np.asarray(euler_rates, dtype=float)
-    cphi, sphi = np.cos(att.phi), np.sin(att.phi)
-    cth, sth = np.cos(att.theta), np.sin(att.theta)
-    return np.array(
-        [
-            phid - psid * sth,
-            thd * cphi + psid * cth * sphi,
-            -thd * sphi + psid * cth * cphi,
-        ]
-    )
-
-
 def euler_rates_from_body_rates(att: AttitudeAngles, body_rates) -> np.ndarray:
     """Invert the attitude-rate kinematics: (p, q, r) -> (phi_dot, theta_dot, psi_dot).
 

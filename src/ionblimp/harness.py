@@ -13,10 +13,14 @@ and the input held over the step. Two functions build the plant:
   residual) so under-actuation is visible, but it does not feed back into
   this idealized loop.
 
+Every step's command is recorded with its servo angles from one fixed map
+(``servo_map``): a 90 deg center and travel equal to the gimbal limit.
+
 Runs are deterministic: a fixed scenario file and seed reproduce output
 files byte for byte. Scenario configs are plain-text INI-style files whose
 first line must read ``# blimpsim-config v1``; ``read_config`` checks every
-section and key against a schema table at load time. A run's records are
+section and key against a schema table at load time, and ``smc.read_table``
+reads the open-loop script and SMC reference tables. A run's records are
 its CSV rows: each ``SimRecord`` is a named tuple whose fields are
 ``CSV_COLUMNS``, so the column order is the record layout, defined once.
 Summaries are ``key=value`` text.
@@ -27,7 +31,7 @@ import csv
 import io
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +55,7 @@ from .smc import (
     lyapunov_monitor,
     pose_acceleration,
     reaching_time_bound,
+    read_table,
     sliding_surface,
     smc_control,
 )
@@ -96,53 +101,26 @@ def integrate_step(derivative_fn, state, u, dt: float, labels=STATE_LABELS) -> n
     return result
 
 
-@dataclass(frozen=True)
-class ServoCommandMap:
-    """Mapping from gimbal deflection (rad, 0 = forward) to servo degrees."""
-
-    center_deg: float = 90.0
-    min_deg: float = 0.0
-    max_deg: float = 180.0
-    slew_rate_deg_s: float | None = None
-
-    def __post_init__(self):
-        require_finite(self)
-        if not (self.min_deg <= self.center_deg <= self.max_deg):
-            raise ValueError("center_deg must lie within [min_deg, max_deg]")
-        if self.slew_rate_deg_s is not None and self.slew_rate_deg_s < 0.0:
-            raise ValueError(f"slew_rate_deg_s must be non-negative, got {self.slew_rate_deg_s}")
-
+# Zero deflection points a servo at its center; its travel either side is the gimbal limit.
+SERVO_CENTER_DEG = 90.0
+_SERVO_RANGE_DEG = (SERVO_CENTER_DEG - math.degrees(GIMBAL_LIMIT),
+                    SERVO_CENTER_DEG + math.degrees(GIMBAL_LIMIT))
 
 ServoAngles = namedtuple("ServoAngles", "yaw_deg pitch_deg saturated")
 
 
-def servo_map(
-    cmd: ThrusterCommand,
-    smap: ServoCommandMap,
-    previous: ServoAngles | None = None,
-    dt: float | None = None,
-) -> ServoAngles:
+def servo_map(cmd: ThrusterCommand) -> ServoAngles:
     """Servo angle pair for a thruster command.
 
-    Zero deflection maps to the center position (90 deg by default); the
-    output is clamped to the servo range and, when a slew rate and the
-    previous output are given, rate-limited. Any clamping or rate limiting
-    sets the saturated flag; nothing is clamped silently.
+    A deflection d maps to SERVO_CENTER_DEG + degrees(d), clamped to the
+    center +- degrees(GIMBAL_LIMIT). A clamp sets the saturated flag;
+    nothing is clamped silently.
     """
-    saturated = False
-    angles = []
-    prev_vals = (previous.yaw_deg, previous.pitch_deg) if previous is not None else (None, None)
-    for deflection, prev in zip((cmd.yaw_deflection, cmd.pitch_deflection), prev_vals):
-        deg = smap.center_deg + math.degrees(deflection)
-        clamped = min(max(deg, smap.min_deg), smap.max_deg)
-        saturated |= clamped != deg
-        if smap.slew_rate_deg_s is not None and prev is not None and dt is not None:
-            max_step = smap.slew_rate_deg_s * dt
-            limited = min(max(clamped, prev - max_step), prev + max_step)
-            saturated |= limited != clamped
-            clamped = limited
-        angles.append(clamped)
-    return ServoAngles(yaw_deg=angles[0], pitch_deg=angles[1], saturated=saturated)
+    lo, hi = _SERVO_RANGE_DEG
+    yaw_req = SERVO_CENTER_DEG + math.degrees(cmd.yaw_deflection)
+    pitch_req = SERVO_CENTER_DEG + math.degrees(cmd.pitch_deflection)
+    yaw, pitch = min(max(yaw_req, lo), hi), min(max(pitch_req, lo), hi)
+    return ServoAngles(yaw_deg=yaw, pitch_deg=pitch, saturated=yaw != yaw_req or pitch != pitch_req)
 
 
 # Open-loop values that cannot be set together: the script wins, throttle replaces thrust.
@@ -242,7 +220,6 @@ class Scenario:
     open_loop: OpenLoopCommand = field(default_factory=OpenLoopCommand)
     inner_loop: InnerLoopConfig | None = None
     smc: SmcScenarioConfig | None = None
-    servo: ServoCommandMap = field(default_factory=ServoCommandMap)
     csv_path: str | None = None
     summary_path: str | None = None
 
@@ -366,18 +343,16 @@ def run_scenario(sc: Scenario) -> SimResult:
     n_steps = int(round(sc.duration / sc.dt))
     y = plant.y0
     records = []
-    prev_servo = None
     for step in range(n_steps + 1):
         t = step * sc.dt
         state, cmd, u, flags, internals = plant.control(t, y)
-        servo = servo_map(cmd, sc.servo, previous=prev_servo, dt=sc.dt)
+        servo = servo_map(cmd)
         if servo.saturated:
             flags.add("saturation")
         if state[8] < 0.0:  # h
             flags.add("ground")
         records.append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
                                  servo.yaw_deg, servo.pitch_deg, *internals, tuple(sorted(flags))))
-        prev_servo = servo
         if step == n_steps:
             break
         try:
@@ -530,17 +505,29 @@ def read_config(path, schema: dict) -> dict:
     return config
 
 
+# Keys a section must set when it is present: the fields with no default.
+REQUIRED_KEYS = {
+    "inner_loop": [f.name for f in fields(InnerLoopConfig) if f.default is MISSING],
+    "smc": [f.name for f in fields(SmcGains) if f.default is MISSING] + ["reference"],
+}
+
+
 def _section(path, name: str, make, values: dict):
-    """make(**values); a ValueError it raises is prefixed with the file and [name], as in read_config."""
+    """make(**values) once the REQUIRED_KEYS are set; a ValueError is prefixed with the file and [name]."""
     try:
+        for key in REQUIRED_KEYS.get(name, ()):
+            if key not in values:
+                raise ValueError(f"{key}: required")
         return make(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: [{name}] {exc}") from None
 
 
-def _smc_config(reference=None, **values) -> SmcScenarioConfig:
-    if reference is None:
-        raise ValueError("reference: a trajectory file is required")
+def _open_loop(script=None, **values) -> OpenLoopCommand:
+    return OpenLoopCommand(script=None if script is None else read_table(script), **values)
+
+
+def _smc_config(reference, **values) -> SmcScenarioConfig:
     gains = SmcGains(**{f.name: values.pop(f.name) for f in fields(SmcGains) if f.name in values})
     return SmcScenarioConfig(gains=gains, reference=ReferenceTrajectory.from_file(reference), **values)
 
@@ -556,11 +543,9 @@ def load_scenario(path) -> Scenario:
     for a, b in OPEN_LOOP_CONFLICTS:
         if a in open_loop and b in open_loop:
             raise ValueError(f"{path}: [open_loop] {a} and {b} cannot both be set")
-    if "script" in open_loop:
-        open_loop["script"] = np.loadtxt(open_loop["script"], comments="#", ndmin=2)
 
     # These Scenario fields are named after the sections they are built from.
-    makers = {"params": AirshipParams, "open_loop": OpenLoopCommand,
+    makers = {"params": AirshipParams, "open_loop": _open_loop,
               "inner_loop": InnerLoopConfig, "smc": _smc_config}
     built = {s: _section(path, s, make, config[s]) for s, make in makers.items() if s in config}
     output = {key: str(value) for key, value in config.get("output", {}).items()}

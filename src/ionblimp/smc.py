@@ -3,17 +3,18 @@
 The tracked pose is eta = (x, y, psi) in the ground frame; the body-frame
 state is X = (u, v, r) = C_bg(psi) @ eta_dot. The plant model is
 
-    M_s @ X_dot = A_s @ X + B_s @ U
+    M_s @ X_dot = A_s @ X + U
 
 with M_s the generalized mass (rigid mass plus added mass, with CG offset
-coupling), A_s the aero-derivative matrix and B_s an input map (identity by
-default). The controller drives the sliding variable s = c1*e + c2*e_dot to
-zero along the exponential reaching law s_dot = -eps*sgn(s) - k*s.
+coupling), A_s the aero-derivative matrix and U the generalized force
+(F_x, F_y, N_z). The controller drives the sliding variable
+s = c1*e + c2*e_dot to zero along the exponential reaching law
+s_dot = -eps*sgn(s) - k*s.
 
 The control law is the inverse-dynamics expression obtained from
 X = C eta_dot, X_dot = C_dot eta_dot + C eta_ddot:
 
-    U = B_s^-1 @ (M_s C_dot eta_dot - A_s C eta_dot + M_s C eta_ddot_req)
+    U = M_s C_dot eta_dot - A_s C eta_dot + M_s C eta_ddot_req
     eta_ddot_req = -(1/c2) * (eps*sgn(s) + k*s + c1*e_dot)
 
 Substituted back into the plant this yields s_dot equal to the reaching
@@ -21,7 +22,7 @@ law exactly (the reference acceleration is treated as zero, so references
 should be piecewise-linear in time).
 
 C = C_bg(psi) is the planar rotation, so C^-1 = C^T and C_dot eta_dot =
-psi_dot * (v, -u, 0); M_s^-1 and B_s^-1 are computed once per ``SmcModel``,
+psi_dot * (v, -u, 0); M_s^-1 is computed once per ``SmcModel``,
 and the per-step functions compute with plain floats.
 
 The controller is a pure function of its arguments; the simulation harness
@@ -30,7 +31,8 @@ owns all state.
 
 import bisect
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,24 +50,19 @@ def _mul(matrix, x0, x1, x2) -> tuple:
 class SmcModel:
     """Lateral-plane plant matrices for controller synthesis.
 
-    ``_m``, ``_a``, ``_b``, ``_m_inv``, ``_b_inv`` hold M, A, B, M^-1, B^-1 as row tuples.
+    ``_m``, ``_a``, ``_m_inv`` hold M, A, M^-1 as row tuples.
     """
 
     mass_matrix: np.ndarray
     aero_matrix: np.ndarray
-    input_matrix: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
         object.__setattr__(self, "mass_matrix", np.asarray(self.mass_matrix, dtype=float).reshape(3, 3))
         object.__setattr__(self, "aero_matrix", np.asarray(self.aero_matrix, dtype=float).reshape(3, 3))
-        object.__setattr__(self, "input_matrix", np.asarray(self.input_matrix, dtype=float).reshape(3, 3))
         if abs(np.linalg.det(self.mass_matrix)) < 1e-15:
             raise ValueError("mass_matrix is singular")
-        if abs(np.linalg.det(self.input_matrix)) < 1e-15:
-            raise ValueError("input_matrix is singular")
-        m, b = self.mass_matrix, self.input_matrix
-        for name, matrix in (("_m", m), ("_a", self.aero_matrix), ("_b", b),
-                             ("_m_inv", np.linalg.inv(m)), ("_b_inv", np.linalg.inv(b))):
+        m = self.mass_matrix
+        for name, matrix in (("_m", m), ("_a", self.aero_matrix), ("_m_inv", np.linalg.inv(m))):
             object.__setattr__(self, name, tuple(map(tuple, matrix.tolist())))
 
     @classmethod
@@ -156,13 +153,6 @@ def sliding_surface(gains: SmcGains, err: TrackingError) -> np.ndarray:
     return np.array([gains.c1 * e + gains.c2 * r for e, r in zip(err.error, err.error_rate)])
 
 
-def reaching_law(gains: SmcGains, s) -> np.ndarray:
-    """Target sliding-variable rate: -eps*sgn(s) - k*s, with sgn(0) = 0."""
-    s = np.asarray(s, dtype=float)
-    sgn = np.vectorize(_sgn, otypes=[float])(s, gains.boundary_layer)
-    return -gains.epsilon * sgn - gains.k * s
-
-
 def lyapunov_monitor(gains: SmcGains, s) -> tuple:
     """Per-channel Lyapunov value V = s^2/2 and its rate -eps|s| - k s^2, as float tuples."""
     s = np.asarray(s, dtype=float).tolist()
@@ -199,13 +189,13 @@ def smc_control(model: SmcModel, gains: SmcGains, err: TrackingError, eta_dot, p
     # M (C_dot eta_dot + C eta_ddot_req) - A C eta_dot
     m0, m1, m2 = _mul(model._m, psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1, q2)
     a0, a1, a2 = _mul(model._a, u, v, psi_dot)
-    return _mul(model._b_inv, m0 - a0, m1 - a1, m2 - a2)
+    return (m0 - a0, m1 - a1, m2 - a2)
 
 
 def pose_acceleration(model: SmcModel, u_forces, eta_dot, psi: float) -> tuple:
     """Pose acceleration of the lateral plant under generalized forces.
 
-    eta_ddot = C^T (M^-1 (A C eta_dot + B U) - C_dot eta_dot); the same
+    eta_ddot = C^T (M^-1 (A C eta_dot + U) - C_dot eta_dot); the same
     kinematic identity the control law inverts, so controller and plant
     share one definition of the dynamics.
     """
@@ -213,18 +203,13 @@ def pose_acceleration(model: SmcModel, u_forces, eta_dot, psi: float) -> tuple:
     c, sn = math.cos(psi), math.sin(psi)
     u, v = c * xd + sn * yd, -sn * xd + c * yd
     a0, a1, a2 = _mul(model._a, u, v, psi_dot)
-    b0, b1, b2 = _mul(model._b, *u_forces)
-    x0, x1, x2 = _mul(model._m_inv, a0 + b0, a1 + b1, a2 + b2)
+    f0, f1, f2 = u_forces
+    x0, x1, x2 = _mul(model._m_inv, a0 + f0, a1 + f1, a2 + f2)
     w0, w1 = x0 - psi_dot * v, x1 + psi_dot * u
     return (c * w0 - sn * w1, sn * w0 + c * w1, x2)
 
 
-def allocate_actuation(
-    u_forces,
-    t_max: float,
-    yaw_limit: float = GIMBAL_LIMIT,
-    mount_arm_x: float = 0.0,
-):
+def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
     """Map generalized forces (F_x, F_y, N_z) onto the single vectored thruster.
 
     T = min(|F_xy|, t_max) and delta_y = atan2(F_y, F_x) clamped to the
@@ -241,12 +226,25 @@ def allocate_actuation(
     requested = math.hypot(fx, fy)
     thrust = min(requested, t_max)
     delta_y = math.atan2(fy, fx) if requested > 0.0 else 0.0
-    delta_y = min(max(delta_y, -yaw_limit), yaw_limit)
+    delta_y = min(max(delta_y, -GIMBAL_LIMIT), GIMBAL_LIMIT)
     realized_x = thrust * math.cos(delta_y)
     realized_y = thrust * math.sin(delta_y)
     residual = (fx - realized_x, fy - realized_y, nz - mount_arm_x * realized_y)
     cmd = ThrusterCommand(thrust=thrust, yaw_deflection=delta_y, pitch_deflection=0.0)
     return cmd, residual
+
+
+def read_table(path) -> np.ndarray:
+    """Rows of a plain-text numeric table with ``#`` comments; a failure names the file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input warning; raised below
+            rows = np.loadtxt(path, comments="#", ndmin=2)
+        if not rows.size:
+            raise ValueError("no data rows")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,7 @@ class ReferenceTrajectory:
 
     @classmethod
     def from_file(cls, path) -> "ReferenceTrajectory":
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        data = read_table(path)
         if data.shape[1] != 4:
             raise ValueError(f"expected four columns (t, x, y, psi) in {path}")
         try:

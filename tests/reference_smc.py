@@ -1,10 +1,10 @@
 """Matrix formulation of the SMC pose model, kept as a test oracle.
 
 The pose transform is passed in as explicit matrices C_bg(psi) and its
-time derivative, and both the control law and the plant invert matrices
-per call with ``np.linalg.solve``. ``ionblimp.smc`` computes the same
-quantities with plain floats, C_bg^-1 = C_bg^T and inverses computed once
-per model; ``test_smc_reference.py`` compares the two.
+time derivative, and the plant inverts M and C_bg per call with
+``np.linalg.solve``. ``ionblimp.smc`` computes the same quantities with
+plain floats, C_bg^-1 = C_bg^T and M^-1 computed once per model;
+``test_smc_reference.py`` compares the two.
 """
 
 import numpy as np
@@ -42,12 +42,11 @@ def smc_control(model, gains, error, error_rate, eta_dot, c_bg, c_bg_dot) -> np.
         + gains.k * s
         + gains.c1 * error_rate
     )
-    demand = (
+    return (
         model.mass_matrix @ (c_bg_dot @ eta_dot)
         - model.aero_matrix @ (c_bg @ eta_dot)
         + model.mass_matrix @ (c_bg @ eta_ddot_req)
     )
-    return np.linalg.solve(model.input_matrix, demand)
 
 
 def pose_acceleration(model, u_forces, eta_dot, c_bg, c_bg_dot) -> np.ndarray:
@@ -57,6 +56,6 @@ def pose_acceleration(model, u_forces, eta_dot, c_bg, c_bg_dot) -> np.ndarray:
     c_bg_dot = np.asarray(c_bg_dot, dtype=float).reshape(3, 3)
     x_dot = np.linalg.solve(
         model.mass_matrix,
-        model.aero_matrix @ (c_bg @ eta_dot) + model.input_matrix @ u_forces,
+        model.aero_matrix @ (c_bg @ eta_dot) + u_forces,
     )
     return np.linalg.solve(c_bg, x_dot - c_bg_dot @ eta_dot)

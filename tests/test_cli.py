@@ -175,10 +175,12 @@ reference = ref.txt
 """
 
 
+@pytest.mark.filterwarnings("error")  # numpy's empty-input warning would be a second stderr line
 @pytest.mark.parametrize("extra, ref, named", [
     ("t_max = -0.01\n", "0.0 0 0 0.5\n1.0 0 0 0.5\n", "smc.cfg: [smc] t_max"),
     ("", "0.0 0 0 0.5\n1.0 0 0 nan\n", "ref.txt"),
-], ids=["negative-t-max", "nan-reference"])
+    ("", "# t x y psi\n", "ref.txt: no data rows"),
+], ids=["negative-t-max", "nan-reference", "empty-reference"])
 def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
     (tmp_path / "ref.txt").write_text(ref, encoding="utf-8")
     path = tmp_path / "smc.cfg"
@@ -189,16 +191,21 @@ def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and named in lines[0]
+    assert "smc.cfg: [smc] " in lines[0]
     assert "step 0" not in lines[0]
     with pytest.raises(ValueError, match=re.escape(named)):  # at load, before any step runs
         load_scenario(path)
 
 
+@pytest.mark.filterwarnings("error")  # numpy's empty-input warning would be a second stderr line
 @pytest.mark.parametrize("script, named", [
     ("0.0 0.01 0.0 0\n0.005 0.01 2.0 0\n", "[open_loop] script row at t=0.005: |delta_y|"),
     ("0.0 0.01 0.0\n", "[open_loop] script needs rows"),
-], ids=["out-of-range-row", "three-columns"])
+    ("0 abc 0 0\n", "[open_loop] {script}: could not convert string 'abc'"),
+    ("", "[open_loop] {script}: no data rows"),
+], ids=["out-of-range-row", "three-columns", "unparsable", "empty"])
 def test_bad_open_loop_script_fails_at_load(script, named, tmp_path, capsys):
+    named = named.format(script=tmp_path / "script.txt")
     (tmp_path / "script.txt").write_text(script, encoding="utf-8")
     path = tmp_path / "open_loop.cfg"
     path.write_text(CONFIG_HEADER + "\n[open_loop]\nscript = script.txt\n", encoding="utf-8")
@@ -225,6 +232,14 @@ c2 = 1.0
 epsilon = 0.05
 k = nan
 reference = ref.txt
+"""
+SMC_NO_K = SMC_NAN_K.replace("k = nan\n", "")
+INNER_LOOP_NO_KU = """[scenario]
+controller = inner_loop
+
+[inner_loop]
+trim_speed = 0.3
+trim_thrust = 0.01
 """
 INNER_LOOP_FEEDFORWARD = """[scenario]
 controller = inner_loop
@@ -258,11 +273,13 @@ thrust_feedforward = 0.01
     ("simulate", "[open_loop]\ndelta_y = 2.0\n", "bad.cfg: [open_loop] |delta_y|"),
     ("simulate", "[open_loop]\ndelta_p = -2.0\n", "bad.cfg: [open_loop] |delta_p|"),
     ("simulate", "[open_loop]\nthrottle = 1.5\n", "bad.cfg: [open_loop] throttle"),
+    ("simulate", SMC_NO_K, "bad.cfg: [smc] k: required"),
+    ("simulate", INNER_LOOP_NO_KU, "bad.cfg: [inner_loop] k_u: required"),
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
         "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
         "negative-mass", "negative-dt", "negative-thrust", "delta-y-beyond-gimbal",
-        "delta-p-beyond-gimbal", "throttle-above-one"])
+        "delta-p-beyond-gimbal", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u"])
 def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys):
     path = config
     if isinstance(config, str):

@@ -9,12 +9,25 @@ from ionblimp.frames import (
     Wrench,
     airflow_to_body,
     angle_difference,
-    body_rates_from_euler_rates,
     euler_rates_from_body_rates,
     flow_angles_from_velocity,
     ground_to_body,
     wrap_angle,
 )
+
+
+def body_rates_from_euler_rates(att: AttitudeAngles, euler_rates) -> np.ndarray:
+    """Map attitude-angle rates (phi_dot, theta_dot, psi_dot) to body rates (p, q, r)."""
+    phid, thd, psid = np.asarray(euler_rates, dtype=float)
+    cphi, sphi = np.cos(att.phi), np.sin(att.phi)
+    cth, sth = np.cos(att.theta), np.sin(att.theta)
+    return np.array(
+        [
+            phid - psid * sth,
+            thd * cphi + psid * cth * sphi,
+            -thd * sphi + psid * cth * cphi,
+        ]
+    )
 
 
 def velocity_from_flow_angles(speed: float, flow: FlowAngles) -> np.ndarray:

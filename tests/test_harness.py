@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from ionblimp.dynamics import GIMBAL_LIMIT, AirshipParams, BodyState, ThrusterCo
 from ionblimp.harness import (
     CONFIG_HEADER,
     CSV_COLUMNS,
+    SCENARIO_SCHEMA,
     STATE_LABELS,
     InnerLoopConfig,
     NonFiniteState,
     OpenLoopCommand,
     Scenario,
     ScenarioError,
-    ServoAngles,
-    ServoCommandMap,
     SimRecord,
     SmcScenarioConfig,
     _fmt,
@@ -85,70 +85,43 @@ def test_rk4_convergence_order_on_exponential():
 # --- servo mapping -----------------------------------------------------------
 
 def test_servo_map_center_and_range():
-    smap = ServoCommandMap()
-    out = servo_map(ThrusterCommand(thrust=0.01), smap)
+    out = servo_map(ThrusterCommand(thrust=0.01))
     assert out.yaw_deg == pytest.approx(90.0)
     assert out.pitch_deg == pytest.approx(90.0)
     assert not out.saturated
-    out = servo_map(ThrusterCommand(thrust=0.01, yaw_deflection=np.pi / 2), smap)
+    out = servo_map(ThrusterCommand(thrust=0.01, yaw_deflection=np.pi / 2))
     assert out.yaw_deg == pytest.approx(180.0)
     assert not out.saturated
 
 
-def test_servo_map_clamps_and_flags():
-    # bypass the command validator to exercise the clamp path
+def _unchecked_command(yaw, pitch) -> ThrusterCommand:
+    """A command that bypasses the validator, so deflections may exceed the gimbal limit."""
     cmd = object.__new__(ThrusterCommand)
-    object.__setattr__(cmd, "thrust", 0.01)
-    object.__setattr__(cmd, "yaw_deflection", 2.0)
-    object.__setattr__(cmd, "pitch_deflection", 0.0)
-    out = servo_map(cmd, ServoCommandMap())
+    for name, value in (("thrust", 0.01), ("yaw_deflection", yaw), ("pitch_deflection", pitch)):
+        object.__setattr__(cmd, name, value)
+    return cmd
+
+
+def test_servo_map_clamps_and_flags():
+    out = servo_map(_unchecked_command(2.0, 0.0))
     assert out.yaw_deg == 180.0
     assert out.saturated
 
 
-def test_servo_map_slew_limit():
-    smap = ServoCommandMap(slew_rate_deg_s=100.0)
-    prev = servo_map(ThrusterCommand(thrust=0.01), smap)
-    out = servo_map(
-        ThrusterCommand(thrust=0.01, yaw_deflection=np.pi / 2), smap, previous=prev, dt=0.1
-    )
-    assert out.yaw_deg == pytest.approx(100.0)  # 90 + 100 deg/s * 0.1 s
-    assert out.saturated
-
-
-def test_servo_map_rejects_negative_slew_rate():
-    with pytest.raises(ValueError, match="slew_rate_deg_s"):
-        ServoCommandMap(slew_rate_deg_s=-100.0)
-    ServoCommandMap(slew_rate_deg_s=0.0)
-
-
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
-
-
-@st.composite
-def servo_step(draw):
-    """A servo map, a previous output inside its range, a command and a time step."""
-    lo, center, hi = sorted(draw(st.tuples(*[st.floats(-90.0, 270.0)] * 3)))
-    smap = ServoCommandMap(center_deg=center, min_deg=lo, max_deg=hi,
-                           slew_rate_deg_s=draw(st.none() | st.floats(0.0, 2000.0)))
-    inside = st.floats(0.0, 1.0).map(lambda f: min(lo + f * (hi - lo), hi))
-    previous = ServoAngles(draw(inside), draw(inside), False)
-    deflection = st.floats(-GIMBAL_LIMIT, GIMBAL_LIMIT)
-    cmd = ThrusterCommand(thrust=0.01, yaw_deflection=draw(deflection), pitch_deflection=draw(deflection))
-    return smap, previous, cmd, draw(st.floats(1e-4, 0.1))
+# Inside the gimbal limit, exactly at it, and beyond it (clamped).
+DEFLECTIONS = st.floats(-2.0, 2.0) | st.sampled_from([-GIMBAL_LIMIT, GIMBAL_LIMIT])
 
 
 @PROPERTY
-@given(servo_step())
-def test_servo_map_range_slew_and_saturation_flag(case):
-    smap, previous, cmd, dt = case
-    out = servo_map(cmd, smap, previous=previous, dt=dt)
+@given(yaw=DEFLECTIONS, pitch=DEFLECTIONS)
+def test_servo_map_range_slew_and_saturation_flag(yaw, pitch):
+    # The map is fixed (90 deg center, travel equal to the gimbal limit) and
+    # has no slew limit: the output depends on the command alone.
+    out = servo_map(_unchecked_command(yaw, pitch))
     angles = [out.yaw_deg, out.pitch_deg]
-    for angle, prev in zip(angles, previous[:2]):
-        assert smap.min_deg <= angle <= smap.max_deg
-        if smap.slew_rate_deg_s is not None:
-            assert abs(angle - prev) <= smap.slew_rate_deg_s * dt + 1e-9
-    requested = [smap.center_deg + math.degrees(d) for d in (cmd.yaw_deflection, cmd.pitch_deflection)]
+    assert all(0.0 <= angle <= 180.0 for angle in angles)
+    requested = [90.0 + math.degrees(d) for d in (yaw, pitch)]
     assert out.saturated == (angles != requested)
 
 
@@ -344,7 +317,6 @@ NUMERIC_FIELDS = (
     + [(InnerLoopConfig, VALID_INNER, name)
        for name in ("trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2")]
     + [(OpenLoopCommand, {}, name) for name in ("thrust", "throttle", "delta_y", "delta_p", "script")]
-    + [(ServoCommandMap, {}, name) for name in ("center_deg", "min_deg", "max_deg", "slew_rate_deg_s")]
     + [(SmcScenarioConfig, VALID_SMC, name)
        for name in ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y")]
 )
@@ -369,6 +341,14 @@ def test_ground_flag_on_every_plant():
         result = run_scenario(sc)
         assert all("ground" in rec.flags for rec in result.records)
         assert result.summary["ground_steps"] == 11
+
+
+def test_scenario_fields_are_what_a_scenario_file_sets():
+    # Every Scenario field comes from a [scenario] key, a section built into
+    # a config object, or an [output] path: none is settable only from Python.
+    sections = ("params", "initial", "open_loop", "inner_loop", "smc")
+    expected = {*SCENARIO_SCHEMA["scenario"], *sections, "csv_path", "summary_path"}
+    assert {f.name for f in fields(Scenario)} == expected
 
 
 def test_scenario_rejects_duration_off_the_step_grid():

@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 
+from ionblimp.dynamics import GIMBAL_LIMIT
 from ionblimp.smc import (
     ReferenceTrajectory,
     SmcGains,
     SmcModel,
     TrackingError,
+    _sgn,
     allocate_actuation,
     lyapunov_monitor,
     pose_acceleration,
-    reaching_law,
     reaching_time_bound,
     sliding_surface,
     smc_control,
 )
 
 GAINS = SmcGains(c1=1.0, c2=0.5, epsilon=0.1, k=1.0)
+
+
+def reaching_law(gains: SmcGains, s) -> np.ndarray:
+    """Target sliding-variable rate: -eps*sgn(s) - k*s, with sgn(0) = 0."""
+    s = np.asarray(s, dtype=float)
+    sgn = np.vectorize(_sgn, otypes=[float])(s, gains.boundary_layer)
+    return -gains.epsilon * sgn - gains.k * s
 
 
 # --- surface / reaching law / monitor ----------------------------------------
@@ -173,10 +181,15 @@ def test_allocation_forward_thrust():
 
 
 def test_allocation_side_force_hits_gimbal_limit():
-    cmd, residual = allocate_actuation([0.0, 0.01, 0.0], t_max=0.051, yaw_limit=1.0)
-    assert cmd.yaw_deflection == pytest.approx(1.0)  # atan2 pi/2 clamped to the limit
-    assert residual[0] == pytest.approx(0.0 - 0.01 * np.cos(1.0))
-    assert residual[1] == pytest.approx(0.01 - 0.01 * np.sin(1.0))
+    # A backward force points atan2 beyond +-pi/2: the yaw clamps to the gimbal limit.
+    for fy, limit in ((0.01, GIMBAL_LIMIT), (-0.01, -GIMBAL_LIMIT)):
+        cmd, residual = allocate_actuation([-0.02, fy, 0.0], t_max=0.051, mount_arm_x=0.3)
+        assert cmd.yaw_deflection == limit
+        assert cmd.thrust == pytest.approx(np.hypot(0.02, 0.01))
+        realized_y = cmd.thrust * np.sin(limit)
+        assert residual[0] == pytest.approx(-0.02 - cmd.thrust * np.cos(limit), abs=1e-15)
+        assert residual[1] == pytest.approx(fy - realized_y)
+        assert residual[2] == pytest.approx(-0.3 * realized_y)
 
 
 def test_allocation_thrust_saturation():
