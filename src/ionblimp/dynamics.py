@@ -145,7 +145,7 @@ class BodyState:
 
 @dataclass(frozen=True)
 class ThrusterCommand:
-    """Thrust magnitude (N) and gimbal deflections from forward (rad)."""
+    """Thrust magnitude (N) and the gimbal deflections delta_y/delta_p from forward (rad)."""
 
     thrust: float = 0.0
     yaw_deflection: float = 0.0
@@ -153,11 +153,10 @@ class ThrusterCommand:
 
     def __post_init__(self):
         if self.thrust < 0.0:
-            raise ValueError("thrust must be non-negative")
-        if abs(self.yaw_deflection) > GIMBAL_LIMIT + 1e-12:
-            raise ValueError(f"|yaw_deflection| exceeds the {GIMBAL_LIMIT} rad servo limit")
-        if abs(self.pitch_deflection) > GIMBAL_LIMIT + 1e-12:
-            raise ValueError(f"|pitch_deflection| exceeds the {GIMBAL_LIMIT} rad servo limit")
+            raise ValueError(f"thrust must be non-negative, got {self.thrust}")
+        for name, value in (("delta_y", self.yaw_deflection), ("delta_p", self.pitch_deflection)):
+            if abs(value) > GIMBAL_LIMIT + 1e-12:
+                raise ValueError(f"|{name}| must not exceed {GIMBAL_LIMIT} rad, got {value}")
 
 
 def _state_vector(vec) -> np.ndarray:

@@ -26,9 +26,8 @@ its CSV rows: each ``SimRecord`` is a named tuple whose fields are
 Summaries are ``key=value`` text.
 """
 
+import bisect
 import configparser
-import csv
-import io
 import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
@@ -62,6 +61,11 @@ from .smc import (
 from .thruster import THROTTLE_MAP, throttle_to_thrust
 
 CONFIG_HEADER = "# blimpsim-config v1"
+
+# Each controller reads the config section named after it and no other controller's.
+CONTROLLERS = ("open_loop", "inner_loop", "smc")
+# The smc pose model is planar and takes no gimbal noise, so it reads none of these keys.
+SMC_UNREAD = {"scenario": ("model", "gimbal_noise"), "initial": ("w", "p", "q", "phi", "theta")}
 
 STATE_LABELS = ("u", "v", "w", "p", "q", "r", "x", "y", "h", "phi", "theta", "psi")
 
@@ -132,7 +136,7 @@ OPEN_LOOP_CONFLICTS = (
 
 @dataclass(frozen=True)
 class OpenLoopCommand:
-    """Constant command, or a (t, thrust, delta_y, delta_p) script with ZOH."""
+    """Constant command, or a (t, thrust, delta_y, delta_p) script with ZOH, prebuilt as ThrusterCommands."""
 
     thrust: float = 0.0
     throttle: float | None = None
@@ -150,27 +154,23 @@ class OpenLoopCommand:
         for a, b in OPEN_LOOP_CONFLICTS:
             if given[a] and given[b]:
                 raise ValueError(f"{a} and {b} cannot both be set")
-        if script is not None and (script.shape[1:] != (4,) or not len(script)):
+        if script is None:
+            thrust = self.thrust if self.throttle is None else throttle_to_thrust(THROTTLE_MAP, self.throttle)
+            table = [(0.0, ThrusterCommand(thrust, self.delta_y, self.delta_p))]
+        elif script.shape[1:] != (4,) or not len(script):
             raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {script.shape}")
-        rows = [(None, self.thrust, self.delta_y, self.delta_p)] if script is None else script.tolist()
-        for t, thrust, dy, dp in rows:
-            where = "" if t is None else f"script row at t={t!r}: "
-            if thrust < 0.0:
-                raise ValueError(f"{where}thrust must be non-negative, got {thrust}")
-            for name, value in (("delta_y", dy), ("delta_p", dp)):
-                if abs(value) > GIMBAL_LIMIT + 1e-12:  # as ThrusterCommand allows
-                    raise ValueError(f"{where}|{name}| must not exceed {GIMBAL_LIMIT} rad, got {value}")
-        lo, hi = THROTTLE_MAP.valid_range
-        if self.throttle is not None and not lo <= self.throttle <= hi:
-            raise ValueError(f"throttle must lie in [{lo}, {hi}], got {self.throttle}")
+        else:
+            table = []
+            for t, thrust, dy, dp in script.tolist():
+                try:
+                    table.append((t, ThrusterCommand(thrust, dy, dp)))
+                except ValueError as exc:
+                    raise ValueError(f"script row at t={t!r}: {exc}") from None
+        object.__setattr__(self, "_times", [t for t, _ in table])
+        object.__setattr__(self, "_commands", [cmd for _, cmd in table])
 
     def command_at(self, t: float) -> ThrusterCommand:
-        if self.script is not None:
-            idx = int(np.searchsorted(self.script[:, 0], t, side="right") - 1)
-            row = self.script[max(idx, 0)]
-            return ThrusterCommand(thrust=row[1], yaw_deflection=row[2], pitch_deflection=row[3])
-        thrust = self.thrust if self.throttle is None else throttle_to_thrust(THROTTLE_MAP, self.throttle)
-        return ThrusterCommand(thrust=thrust, yaw_deflection=self.delta_y, pitch_deflection=self.delta_p)
+        return self._commands[max(bisect.bisect_right(self._times, t) - 1, 0)]
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ class Scenario:
     def __post_init__(self):
         if self.model not in ("full", "planar"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.controller not in ("open_loop", "inner_loop", "smc"):
+        if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
@@ -407,27 +407,18 @@ def _summarize(sc: Scenario, records) -> dict:
     return summary
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_records_csv(records, path) -> None:
-    """Write SimRecords as CSV: one row per record, columns in CSV_COLUMNS order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """Write SimRecords as CSV rows in CSV_COLUMNS order: a float as its repr, None as an empty cell."""
+    lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        writer.writerow([*map(_fmt, rec[:-1]), ";".join(rec.flags)])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+        cells = ["" if value is None else repr(value) for value in rec[:-1]]
+        lines.append(",".join([*cells, ";".join(rec.flags)]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def format_summary(summary: dict) -> str:
-    """key=value lines, one per summary entry, stable order."""
-    return "".join(f"{key}={_fmt(val)}\n" for key, val in summary.items())
+    """key=value lines, one per summary entry, stable order; floats as their repr."""
+    return "".join(f"{key}={repr(val) if isinstance(val, float) else val}\n" for key, val in summary.items())
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +526,12 @@ def _smc_config(reference, **values) -> SmcScenarioConfig:
 def load_scenario(path) -> Scenario:
     """Parse a versioned scenario config file into a Scenario (see read_config)."""
     config = read_config(path, SCENARIO_SCHEMA)
+    controller = config.get("scenario", {}).get("controller", Scenario.controller)
+    unread = [f"[{s}]" for s in CONTROLLERS if s != controller and s in config]
+    if controller == "smc":
+        unread += [f"[{s}] {k}" for s, keys in SMC_UNREAD.items() for k in keys if k in config.get(s, {})]
+    if unread and controller in CONTROLLERS:  # an unknown controller is Scenario's error
+        raise ValueError(f"{path}: {unread[0]}: not read by the {controller} controller")
     initial = config.get("initial", {})
     attitude = AttitudeAngles(**{k: initial.pop(k) for k in ("phi", "theta", "psi") if k in initial})
 

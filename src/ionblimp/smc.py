@@ -242,7 +242,9 @@ def read_table(path) -> np.ndarray:
             rows = np.loadtxt(path, comments="#", ndmin=2)
         if not rows.size:
             raise ValueError("no data rows")
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # numpy's own message for a missing file repeats the path
+        raise ValueError(f"{path}: {exc.strerror or 'not found'}") from None
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return rows
 

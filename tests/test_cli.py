@@ -217,6 +217,20 @@ def test_bad_open_loop_script_fails_at_load(script, named, tmp_path, capsys):
     assert lines[0].startswith("error: ") and f"{path}: {named}" in lines[0]
 
 
+@pytest.mark.parametrize("section, config", [
+    ("open_loop", "[open_loop]\nscript = missing.txt\n"),
+    ("smc", SMC_SECTION.replace("ref.txt", "missing.txt")),
+], ids=["open-loop-script", "smc-reference"])
+def test_missing_table_file_is_named_once(section, config, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_HEADER + "\n" + config, encoding="utf-8")
+    assert main(["simulate", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].endswith(f"run.cfg: [{section}] {tmp_path / 'missing.txt'}: not found")
+    assert lines[0].count("missing.txt") == 1
+
+
 def test_missing_file_error(capsys):
     assert main(["linearize", "/nonexistent/params.cfg"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -275,11 +289,22 @@ thrust_feedforward = 0.01
     ("simulate", "[open_loop]\nthrottle = 1.5\n", "bad.cfg: [open_loop] throttle"),
     ("simulate", SMC_NO_K, "bad.cfg: [smc] k: required"),
     ("simulate", INNER_LOOP_NO_KU, "bad.cfg: [inner_loop] k_u: required"),
+    ("simulate", SMC_NO_K + "[open_loop]\nthrust = 0.01\n", "bad.cfg: [open_loop]: not read by the smc"),
+    ("simulate", "[smc]\nreference = missing.txt\n", "bad.cfg: [smc]: not read by the open_loop"),
+    ("simulate", INNER_LOOP_NO_KU + "[open_loop]\n", "bad.cfg: [open_loop]: not read by the inner_loop"),
+    ("simulate", "[scenario]\ncontroller = smc\nmodel = full\n", "bad.cfg: [scenario] model: not read"),
+    ("simulate", "[scenario]\ncontroller = smc\ngimbal_noise = 0.3\n", "bad.cfg: [scenario] gimbal_noise"),
+    ("simulate", "[scenario]\ncontroller = smc\n[initial]\nw = 0.1\n", "bad.cfg: [initial] w: not read"),
+    ("simulate", "[scenario]\ncontroller = smc\n[initial]\ntheta = 0.1\n", "bad.cfg: [initial] theta"),
+    ("simulate", "[scenario]\ncontroller = pid\n[open_loop]\n", "unknown controller 'pid'"),
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
         "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
         "negative-mass", "negative-dt", "negative-thrust", "delta-y-beyond-gimbal",
-        "delta-p-beyond-gimbal", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u"])
+        "delta-p-beyond-gimbal", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u",
+        "open-loop-section-under-smc", "smc-section-under-open-loop", "open-loop-section-under-inner-loop",
+        "model-under-smc", "gimbal-noise-under-smc", "initial-w-under-smc", "initial-theta-under-smc",
+        "unknown-controller-beside-section"])
 def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys):
     path = config
     if isinstance(config, str):

@@ -6,6 +6,7 @@ import pytest
 from reference_dynamics import velocity
 
 from ionblimp.dynamics import (
+    GIMBAL_LIMIT,
     AirshipParams,
     BodyState,
     ConstraintViolation,
@@ -277,9 +278,11 @@ def test_body_state_array_round_trip():
 
 
 def test_thruster_command_validation():
-    with pytest.raises(ValueError):
+    # Messages name the axes as the config keys and CSV columns do.
+    with pytest.raises(ValueError, match="^thrust must be non-negative, got -0.01$"):
         ThrusterCommand(thrust=-0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\|delta_y\| must not exceed .* rad, got 2.0$"):
         ThrusterCommand(thrust=0.01, yaw_deflection=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\|delta_p\| must not exceed .* rad, got -2.0$"):
         ThrusterCommand(thrust=0.01, pitch_deflection=-2.0)
+    ThrusterCommand(thrust=0.0, yaw_deflection=GIMBAL_LIMIT, pitch_deflection=-GIMBAL_LIMIT)

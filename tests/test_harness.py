@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 from dataclasses import fields
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionblimp import harness
 from ionblimp.dynamics import GIMBAL_LIMIT, AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
     CONFIG_HEADER,
@@ -20,7 +22,6 @@ from ionblimp.harness import (
     ScenarioError,
     SimRecord,
     SmcScenarioConfig,
-    _fmt,
     format_summary,
     integrate_step,
     load_scenario,
@@ -29,6 +30,7 @@ from ionblimp.harness import (
     write_records_csv,
 )
 from ionblimp.smc import ReferenceTrajectory, SmcGains
+from ionblimp.thruster import throttle_to_thrust
 
 
 # --- RK4 ---------------------------------------------------------------------
@@ -115,9 +117,9 @@ DEFLECTIONS = st.floats(-2.0, 2.0) | st.sampled_from([-GIMBAL_LIMIT, GIMBAL_LIMI
 
 @PROPERTY
 @given(yaw=DEFLECTIONS, pitch=DEFLECTIONS)
-def test_servo_map_range_slew_and_saturation_flag(yaw, pitch):
-    # The map is fixed (90 deg center, travel equal to the gimbal limit) and
-    # has no slew limit: the output depends on the command alone.
+def test_servo_map_range_and_saturation_flag(yaw, pitch):
+    # The map is fixed (90 deg center, travel equal to the gimbal limit):
+    # the output depends on the command alone.
     out = servo_map(_unchecked_command(yaw, pitch))
     angles = [out.yaw_deg, out.pitch_deg]
     assert all(0.0 <= angle <= 180.0 for angle in angles)
@@ -168,6 +170,19 @@ def test_open_loop_throttle_routes_through_map():
     assert cmd.thrust == pytest.approx(1.20e-3 * 9.80665)
 
 
+def test_open_loop_throttle_is_converted_once(monkeypatch):
+    calls = []
+
+    def counting(tmap, throttle):
+        calls.append(throttle)
+        return throttle_to_thrust(tmap, throttle)
+
+    monkeypatch.setattr(harness, "throttle_to_thrust", counting)
+    result = run_scenario(hover_scenario(open_loop=OpenLoopCommand(throttle=0.75), duration=1.0, dt=0.01))
+    assert len(result.records) == 101
+    assert calls == [0.75]
+
+
 SCRIPT = np.array([[0.0, 0.01, 0.0, 0.0]])
 
 
@@ -193,8 +208,8 @@ def test_open_loop_command_allows_defaults_beside_script_or_throttle():
     ({"thrust": -0.1}, "^thrust must be non-negative"),
     ({"delta_y": 2.0}, r"^\|delta_y\| must not exceed"),
     ({"delta_p": -2.0}, r"^\|delta_p\| must not exceed"),
-    ({"throttle": 1.5}, r"^throttle must lie in \[0.0, 1.0\]"),
-    ({"throttle": -0.1}, r"^throttle must lie in \[0.0, 1.0\]"),
+    ({"throttle": 1.5}, r"^throttle 1.5 outside \[0.0, 1.0\]"),
+    ({"throttle": -0.1}, r"^throttle -0.1 outside \[0.0, 1.0\]"),
     ({"script": [[0.0, 0.01, 0.0, 0.0], [0.005, 0.01, 2.0, 0.0]]}, r"^script row at t=0.005: \|delta_y\|"),
     ({"script": [[0.0, -0.01, 0.0, 0.0]]}, "^script row at t=0.0: thrust must be non-negative"),
     ({"script": [[0.0, 0.01, 0.0]]}, r"^script needs rows of .* got shape \(1, 3\)"),
@@ -393,7 +408,8 @@ def test_records_are_the_csv_rows(kind, tmp_path):
         assert tuple(row) == CSV_COLUMNS
         for name in CSV_COLUMNS[:-1]:
             value = getattr(rec, name)
-            assert row[name] == ("" if value is None else _fmt(value)), name
+            assert value is None or type(value) is float, name
+            assert row[name] == ("" if value is None else repr(value)), name
         assert row["flags"] == ";".join(rec.flags)
         if kind == "smc":
             assert isinstance(rec.s, np.ndarray) and rec.s.shape == (3,)
@@ -406,6 +422,32 @@ def test_records_are_the_csv_rows(kind, tmp_path):
         assert any(rec.delta_y != 0.0 for rec in result.records)  # the noise is recorded
     states = np.array([[float(row[name]) for name in STATE_LABELS] for row in rows])
     assert np.array_equal(result.states(), states)
+
+
+WRITER_SCENARIOS = {
+    "numpy-script": lambda: hover_scenario(
+        open_loop=OpenLoopCommand(script=np.array([[0.0, 0.01, 0.1, 0.0], [0.02, 0.02, -0.2, 0.3]])),
+        duration=0.05, dt=0.01),
+    "throttle": lambda: hover_scenario(open_loop=OpenLoopCommand(throttle=0.75), duration=0.05, dt=0.01),
+    "smc": LAYOUT_SCENARIOS["smc"],
+}
+
+
+@pytest.mark.parametrize("kind", WRITER_SCENARIOS)
+def test_csv_writer_matches_stdlib_csv(kind, tmp_path):
+    records = run_scenario(WRITER_SCENARIOS[kind]()).records
+    if kind == "smc":
+        assert all(len(rec.flags) == 2 for rec in records)
+    path = tmp_path / "run.csv"
+    write_records_csv(records, path)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        # float() so that a numpy scalar in a record, whose repr differs, shows as a mismatch
+        cells = ["" if value is None else repr(float(value)) for value in rec[:-1]]
+        writer.writerow([*cells, ";".join(rec.flags)])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_summary_format_key_value():
