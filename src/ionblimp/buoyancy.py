@@ -38,11 +38,6 @@ class LiftBudget:
     gross_lift_kg: float
     net_lift_kg: float
 
-    @property
-    def has_lift_deficit(self) -> bool:
-        """True when the envelope weighs more than it can lift (a warning, not an error)."""
-        return self.net_lift_kg < 0.0
-
 
 def ellipsoid_volume(geom: EnvelopeGeometry) -> float:
     """Envelope volume (m^3): V = 4/3 * pi * a * b * c."""

@@ -242,6 +242,18 @@ class Scenario:
             raise ValueError("inner_loop controller requires an [inner_loop] section")
         if self.controller == "smc" and self.smc is None:
             raise ValueError("smc controller requires an [smc] section")
+        # Another controller's section must be unset; a script is checked apart, since == raises on it.
+        unset = {"open_loop": self.open_loop.script is None and self.open_loop == OpenLoopCommand(),
+                 "inner_loop": self.inner_loop is None, "smc": self.smc is None}
+        for name in CONTROLLERS:
+            if name != self.controller and not unset[name]:
+                raise ValueError(f"{name}: not read by the {self.controller} controller")
+        if self.controller == "smc":  # only the SMC_UNREAD values the pose model runs
+            state = dict(zip(STATE_LABELS, self.initial.as_array().tolist()))
+            fixed = [(key, getattr(self, key), getattr(Scenario, key)) for key in SMC_UNREAD["scenario"]]
+            for name, got, value in fixed + [(f"initial.{k}", state[k], 0.0) for k in SMC_UNREAD["initial"]]:
+                if got != value:
+                    raise ValueError(f"{name}: must be {value!r} with the smc controller, got {got!r}")
 
 
 class SimRecord(namedtuple("SimRecord", CSV_COLUMNS)):

@@ -4,10 +4,10 @@ Two complementary views of the same device live here:
 
 * Kinetic closed forms for the ion/neutral momentum exchange in the drift
   region (collision force density, mobility, diffusivity, and the
-  gap-current thrust law), together with a seeded Monte-Carlo evaluator of
-  the underlying double-Maxwellian collision integral. The Monte-Carlo
-  routine is deliberately independent of the closed form so each can check
-  the other.
+  gap-current thrust law), and a seeded Monte-Carlo evaluator of the
+  double-Maxwellian collision integral that samples the ion/neutral relative
+  velocity directly, in antithetic pairs, independent of the closed form so
+  each can check the other.
 * Empirical thrust maps measured on the bench: thrust vs throttle for the
   quad-ring build and thrust vs electrode spacing for the dual-ring build.
   The two data sets come from different hardware generations and must not
@@ -71,9 +71,6 @@ class ThrusterGeometry:
 
     electrode_gap: float  # m, emitter wire to collector foil
     ring_count: int
-    ring_spacing: float  # m, between adjacent rings
-    wire_diameter: float  # m, emitter copper wire
-    foil_width: float  # m, collector aluminum foil
     dry_mass: float  # kg
 
     def __post_init__(self):
@@ -88,9 +85,6 @@ class ThrusterGeometry:
 QUAD_RING = ThrusterGeometry(
     electrode_gap=0.030,
     ring_count=4,
-    ring_spacing=0.00944,
-    wire_diameter=0.0001,
-    foil_width=0.040,
     dry_mass=0.01964,
 )
 
@@ -98,9 +92,6 @@ QUAD_RING = ThrusterGeometry(
 DUAL_RING = ThrusterGeometry(
     electrode_gap=0.025,
     ring_count=2,
-    ring_spacing=0.00944,
-    wire_diameter=0.0001,
-    foil_width=0.040,
     dry_mass=0.01600,
 )
 
@@ -137,31 +128,33 @@ def collision_force_density_mc(
 ) -> np.ndarray:
     """Monte-Carlo evaluation of the hard-sphere collision integral, N/m^3.
 
-    Samples neutral velocities from a Maxwellian drifting at the slip
-    velocity and ion velocities from a zero-mean Maxwellian, then averages
-
-        Omega_D * |g| * (4/3) * (m M / (m + M)) * g,   g = v_air - v_ion,
-
-    scaled by the two number densities. Deterministic for a fixed seed and
-    sample count. This is the independent oracle for
-    collision_force_density and is kept free of that closed form.
+    Averages Omega_D * |g| * (4/3) * (m M / (m + M)) * g over g = v_air - v_ion,
+    scaled by the two number densities. g, the difference of a Maxwellian
+    drifting at the slip u and a zero-mean one, is Gaussian with mean u and
+    per-axis variance kT (1/M + 1/m), so it is sampled directly, in antithetic
+    pairs u + d and u - d drawn from one stream whatever the chunk size: u = 0
+    gives exactly zero. Deterministic for a fixed seed and sample count; the
+    independent oracle for collision_force_density, kept free of that closed form.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     u = np.asarray(slip_velocity, dtype=float).reshape(3)
     rng = np.random.default_rng(seed)
-    sigma_air = np.sqrt(BOLTZMANN * p.temperature / p.neutral_mass)
-    sigma_ion = np.sqrt(BOLTZMANN * p.temperature / p.ion_mass)
+    sigma = np.sqrt(BOLTZMANN * p.temperature * (1.0 / p.neutral_mass + 1.0 / p.ion_mass))
     total = np.zeros(3)
-    done = 0
-    while done < n_samples:
-        n = min(chunk, n_samples - done)
-        v_air = rng.normal(0.0, sigma_air, (n, 3)) + u
-        v_ion = rng.normal(0.0, sigma_ion, (n, 3))
-        g = v_air - v_ion
-        speed = np.linalg.norm(g, axis=1)
-        total += (speed[:, None] * g).sum(axis=0)
-        done += n
+    pairs, step = (n_samples + 1) // 2, (chunk + 1) // 2
+    for start in range(0, pairs, step):
+        d = rng.standard_normal((min(step, pairs - start), 3))
+        d *= sigma
+        g = d + u
+        s_plus = np.sqrt(np.einsum("ij,ij->i", g, g))
+        np.subtract(u, d, out=g)
+        s_minus = np.sqrt(np.einsum("ij,ij->i", g, g))
+        if start + step >= pairs and n_samples % 2:
+            s_minus[-1] = 0.0  # an odd n_samples averages the last draw without its mirror
+        total += (s_plus + s_minus).sum() * u + (s_plus - s_minus) @ d
     mean = total / n_samples
     return p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density * mean
 

@@ -33,7 +33,6 @@ def test_lift_budget_bench_values():
     budget = lift_budget(BENCH_GEOMETRY, lift_per_liter=0.00111)
     assert budget.gross_lift_kg == pytest.approx(0.2978, rel=1e-4)
     assert budget.net_lift_kg == pytest.approx(0.21844, rel=1e-4)
-    assert not budget.has_lift_deficit
 
 
 def test_lift_budget_zero_volume_limit():
@@ -41,7 +40,6 @@ def test_lift_budget_zero_volume_limit():
     budget = lift_budget(geom)
     assert budget.gross_lift_kg == pytest.approx(0.0, abs=1e-9)
     assert budget.net_lift_kg == pytest.approx(-0.05, abs=1e-9)
-    assert budget.has_lift_deficit
 
 
 def test_lift_budget_unit_lift_per_liter():

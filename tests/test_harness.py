@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ionblimp import harness
 from ionblimp.dynamics import GIMBAL_LIMIT, AirshipParams, BodyState, ThrusterCommand
+from ionblimp.frames import AttitudeAngles
 from ionblimp.harness import (
     CONFIG_HEADER,
     CSV_COLUMNS,
@@ -351,11 +352,48 @@ def test_ground_flag_on_every_plant():
     ref = ReferenceTrajectory(times=[0.0, 1.0], poses=[[0, 0, 0.5], [0, 0, 0.5]])
     smc = SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=ref)
     for controller in ("open_loop", "smc"):
-        sc = hover_scenario(model="planar", controller=controller, smc=smc,
+        sc = hover_scenario(model="planar", controller=controller, smc=smc if controller == "smc" else None,
                             initial=BodyState(h=-1.0), duration=0.1, dt=0.01)
         result = run_scenario(sc)
         assert all("ground" in rec.flags for rec in result.records)
         assert result.summary["ground_steps"] == 11
+
+
+SMC_API = {"model": "planar", "controller": "smc", "smc": SmcScenarioConfig(**VALID_SMC)}
+SCRIPT = np.array([[0.0, 0.01, 0.0, 0.0], [0.5, 0.02, 0.1, 0.0]])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # what a scenario file may not say is refused from Python too, naming the field
+    ({**SMC_API, "model": "full", "gimbal_noise": 0.3, "open_loop": OpenLoopCommand(thrust=0.05),
+      "initial": BodyState(h=1.8, w=0.4)}, "^open_loop: not read by the smc controller"),
+    ({**SMC_API, "model": "full"}, "^model: must be 'planar' with the smc controller, got 'full'"),
+    ({**SMC_API, "gimbal_noise": 0.3}, "^gimbal_noise: must be 0.0 with the smc controller"),
+    ({**SMC_API, "open_loop": OpenLoopCommand(script=SCRIPT)}, "^open_loop: not read by the smc"),
+    ({**SMC_API, "open_loop": OpenLoopCommand(throttle=0.0)}, "^open_loop: not read by the smc"),
+    ({**SMC_API, "inner_loop": InnerLoopConfig(**VALID_INNER)}, "^inner_loop: not read by the smc"),
+    ({**SMC_API, "initial": BodyState(h=1.8, w=0.4)}, r"^initial\.w: must be 0\.0 with the smc controller"),
+    ({**SMC_API, "initial": BodyState(p=0.1)}, r"^initial\.p: "),
+    ({**SMC_API, "initial": BodyState(q=0.1)}, r"^initial\.q: "),
+    ({**SMC_API, "initial": BodyState(attitude=AttitudeAngles(phi=0.1))}, r"^initial\.phi: "),
+    ({**SMC_API, "initial": BodyState(attitude=AttitudeAngles(theta=0.1))}, r"^initial\.theta: "),
+    ({"smc": SmcScenarioConfig(**VALID_SMC)}, "^smc: not read by the open_loop controller"),
+    ({"inner_loop": InnerLoopConfig(**VALID_INNER)}, "^inner_loop: not read by the open_loop"),
+    ({"controller": "inner_loop", "inner_loop": InnerLoopConfig(**VALID_INNER),
+      "open_loop": OpenLoopCommand(delta_p=0.1)}, "^open_loop: not read by the inner_loop"),
+    ({"controller": "inner_loop", "inner_loop": InnerLoopConfig(**VALID_INNER),
+      "smc": SmcScenarioConfig(**VALID_SMC)}, "^smc: not read by the inner_loop"),
+])
+def test_scenario_rejects_what_its_controller_does_not_read(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        hover_scenario(**overrides)
+
+
+def test_scenario_accepts_default_sections_and_the_pose_state_smc_reads():
+    initial = BodyState(u=0.1, v=-0.2, r=0.05, x=1.0, y=2.0, h=1.8, attitude=AttitudeAngles(psi=0.3))
+    sc = hover_scenario(**SMC_API, open_loop=OpenLoopCommand(), inner_loop=None, initial=initial)
+    assert sc.initial == initial
+    hover_scenario(open_loop=OpenLoopCommand(script=SCRIPT))  # the open-loop controller reads it
 
 
 def test_scenario_fields_are_what_a_scenario_file_sets():

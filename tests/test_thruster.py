@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ionblimp.constants import STANDARD_GRAVITY
+from ionblimp.constants import BOLTZMANN, STANDARD_GRAVITY
 from ionblimp.thruster import (
     DEFAULT_ION_MOBILITY,
     DUAL_RING,
@@ -66,6 +66,47 @@ def test_monte_carlo_reproducible_for_fixed_seed():
     a = collision_force_density_mc(NITROGEN_LIKE, [50.0, 0.0, 0.0], n_samples=200_000, seed=3)
     b = collision_force_density_mc(NITROGEN_LIKE, [50.0, 0.0, 0.0], n_samples=200_000, seed=3)
     assert np.array_equal(a, b)
+
+
+def test_monte_carlo_is_exactly_zero_at_zero_slip():
+    # Each antithetic pair (d, -d) cancels exactly when u = 0.
+    mc = collision_force_density_mc(NITROGEN_LIKE, [0.0, 0.0, 0.0], n_samples=10_000, seed=5, chunk=1_000)
+    assert mc.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 333, 1_001, 10_001])
+def test_monte_carlo_odd_sizes_are_finite(n_samples):
+    mc = collision_force_density_mc(NITROGEN_LIKE, [50.0, 0.0, 0.0], n_samples=n_samples, seed=2, chunk=333)
+    assert np.isfinite(mc).all()
+
+
+def test_monte_carlo_averages_exactly_n_samples_points():
+    # Three samples are the pair u +- d0 and u + d1 alone, from one normal stream.
+    p, u = NITROGEN_LIKE, np.array([50.0, -20.0, 10.0])
+    sigma = np.sqrt(BOLTZMANN * p.temperature * (1.0 / p.neutral_mass + 1.0 / p.ion_mass))
+    d0, d1 = np.random.default_rng(2).standard_normal((2, 3)) * sigma
+    points = [u + d0, u - d0, u + d1]
+    expected = sum(np.linalg.norm(g) * g for g in points) / 3
+    scale = p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density
+    for chunk in (1, 2, 3, 1_000):
+        mc = collision_force_density_mc(p, u, n_samples=3, seed=2, chunk=chunk)
+        np.testing.assert_allclose(mc, scale * expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("sizes, message", [({"n_samples": 0}, "n_samples"), ({"chunk": 0}, "chunk")])
+def test_monte_carlo_rejects_empty_sizes(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        collision_force_density_mc(NITROGEN_LIKE, [50.0, 0.0, 0.0], **{"n_samples": 10, **sizes})
+
+
+def test_monte_carlo_does_not_depend_on_chunk_size():
+    # Pairs come from one stream, so only the summation order differs.
+    slip = [50.0, -20.0, 10.0]
+    small = collision_force_density_mc(NITROGEN_LIKE, slip, n_samples=200_000, seed=4, chunk=1_000)
+    whole = collision_force_density_mc(NITROGEN_LIKE, slip, n_samples=200_000, seed=4)
+    odd = collision_force_density_mc(NITROGEN_LIKE, slip, n_samples=200_000, seed=4, chunk=333)
+    np.testing.assert_allclose(small, whole, rtol=1e-12)
+    np.testing.assert_allclose(odd, whole, rtol=1e-12)
 
 
 def test_ion_mobility_verbatim():
@@ -221,7 +262,4 @@ def test_geometry_presets():
     assert DUAL_RING.ring_count == 2
     assert QUAD_RING.dry_mass == pytest.approx(0.01964)
     with pytest.raises(ValueError):
-        type(QUAD_RING)(
-            electrode_gap=0.03, ring_count=3, ring_spacing=0.01,
-            wire_diameter=1e-4, foil_width=0.04, dry_mass=0.02,
-        )
+        type(QUAD_RING)(electrode_gap=0.03, ring_count=3, dry_mass=0.02)
