@@ -21,7 +21,7 @@ from .frames import (
 )
 from .harness import Scenario, SimRecord, SimResult, integrate_step, load_scenario, run_scenario
 from .inner_loop import (
-    GainSet,
+    InnerLoopConfig,
     LinearModel,
     LyapunovCertificate,
     closed_loop_vr,

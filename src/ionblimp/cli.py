@@ -97,8 +97,8 @@ def _cmd_certify_gains(args) -> int:
         k1, k2, cert = found
     k_u = inner_loop.design_ku_unity_dc(inner_loop.U_CHANNEL_GAIN, inner_loop.U_CHANNEL_POLE)
     k_w = args.k_w if args.k_w is not None else inner_loop.kw_lower_bound(params, speed, thrust)
-    gains = inner_loop.GainSet(k_u=k_u, k_w=k_w, k1=k1, k2=k2)
-    sys.stdout.write(inner_loop.gain_report(model, gains, cert))
+    design = inner_loop.InnerLoopConfig(trim_speed=speed, trim_thrust=thrust, k_u=k_u, k_w=k_w, k1=k1, k2=k2)
+    sys.stdout.write(inner_loop.gain_report(design, cert))
     return 0
 
 

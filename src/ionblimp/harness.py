@@ -45,6 +45,7 @@ from .dynamics import (
     require_finite,
 )
 from .frames import AttitudeAngles, wrap_angle
+from .inner_loop import InnerLoopConfig
 from .smc import (
     ReferenceTrajectory,
     SmcGains,
@@ -163,6 +164,10 @@ class OpenLoopCommand:
             table = []
             for t, thrust, dy, dp in script.tolist():
                 try:
+                    if not table and t != 0.0:
+                        raise ValueError("the first row must be at t = 0")
+                    if table and t <= table[-1][0]:
+                        raise ValueError("times must be strictly increasing")
                     table.append((t, ThrusterCommand(thrust, dy, dp)))
                 except ValueError as exc:
                     raise ValueError(f"script row at t={t!r}: {exc}") from None
@@ -171,21 +176,6 @@ class OpenLoopCommand:
 
     def command_at(self, t: float) -> ThrusterCommand:
         return self._commands[max(bisect.bisect_right(self._times, t) - 1, 0)]
-
-
-@dataclass(frozen=True)
-class InnerLoopConfig:
-    """Regulation about a level trim with the certified inner-loop gains."""
-
-    trim_speed: float
-    trim_thrust: float
-    k_u: float
-    k_w: float = 0.0
-    k1: float = 0.0
-    k2: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -236,6 +226,8 @@ class Scenario:
             raise ValueError("duration must be at least one step")
         if not math.isclose(round(self.duration / self.dt) * self.dt, self.duration, rel_tol=1e-9):
             raise ValueError(f"duration {self.duration} s is not a whole number of dt={self.dt} s steps")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.gimbal_noise) and self.gimbal_noise >= 0.0):
             raise ValueError(f"gimbal_noise must be finite and non-negative, got {self.gimbal_noise}")
         if self.controller == "inner_loop" and self.inner_loop is None:
@@ -338,13 +330,13 @@ def _pose_plant(sc: Scenario) -> Plant:
         err = TrackingError.from_pose((x, y_pos, psi), (x_dot, y_dot, psi_dot), ref_pose, ref_rate)
         s = sliding_surface(gains, err)
         v, v_dot = lyapunov_monitor(gains, s)
-        u_forces = smc_control(model, gains, err, (x_dot, y_dot, psi_dot), psi)
+        u_forces = smc_control(model, gains, s, err.error_rate, (x_dot, y_dot, psi_dot), psi)
         cmd, residual = allocate_actuation(u_forces, t_max=cfg.t_max, mount_arm_x=sc.params.mount_x)
         flags = {"saturation"} if max(map(abs, residual)) > 1e-9 else set()
         c, sn = math.cos(psi), math.sin(psi)
         state = (c * x_dot + sn * y_dot, -sn * x_dot + c * y_dot, 0.0, 0.0, 0.0, psi_dot,
                  x, y_pos, init.h, 0.0, 0.0, wrap_angle(psi))
-        return state, cmd, u_forces, flags, (*s.tolist(), sum(v), sum(v_dot))
+        return state, cmd, u_forces, flags, (*s, sum(v), sum(v_dot))
 
     return Plant(derivative, y0, ("x", "y", "psi", "x_dot", "y_dot", "psi_dot"), control)
 
@@ -451,6 +443,9 @@ def _path(text: str) -> Path:
     return Path(text)
 
 
+# The [smc] keys: the gains' fields, then the tracking scenario's own.
+_SMC_FIELDS = [f for f in (*fields(SmcGains), *fields(SmcScenarioConfig)) if f.name != "gains"]
+
 # Everything a scenario file may contain: section -> key -> converter.
 # A converter returning a Path marks a file name, resolved by read_config.
 SCENARIO_SCHEMA = {
@@ -465,14 +460,7 @@ SCENARIO_SCHEMA = {
         "delta_p": finite_float, "script": _path,
     },
     "inner_loop": dict.fromkeys((f.name for f in fields(InnerLoopConfig)), finite_float),
-    "smc": {
-        **dict.fromkeys(
-            ("c1", "c2", "epsilon", "k", "boundary_layer", "t_max", "added_mass_x",
-             "added_mass_y", "added_inertia_z", "cg_x", "cg_y"),
-            finite_float,
-        ),
-        "reference": _path,
-    },
+    "smc": {f.name: _path if f.name == "reference" else finite_float for f in _SMC_FIELDS},
     "output": {"csv": _path, "summary": _path},
 }
 
@@ -491,7 +479,10 @@ def read_config(path, schema: dict) -> dict:
         raise ValueError(f"{path}: first line must be {CONFIG_HEADER!r}, got {first_line!r}")
     # No default section: a [DEFAULT] header is an unknown section like any other.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
-    parser.read_string(text)
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:  # its message names the file and the line, over several lines
+        raise ValueError(" ".join(str(exc).split())) from None
     config = {}
     for section in parser.sections():
         if section not in schema:
@@ -511,7 +502,7 @@ def read_config(path, schema: dict) -> dict:
 # Keys a section must set when it is present: the fields with no default.
 REQUIRED_KEYS = {
     "inner_loop": [f.name for f in fields(InnerLoopConfig) if f.default is MISSING],
-    "smc": [f.name for f in fields(SmcGains) if f.default is MISSING] + ["reference"],
+    "smc": [f.name for f in _SMC_FIELDS if f.default is MISSING],
 }
 
 

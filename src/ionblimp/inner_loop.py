@@ -21,11 +21,11 @@ twice the value the drag entry of ``linearize`` predicts from the same
 numbers; both are reported, neither is silently adjusted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import AirshipParams
+from .dynamics import AirshipParams, require_finite
 
 # Fitted surge-channel plant for the 297.8 g prototype: du/dT1 = g / (s + a)
 # once the k_u loop is closed, with g and a below for the open loop.
@@ -45,20 +45,11 @@ class SingularLyapunov(np.linalg.LinAlgError):
 
 
 @dataclass(frozen=True)
-class TrimPoint:
-    """Reference trim: level flight at a given speed and thrust."""
-
-    speed: float
-    thrust: float
-
-
-@dataclass(frozen=True)
 class LinearModel:
-    """4x4 state matrix, 4x3 input matrix and the trim they expand about."""
+    """4x4 state matrix and 4x3 input matrix about a level trim."""
 
     a: np.ndarray
     b: np.ndarray
-    trim: TrimPoint
 
     def vr_blocks(self):
         """Open-loop sway/yaw sub-system: 2x2 state block and 2x1 input column."""
@@ -68,13 +59,22 @@ class LinearModel:
 
 
 @dataclass(frozen=True)
-class GainSet:
-    """Inner-loop feedback gains."""
+class InnerLoopConfig:
+    """An inner-loop design: a level trim and the feedback gains about it.
 
+    The fields are the ``[inner_loop]`` keys of a scenario file, in the
+    order ``gain_report`` prints them.
+    """
+
+    trim_speed: float
+    trim_thrust: float
     k_u: float
-    k_w: float
-    k1: float
-    k2: float
+    k_w: float = 0.0
+    k1: float = 0.0
+    k2: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> L
             [0.0, params.mount_x * trim_thrust / params.inertia_z, 0.0],
         ]
     )
-    return LinearModel(a=a, b=b, trim=TrimPoint(speed=trim_speed, thrust=trim_thrust))
+    return LinearModel(a=a, b=b)
 
 
 def design_ku_unity_dc(numerator: float, pole: float) -> float:
@@ -238,16 +238,9 @@ def step_response(tf: FirstOrderTf, duration: float, dt: float):
     return t, y
 
 
-def gain_report(model: LinearModel, gains: GainSet, cert: LyapunovCertificate | None) -> str:
-    """Plain-text key=value report of a gain design, stable key names."""
-    lines = [
-        f"trim_speed={model.trim.speed!r}",
-        f"trim_thrust={model.trim.thrust!r}",
-        f"k_u={gains.k_u!r}",
-        f"k_w={gains.k_w!r}",
-        f"k1={gains.k1!r}",
-        f"k2={gains.k2!r}",
-    ]
+def gain_report(design: InnerLoopConfig, cert: LyapunovCertificate | None) -> str:
+    """Plain-text key=value report: the design's fields in order, then the certificate."""
+    lines = [f"{f.name}={getattr(design, f.name)!r}" for f in fields(design)]
     if cert is not None:
         lines += [
             f"lyapunov_m1={float(cert.m[0, 0])!r}",

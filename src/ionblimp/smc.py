@@ -148,14 +148,13 @@ def _sgn(s: float, boundary_layer: float) -> float:
     return 1.0 if s > 0.0 else -1.0 if s < 0.0 else s + 0.0  # +-0 -> 0, nan stays nan
 
 
-def sliding_surface(gains: SmcGains, err: TrackingError) -> np.ndarray:
-    """s = c1*e + c2*e_dot, componentwise over (x, y, psi)."""
-    return np.array([gains.c1 * e + gains.c2 * r for e, r in zip(err.error, err.error_rate)])
+def sliding_surface(gains: SmcGains, err: TrackingError) -> tuple:
+    """s = c1*e + c2*e_dot, componentwise over (x, y, psi), as a float tuple."""
+    return tuple([gains.c1 * e + gains.c2 * r for e, r in zip(err.error, err.error_rate)])
 
 
 def lyapunov_monitor(gains: SmcGains, s) -> tuple:
     """Per-channel Lyapunov value V = s^2/2 and its rate -eps|s| - k s^2, as float tuples."""
-    s = np.asarray(s, dtype=float).tolist()
     return tuple([0.5 * x * x for x in s]), tuple([-gains.epsilon * abs(x) - gains.k * x * x for x in s])
 
 
@@ -171,18 +170,15 @@ def reaching_time_bound(gains: SmcGains, s0: float) -> float:
     return float(np.log1p(gains.k * abs(s0) / gains.epsilon) / gains.k)
 
 
-def smc_control(model: SmcModel, gains: SmcGains, err: TrackingError, eta_dot, psi: float) -> tuple:
+def smc_control(model: SmcModel, gains: SmcGains, s, error_rate, eta_dot, psi: float) -> tuple:
     """Generalized force demand U = (F_x, F_y, N_z) for the lateral plant.
 
     Inverse dynamics through X = C_bg(psi) eta_dot with the reaching law as
-    the demanded error acceleration; the pose enters through ``err`` and the
-    heading psi.
+    the demanded error acceleration; the pose enters through the sliding
+    variable s (from ``sliding_surface``), the error rate and the heading psi.
     """
     c1, c2, eps, k, bl = gains.c1, gains.c2, gains.epsilon, gains.k, gains.boundary_layer
-    q0, q1, q2 = (
-        -(1.0 / c2) * (eps * _sgn(s, bl) + k * s + c1 * rate)
-        for s, rate in zip(sliding_surface(gains, err).tolist(), err.error_rate)
-    )
+    q0, q1, q2 = (-(1.0 / c2) * (eps * _sgn(si, bl) + k * si + c1 * rate) for si, rate in zip(s, error_rate))
     xd, yd, psi_dot = eta_dot
     c, sn = math.cos(psi), math.sin(psi)
     u, v = c * xd + sn * yd, -sn * xd + c * yd
@@ -287,14 +283,15 @@ class ReferenceTrajectory:
             raise ValueError(f"{path}: {exc}") from None
 
     def sample(self, t: float):
-        """Pose and pose rate at time t as float tuples; constant beyond the table ends."""
+        """Pose and pose rate at time t as float tuples; held, at zero rate, beyond the table ends."""
         times = self._t
+        held = not times[0] <= t < times[-1]
         t = min(max(float(t), times[0]), times[-1])
         idx = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
         t0, t1 = times[idx], times[idx + 1]
         p0, p1 = self._p[idx], self._p[idx + 1]
         frac = (t - t0) / (t1 - t0)
         pose = tuple(a + frac * (b - a) for a, b in zip(p0, p1))
-        if t >= times[-1]:
+        if held:
             return pose, (0.0, 0.0, 0.0)
         return pose, tuple((b - a) / (t1 - t0) for a, b in zip(p0, p1))

@@ -15,7 +15,7 @@ Two complementary views of the same device live here:
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,10 +55,9 @@ class GasIonParams:
     neutral_density: float  # 1/m^3
 
     def __post_init__(self):
-        for name in ("ion_mass", "neutral_mass", "temperature", "ion_charge",
-                     "cross_section", "ion_density", "neutral_density"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
     @property
     def reduced_mass(self) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 from ionblimp.cli import main
 from ionblimp.harness import CONFIG_HEADER, load_scenario
+from ionblimp.inner_loop import InnerLoopConfig, gain_report
 from ionblimp.thruster import THROTTLE_MAP
 
 PARAMS_CFG = (
@@ -86,6 +87,18 @@ def test_certify_gains_grid_search(params_cfg, capsys):
     assert kv["certificate_valid"] == "true"
     assert float(kv["k1"]) == 0.0
     assert float(kv["k2"]) == 1.5
+
+
+def test_certify_gains_report_loads_as_the_inner_loop_section(params_cfg, tmp_path, capsys):
+    # The first six report lines are the [inner_loop] keys, so a scenario file can fly the design.
+    assert main(["certify-gains", params_cfg, "--k1", "0:5:11", "--k2", "0:5:11"]) == 0
+    design = capsys.readouterr().out.splitlines(keepends=True)[:6]
+    path = tmp_path / "fly.cfg"
+    path.write_text(CONFIG_HEADER + "\n[scenario]\ncontroller = inner_loop\n\n[inner_loop]\n" + "".join(design),
+                    encoding="utf-8")
+    loaded = load_scenario(path).inner_loop
+    assert loaded == InnerLoopConfig(**{key: float(value) for key, value in parsed_kv("".join(design)).items()})
+    assert gain_report(loaded, None) == "".join(design)
 
 
 def test_certify_gains_failure_is_machine_parseable(params_cfg, capsys):
@@ -201,9 +214,11 @@ def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
 @pytest.mark.parametrize("script, named", [
     ("0.0 0.01 0.0 0\n0.005 0.01 2.0 0\n", "[open_loop] script row at t=0.005: |delta_y|"),
     ("0.0 0.01 0.0\n", "[open_loop] script needs rows"),
+    ("0 0.01 0 0\n2.0 0.03 0 0\n1.0 0.02 0 0\n", "[open_loop] script row at t=1.0: times must be strictly"),
+    ("1.0 0.01 0 0\n", "[open_loop] script row at t=1.0: the first row must be at t = 0"),
     ("0 abc 0 0\n", "[open_loop] {script}: could not convert string 'abc'"),
     ("", "[open_loop] {script}: no data rows"),
-], ids=["out-of-range-row", "three-columns", "unparsable", "empty"])
+], ids=["out-of-range-row", "three-columns", "time-goes-back", "starts-after-zero", "unparsable", "empty"])
 def test_bad_open_loop_script_fails_at_load(script, named, tmp_path, capsys):
     named = named.format(script=tmp_path / "script.txt")
     (tmp_path / "script.txt").write_text(script, encoding="utf-8")
@@ -297,6 +312,12 @@ thrust_feedforward = 0.01
     ("simulate", "[scenario]\ncontroller = smc\n[initial]\nw = 0.1\n", "bad.cfg: [initial] w: not read"),
     ("simulate", "[scenario]\ncontroller = smc\n[initial]\ntheta = 0.1\n", "bad.cfg: [initial] theta"),
     ("simulate", "[scenario]\ncontroller = pid\n[open_loop]\n", "unknown controller 'pid'"),
+    ("simulate", "[scenario]\nseed = -1\n", "bad.cfg: [scenario] seed must be non-negative"),
+    ("simulate", "mass = 0.3\n", "no section headers. file: '{dir}/bad.cfg', line: 2"),
+    ("simulate", "[params]\nmass\n", "parsing errors: '{dir}/bad.cfg' [line 3]: 'mass"),
+    ("simulate", "[params]\nmass = 0.3\nmass = 0.4\n",
+     "'{dir}/bad.cfg' [line 4]: option 'mass' in section 'params' already exists"),
+    ("simulate", "[params]\nmass = 0.3\n[params]\n", "'{dir}/bad.cfg' [line 4]: section 'params' already exists"),
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
         "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
@@ -304,9 +325,10 @@ thrust_feedforward = 0.01
         "delta-p-beyond-gimbal", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u",
         "open-loop-section-under-smc", "smc-section-under-open-loop", "open-loop-section-under-inner-loop",
         "model-under-smc", "gimbal-noise-under-smc", "initial-w-under-smc", "initial-theta-under-smc",
-        "unknown-controller-beside-section"])
+        "unknown-controller-beside-section", "negative-seed", "key-before-any-section", "line-without-equals",
+        "duplicate-key", "duplicate-section"])
 def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys):
-    path = config
+    path, named = config, named.format(dir=tmp_path)
     if isinstance(config, str):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG_HEADER + "\n" + config, encoding="utf-8")

@@ -30,7 +30,7 @@ from ionblimp.harness import (
     servo_map,
     write_records_csv,
 )
-from ionblimp.smc import ReferenceTrajectory, SmcGains
+from ionblimp.smc import ReferenceTrajectory, SmcGains, sliding_surface
 from ionblimp.thruster import throttle_to_thrust
 
 
@@ -214,8 +214,15 @@ def test_open_loop_command_allows_defaults_beside_script_or_throttle():
     ({"script": [[0.0, 0.01, 0.0, 0.0], [0.005, 0.01, 2.0, 0.0]]}, r"^script row at t=0.005: \|delta_y\|"),
     ({"script": [[0.0, -0.01, 0.0, 0.0]]}, "^script row at t=0.0: thrust must be non-negative"),
     ({"script": [[0.0, 0.01, 0.0]]}, r"^script needs rows of .* got shape \(1, 3\)"),
+    ({"script": [[0.0, 0.01, 0.0, 0.0], [2.0, 0.03, 0.0, 0.0], [1.0, 0.02, 0.0, 0.0]]},
+     r"^script row at t=1.0: times must be strictly increasing"),
+    ({"script": [[0.0, 0.01, 0.0, 0.0], [0.0, 0.02, 0.0, 0.0]]},
+     r"^script row at t=0.0: times must be strictly increasing"),
+    ({"script": [[1.0, 0.01, 0.0, 0.0]]}, r"^script row at t=1.0: the first row must be at t = 0"),
+    ({"script": [[-1.0, 0.01, 0.0, 0.0]]}, r"^script row at t=-1.0: the first row must be at t = 0"),
 ], ids=["thrust", "delta-y", "delta-p", "throttle-high", "throttle-low", "script-delta-y",
-        "script-thrust", "script-shape"])
+        "script-thrust", "script-shape", "script-time-goes-back", "script-time-repeats",
+        "script-starts-late", "script-starts-early"])
 def test_open_loop_command_rejects_out_of_range_values(values, message):
     with pytest.raises(ValueError, match=message):
         OpenLoopCommand(**values)
@@ -293,6 +300,19 @@ def test_smc_scenario_converges_on_heading_step():
     s_inf = np.array([np.max(np.abs(rec.s)) for rec in result.records])
     reached = np.flatnonzero(s_inf < 1e-3)[0]
     assert np.max(s_inf[reached:]) < 1e-3
+
+
+def test_smc_step_evaluates_the_sliding_variable_once(monkeypatch):
+    calls = []
+
+    def counting(gains, err):
+        calls.append(err)
+        return sliding_surface(gains, err)
+
+    for name in ("ionblimp.harness.sliding_surface", "ionblimp.smc.sliding_surface"):
+        monkeypatch.setattr(name, counting)
+    result = run_scenario(hover_scenario(**SMC_API, duration=0.1, dt=0.01))
+    assert len(calls) == len(result.records) == 11
 
 
 def test_scenario_validation():
@@ -394,6 +414,12 @@ def test_scenario_accepts_default_sections_and_the_pose_state_smc_reads():
     sc = hover_scenario(**SMC_API, open_loop=OpenLoopCommand(), inner_loop=None, initial=initial)
     assert sc.initial == initial
     hover_scenario(open_loop=OpenLoopCommand(script=SCRIPT))  # the open-loop controller reads it
+
+
+@pytest.mark.parametrize("overrides", [{}, SMC_API], ids=["open-loop", "smc"])
+def test_scenario_rejects_negative_seed(overrides):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1"):
+        hover_scenario(**overrides, seed=-1)
 
 
 def test_scenario_fields_are_what_a_scenario_file_sets():

@@ -6,7 +6,7 @@ from ionblimp.dynamics import AirshipParams
 from ionblimp.inner_loop import (
     DivisionByZeroThrust,
     FirstOrderTf,
-    GainSet,
+    InnerLoopConfig,
     SingularLyapunov,
     U_CHANNEL_GAIN,
     U_CHANNEL_POLE,
@@ -281,7 +281,8 @@ def test_step_response_argument_validation():
 def test_gain_report_is_key_value_text():
     model = linearize(BENCH, 1.0, 0.05)
     cert = lyapunov_certify(closed_loop_vr(model, 0.0, 1.5))
-    text = gain_report(model, GainSet(k_u=0.9828, k_w=1.3, k1=0.0, k2=1.5), cert)
+    design = InnerLoopConfig(trim_speed=1.0, trim_thrust=0.05, k_u=0.9828, k_w=1.3, k1=0.0, k2=1.5)
+    text = gain_report(design, cert)
     parsed = dict(line.split("=", 1) for line in text.strip().splitlines())
     assert parsed["certificate_valid"] == "true"
     assert float(parsed["k2"]) == 1.5

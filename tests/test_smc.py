@@ -41,7 +41,7 @@ def test_sliding_surface_cancellation():
 def test_sliding_surface_linearity():
     rng = np.random.default_rng(12)
     e, ed = rng.normal(0, 1, 3), rng.normal(0, 1, 3)
-    s1 = sliding_surface(GAINS, TrackingError(e, ed))
+    s1 = np.asarray(sliding_surface(GAINS, TrackingError(e, ed)))
     s2 = sliding_surface(GAINS, TrackingError(2 * e, 2 * ed))
     assert np.allclose(s2, 2 * s1, rtol=1e-14)
 
@@ -90,7 +90,7 @@ def test_smc_gains_validation():
 def test_control_zero_on_trajectory_at_rest():
     model = SmcModel.from_components(mass=0.3, inertia_z=0.06)
     err = TrackingError(np.zeros(3), np.zeros(3))
-    u = smc_control(model, GAINS, err, np.zeros(3), 0.4)
+    u = smc_control(model, GAINS, sliding_surface(GAINS, err), err.error_rate, np.zeros(3), 0.4)
     assert np.allclose(u, 0.0, atol=1e-15)
 
 
@@ -100,8 +100,8 @@ def test_control_identity_reduction():
     # -(1/c2)(eps sgn(s) + k s + c1 e_dot) channel by channel.
     model = SmcModel(mass_matrix=np.eye(3), aero_matrix=np.zeros((3, 3)))
     err = TrackingError(error=[0.0, 0.0, 0.4], error_rate=[0.0, 0.0, -0.1])
-    s = sliding_surface(GAINS, err)
-    u = smc_control(model, GAINS, err, np.zeros(3), 0.0)
+    s = np.asarray(sliding_surface(GAINS, err))
+    u = smc_control(model, GAINS, s, err.error_rate, np.zeros(3), 0.0)
     expected = -(1.0 / GAINS.c2) * (
         GAINS.epsilon * np.sign(s) + GAINS.k * s + GAINS.c1 * np.asarray(err.error_rate)
     )
@@ -128,7 +128,7 @@ def test_control_realizes_reaching_law_in_closed_form():
         psi = rng.uniform(-3, 3)
         eta_dot = rng.normal(0, 0.5, 3)
         err = TrackingError(error=rng.normal(0, 0.5, 3), error_rate=eta_dot - rng.normal(0, 0.5, 3))
-        u = smc_control(model, gains, err, eta_dot, psi)
+        u = smc_control(model, gains, sliding_surface(gains, err), err.error_rate, eta_dot, psi)
         eta_ddot = pose_acceleration(model, u, eta_dot, psi)
         s_dot = gains.c1 * np.asarray(err.error_rate) + gains.c2 * np.asarray(eta_ddot)
         assert np.allclose(s_dot, reaching_law(gains, sliding_surface(gains, err)), atol=1e-8)
@@ -237,6 +237,12 @@ def test_reference_trajectory_clamps_and_freezes_beyond_end():
     pose, rate = ref.sample(5.0)
     assert np.allclose(pose, [1.0, 0.0, 0.0])
     assert np.allclose(rate, 0.0)
+
+
+def test_reference_trajectory_holds_first_pose_at_zero_rate_before_start():
+    ref = ReferenceTrajectory(times=[1.0, 2.0], poses=[[0, 0, 0], [1, 0, 0]])
+    assert ref.sample(0.0) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert ref.sample(1.0) == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))  # the first segment starts at its time
 
 
 def test_reference_trajectory_unwraps_yaw_column():

@@ -12,7 +12,7 @@ import reference_smc as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionblimp.smc import SmcGains, SmcModel, TrackingError, pose_acceleration, smc_control
+from ionblimp.smc import SmcGains, SmcModel, TrackingError, pose_acceleration, sliding_surface, smc_control
 
 RTOL, ATOL = 1e-12, 1e-13
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -58,7 +58,7 @@ def test_control_matches_matrix_reference(model, gains, channels, eta_dot, psi):
     err = TrackingError(error=[e for e, _ in channels], error_rate=[r for _, r in channels])
     want = ref.smc_control(model, gains, err.error, err.error_rate, eta_dot,
                            *ref.planar_transforms(psi, eta_dot[2]))
-    got = smc_control(model, gains, err, eta_dot, psi)
+    got = smc_control(model, gains, sliding_surface(gains, err), err.error_rate, eta_dot, psi)
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
@@ -74,6 +74,6 @@ def test_control_propagates_nan():
     model = SmcModel.from_components(mass=0.3, inertia_z=0.06, cg_x=0.02)
     gains = SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0)
     err = TrackingError(error=[math.nan, 0.0, 0.0], error_rate=[0.0, 0.0, 0.0])
-    u = smc_control(model, gains, err, (0.0, 0.0, 0.0), 0.3)
+    u = smc_control(model, gains, sliding_surface(gains, err), err.error_rate, (0.0, 0.0, 0.0), 0.3)
     assert all(math.isnan(x) for x in u)
     assert all(math.isnan(x) for x in pose_acceleration(model, u, (0.0, 0.0, 0.0), 0.3))
