@@ -20,9 +20,10 @@ import numpy as np
 from . import harness, inner_loop, thruster
 from .dynamics import AirshipParams
 
+# Each preset's map and the function that reads thrust off it.
 _MAP_PRESETS = {
-    "throttle": thruster.THROTTLE_MAP,
-    "spacing-dual": thruster.SPACING_MAP_DUAL_RING,
+    "throttle": (thruster.THROTTLE_MAP, thruster.throttle_to_thrust),
+    "spacing-dual": (thruster.SPACING_MAP_DUAL_RING, thruster.spacing_to_thrust),
 }
 
 
@@ -103,14 +104,10 @@ def _cmd_certify_gains(args) -> int:
 
 
 def _cmd_thruster_map(args) -> int:
-    tmap = _MAP_PRESETS[args.preset]
+    tmap, to_thrust = _MAP_PRESETS[args.preset]
     sys.stdout.write(thruster.dump_thrust_map(tmap))
     if args.at is not None:
-        if args.preset == "throttle":
-            value = thruster.throttle_to_thrust(tmap, args.at)
-        else:
-            value = thruster.spacing_to_thrust(tmap, args.at)
-        print(f"# thrust_newtons_at_{args.at!r}={float(value)!r}")
+        print(f"# thrust_newtons_at_{args.at!r}={float(to_thrust(tmap, args.at))!r}")
     return 0
 
 

@@ -167,10 +167,10 @@ def _state_vector(vec) -> np.ndarray:
 
 
 def _state_values(state):
-    """(u, v, w, p, q, r, phi, theta, psi) as floats, angles wrapped as in AttitudeAngles."""
+    """(u, v, w, p, q, r, phi, theta, psi) as floats; the fields read the angles only through trig."""
     vec = state.as_array() if isinstance(state, BodyState) else _state_vector(state)
     u, v, w, p, q, r, _, _, _, phi, theta, psi = vec.tolist()
-    return u, v, w, p, q, r, wrap_angle(phi), wrap_angle(theta), wrap_angle(psi)
+    return u, v, w, p, q, r, phi, theta, psi
 
 
 def _wrench(terms: tuple) -> Wrench:
@@ -321,7 +321,7 @@ def planar_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np
     roll at zero, so those components must arrive (and stay) zero.
     """
     u, v, w, p, q, r, phi, theta, psi = _state_values(state)
-    off_manifold = max(abs(phi), abs(theta), abs(p), abs(q))
+    off_manifold = max(abs(wrap_angle(phi)), abs(wrap_angle(theta)), abs(p), abs(q))
     if off_manifold > PLANAR_TOL:
         raise ConstraintViolation(
             f"planar model requires phi=theta=p=q=0, worst violation {off_manifold:.3e}"

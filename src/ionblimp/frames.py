@@ -15,6 +15,7 @@ Conventions
 All functions are pure and safe to call from any thread.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,12 @@ class StagnantFlow(ValueError):
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = (angle + np.pi) % (2.0 * np.pi) - np.pi
-    if wrapped == -np.pi:
-        wrapped = np.pi
-    return float(wrapped)
+    """Wrap an angle to (-pi, pi]; one already inside comes back unchanged.
+
+    The IEEE remainder is exact. nan stays nan; an infinite angle raises ValueError.
+    """
+    wrapped = math.remainder(angle, 2.0 * math.pi)
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 def angle_difference(a: float, b: float) -> float:

@@ -143,11 +143,14 @@ class OpenLoopCommand:
     throttle: float | None = None
     delta_y: float = 0.0
     delta_p: float = 0.0
-    script: np.ndarray | None = None  # rows of (t, thrust, delta_y, delta_p)
+    script: tuple | None = None  # rows of (t, thrust, delta_y, delta_p), float tuples
 
     def __post_init__(self):
-        script = None if self.script is None else np.asarray(self.script, dtype=float)
-        object.__setattr__(self, "script", script)
+        if self.script is not None:
+            script = np.asarray(self.script, dtype=float)
+            if script.shape[1:] != (4,) or not len(script):
+                raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {script.shape}")
+            object.__setattr__(self, "script", tuple(map(tuple, script.tolist())))
         require_finite(self)
         given = {"thrust": self.thrust != 0.0, "throttle": self.throttle is not None,
                  "delta_y": self.delta_y != 0.0, "delta_p": self.delta_p != 0.0,
@@ -155,14 +158,12 @@ class OpenLoopCommand:
         for a, b in OPEN_LOOP_CONFLICTS:
             if given[a] and given[b]:
                 raise ValueError(f"{a} and {b} cannot both be set")
-        if script is None:
+        if self.script is None:
             thrust = self.thrust if self.throttle is None else throttle_to_thrust(THROTTLE_MAP, self.throttle)
             table = [(0.0, ThrusterCommand(thrust, self.delta_y, self.delta_p))]
-        elif script.shape[1:] != (4,) or not len(script):
-            raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {script.shape}")
         else:
             table = []
-            for t, thrust, dy, dp in script.tolist():
+            for t, thrust, dy, dp in self.script:
                 try:
                     if not table and t != 0.0:
                         raise ValueError("the first row must be at t = 0")
@@ -226,6 +227,8 @@ class Scenario:
             raise ValueError("duration must be at least one step")
         if not math.isclose(round(self.duration / self.dt) * self.dt, self.duration, rel_tol=1e-9):
             raise ValueError(f"duration {self.duration} s is not a whole number of dt={self.dt} s steps")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.gimbal_noise) and self.gimbal_noise >= 0.0):
@@ -234,12 +237,15 @@ class Scenario:
             raise ValueError("inner_loop controller requires an [inner_loop] section")
         if self.controller == "smc" and self.smc is None:
             raise ValueError("smc controller requires an [smc] section")
-        # Another controller's section must be unset; a script is checked apart, since == raises on it.
-        unset = {"open_loop": self.open_loop.script is None and self.open_loop == OpenLoopCommand(),
+        # Another controller's section must be unset.
+        unset = {"open_loop": self.open_loop == OpenLoopCommand(),
                  "inner_loop": self.inner_loop is None, "smc": self.smc is None}
         for name in CONTROLLERS:
             if name != self.controller and not unset[name]:
                 raise ValueError(f"{name}: not read by the {self.controller} controller")
+        last = self.open_loop.script[-1][0] if self.open_loop.script else 0.0
+        if last > self.duration:  # the run would never reach that row
+            raise ValueError(f"open_loop: script row at t={last!r}: after the end, duration={self.duration!r}")
         if self.controller == "smc":  # only the SMC_UNREAD values the pose model runs
             state = dict(zip(STATE_LABELS, self.initial.as_array().tolist()))
             fixed = [(key, getattr(self, key), getattr(Scenario, key)) for key in SMC_UNREAD["scenario"]]

@@ -250,12 +250,12 @@ class ReferenceTrajectory:
     """Sampled (t, x, y, psi) reference with linear interpolation.
 
     The yaw column is unwrapped on construction so interpolation never
-    jumps across the +-pi seam; sampled rates are the segment slopes.
-    ``sample`` reads both arrays as lists, ``_t`` and ``_p``.
+    jumps across the +-pi seam; sampled rates are the segment slopes. Both
+    tables are stored as float tuples.
     """
 
-    times: np.ndarray
-    poses: np.ndarray  # shape (n, 3): x, y, psi (unwrapped)
+    times: tuple
+    poses: tuple  # rows of (x, y, psi), psi unwrapped
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -267,10 +267,8 @@ class ReferenceTrajectory:
             raise ValueError("need at least two strictly increasing sample times")
         poses = poses.copy()
         poses[:, 2] = np.unwrap(poses[:, 2])
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "poses", poses)
-        object.__setattr__(self, "_t", times.tolist())
-        object.__setattr__(self, "_p", poses.tolist())
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "poses", tuple(map(tuple, poses.tolist())))
 
     @classmethod
     def from_file(cls, path) -> "ReferenceTrajectory":
@@ -284,12 +282,12 @@ class ReferenceTrajectory:
 
     def sample(self, t: float):
         """Pose and pose rate at time t as float tuples; held, at zero rate, beyond the table ends."""
-        times = self._t
+        times = self.times
         held = not times[0] <= t < times[-1]
         t = min(max(float(t), times[0]), times[-1])
         idx = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
         t0, t1 = times[idx], times[idx + 1]
-        p0, p1 = self._p[idx], self._p[idx + 1]
+        p0, p1 = self.poses[idx], self.poses[idx + 1]
         frac = (t - t0) / (t1 - t0)
         pose = tuple(a + frac * (b - a) for a, b in zip(p0, p1))
         if held:

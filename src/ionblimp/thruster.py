@@ -287,11 +287,7 @@ def throttle_to_thrust(tmap: ThrustMap, throttle: float) -> float:
     lo, hi = tmap.valid_range
     if not (lo <= throttle <= hi):
         raise OutOfRange(f"throttle {throttle} outside [{lo}, {hi}]")
-    if throttle <= tmap.inputs[0]:
-        grams = tmap.thrust_grams[0]
-    else:
-        grams = float(np.interp(throttle, tmap.inputs, tmap.thrust_grams))
-    return grams_force_to_newtons(grams)
+    return grams_force_to_newtons(float(np.interp(throttle, tmap.inputs, tmap.thrust_grams)))
 
 
 def spacing_to_thrust(tmap: ThrustMap, spacing: float) -> float:

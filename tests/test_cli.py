@@ -218,7 +218,9 @@ def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
     ("1.0 0.01 0 0\n", "[open_loop] script row at t=1.0: the first row must be at t = 0"),
     ("0 abc 0 0\n", "[open_loop] {script}: could not convert string 'abc'"),
     ("", "[open_loop] {script}: no data rows"),
-], ids=["out-of-range-row", "three-columns", "time-goes-back", "starts-after-zero", "unparsable", "empty"])
+    ("0 0.01 0 0\n20.0 0.02 0 0\n", "[scenario] open_loop: script row at t=20.0: after the end, duration=10.0"),
+], ids=["out-of-range-row", "three-columns", "time-goes-back", "starts-after-zero", "unparsable", "empty",
+        "row-after-the-end"])
 def test_bad_open_loop_script_fails_at_load(script, named, tmp_path, capsys):
     named = named.format(script=tmp_path / "script.txt")
     (tmp_path / "script.txt").write_text(script, encoding="utf-8")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionblimp.frames import (
     AttitudeAngles,
@@ -50,7 +54,39 @@ def test_wrap_angle_boundaries():
     assert wrap_angle(np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
-    assert wrap_angle(0.3) == pytest.approx(0.3)
+    assert wrap_angle(0.3) == 0.3
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=500, deadline=None)
+# (-pi, pi] with both ends, the float just above -pi and magnitudes down to the smallest subnormal.
+IN_RANGE = (st.floats(-math.pi, math.pi, exclude_min=True)
+            | st.sampled_from([math.pi, math.nextafter(-math.pi, 0.0), 1e-300, -1e-300, 5e-324, 1e-17, 1e-12]))
+
+
+@PROPERTY
+@given(x=IN_RANGE)
+def test_wrap_angle_keeps_an_angle_in_range_exactly(x):
+    assert wrap_angle(x) == x
+    att = AttitudeAngles(phi=x, theta=x, psi=x)
+    assert (att.phi, att.theta, att.psi) == (x, x, x)
+
+
+@PROPERTY
+@given(x=st.floats(-1e4, 1e4) | st.floats(allow_nan=False, allow_infinity=False))
+def test_wrap_angle_lands_in_range_at_the_same_point(x):
+    wrapped = wrap_angle(x)
+    assert -math.pi < wrapped <= math.pi
+    # Each turn removed is the float 2*pi, off by 2.4e-16; past 1e4 rad that adds up to 1e-12.
+    if abs(x) <= 1e4:
+        assert abs(math.sin(wrapped) - math.sin(x)) <= 1e-12
+        assert abs(math.cos(wrapped) - math.cos(x)) <= 1e-12
+
+
+def test_wrap_angle_keeps_nan_and_rejects_infinity():
+    assert math.isnan(wrap_angle(math.nan))
+    for x in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            wrap_angle(x)
 
 
 def test_angle_difference_shortest_path():

@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from ionblimp.harness import (
 )
 from ionblimp.smc import ReferenceTrajectory, SmcGains, sliding_surface
 from ionblimp.thruster import throttle_to_thrust
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 # --- RK4 ---------------------------------------------------------------------
@@ -420,6 +424,30 @@ def test_scenario_accepts_default_sections_and_the_pose_state_smc_reads():
 def test_scenario_rejects_negative_seed(overrides):
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1"):
         hover_scenario(**overrides, seed=-1)
+    for seed in (1.5, True, "1"):  # refused here, not left to fail in the run's random generator
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            hover_scenario(**overrides, seed=seed)
+
+
+def test_scenario_rejects_script_rows_past_the_end():
+    script = [[0.0, 0.0, 0.0, 0.0], [5.0, 0.05, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"^open_loop: script row at t=5\.0: after the end, duration=0\.1$"):
+        hover_scenario(open_loop=OpenLoopCommand(script=script), duration=0.1, dt=0.01)
+    result = run_scenario(hover_scenario(open_loop=OpenLoopCommand(script=script), duration=5.0, dt=0.01))
+    assert result.records[-1].thrust == 0.05  # a last row at the end is applied
+
+
+@pytest.mark.parametrize("name", ["hover.cfg", "cruise.cfg", "heading_step.cfg", "scripted.cfg"])
+def test_loaded_scenario_compares_equal_and_hashes(name, tmp_path):
+    path = DEMO_SCENARIOS / name
+    if name == "scripted.cfg":
+        (tmp_path / "script.txt").write_text("0 0.01 0 0\n0.5 0.02 0.1 0\n", encoding="utf-8")
+        path = tmp_path / name
+        path.write_text(CONFIG_HEADER + "\n[scenario]\nduration = 1.0\n[open_loop]\nscript = script.txt\n",
+                        encoding="utf-8")
+    first, second = load_scenario(path), load_scenario(path)
+    assert first == second
+    assert hash(first) == hash(second)
 
 
 def test_scenario_fields_are_what_a_scenario_file_sets():
