@@ -3,24 +3,17 @@
 Commands a 0.5 rad heading step and tracks the sliding variable through the
 exponential reaching law. The run also records what the single vectored
 thruster would have to do to realize the commanded generalized forces, with
-any shortfall reported as a residual instead of being hidden.
+any shortfall reported as a residual instead of being hidden. The scenario
+is scenarios/heading_step.cfg.
 """
 
-from ionblimp import AirshipParams, BodyState, run_scenario
-from ionblimp.harness import Scenario, SmcScenarioConfig
-from ionblimp.smc import ReferenceTrajectory, SmcGains, reaching_time_bound
+from pathlib import Path
 
-gains = SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0)
-reference = ReferenceTrajectory(times=[0.0, 12.0], poses=[[0, 0, 0.5], [0, 0, 0.5]])
+from ionblimp import load_scenario, run_scenario
+from ionblimp.smc import reaching_time_bound
 
-scenario = Scenario(
-    params=AirshipParams(),
-    initial=BodyState(h=1.8),
-    controller="smc",
-    duration=12.0,
-    dt=0.001,
-    smc=SmcScenarioConfig(gains=gains, reference=reference),
-)
+scenario = load_scenario(Path(__file__).resolve().parent / "scenarios" / "heading_step.cfg")
+gains = scenario.smc.gains
 result = run_scenario(scenario)
 summary = result.summary
 

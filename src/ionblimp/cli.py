@@ -10,10 +10,13 @@ Verbs:
 
 Every verb exits 0 on success; failures print one machine-parseable
 ``error: ...`` line on stderr and exit 1 (argparse usage errors exit 2).
+``thruster-map --at`` reports each warning (an extrapolated thrust) as one
+``warning: <category>: <message>`` line on stderr.
 """
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -107,7 +110,12 @@ def _cmd_thruster_map(args) -> int:
     tmap, to_thrust = _MAP_PRESETS[args.preset]
     sys.stdout.write(thruster.dump_thrust_map(tmap))
     if args.at is not None:
-        print(f"# thrust_newtons_at_{args.at!r}={float(to_thrust(tmap, args.at))!r}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            thrust = float(to_thrust(tmap, args.at))
+        for w in caught:  # one line each, without the source location
+            print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+        print(f"# thrust_newtons_at_{args.at!r}={thrust!r}")
     return 0
 
 

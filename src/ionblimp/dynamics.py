@@ -8,15 +8,12 @@ Two derivative fields over the same 12-component state:
 * ``planar_derivatives`` - the level-attitude simplification (phi = theta =
   p = q = 0) where only surge/sway/heave, yaw and the ground track evolve.
 
-State layout used by ``BodyState.as_array``/``from_array`` and by both
-derivative fields:
+The state layout is ``BodyState``'s fields, in order (``STATE_LABELS``):
 
     [u, v, w, p, q, r, x, y, h, phi, theta, psi]
 
-u, v, w are body-frame velocities (m/s); p, q, r body rates (rad/s); x, y
-ground-plane position (m); h altitude, positive up (m).
-
-Both fields take this 12-vector directly (a ``BodyState`` is accepted too)
+``BodyState.as_array``/``from_array`` follow it. Both fields take this
+12-vector directly (a ``BodyState`` is accepted too)
 and compute with plain floats. One scalar kernel, ``_body_wrench``, sums
 the aero, thrust, gravity/buoyancy and yaw-damping terms for both models,
 so each term has one definition; ``aero_wrench``, ``thruster_wrench`` and
@@ -29,7 +26,7 @@ planar manifold.
 """
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -42,10 +39,6 @@ PLANAR_TOL = 1e-9
 # Gimbal deflections are limited to +-90 deg from the forward direction
 # (the servos sweep 0-180 deg around a 90 deg center).
 GIMBAL_LIMIT = np.pi / 2
-
-
-class SingularInertia(np.linalg.LinAlgError):
-    """The coupled (p, r) inertia system cannot be inverted."""
 
 
 class ConstraintViolation(ValueError):
@@ -98,22 +91,20 @@ class AirshipParams:
             raise ValueError("yaw_damping must be non-negative")
         if self.air_density <= 0.0:
             raise ValueError("air_density must be positive")
-        if np.min(np.linalg.eigvalsh(self.inertia_matrix())) <= 0.0:
+        # Given positive principal inertias, the tensor is positive definite when
+        # the (p, r) determinant that full_derivatives divides by is positive.
+        if self.inertia_x * self.inertia_z - self.inertia_xz * self.inertia_xz <= 0.0:
             raise ValueError("inertia tensor (with Ixz coupling) must be positive definite")
-
-    def inertia_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.inertia_x, 0.0, -self.inertia_xz],
-                [0.0, self.inertia_y, 0.0],
-                [-self.inertia_xz, 0.0, self.inertia_z],
-            ]
-        )
 
 
 @dataclass(frozen=True)
 class BodyState:
-    """12-component rigid-body state."""
+    """12-component rigid-body state; its fields, in order, are the state vector's layout.
+
+    u, v, w are body-frame velocities (m/s); p, q, r body rates (rad/s); x, y
+    ground-plane position (m); h altitude, positive up (m); phi, theta, psi
+    roll, pitch and yaw (rad), each wrapped to (-pi, pi] on construction.
+    """
 
     u: float = 0.0
     v: float = 0.0
@@ -124,28 +115,28 @@ class BodyState:
     x: float = 0.0
     y: float = 0.0
     h: float = 0.0
-    attitude: AttitudeAngles = field(default_factory=AttitudeAngles)
+    phi: float = 0.0
+    theta: float = 0.0
+    psi: float = 0.0
+
+    def __post_init__(self):
+        for name in ("phi", "theta", "psi"):
+            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
-        a = self.attitude
-        return np.array(
-            [self.u, self.v, self.w, self.p, self.q, self.r,
-             self.x, self.y, self.h, a.phi, a.theta, a.psi]
-        )
+        return np.array([getattr(self, name) for name in STATE_LABELS])
 
     @classmethod
     def from_array(cls, vec) -> "BodyState":
-        vec = _state_vector(vec)
-        return cls(
-            u=vec[0], v=vec[1], w=vec[2], p=vec[3], q=vec[4], r=vec[5],
-            x=vec[6], y=vec[7], h=vec[8],
-            attitude=AttitudeAngles(phi=vec[9], theta=vec[10], psi=vec[11]),
-        )
+        return cls(*_state_vector(vec).tolist())
+
+
+STATE_LABELS = tuple(f.name for f in fields(BodyState))
 
 
 @dataclass(frozen=True)
 class ThrusterCommand:
-    """Thrust magnitude (N) and the gimbal deflections delta_y/delta_p from forward (rad)."""
+    """Thrust (N) and the gimbal deflections delta_y/delta_p from forward (rad), each within GIMBAL_LIMIT."""
 
     thrust: float = 0.0
     yaw_deflection: float = 0.0
@@ -155,7 +146,7 @@ class ThrusterCommand:
         if self.thrust < 0.0:
             raise ValueError(f"thrust must be non-negative, got {self.thrust}")
         for name, value in (("delta_y", self.yaw_deflection), ("delta_p", self.pitch_deflection)):
-            if abs(value) > GIMBAL_LIMIT + 1e-12:
+            if abs(value) > GIMBAL_LIMIT:
                 raise ValueError(f"|{name}| must not exceed {GIMBAL_LIMIT} rad, got {value}")
 
 
@@ -286,10 +277,9 @@ def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np.n
     rhs_x = mx - q * r * (iz - iy) + p * q * ixz
     rhs_y = my - p * r * (ix - iz) - (p * p - r * r) * ixz
     rhs_z = mz - p * q * (iy - ix) - q * r * ixz
-    # Ixz couples only roll and yaw: q decouples and (p, r) is a 2x2 system.
+    # Ixz couples only roll and yaw: q decouples and (p, r) is a 2x2 system
+    # whose determinant AirshipParams keeps positive.
     det = ix * iz - ixz * ixz
-    if det == 0.0:
-        raise SingularInertia("inertia system not invertible: the (p, r) block is singular")
 
     if abs(cth) < 1e-12:
         raise ZeroDivisionError("attitude-rate kinematics singular at theta = +-pi/2")

@@ -3,7 +3,8 @@
 ``run_scenario`` steps every scenario through one loop over a plant: a
 derivative field integrated with classic fixed-step RK4, its initial
 vector, and a controller giving the recorded state, the thruster command
-and the input held over the step. Two functions build the plant:
+and the input held over the step. The recorded state is laid out as
+``BodyState``'s fields (``STATE_LABELS``). Two functions build the plant:
 
 * ``_rigid_body_plant``: model ``full`` or ``planar`` with the
   ``open_loop`` or ``inner_loop`` controller.
@@ -14,7 +15,8 @@ and the input held over the step. Two functions build the plant:
   this idealized loop.
 
 Every step's command is recorded with its servo angles from one fixed map
-(``servo_map``): a 90 deg center and travel equal to the gimbal limit.
+(``servo_map``): a 90 deg center and travel equal to the gimbal limit, so a
+valid ``ThrusterCommand`` is in the servos' range by construction.
 
 Runs are deterministic: a fixed scenario file and seed reproduce output
 files byte for byte. Scenario configs are plain-text INI-style files whose
@@ -37,6 +39,8 @@ import numpy as np
 
 from .dynamics import (
     GIMBAL_LIMIT,
+    PLANAR_TOL,
+    STATE_LABELS,
     AirshipParams,
     BodyState,
     ThrusterCommand,
@@ -44,7 +48,7 @@ from .dynamics import (
     planar_derivatives,
     require_finite,
 )
-from .frames import AttitudeAngles, wrap_angle
+from .frames import wrap_angle
 from .inner_loop import InnerLoopConfig
 from .smc import (
     ReferenceTrajectory,
@@ -67,8 +71,6 @@ CONFIG_HEADER = "# blimpsim-config v1"
 CONTROLLERS = ("open_loop", "inner_loop", "smc")
 # The smc pose model is planar and takes no gimbal noise, so it reads none of these keys.
 SMC_UNREAD = {"scenario": ("model", "gimbal_noise"), "initial": ("w", "p", "q", "phi", "theta")}
-
-STATE_LABELS = ("u", "v", "w", "p", "q", "r", "x", "y", "h", "phi", "theta", "psi")
 
 CSV_COLUMNS = (
     "t", *STATE_LABELS,
@@ -108,24 +110,18 @@ def integrate_step(derivative_fn, state, u, dt: float, labels=STATE_LABELS) -> n
 
 # Zero deflection points a servo at its center; its travel either side is the gimbal limit.
 SERVO_CENTER_DEG = 90.0
-_SERVO_RANGE_DEG = (SERVO_CENTER_DEG - math.degrees(GIMBAL_LIMIT),
-                    SERVO_CENTER_DEG + math.degrees(GIMBAL_LIMIT))
 
-ServoAngles = namedtuple("ServoAngles", "yaw_deg pitch_deg saturated")
+ServoAngles = namedtuple("ServoAngles", "yaw_deg pitch_deg")
 
 
 def servo_map(cmd: ThrusterCommand) -> ServoAngles:
-    """Servo angle pair for a thruster command.
+    """Servo angle pair for a thruster command: a deflection d maps to SERVO_CENTER_DEG + degrees(d).
 
-    A deflection d maps to SERVO_CENTER_DEG + degrees(d), clamped to the
-    center +- degrees(GIMBAL_LIMIT). A clamp sets the saturated flag;
-    nothing is clamped silently.
+    ThrusterCommand keeps |d| <= GIMBAL_LIMIT = pi/2, degrees(pi/2) is
+    exactly 90.0 and rounding is monotone, so the angles lie in [0, 180].
     """
-    lo, hi = _SERVO_RANGE_DEG
-    yaw_req = SERVO_CENTER_DEG + math.degrees(cmd.yaw_deflection)
-    pitch_req = SERVO_CENTER_DEG + math.degrees(cmd.pitch_deflection)
-    yaw, pitch = min(max(yaw_req, lo), hi), min(max(pitch_req, lo), hi)
-    return ServoAngles(yaw_deg=yaw, pitch_deg=pitch, saturated=yaw != yaw_req or pitch != pitch_req)
+    return ServoAngles(SERVO_CENTER_DEG + math.degrees(cmd.yaw_deflection),
+                       SERVO_CENTER_DEG + math.degrees(cmd.pitch_deflection))
 
 
 # Open-loop values that cannot be set together: the script wins, throttle replaces thrust.
@@ -247,11 +243,16 @@ class Scenario:
         if last > self.duration:  # the run would never reach that row
             raise ValueError(f"open_loop: script row at t={last!r}: after the end, duration={self.duration!r}")
         if self.controller == "smc":  # only the SMC_UNREAD values the pose model runs
-            state = dict(zip(STATE_LABELS, self.initial.as_array().tolist()))
             fixed = [(key, getattr(self, key), getattr(Scenario, key)) for key in SMC_UNREAD["scenario"]]
-            for name, got, value in fixed + [(f"initial.{k}", state[k], 0.0) for k in SMC_UNREAD["initial"]]:
+            fixed += [(f"initial.{k}", getattr(self.initial, k), 0.0) for k in SMC_UNREAD["initial"]]
+            for name, got, value in fixed:
                 if got != value:
                     raise ValueError(f"{name}: must be {value!r} with the smc controller, got {got!r}")
+        elif self.model == "planar":  # planar_derivatives' own bound, checked before step 0
+            for k in ("phi", "theta", "p", "q"):
+                got = getattr(self.initial, k)
+                if abs(got) > PLANAR_TOL:
+                    raise ValueError(f"initial.{k}: must be 0.0 with the planar model, got {got!r}")
 
 
 class SimRecord(namedtuple("SimRecord", CSV_COLUMNS)):
@@ -321,7 +322,7 @@ def _pose_plant(sc: Scenario) -> Plant:
     )
     gains = cfg.gains
     init = sc.initial
-    psi0 = init.attitude.psi
+    psi0 = init.psi
     c0, s0 = math.cos(psi0), math.sin(psi0)
     # eta_dot = C_bg(psi)^T (u, v, r)
     y0 = np.array([init.x, init.y, psi0, c0 * init.u - s0 * init.v, s0 * init.u + c0 * init.v, init.r])
@@ -357,8 +358,6 @@ def run_scenario(sc: Scenario) -> SimResult:
         t = step * sc.dt
         state, cmd, u, flags, internals = plant.control(t, y)
         servo = servo_map(cmd)
-        if servo.saturated:
-            flags.add("saturation")
         if state[8] < 0.0:  # h
             flags.add("ground")
         records.append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
@@ -541,8 +540,6 @@ def load_scenario(path) -> Scenario:
         unread += [f"[{s}] {k}" for s, keys in SMC_UNREAD.items() for k in keys if k in config.get(s, {})]
     if unread and controller in CONTROLLERS:  # an unknown controller is Scenario's error
         raise ValueError(f"{path}: {unread[0]}: not read by the {controller} controller")
-    initial = config.get("initial", {})
-    attitude = AttitudeAngles(**{k: initial.pop(k) for k in ("phi", "theta", "psi") if k in initial})
 
     open_loop = config.get("open_loop", {})
     # Keys, not values: a pair is an error even when one key holds its default.
@@ -551,12 +548,11 @@ def load_scenario(path) -> Scenario:
             raise ValueError(f"{path}: [open_loop] {a} and {b} cannot both be set")
 
     # These Scenario fields are named after the sections they are built from.
-    makers = {"params": AirshipParams, "open_loop": _open_loop,
+    makers = {"params": AirshipParams, "initial": BodyState, "open_loop": _open_loop,
               "inner_loop": InnerLoopConfig, "smc": _smc_config}
     built = {s: _section(path, s, make, config[s]) for s, make in makers.items() if s in config}
     output = {key: str(value) for key, value in config.get("output", {}).items()}
     return _section(path, "scenario", Scenario, dict(
-        initial=BodyState(attitude=attitude, **initial),
         csv_path=output.get("csv"),
         summary_path=output.get("summary"),
         **built,

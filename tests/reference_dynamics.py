@@ -1,9 +1,9 @@
 """Matrix formulation of the rigid-body derivative fields, kept as a test oracle.
 
 Wrenches come from ``np.cross`` and the ``frames`` rotation matrices,
-body-rate accelerations from a 3x3 ``np.linalg.solve`` on
-``AirshipParams.inertia_matrix()``, and the state passes through
-``BodyState``/``AttitudeAngles`` (which wraps the angles).
+body-rate accelerations from a 3x3 ``np.linalg.solve`` on the full inertia
+tensor (``inertia_matrix``), and the state passes through ``BodyState``
+(which wraps the angles) and ``AttitudeAngles``.
 ``ionblimp.dynamics`` computes the same fields with scalar code; the
 property tests in ``test_dynamics_reference.py`` compare the two.
 """
@@ -15,7 +15,6 @@ from ionblimp.dynamics import (
     AirshipParams,
     BodyState,
     ConstraintViolation,
-    SingularInertia,
     ThrusterCommand,
 )
 from ionblimp.frames import (
@@ -37,6 +36,22 @@ def velocity(state: BodyState) -> np.ndarray:
 def rates(state: BodyState) -> np.ndarray:
     """Body rates (p, q, r)."""
     return np.array([state.p, state.q, state.r])
+
+
+def attitude(state: BodyState) -> AttitudeAngles:
+    """Roll, pitch and yaw (phi, theta, psi)."""
+    return AttitudeAngles(state.phi, state.theta, state.psi)
+
+
+def inertia_matrix(params: AirshipParams) -> np.ndarray:
+    """The body-frame inertia tensor, with the roll/yaw product of inertia."""
+    return np.array(
+        [
+            [params.inertia_x, 0.0, -params.inertia_xz],
+            [0.0, params.inertia_y, 0.0],
+            [-params.inertia_xz, 0.0, params.inertia_z],
+        ]
+    )
 
 
 def aero_wrench(params: AirshipParams, v_body) -> Wrench:
@@ -81,7 +96,7 @@ def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrenc
 def _total_wrench(params: AirshipParams, state: BodyState, cmd: ThrusterCommand):
     aero = aero_wrench(params, velocity(state))
     thrust = thruster_wrench(params, cmd)
-    static = gravity_buoyancy_wrench(params, state.attitude)
+    static = gravity_buoyancy_wrench(params, attitude(state))
     force = aero.force + thrust.force + static.force
     moment = aero.moment + thrust.moment + static.moment
     moment = moment + np.array([0.0, 0.0, -params.yaw_damping * state.r])
@@ -104,13 +119,10 @@ def full_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterComma
             moment[2] - p * q * (iy - ix) - q * r * ixz,
         ]
     )
-    try:
-        rate_dot = np.linalg.solve(params.inertia_matrix(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInertia(f"inertia system not invertible: {exc}") from exc
+    rate_dot = np.linalg.solve(inertia_matrix(params), rhs)
 
-    euler_dot = euler_rates_from_body_rates(state.attitude, rates(state))
-    ground_vel = ground_to_body(state.attitude).T @ velocity(state)
+    euler_dot = euler_rates_from_body_rates(attitude(state), rates(state))
+    ground_vel = ground_to_body(attitude(state)).T @ velocity(state)
 
     out = np.empty(12)
     out[0:3] = vel_dot
@@ -123,8 +135,7 @@ def full_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterComma
 
 
 def planar_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterCommand) -> np.ndarray:
-    att = state.attitude
-    off_manifold = max(abs(att.phi), abs(att.theta), abs(state.p), abs(state.q))
+    off_manifold = max(abs(state.phi), abs(state.theta), abs(state.p), abs(state.q))
     if off_manifold > PLANAR_TOL:
         raise ConstraintViolation(
             f"planar model requires phi=theta=p=q=0, worst violation {off_manifold:.3e}"
@@ -136,7 +147,7 @@ def planar_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterCom
     vel_dot = np.array([v * r, -u * r, 0.0]) + force / params.mass
     r_dot = moment[2] / params.inertia_z
 
-    cpsi, spsi = np.cos(att.psi), np.sin(att.psi)
+    cpsi, spsi = np.cos(state.psi), np.sin(state.psi)
     out = np.zeros(12)
     out[0:3] = vel_dot
     out[5] = r_dot

@@ -15,7 +15,6 @@ from ionblimp.dynamics import (
     full_derivatives,
     planar_derivatives,
 )
-from ionblimp.frames import AttitudeAngles
 from ionblimp.harness import (
     OpenLoopCommand,
     Scenario,
@@ -221,7 +220,7 @@ def test_criterion_09_model_equivalence():
         return BodyState(
             u=rng.uniform(-1, 1), v=rng.uniform(-1, 1), w=rng.uniform(-1, 1),
             r=rng.uniform(-1, 1), x=rng.uniform(-5, 5), y=rng.uniform(-5, 5),
-            h=rng.uniform(0, 3), attitude=AttitudeAngles(psi=rng.uniform(-3, 3)),
+            h=rng.uniform(0, 3), psi=rng.uniform(-3, 3),
         )
 
     # (a) literal 12-component equivalence; the thruster link ends at CM

@@ -1,8 +1,9 @@
-"""tools/bench_ab.py: the BENCH document, assembled from canned run.py outputs (no subprocess)."""
+"""tools/bench_ab.py: the BENCH document, assembled from canned run.py outputs, and the head snapshot."""
 
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,29 @@ def test_assemble_keeps_other_workloads_only_under_the_same_header():
     third = bench_ab.assemble(second, other_head, {"full_6dof": PAIRS[:2]}, SPEC)
     assert list(third["workloads"]) == ["full_6dof"]
     json.dumps(third)  # the document is plain JSON
+
+
+def test_snapshot_holds_the_working_tree_and_leaves_the_index_alone(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    files = {".gitignore": "ignored.txt\n", "tracked.txt": "committed\n", "BENCH_1.json": "{}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    git("add", "-A")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.com", "commit", "-q", "-m", "base")
+    edits = {"tracked.txt": "edited\n", "untracked.txt": "new\n", "ignored.txt": "left out\n",
+             "BENCH_1.json": "{\"rewritten\": true}\n", "BENCH_2.json": "{}\n"}
+    for name, text in edits.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    status = git("status", "--porcelain")
+
+    tree = bench_ab.snapshot(tmp_path)
+    assert git("ls-tree", "--name-only", tree).split() == [".gitignore", "BENCH_1.json", "tracked.txt",
+                                                           "untracked.txt"]
+    assert git("show", f"{tree}:tracked.txt") == "edited\n"  # the uncommitted edit
+    assert git("show", f"{tree}:untracked.txt") == "new\n"
+    assert git("show", f"{tree}:BENCH_1.json") == "{}\n"  # BENCH files as committed
+    assert git("status", "--porcelain") == status  # nothing was staged in the repository's index
+    assert bench_ab.snapshot(tmp_path) == tree

@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from ionblimp.cli import main
 from ionblimp.harness import CONFIG_HEADER, load_scenario
 from ionblimp.inner_loop import InnerLoopConfig, gain_report
-from ionblimp.thruster import THROTTLE_MAP
+from ionblimp.thruster import SPACING_MAP_DUAL_RING, THROTTLE_MAP, dump_thrust_map, spacing_to_thrust
 
 PARAMS_CFG = (
     CONFIG_HEADER
@@ -54,6 +55,21 @@ def test_thruster_map_query(capsys):
     assert main(["thruster-map", "spacing-dual", "--at", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "thrust_newtons_at_0.05" in out
+
+
+def test_thruster_map_extrapolation_is_one_warning_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        thrust = float(spacing_to_thrust(SPACING_MAP_DUAL_RING, 0.028))
+    # Every call warns, whatever the interpreter's warning filters say.
+    for action in ("default", "default", "error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(["thruster-map", "spacing-dual", "--at", "0.028"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: ExtrapolatedThrustWarning: spacing 0.0280 m below measured range, "
+                       "thrust extrapolated\n")
+        assert out == dump_thrust_map(SPACING_MAP_DUAL_RING) + f"# thrust_newtons_at_0.028={thrust!r}\n"
 
 
 def test_step_response_output(capsys):
@@ -213,13 +229,14 @@ def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
 @pytest.mark.filterwarnings("error")  # numpy's empty-input warning would be a second stderr line
 @pytest.mark.parametrize("script, named", [
     ("0.0 0.01 0.0 0\n0.005 0.01 2.0 0\n", "[open_loop] script row at t=0.005: |delta_y|"),
+    ("0.0 0.01 0.0 1.570796326794897\n", "[open_loop] script row at t=0.0: |delta_p|"),
     ("0.0 0.01 0.0\n", "[open_loop] script needs rows"),
     ("0 0.01 0 0\n2.0 0.03 0 0\n1.0 0.02 0 0\n", "[open_loop] script row at t=1.0: times must be strictly"),
     ("1.0 0.01 0 0\n", "[open_loop] script row at t=1.0: the first row must be at t = 0"),
     ("0 abc 0 0\n", "[open_loop] {script}: could not convert string 'abc'"),
     ("", "[open_loop] {script}: no data rows"),
     ("0 0.01 0 0\n20.0 0.02 0 0\n", "[scenario] open_loop: script row at t=20.0: after the end, duration=10.0"),
-], ids=["out-of-range-row", "three-columns", "time-goes-back", "starts-after-zero", "unparsable", "empty",
+], ids=["out-of-range-row", "delta-p-2-ulp-past-gimbal", "three-columns", "time-goes-back", "starts-after-zero", "unparsable", "empty",
         "row-after-the-end"])
 def test_bad_open_loop_script_fails_at_load(script, named, tmp_path, capsys):
     named = named.format(script=tmp_path / "script.txt")
@@ -272,6 +289,18 @@ controller = inner_loop
 trim_speed = 0.3
 trim_thrust = 0.01
 """
+# The (p, r) inertia determinant Ixx Izz - Ixz^2 rounds to 0, and to a tiny negative number.
+SINGULAR_INERTIA = """[params]
+inertia_x = 0.011791525553737695
+inertia_z = 0.000732886982583319
+inertia_xz = -0.0029397033154951063
+"""
+NEGATIVE_DETERMINANT = """[params]
+inertia_y = 1.0
+inertia_x = 0.00040220716137835504
+inertia_z = 0.004607612277157131
+inertia_xz = -0.001361328268540484
+"""
 INNER_LOOP_FEEDFORWARD = """[scenario]
 controller = inner_loop
 
@@ -303,6 +332,11 @@ thrust_feedforward = 0.01
     ("simulate", "[open_loop]\nthrust = -0.1\n", "bad.cfg: [open_loop] thrust"),
     ("simulate", "[open_loop]\ndelta_y = 2.0\n", "bad.cfg: [open_loop] |delta_y|"),
     ("simulate", "[open_loop]\ndelta_p = -2.0\n", "bad.cfg: [open_loop] |delta_p|"),
+    ("simulate", "[open_loop]\ndelta_p = 1.570796326794897\n", "bad.cfg: [open_loop] |delta_p|"),
+    ("simulate", "[scenario]\nmodel = full\n" + SINGULAR_INERTIA, "bad.cfg: [params] inertia tensor"),
+    ("simulate", "[scenario]\nmodel = full\n" + NEGATIVE_DETERMINANT, "bad.cfg: [params] inertia tensor"),
+    ("simulate", "[initial]\ntheta = 0.1\n",
+     "bad.cfg: [scenario] initial.theta: must be 0.0 with the planar model, got 0.1"),
     ("simulate", "[open_loop]\nthrottle = 1.5\n", "bad.cfg: [open_loop] throttle"),
     ("simulate", SMC_NO_K, "bad.cfg: [smc] k: required"),
     ("simulate", INNER_LOOP_NO_KU, "bad.cfg: [inner_loop] k_u: required"),
@@ -324,7 +358,8 @@ thrust_feedforward = 0.01
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
         "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
         "negative-mass", "negative-dt", "negative-thrust", "delta-y-beyond-gimbal",
-        "delta-p-beyond-gimbal", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u",
+        "delta-p-beyond-gimbal", "delta-p-2-ulp-past-gimbal", "zero-inertia-determinant",
+        "negative-inertia-determinant", "planar-initial-theta", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u",
         "open-loop-section-under-smc", "smc-section-under-open-loop", "open-loop-section-under-inner-loop",
         "model-under-smc", "gimbal-noise-under-smc", "initial-w-under-smc", "initial-theta-under-smc",
         "unknown-controller-beside-section", "negative-seed", "key-before-any-section", "line-without-equals",

@@ -1,16 +1,19 @@
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_dynamics import velocity
+from reference_dynamics import attitude, velocity
 
 from ionblimp.dynamics import (
     GIMBAL_LIMIT,
+    STATE_LABELS,
     AirshipParams,
     BodyState,
     ConstraintViolation,
-    SingularInertia,
     ThrusterCommand,
     aero_wrench,
     full_derivatives,
@@ -27,7 +30,7 @@ def random_planar_state(rng):
     return BodyState(
         u=rng.uniform(-1, 1), v=rng.uniform(-1, 1), w=rng.uniform(-1, 1),
         r=rng.uniform(-1, 1), x=rng.uniform(-5, 5), y=rng.uniform(-5, 5),
-        h=rng.uniform(0, 3), attitude=AttitudeAngles(psi=rng.uniform(-3, 3)),
+        h=rng.uniform(0, 3), psi=rng.uniform(-3, 3),
     )
 
 
@@ -126,17 +129,17 @@ def test_full_position_rates_are_rotated_velocity():
         st = BodyState(
             u=rng.uniform(-1, 1), v=rng.uniform(-1, 1), w=rng.uniform(-1, 1),
             p=rng.uniform(-1, 1), q=rng.uniform(-1, 1), r=rng.uniform(-1, 1),
-            attitude=AttitudeAngles(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3)),
+            phi=rng.uniform(-1, 1), theta=rng.uniform(-1, 1), psi=rng.uniform(-3, 3),
         )
         d = full_derivatives(PARAMS, st, ThrusterCommand())
-        ground_vel = ground_to_body(st.attitude).T @ velocity(st)
+        ground_vel = ground_to_body(attitude(st)).T @ velocity(st)
         assert np.allclose(d[6:8], ground_vel[0:2], atol=1e-13)
         assert d[8] == pytest.approx(-ground_vel[2], abs=1e-13)
 
 
 def test_full_position_rate_finite_difference_consistency():
     # d/dt of position from a tiny explicit-Euler step matches the derivative.
-    st = BodyState(u=0.5, v=0.1, w=-0.2, attitude=AttitudeAngles(0.1, -0.2, 0.8))
+    st = BodyState(u=0.5, v=0.1, w=-0.2, phi=0.1, theta=-0.2, psi=0.8)
     d = full_derivatives(PARAMS, st, ThrusterCommand())
     dt = 1e-7
     moved = st.as_array() + dt * d
@@ -144,17 +147,41 @@ def test_full_position_rate_finite_difference_consistency():
     assert np.allclose(fd, d[6:9], rtol=1e-9)
 
 
-def test_singular_inertia_reported():
-    bad = object.__new__(AirshipParams)
-    for name, value in (("mass", 0.3), ("inertia_x", 1.0), ("inertia_y", 1.0),
-                        ("inertia_z", 1.0), ("inertia_xz", 1.0), ("cb_offset", 0.1),
-                        ("mount_x", 0.3), ("mount_z", 0.4), ("link_length", 0.1),
-                        ("yaw_damping", 0.0), ("drag_coeff", 0.01), ("lift_slope", 0.0),
-                        ("moment_slope", 0.0), ("ref_chord", 1.0), ("air_density", 1.2),
-                        ("net_lift", 0.0), ("gravity", 9.80665)):
-        object.__setattr__(bad, name, value)
-    with pytest.raises(SingularInertia):
-        full_derivatives(bad, BodyState(), ThrusterCommand())
+# Ixx Izz - Ixz^2 rounds to exactly 0, and to -4.2e-21: a tensor eigenvalue
+# test accepts both, then full_derivatives divides by that determinant.
+NEAR_SINGULAR = [
+    dict(inertia_x=0.011791525553737695, inertia_z=0.000732886982583319, inertia_xz=-0.0029397033154951063),
+    dict(inertia_y=1.0, inertia_x=0.00040220716137835504, inertia_z=0.004607612277157131,
+         inertia_xz=-0.001361328268540484),
+]
+
+
+@pytest.mark.parametrize("inertia", NEAR_SINGULAR, ids=["zero-determinant", "negative-determinant"])
+def test_airship_params_reject_a_singular_roll_yaw_block(inertia):
+    with pytest.raises(ValueError, match=r"^inertia tensor \(with Ixz coupling\) must be positive definite$"):
+        AirshipParams(**inertia)
+
+
+def _ulps_away(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(ix=st.floats(1e-4, 0.1), iz=st.floats(1e-4, 0.1), iy=st.sampled_from([1e-3, 0.062, 1.0, 10.0]),
+       sign=st.sampled_from([-1.0, 1.0]), ulps=st.integers(-4, 4))
+def test_inertia_rule_is_the_kernel_determinant(ix, iz, iy, sign, ulps):
+    # Ixz within a few ulps of +-sqrt(Ix Iz), where the tensor turns singular.
+    ixz = _ulps_away(sign * math.sqrt(ix * iz), ulps)
+    try:
+        params = AirshipParams(inertia_x=ix, inertia_y=iy, inertia_z=iz, inertia_xz=ixz)
+    except ValueError:
+        return
+    assert ix * iz - ixz * ixz > 0.0
+    state = BodyState(u=0.4, p=0.3, q=-0.2, r=0.5, phi=0.1, theta=-0.2)
+    derivative = full_derivatives(params, state, ThrusterCommand(thrust=0.05, yaw_deflection=0.3))
+    assert np.all(np.isfinite(derivative))
 
 
 def test_airship_params_validation():
@@ -183,7 +210,7 @@ def test_planar_straight_cruise_no_yaw_rate():
 
 
 def test_planar_kinematics_heading_east():
-    st = BodyState(u=1.0, attitude=AttitudeAngles(psi=np.pi / 2))
+    st = BodyState(u=1.0, psi=np.pi / 2)
     d = planar_derivatives(PARAMS, st, ThrusterCommand())
     assert d[6] == pytest.approx(0.0, abs=1e-12)
     assert d[7] == pytest.approx(1.0, rel=1e-12)
@@ -191,7 +218,7 @@ def test_planar_kinematics_heading_east():
 
 def test_planar_rejects_off_manifold_state():
     with pytest.raises(ConstraintViolation):
-        planar_derivatives(PARAMS, BodyState(attitude=AttitudeAngles(theta=1e-6)), ThrusterCommand())
+        planar_derivatives(PARAMS, BodyState(theta=1e-6), ThrusterCommand())
     with pytest.raises(ConstraintViolation):
         planar_derivatives(PARAMS, BodyState(q=1e-6), ThrusterCommand())
 
@@ -271,10 +298,15 @@ def test_gravity_buoyancy_restoring_moment_scales_with_weight():
 
 
 def test_body_state_array_round_trip():
-    st = BodyState(u=1, v=2, w=3, p=4e-3, q=5e-3, r=6e-3, x=7, y=8, h=9,
-                   attitude=AttitudeAngles(0.1, 0.2, 0.3))
-    again = BodyState.from_array(st.as_array())
-    assert np.allclose(again.as_array(), st.as_array())
+    st = BodyState(u=1, v=2, w=3, p=4e-3, q=5e-3, r=6e-3, x=7, y=8, h=9, phi=0.1, theta=0.2, psi=0.3)
+    assert BodyState.from_array(st.as_array()) == st
+    assert st.as_array().tolist() == [getattr(st, name) for name in STATE_LABELS]
+    assert STATE_LABELS == ("u", "v", "w", "p", "q", "r", "x", "y", "h", "phi", "theta", "psi")
+
+
+def test_body_state_wraps_its_angles():
+    state = BodyState(phi=3 * np.pi, theta=-3 * np.pi / 2, psi=2 * np.pi, r=7.0)
+    assert (state.phi, state.theta, state.psi, state.r) == pytest.approx((np.pi, np.pi / 2, 0.0, 7.0), abs=1e-15)
 
 
 def test_thruster_command_validation():
@@ -286,3 +318,6 @@ def test_thruster_command_validation():
     with pytest.raises(ValueError, match=r"^\|delta_p\| must not exceed .* rad, got -2.0$"):
         ThrusterCommand(thrust=0.01, pitch_deflection=-2.0)
     ThrusterCommand(thrust=0.0, yaw_deflection=GIMBAL_LIMIT, pitch_deflection=-GIMBAL_LIMIT)
+    # The limit is exact: one ulp past it is refused.
+    with pytest.raises(ValueError, match=r"^\|delta_p\| must not exceed"):
+        ThrusterCommand(thrust=0.01, pitch_deflection=math.nextafter(GIMBAL_LIMIT, 2.0))

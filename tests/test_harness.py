@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionblimp import harness
-from ionblimp.dynamics import GIMBAL_LIMIT, AirshipParams, BodyState, ThrusterCommand
-from ionblimp.frames import AttitudeAngles
+from ionblimp.dynamics import GIMBAL_LIMIT, PLANAR_TOL, AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
     CONFIG_HEADER,
     CSV_COLUMNS,
@@ -92,44 +91,25 @@ def test_rk4_convergence_order_on_exponential():
 # --- servo mapping -----------------------------------------------------------
 
 def test_servo_map_center_and_range():
-    out = servo_map(ThrusterCommand(thrust=0.01))
-    assert out.yaw_deg == pytest.approx(90.0)
-    assert out.pitch_deg == pytest.approx(90.0)
-    assert not out.saturated
-    out = servo_map(ThrusterCommand(thrust=0.01, yaw_deflection=np.pi / 2))
-    assert out.yaw_deg == pytest.approx(180.0)
-    assert not out.saturated
-
-
-def _unchecked_command(yaw, pitch) -> ThrusterCommand:
-    """A command that bypasses the validator, so deflections may exceed the gimbal limit."""
-    cmd = object.__new__(ThrusterCommand)
-    for name, value in (("thrust", 0.01), ("yaw_deflection", yaw), ("pitch_deflection", pitch)):
-        object.__setattr__(cmd, name, value)
-    return cmd
-
-
-def test_servo_map_clamps_and_flags():
-    out = servo_map(_unchecked_command(2.0, 0.0))
-    assert out.yaw_deg == 180.0
-    assert out.saturated
+    assert servo_map(ThrusterCommand(thrust=0.01)) == (90.0, 90.0)
+    out = servo_map(ThrusterCommand(thrust=0.01, yaw_deflection=GIMBAL_LIMIT, pitch_deflection=-GIMBAL_LIMIT))
+    assert out == (180.0, 0.0)
 
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
-# Inside the gimbal limit, exactly at it, and beyond it (clamped).
-DEFLECTIONS = st.floats(-2.0, 2.0) | st.sampled_from([-GIMBAL_LIMIT, GIMBAL_LIMIT])
+# Every deflection a ThrusterCommand accepts: inside the gimbal limit and exactly at it.
+DEFLECTIONS = (st.floats(-GIMBAL_LIMIT, GIMBAL_LIMIT)
+               | st.sampled_from([-GIMBAL_LIMIT, GIMBAL_LIMIT, math.nextafter(GIMBAL_LIMIT, 0.0)]))
 
 
 @PROPERTY
-@given(yaw=DEFLECTIONS, pitch=DEFLECTIONS)
-def test_servo_map_range_and_saturation_flag(yaw, pitch):
-    # The map is fixed (90 deg center, travel equal to the gimbal limit):
-    # the output depends on the command alone.
-    out = servo_map(_unchecked_command(yaw, pitch))
-    angles = [out.yaw_deg, out.pitch_deg]
-    assert all(0.0 <= angle <= 180.0 for angle in angles)
-    requested = [90.0 + math.degrees(d) for d in (yaw, pitch)]
-    assert out.saturated == (angles != requested)
+@given(cmd=st.builds(ThrusterCommand, st.floats(0.0, 0.1), DEFLECTIONS, DEFLECTIONS))
+def test_servo_map_range_of_valid_commands(cmd):
+    # The map is fixed (90 deg center, travel equal to the gimbal limit) and
+    # clamps nothing: a valid command is in the servos' range by construction.
+    out = servo_map(cmd)
+    assert out == (90.0 + math.degrees(cmd.yaw_deflection), 90.0 + math.degrees(cmd.pitch_deflection))
+    assert all(0.0 <= angle <= 180.0 for angle in out)
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -399,8 +379,8 @@ SCRIPT = np.array([[0.0, 0.01, 0.0, 0.0], [0.5, 0.02, 0.1, 0.0]])
     ({**SMC_API, "initial": BodyState(h=1.8, w=0.4)}, r"^initial\.w: must be 0\.0 with the smc controller"),
     ({**SMC_API, "initial": BodyState(p=0.1)}, r"^initial\.p: "),
     ({**SMC_API, "initial": BodyState(q=0.1)}, r"^initial\.q: "),
-    ({**SMC_API, "initial": BodyState(attitude=AttitudeAngles(phi=0.1))}, r"^initial\.phi: "),
-    ({**SMC_API, "initial": BodyState(attitude=AttitudeAngles(theta=0.1))}, r"^initial\.theta: "),
+    ({**SMC_API, "initial": BodyState(phi=0.1)}, r"^initial\.phi: "),
+    ({**SMC_API, "initial": BodyState(theta=0.1)}, r"^initial\.theta: "),
     ({"smc": SmcScenarioConfig(**VALID_SMC)}, "^smc: not read by the open_loop controller"),
     ({"inner_loop": InnerLoopConfig(**VALID_INNER)}, "^inner_loop: not read by the open_loop"),
     ({"controller": "inner_loop", "inner_loop": InnerLoopConfig(**VALID_INNER),
@@ -414,10 +394,33 @@ def test_scenario_rejects_what_its_controller_does_not_read(overrides, message):
 
 
 def test_scenario_accepts_default_sections_and_the_pose_state_smc_reads():
-    initial = BodyState(u=0.1, v=-0.2, r=0.05, x=1.0, y=2.0, h=1.8, attitude=AttitudeAngles(psi=0.3))
+    initial = BodyState(u=0.1, v=-0.2, r=0.05, x=1.0, y=2.0, h=1.8, psi=0.3)
     sc = hover_scenario(**SMC_API, open_loop=OpenLoopCommand(), inner_loop=None, initial=initial)
     assert sc.initial == initial
     hover_scenario(open_loop=OpenLoopCommand(script=SCRIPT))  # the open-loop controller reads it
+
+
+@pytest.mark.parametrize("controller", ["open_loop", "inner_loop"])
+@pytest.mark.parametrize("name", ["phi", "theta", "p", "q"])
+def test_planar_scenario_rejects_an_initial_state_off_the_level_manifold(name, controller):
+    sections = {"inner_loop": InnerLoopConfig(**VALID_INNER)} if controller == "inner_loop" else {}
+    with pytest.raises(ValueError, match=rf"^initial\.{name}: must be 0\.0 with the planar model, got 0\.1$"):
+        hover_scenario(model="planar", controller=controller, initial=BodyState(**{name: 0.1}), **sections)
+    # planar_derivatives' own bound, PLANAR_TOL, to the ulp; the full model reads any attitude
+    with pytest.raises(ValueError, match=rf"^initial\.{name}: "):
+        hover_scenario(model="planar", controller=controller,
+                       initial=BodyState(**{name: -math.nextafter(PLANAR_TOL, 1.0)}), **sections)
+    hover_scenario(model="planar", controller=controller, initial=BodyState(**{name: -PLANAR_TOL}), **sections)
+    hover_scenario(model="full", controller=controller, initial=BodyState(**{name: 0.1}), **sections)
+
+
+def test_gimbal_limit_runs_at_the_servo_end_stop(tmp_path):
+    # pi/2 exactly is inside the limit: the pitch servo sits at 180 deg, no flag.
+    path = tmp_path / "limit.cfg"
+    path.write_text(CONFIG_HEADER + "\n[scenario]\nduration = 0.02\ndt = 0.01\n"
+                    "[open_loop]\ndelta_p = 1.5707963267948966\n", encoding="utf-8")
+    result = run_scenario(load_scenario(path))
+    assert [(rec.servo_pitch_deg, rec.flags) for rec in result.records] == [(180.0, ())] * 3
 
 
 @pytest.mark.parametrize("overrides", [{}, SMC_API], ids=["open-loop", "smc"])
@@ -581,7 +584,7 @@ def test_load_scenario_round_trip(tmp_path):
     assert sc.duration == 0.2
     assert sc.params.drag_coeff == 0.1848
     assert sc.initial.u == 0.1
-    assert sc.initial.attitude.psi == pytest.approx(0.3)
+    assert sc.initial.psi == 0.3
     assert sc.open_loop.thrust == 0.0114
     result = run_scenario(sc)
     assert (tmp_path / "out.csv").exists()

@@ -3,12 +3,15 @@
     python3 tools/bench_ab.py --base REV --label N --workloads W [W ...] \
         --seeds A-B --seconds S [--held-out SEED]
 
-The base is exported with ``git archive REV`` into ``.bench_build/<rev>/``.
-For every seed, each tree runs its own ``perfbench/run.py --trace 0`` once,
-the two in alternating order (the first pair starts with the base). A
-``--held-out`` seed adds one more pair per workload, marked as such. The
-last JSON line of each run gives its end-to-end metrics, ``correct``,
-``attempted`` and ``failed``.
+The base is exported with ``git archive REV`` into ``.bench_build/<commit>/``.
+The head is the working tree: its files, tracked and untracked but not
+ignored, are written to a git tree through a temporary index and exported
+the same way into ``.bench_build/<tree>/``, so both sides run from a copy
+at the same depth. For every seed, each tree runs its own ``perfbench/run.py
+--trace 0`` once, the two in alternating order (the first pair starts with
+the base). A ``--held-out`` seed adds one more pair per workload, marked as
+such. The last JSON line of each run gives its end-to-end metrics,
+``correct``, ``attempted`` and ``failed``.
 
 Per workload the file holds every pair, each side's median and quartiles
 of each end-to-end metric, the pairs the head won, lost and tied on it
@@ -23,9 +26,11 @@ invocations.
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,28 +38,43 @@ BUILD = ROOT / ".bench_build"
 GAIN_SHARE = 0.9  # share of pairs the head must win before a gain is claimed
 
 
-def _git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def _git(*args, root: Path = ROOT, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=root, env=env, check=True, capture_output=True,
+                          text=True).stdout.strip()
 
 
-def export(rev: str) -> Path:
-    """The tree of rev, exported once into .bench_build/<commit>/."""
-    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    tree = BUILD / commit
+def export(rev: str, kind: str = "commit") -> Path:
+    """The tree of rev (a commit, or a tree with kind="tree"), exported once into .bench_build/<id>/."""
+    rev_id = _git("rev-parse", "--verify", f"{rev}^{{{kind}}}")
+    tree = BUILD / rev_id
     if not (tree / "perfbench" / "run.py").is_file():
         tree.mkdir(parents=True, exist_ok=True)
-        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True).stdout
+        archive = subprocess.run(["git", "archive", rev_id], cwd=ROOT, check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
     return tree
 
 
+def snapshot(root: Path = ROOT) -> str:
+    """The id of a git tree holding the working tree's tracked and untracked, not ignored, files.
+
+    It is staged in a temporary index, so the repository's own index is left
+    alone. BENCH_*.json files stay as committed: writing one does not change
+    the snapshot.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        _git("read-tree", "HEAD", root=root, env=env)
+        _git("add", "-A", "--", ".", ":!BENCH_*.json", root=root, env=env)
+        return _git("write-tree", root=root, env=env)
+
+
 def head_identity() -> dict:
-    """The working tree's commit, whether it has uncommitted changes, and the sha256 of its src/."""
+    """The working tree's commit, whether it has uncommitted changes, its snapshot tree and its src/ sha256."""
     digest = hashlib.sha256()
     for path in sorted((ROOT / "src").rglob("*.py")):
         digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
     return {"commit": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain")),
-            "src_sha256": digest.hexdigest()}
+            "tree": snapshot(), "src_sha256": digest.hexdigest()}
 
 
 def parse_run(stdout: str) -> dict:
@@ -122,10 +142,10 @@ def _seeds(text: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _pair(base_tree: Path, workload: str, seed: int, seconds: int, base_first: bool, held_out: bool) -> dict:
+def _pair(trees: dict, workload: str, seed: int, seconds: int, base_first: bool, held_out: bool) -> dict:
     sides = {}
     for side in ("base", "head") if base_first else ("head", "base"):
-        sides[side] = run_side(base_tree if side == "base" else ROOT, workload, seed, seconds)
+        sides[side] = run_side(trees[side], workload, seed, seconds)
     print(f"{workload} seed={seed} first={'base' if base_first else 'head'} "
           f"base={sides['base']['work_per_s']:.6g} head={sides['head']['work_per_s']:.6g} work_per_s",
           flush=True)
@@ -144,12 +164,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    base_tree = export(args.base)
+    head = head_identity()
+    trees = {"base": export(args.base), "head": export(head["tree"], "tree")}
     seeds = [(seed, False) for seed in _seeds(args.seeds)]
     seeds += [(args.held_out, True)] if args.held_out is not None else []
-    workload_pairs = {w: [_pair(base_tree, w, seed, args.seconds, i % 2 == 0, held)
+    workload_pairs = {w: [_pair(trees, w, seed, args.seconds, i % 2 == 0, held)
                           for i, (seed, held) in enumerate(seeds)] for w in args.workloads}
-    header = {"label": args.label, "base": base_tree.name, "head": head_identity(),
+    header = {"label": args.label, "base": trees["base"].name, "head": head,
               "command": ["python3", "perfbench/run.py", "--trace", "0", "--seconds", str(args.seconds)]}
     out = ROOT / f"BENCH_{args.label}.json"
     previous = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else None
