@@ -12,12 +12,12 @@ The state layout is ``BodyState``'s fields, in order (``STATE_LABELS``):
 
     [u, v, w, p, q, r, x, y, h, phi, theta, psi]
 
-``BodyState.as_array``/``from_array`` follow it. Both fields take this
-12-vector directly (a ``BodyState`` is accepted too)
-and compute with plain floats. One scalar kernel, ``_body_wrench``, sums
-the aero, thrust, gravity/buoyancy and yaw-damping terms for both models,
-so each term has one definition; ``aero_wrench``, ``thruster_wrench`` and
-``gravity_buoyancy_wrench`` wrap its per-term code in ``Wrench`` objects.
+``BodyState.as_array``/``from_array`` follow it. Both fields take it as a
+tuple or list of 12 floats, as the RK4 step hands it (an array or a
+``BodyState`` is accepted too), and return a 12-float tuple. One scalar
+kernel, ``_body_wrench``, sums the aero, thrust, gravity/buoyancy and
+yaw-damping terms for both models, so each has one definition; the
+``*_wrench`` functions wrap its per-term code in ``Wrench`` objects.
 
 Both derivative fields include a net vertical lift force (buoyancy minus
 weight, a single configurable number) and a linear yaw-damping moment
@@ -159,9 +159,9 @@ def _state_vector(vec) -> np.ndarray:
 
 def _state_values(state):
     """(u, v, w, p, q, r, phi, theta, psi) as floats; the fields read the angles only through trig."""
-    vec = state.as_array() if isinstance(state, BodyState) else _state_vector(state)
-    u, v, w, p, q, r, _, _, _, phi, theta, psi = vec.tolist()
-    return u, v, w, p, q, r, phi, theta, psi
+    if not isinstance(state, (tuple, list)) or len(state) != 12:  # a wrong length raises in _state_vector
+        state = (state.as_array() if isinstance(state, BodyState) else _state_vector(state)).tolist()
+    return state[:6] + state[9:]
 
 
 def _wrench(terms: tuple) -> Wrench:
@@ -264,8 +264,8 @@ def _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd) -> tuple:
     )
 
 
-def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np.ndarray:
-    """Time derivative of the 12-component state (vector or BodyState) for the 6-DOF model."""
+def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tuple:
+    """Time derivative, a 12-float tuple, of the state (sequence, array or BodyState) for the 6-DOF model."""
     u, v, w, p, q, r, phi, theta, psi = _state_values(state)
     cphi, sphi = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
@@ -287,24 +287,18 @@ def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np.n
     # Ground velocity is ground_to_body(att).T @ (u, v, w), written out;
     # ground z points down and h is measured up.
     sth_cpsi, sth_spsi = sth * cpsi, sth * spsi
-    return np.array([
-        v * r - w * q + fx / mass,
-        -u * r + w * p + fy / mass,
-        u * q - v * p + fz / mass,
-        (iz * rhs_x + ixz * rhs_z) / det,
-        rhs_y / iy,
-        (ixz * rhs_x + ix * rhs_z) / det,
+    return (
+        v * r - w * q + fx / mass, -u * r + w * p + fy / mass, u * q - v * p + fz / mass,
+        (iz * rhs_x + ixz * rhs_z) / det, rhs_y / iy, (ixz * rhs_x + ix * rhs_z) / det,
         cth * cpsi * u + (sphi * sth_cpsi - cphi * spsi) * v + (cphi * sth_cpsi + sphi * spsi) * w,
         cth * spsi * u + (sphi * sth_spsi + cphi * cpsi) * v + (cphi * sth_spsi - sphi * cpsi) * w,
         sth * u - sphi * cth * v - cphi * cth * w,
-        p + yaw_rate_part * math.tan(theta),
-        q * cphi - r * sphi,
-        yaw_rate_part / cth,
-    ])
+        p + yaw_rate_part * math.tan(theta), q * cphi - r * sphi, yaw_rate_part / cth,
+    )
 
 
-def planar_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np.ndarray:
-    """Time derivative of the state (vector or BodyState) for the level-attitude planar model.
+def planar_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tuple:
+    """Time derivative, a 12-float tuple, of the state (sequence, array or BodyState) for the planar model.
 
     Raises ConstraintViolation if phi, theta, p or q exceed PLANAR_TOL:
     this model assumes the pendulum stability of the hull pins pitch and
@@ -322,9 +316,9 @@ def planar_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> np
     )
     mass = params.mass
     cpsi, spsi = math.cos(psi), math.sin(psi)
-    return np.array([
+    return (
         v * r + fx / mass, -u * r + fy / mass, fz / mass,
         0.0, 0.0, mz / params.inertia_z,
         u * cpsi - v * spsi, u * spsi + v * cpsi, -w,
         0.0, 0.0, r,
-    ])
+    )

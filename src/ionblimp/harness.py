@@ -1,10 +1,10 @@
 """Fixed-step scenario engine, config ingestion and time-series output.
 
 ``run_scenario`` steps every scenario through one loop over a plant: a
-derivative field integrated with classic fixed-step RK4, its initial
-vector, and a controller giving the recorded state, the thruster command
-and the input held over the step. The recorded state is laid out as
-``BodyState``'s fields (``STATE_LABELS``). Two functions build the plant:
+derivative field, stepped by RK4 over Python floats (``integrate_step``),
+its initial state as a tuple, and a controller giving the recorded
+state, the thruster command and the input held over the step. The recorded
+state is laid out as ``BodyState``'s fields (``STATE_LABELS``). Two functions build the plant:
 
 * ``_rigid_body_plant``: model ``full`` or ``planar`` with the
   ``open_loop`` or ``inner_loop`` controller.
@@ -32,7 +32,7 @@ import bisect
 import configparser
 import math
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,25 +87,31 @@ class ScenarioError(RuntimeError):
     """A module error occurred while running a scenario (carries the timestep)."""
 
 
-def integrate_step(derivative_fn, state, u, dt: float, labels=STATE_LABELS) -> np.ndarray:
-    """One classic 4th-order Runge-Kutta step of state' = f(state, u).
+def integrate_step(derivative_fn, state, u, dt: float, labels=STATE_LABELS) -> tuple:
+    """One RK4 step of state' = f(state, u), u held, over Python floats: float sequence in, float tuple out.
 
-    The input u is held constant over the step. Raises NonFiniteState with
-    the offending components named if the result is not finite.
+    Each stage is a list computed per component in numpy's order, so the step is bit for bit the array
+    form. A stage output of another length raises ValueError; a non-finite result, NonFiniteState.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(derivative_fn(y, u))
-    k2 = np.asarray(derivative_fn(y + 0.5 * dt * k1, u))
-    k3 = np.asarray(derivative_fn(y + 0.5 * dt * k2, u))
-    k4 = np.asarray(derivative_fn(y + dt * k3, u))
-    result = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(result)):
-        bad = np.flatnonzero(~np.isfinite(result))
-        names = ", ".join(labels[i] if labels and i < len(labels) else f"[{i}]" for i in bad)
+    n, half, h6 = len(state), 0.5 * dt, dt / 6.0
+    k1 = _sized(derivative_fn(state, u), n)
+    k2 = _sized(derivative_fn([y + half * k for y, k in zip(state, k1)], u), n)
+    k3 = _sized(derivative_fn([y + half * k for y, k in zip(state, k2)], u), n)
+    k4 = _sized(derivative_fn([y + dt * k for y, k in zip(state, k3)], u), n)
+    result = tuple([y + h6 * (((a + 2.0 * b) + 2.0 * c) + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4)])
+    if not all(map(math.isfinite, result)):
+        names = ", ".join(labels[i] if labels and i < len(labels) else f"[{i}]"
+                          for i, value in enumerate(result) if not math.isfinite(value))
         raise NonFiniteState(f"non-finite state component(s): {names}")
     return result
+
+
+def _sized(k, n: int):
+    if len(k) != n:  # zip would silently truncate the longer of the state and k
+        raise ValueError(f"derivative has {len(k)} components, the state has {n}")
+    return k
 
 
 # Zero deflection points a servo at its center; its travel either side is the gimbal limit.
@@ -279,10 +285,10 @@ class SimResult:
         return np.array([rec[1:13] for rec in self.records])
 
 
-# What the run loop integrates: derivative(y, u) from y0 (components named
-# by labels), driven by control(t, y) -> (12 recorded state floats, command,
-# integrator input u, flags, (s_x, s_y, s_psi, lyap_v, lyap_vdot)), the last
-# all None outside SMC.
+# What the run loop integrates: derivative(y, u) from the tuple y0
+# (components named by labels), driven by control(t, y) -> (12 recorded
+# state floats, command, integrator input u, flags, (s_x, s_y, s_psi,
+# lyap_v, lyap_vdot)), the last all None outside SMC.
 Plant = namedtuple("Plant", "derivative y0 labels control")
 
 
@@ -293,7 +299,7 @@ def _rigid_body_plant(sc: Scenario) -> Plant:
     il = sc.inner_loop
 
     def control(t, y):
-        u, v, w, p, q, r, x, y_pos, h, phi, theta, psi = y.tolist()
+        u, v, w, p, q, r, x, y_pos, h, phi, theta, psi = y
         state = (u, v, w, p, q, r, x, y_pos, h, wrap_angle(phi), wrap_angle(theta), wrap_angle(psi))
         if sc.controller == "open_loop":
             base = sc.open_loop.command_at(t)
@@ -308,7 +314,7 @@ def _rigid_body_plant(sc: Scenario) -> Plant:
         cmd = ThrusterCommand(*limited)
         return state, cmd, cmd, {"saturation"} if limited != (thrust, dy, dp) else set(), (None,) * 5
 
-    return Plant(lambda vec, cmd: deriv(sc.params, vec, cmd), sc.initial.as_array(), STATE_LABELS, control)
+    return Plant(lambda vec, cmd: deriv(sc.params, vec, cmd), astuple(sc.initial), STATE_LABELS, control)
 
 
 def _pose_plant(sc: Scenario) -> Plant:
@@ -322,17 +328,16 @@ def _pose_plant(sc: Scenario) -> Plant:
     )
     gains = cfg.gains
     init = sc.initial
-    psi0 = init.psi
-    c0, s0 = math.cos(psi0), math.sin(psi0)
+    c0, s0 = math.cos(init.psi), math.sin(init.psi)
     # eta_dot = C_bg(psi)^T (u, v, r)
-    y0 = np.array([init.x, init.y, psi0, c0 * init.u - s0 * init.v, s0 * init.u + c0 * init.v, init.r])
+    y0 = (init.x, init.y, init.psi, c0 * init.u - s0 * init.v, s0 * init.u + c0 * init.v, init.r)
 
     def derivative(vec, u_forces):
-        eta_dot = vec[3:6].tolist()
+        eta_dot = vec[3:6]
         return (*eta_dot, *pose_acceleration(model, u_forces, eta_dot, vec[2]))
 
     def control(t, y):
-        x, y_pos, psi, x_dot, y_dot, psi_dot = y.tolist()
+        x, y_pos, psi, x_dot, y_dot, psi_dot = y
         ref_pose, ref_rate = cfg.reference.sample(t)
         err = TrackingError.from_pose((x, y_pos, psi), (x_dot, y_dot, psi_dot), ref_pose, ref_rate)
         s = sliding_surface(gains, err)
@@ -352,7 +357,7 @@ def run_scenario(sc: Scenario) -> SimResult:
     """Run a scenario to completion and, if paths are set, write its outputs."""
     plant = _pose_plant(sc) if sc.controller == "smc" else _rigid_body_plant(sc)
     n_steps = int(round(sc.duration / sc.dt))
-    y = plant.y0
+    y = tuple(map(float, plant.y0))  # so that an int initial value is recorded as a float
     records = []
     for step in range(n_steps + 1):
         t = step * sc.dt

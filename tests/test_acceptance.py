@@ -120,7 +120,7 @@ def test_criterion_05_linearization_fidelity():
     eps = 1e-5
 
     def deriv(vec, cmd):
-        return full_derivatives(params, BodyState.from_array(vec), cmd)
+        return np.array(full_derivatives(params, BodyState.from_array(vec), cmd))
 
     a_fd = np.zeros((4, 4))
     for col, j in enumerate(state_idx):
@@ -164,7 +164,7 @@ def test_criterion_06_surge_gain_reproduction():
     y = np.array([0.0])
     trace = [0.0]
     for _ in range(int(duration / dt)):
-        y = integrate_step(lambda s, u: loop(s, u), y, 1.0, dt, labels=("du",))
+        y = integrate_step(lambda s, u: [loop(c, u) for c in s], y, 1.0, dt, labels=("du",))
         trace.append(float(y[0]))
     trace = np.array(trace)
     assert abs(trace[-1] - 1.000) < 1e-3
@@ -243,8 +243,8 @@ def test_criterion_09_model_equivalence():
     for _ in range(100):
         st = random_planar(rng)
         cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
-        full = full_derivatives(rich, st, cmd)
-        planar = planar_derivatives(rich, st, cmd)
+        full = np.array(full_derivatives(rich, st, cmd))
+        planar = np.array(planar_derivatives(rich, st, cmd))
         assert np.allclose(full[planar_components], planar[planar_components], atol=1e-9)
     _passed(9, "100 random planar states agree componentwise within 1e-9")
 
@@ -290,7 +290,7 @@ def test_criterion_11_determinism_and_convergence(tmp_path):
     def final_error(dt):
         y = np.array([1.0])
         for _ in range(int(round(1.0 / dt))):
-            y = integrate_step(lambda s, u: -s, y, None, dt)
+            y = integrate_step(lambda s, u: [-c for c in s], y, None, dt)
         return abs(y[0] - np.exp(-1.0))
 
     order = float(np.log2(final_error(0.02) / final_error(0.01)))

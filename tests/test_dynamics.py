@@ -140,11 +140,30 @@ def test_full_position_rates_are_rotated_velocity():
 def test_full_position_rate_finite_difference_consistency():
     # d/dt of position from a tiny explicit-Euler step matches the derivative.
     st = BodyState(u=0.5, v=0.1, w=-0.2, phi=0.1, theta=-0.2, psi=0.8)
-    d = full_derivatives(PARAMS, st, ThrusterCommand())
+    d = np.array(full_derivatives(PARAMS, st, ThrusterCommand()))
     dt = 1e-7
     moved = st.as_array() + dt * d
     fd = (moved[6:9] - st.as_array()[6:9]) / dt
     assert np.allclose(fd, d[6:9], rtol=1e-9)
+
+
+@pytest.mark.parametrize("field", [full_derivatives, planar_derivatives])
+@pytest.mark.parametrize("state", [(0.0,) * 11, [0.0] * 13, np.zeros((12, 1))],
+                         ids=["11-tuple", "13-list", "12x1-array"])
+def test_fields_reject_a_state_without_12_components(field, state):
+    with pytest.raises(ValueError, match=r"^state vector must have 12 components"):
+        field(PARAMS, state, ThrusterCommand())
+
+
+@pytest.mark.parametrize("field", [full_derivatives, planar_derivatives])
+def test_fields_return_one_float_tuple_for_every_state_form(field):
+    st = BodyState(u=0.5, v=0.1, w=-0.2, r=0.3, x=1.0, y=-2.0, h=1.5, psi=0.8)
+    cmd = ThrusterCommand(thrust=0.02, yaw_deflection=0.3)
+    want = field(PARAMS, st, cmd)
+    assert type(want) is tuple and len(want) == 12 and all(type(c) is float for c in want)
+    vec = st.as_array()
+    for form in (vec, tuple(vec.tolist()), vec.tolist()):
+        assert field(PARAMS, form, cmd) == want
 
 
 # Ixx Izz - Ixz^2 rounds to exactly 0, and to -4.2e-21: a tensor eigenvalue
@@ -258,8 +277,8 @@ def test_full_matches_planar_on_manifold():
         cmd = ThrusterCommand(
             thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5)
         )
-        df = full_derivatives(p, st, cmd)
-        dp = planar_derivatives(p, st, cmd)
+        df = np.array(full_derivatives(p, st, cmd))
+        dp = np.array(planar_derivatives(p, st, cmd))
         assert np.allclose(df[compare], dp[compare], atol=1e-9)
         assert dp[3] == dp[4] == 0.0
 

@@ -54,7 +54,7 @@ def test_integrate_step_constant_derivative_exact():
 def test_integrate_step_exponential_decay():
     y = np.array([1.0])
     for _ in range(1000):
-        y = integrate_step(lambda s, u: -s, y, None, 0.001)
+        y = integrate_step(lambda s, u: [-c for c in s], y, None, 0.001)
     assert abs(y[0] - np.exp(-1.0)) < 1e-9
 
 
@@ -76,16 +76,55 @@ def test_integrate_step_rejects_bad_dt():
         integrate_step(lambda s, u: s, np.zeros(2), None, 0.0)
 
 
+def test_integrate_step_rejects_a_field_output_of_another_length():
+    # numpy broadcasting once turned this into [0.1, 0.1, 0.1].
+    with pytest.raises(ValueError, match=r"^derivative has 1 components, the state has 3$"):
+        integrate_step(lambda s, u: np.array([1.0]), np.zeros(3), None, 0.1)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [[1.0], [1.0] * 4], ids=["shorter", "longer"])
+def test_integrate_step_checks_every_stage_length(stage, bad):
+    # A plain zip would truncate to the shorter of state and output.
+    calls = []
+
+    def field(s, u):
+        calls.append(s)
+        return bad if len(calls) == stage else [0.0] * 3
+
+    with pytest.raises(ValueError, match=rf"^derivative has {len(bad)} components, the state has 3$"):
+        integrate_step(field, (0.0, 0.0, 0.0), None, 0.1)
+    assert len(calls) == stage
+
+
+def test_integrate_step_returns_a_float_tuple():
+    y = integrate_step(lambda s, u: [2.0 * c for c in s], (1.0, -2.0), None, 0.1, labels=("a", "b"))
+    assert type(y) is tuple and all(type(c) is float for c in y)
+    growth = 1.0 + 0.2 + 0.2**2 / 2 + 0.2**3 / 6 + 0.2**4 / 24  # RK4's Taylor polynomial of exp(0.2)
+    assert y == pytest.approx((growth, -2.0 * growth), rel=1e-14)
+
+
 def test_rk4_convergence_order_on_exponential():
     def final_error(dt):
         y = np.array([1.0])
         for _ in range(int(round(1.0 / dt))):
-            y = integrate_step(lambda s, u: -s, y, None, dt)
+            y = integrate_step(lambda s, u: [-c for c in s], y, None, dt)
         return abs(y[0] - np.exp(-1.0))
 
     e1, e2 = final_error(0.02), final_error(0.01)
     order = np.log2(e1 / e2)
     assert order >= 3.5
+
+
+def test_an_int_initial_value_is_recorded_as_a_float():
+    # The plants' initial tuples hold the values as given; the run loop makes them floats.
+    ref = ReferenceTrajectory(times=[0.0, 1.0], poses=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    smc = SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=ref)
+    for sc in (Scenario(initial=BodyState(u=1, h=2), duration=0.002, dt=0.001),
+               Scenario(initial=BodyState(x=1, y=-1, r=0, h=2.0), controller="smc", smc=smc,
+                        duration=0.002, dt=0.001)):
+        first = run_scenario(sc).records[0]
+        assert all(type(value) is float for value in first[1:13]), first
 
 
 # --- servo mapping -----------------------------------------------------------

@@ -86,8 +86,8 @@ def test_lateral_entries_are_asserted_not_derived():
     def column(j):
         dx = np.zeros(12)
         dx[j] = eps
-        plus = full_derivatives(params, BodyState.from_array(x0 + dx), cmd)
-        minus = full_derivatives(params, BodyState.from_array(x0 - dx), cmd)
+        plus = np.array(full_derivatives(params, BodyState.from_array(x0 + dx), cmd))
+        minus = np.array(full_derivatives(params, BodyState.from_array(x0 - dx), cmd))
         return (plus - minus) / (2 * eps)
 
     dv_col, dw_col = column(1), column(2)
