@@ -54,6 +54,20 @@ def require_finite(instance) -> None:
             raise ValueError(f"{f.name} must be finite" + ("" if np.ndim(value) else f", got {value}"))
 
 
+def store_floats(instance, names) -> None:
+    """Store each named field of a frozen dataclass as a Python float; None stays None.
+
+    An int given through the API would otherwise reach the records and the
+    CSV as an int. A string is refused, not parsed.
+    """
+    for name in names:
+        value = getattr(instance, name)
+        if isinstance(value, (str, bytes)):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        if value is not None:
+            object.__setattr__(instance, name, float(value))
+
+
 @dataclass(frozen=True)
 class AirshipParams:
     """Physical constants of the vehicle (SI units).
@@ -120,6 +134,7 @@ class BodyState:
     psi: float = 0.0
 
     def __post_init__(self):
+        store_floats(self, STATE_LABELS)
         for name in ("phi", "theta", "psi"):
             object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 

@@ -47,6 +47,7 @@ from .dynamics import (
     full_derivatives,
     planar_derivatives,
     require_finite,
+    store_floats,
 )
 from .frames import wrap_angle
 from .inner_loop import InnerLoopConfig
@@ -148,6 +149,7 @@ class OpenLoopCommand:
     script: tuple | None = None  # rows of (t, thrust, delta_y, delta_p), float tuples
 
     def __post_init__(self):
+        store_floats(self, ("thrust", "throttle", "delta_y", "delta_p"))
         if self.script is not None:
             script = np.asarray(self.script, dtype=float)
             if script.shape[1:] != (4,) or not len(script):
@@ -195,6 +197,7 @@ class SmcScenarioConfig:
     cg_y: float = 0.0
 
     def __post_init__(self):
+        store_floats(self, ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y"))
         require_finite(self)
         if self.t_max <= 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
@@ -217,6 +220,7 @@ class Scenario:
     summary_path: str | None = None
 
     def __post_init__(self):
+        store_floats(self, ("duration", "dt", "gimbal_noise"))
         if self.model not in ("full", "planar"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.controller not in CONTROLLERS:
@@ -357,7 +361,7 @@ def run_scenario(sc: Scenario) -> SimResult:
     """Run a scenario to completion and, if paths are set, write its outputs."""
     plant = _pose_plant(sc) if sc.controller == "smc" else _rigid_body_plant(sc)
     n_steps = int(round(sc.duration / sc.dt))
-    y = tuple(map(float, plant.y0))  # so that an int initial value is recorded as a float
+    y = plant.y0
     records = []
     for step in range(n_steps + 1):
         t = step * sc.dt
@@ -382,8 +386,7 @@ def run_scenario(sc: Scenario) -> SimResult:
 
 
 def _summarize(sc: Scenario, records) -> dict:
-    states = np.array([rec[1:13] for rec in records])
-    speeds = np.linalg.norm(states[:, 0:3], axis=1)
+    speeds = np.linalg.norm(np.array([rec[1:4] for rec in records]), axis=1)
     tail = max(1, len(records) // 10)
     final = records[-1]
     summary = {

@@ -131,9 +131,11 @@ def collision_force_density_mc(
     scaled by the two number densities. g, the difference of a Maxwellian
     drifting at the slip u and a zero-mean one, is Gaussian with mean u and
     per-axis variance kT (1/M + 1/m), so it is sampled directly, in antithetic
-    pairs u + d and u - d drawn from one stream whatever the chunk size: u = 0
-    gives exactly zero. Deterministic for a fixed seed and sample count; the
-    independent oracle for collision_force_density, kept free of that closed form.
+    pairs u + d and u - d drawn from one stream whatever the chunk size. Both
+    norms come from one expansion, |u +- d|^2 = |d|^2 + |u|^2 +- 2 u.d, computed
+    in one set of buffers allocated per call, so u = 0 gives exactly zero.
+    Deterministic for a fixed seed and sample count; the independent oracle for
+    collision_force_density, kept free of that closed form.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -142,18 +144,27 @@ def collision_force_density_mc(
     u = np.asarray(slip_velocity, dtype=float).reshape(3)
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(BOLTZMANN * p.temperature * (1.0 / p.neutral_mass + 1.0 / p.ion_mass))
-    total = np.zeros(3)
+    total, u_sq, two_u = np.zeros(3), u @ u, 2.0 * u
     pairs, step = (n_samples + 1) // 2, (chunk + 1) // 2
+    size = min(step, pairs)
+    d_buf, (base_buf, cross_buf, plus_buf) = np.empty((size, 3)), np.empty((3, size))
     for start in range(0, pairs, step):
-        d = rng.standard_normal((min(step, pairs - start), 3))
+        m = min(step, pairs - start)
+        d, base, cross, s_plus = d_buf[:m], base_buf[:m], cross_buf[:m], plus_buf[:m]
+        rng.standard_normal(out=d)
         d *= sigma
-        g = d + u
-        s_plus = np.sqrt(np.einsum("ij,ij->i", g, g))
-        np.subtract(u, d, out=g)
-        s_minus = np.sqrt(np.einsum("ij,ij->i", g, g))
+        np.einsum("ij,ij->i", d, d, out=base)
+        base += u_sq
+        np.matmul(d, two_u, out=cross)
+        # |u + d|^2 = |d|^2 + |u|^2 + 2 u.d. Rounding takes a square below zero (and
+        # its root to nan) only for u + d within about 1e-8 (|u| + |d|) of zero: no real draw.
+        np.add(base, cross, out=s_plus)
+        np.sqrt(s_plus, out=s_plus)
+        s_minus = np.subtract(base, cross, out=base)  # |u - d|^2
+        np.sqrt(s_minus, out=s_minus)
         if start + step >= pairs and n_samples % 2:
             s_minus[-1] = 0.0  # an odd n_samples averages the last draw without its mirror
-        total += (s_plus + s_minus).sum() * u + (s_plus - s_minus) @ d
+        total += np.add(s_plus, s_minus, out=cross).sum() * u + np.subtract(s_plus, s_minus, out=cross) @ d
     mean = total / n_samples
     return p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density * mean
 

@@ -117,7 +117,7 @@ def test_rk4_convergence_order_on_exponential():
 
 
 def test_an_int_initial_value_is_recorded_as_a_float():
-    # The plants' initial tuples hold the values as given; the run loop makes them floats.
+    # BodyState stores its fields as floats, so the plants' initial tuples hold floats.
     ref = ReferenceTrajectory(times=[0.0, 1.0], poses=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     smc = SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=ref)
     for sc in (Scenario(initial=BodyState(u=1, h=2), duration=0.002, dt=0.001),
@@ -125,6 +125,46 @@ def test_an_int_initial_value_is_recorded_as_a_float():
                         duration=0.002, dt=0.001)):
         first = run_scenario(sc).records[0]
         assert all(type(value) is float for value in first[1:13]), first
+
+
+INT_REFERENCE = ReferenceTrajectory(times=[0.0, 1.0], poses=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def _all_floats(records, column):
+    return all(type(getattr(rec, column)) is float for rec in records)
+
+
+def test_an_int_open_loop_thrust_is_recorded_as_a_float():
+    records = run_scenario(Scenario(open_loop=OpenLoopCommand(thrust=1), duration=0.002, dt=0.001)).records
+    assert _all_floats(records, "thrust") and records[0].thrust == 1.0
+
+
+def test_an_int_duration_and_dt_are_summarized_as_floats():
+    summary = run_scenario(Scenario(duration=1, dt=1)).summary
+    assert format_summary(summary).splitlines()[2:4] == ["dt=1.0", "duration=1.0"]
+
+
+def test_an_int_smc_altitude_is_recorded_as_a_float_on_every_row():
+    smc = SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=INT_REFERENCE)
+    sc = Scenario(initial=BodyState(h=2), controller="smc", smc=smc, duration=0.003, dt=0.001)
+    assert _all_floats(run_scenario(sc).records, "h")
+
+
+def test_an_int_smc_t_max_is_recorded_as_a_float_when_thrust_saturates():
+    smc = SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1e6), reference=INT_REFERENCE, t_max=1)
+    records = run_scenario(Scenario(controller="smc", smc=smc, duration=0.002, dt=0.001)).records
+    assert "saturation" in records[0].flags and records[0].thrust == 1.0
+    assert _all_floats(records, "thrust")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BodyState(h="2"), lambda: OpenLoopCommand(thrust="1"), lambda: Scenario(dt="0.5"),
+    lambda: SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=INT_REFERENCE,
+                              t_max="1"),
+], ids=["body-state", "open-loop", "scenario", "smc-config"])
+def test_a_numeric_field_refuses_a_string(build):
+    with pytest.raises(TypeError, match="must be a number, got '"):
+        build()
 
 
 # --- servo mapping -----------------------------------------------------------

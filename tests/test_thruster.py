@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,18 @@ def test_monte_carlo_does_not_depend_on_chunk_size():
     odd = collision_force_density_mc(NITROGEN_LIKE, slip, n_samples=200_000, seed=4, chunk=333)
     np.testing.assert_allclose(small, whole, rtol=1e-12)
     np.testing.assert_allclose(odd, whole, rtol=1e-12)
+
+
+def test_monte_carlo_holds_at_most_32_bytes_per_chunk_sample():
+    # A chunk of m pairs, 2m samples, holds d (24 B per pair) and three length-m
+    # buffers (8 B per pair each): 24 B per sample. The two-norm form held 44.8.
+    tracemalloc.start()
+    try:
+        collision_force_density_mc(NITROGEN_LIKE, [50.0, -20.0, 10.0], n_samples=2_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1_000_000 <= 32.0  # the default chunk is 1_000_000 samples
 
 
 def test_ion_mobility_verbatim():
