@@ -158,11 +158,13 @@ class ThrusterCommand:
     pitch_deflection: float = 0.0
 
     def __post_init__(self):
-        if self.thrust < 0.0:
+        # Written as "not within" so that nan is refused too.
+        if not self.thrust >= 0.0:
             raise ValueError(f"thrust must be non-negative, got {self.thrust}")
-        for name, value in (("delta_y", self.yaw_deflection), ("delta_p", self.pitch_deflection)):
-            if abs(value) > GIMBAL_LIMIT:
-                raise ValueError(f"|{name}| must not exceed {GIMBAL_LIMIT} rad, got {value}")
+        if not abs(self.yaw_deflection) <= GIMBAL_LIMIT:
+            raise ValueError(f"|delta_y| must not exceed {GIMBAL_LIMIT} rad, got {self.yaw_deflection}")
+        if not abs(self.pitch_deflection) <= GIMBAL_LIMIT:
+            raise ValueError(f"|delta_p| must not exceed {GIMBAL_LIMIT} rad, got {self.pitch_deflection}")
 
 
 def _state_vector(vec) -> np.ndarray:

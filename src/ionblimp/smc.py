@@ -22,8 +22,9 @@ law exactly (the reference acceleration is treated as zero, so references
 should be piecewise-linear in time).
 
 C = C_bg(psi) is the planar rotation, so C^-1 = C^T and C_dot eta_dot =
-psi_dot * (v, -u, 0); M_s^-1 is computed once per ``SmcModel``,
-and the per-step functions compute with plain floats.
+psi_dot * (v, -u, 0). An ``SmcModel`` holds M_s, A_s and M_s^-1 (computed
+once) as flat row-major 9-tuples, and the per-step functions are straight-line
+float code over them, one expression per channel.
 
 The controller is a pure function of its arguments; the simulation harness
 owns all state.
@@ -40,17 +41,11 @@ from .dynamics import GIMBAL_LIMIT, ThrusterCommand, require_finite
 from .frames import angle_difference
 
 
-def _mul(matrix, x0, x1, x2) -> tuple:
-    """matrix @ (x0, x1, x2) for a 3x3 matrix held as row tuples."""
-    (a, b, c), (d, e, f), (g, h, i) = matrix
-    return (a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2)
-
-
 @dataclass(frozen=True)
 class SmcModel:
     """Lateral-plane plant matrices for controller synthesis.
 
-    ``_m``, ``_a``, ``_m_inv`` hold M, A, M^-1 as row tuples.
+    ``_m``, ``_a``, ``_m_inv`` hold M, A, M^-1 as flat row-major 9-tuples.
     """
 
     mass_matrix: np.ndarray
@@ -63,7 +58,7 @@ class SmcModel:
             raise ValueError("mass_matrix is singular")
         m = self.mass_matrix
         for name, matrix in (("_m", m), ("_a", self.aero_matrix), ("_m_inv", np.linalg.inv(m))):
-            object.__setattr__(self, name, tuple(map(tuple, matrix.tolist())))
+            object.__setattr__(self, name, tuple(matrix.ravel().tolist()))
 
     @classmethod
     def from_components(
@@ -137,8 +132,11 @@ class TrackingError:
     @classmethod
     def from_pose(cls, pose, pose_rate, ref_pose, ref_rate) -> "TrackingError":
         (x, y, psi), (ref_x, ref_y, ref_psi) = pose, ref_pose
-        error = (x - ref_x, y - ref_y, angle_difference(psi, ref_psi))
-        return cls(error=error, error_rate=tuple(a - b for a, b in zip(pose_rate, ref_rate)))
+        (xd, yd, psid), (ref_xd, ref_yd, ref_psid) = pose_rate, ref_rate
+        err = object.__new__(cls)  # both tuples are built as floats here, so __post_init__ is skipped
+        object.__setattr__(err, "error", (float(x - ref_x), float(y - ref_y), angle_difference(psi, ref_psi)))
+        object.__setattr__(err, "error_rate", (float(xd - ref_xd), float(yd - ref_yd), float(psid - ref_psid)))
+        return err
 
 
 def _sgn(s: float, boundary_layer: float) -> float:
@@ -150,12 +148,15 @@ def _sgn(s: float, boundary_layer: float) -> float:
 
 def sliding_surface(gains: SmcGains, err: TrackingError) -> tuple:
     """s = c1*e + c2*e_dot, componentwise over (x, y, psi), as a float tuple."""
-    return tuple([gains.c1 * e + gains.c2 * r for e, r in zip(err.error, err.error_rate)])
+    (e0, e1, e2), (r0, r1, r2), c1, c2 = err.error, err.error_rate, gains.c1, gains.c2
+    return (c1 * e0 + c2 * r0, c1 * e1 + c2 * r1, c1 * e2 + c2 * r2)
 
 
 def lyapunov_monitor(gains: SmcGains, s) -> tuple:
     """Per-channel Lyapunov value V = s^2/2 and its rate -eps|s| - k s^2, as float tuples."""
-    return tuple([0.5 * x * x for x in s]), tuple([-gains.epsilon * abs(x) - gains.k * x * x for x in s])
+    (s0, s1, s2), eps, k = s, gains.epsilon, gains.k
+    return ((0.5 * s0 * s0, 0.5 * s1 * s1, 0.5 * s2 * s2),
+            (-eps * abs(s0) - k * s0 * s0, -eps * abs(s1) - k * s1 * s1, -eps * abs(s2) - k * s2 * s2))
 
 
 def reaching_time_bound(gains: SmcGains, s0: float) -> float:
@@ -178,14 +179,20 @@ def smc_control(model: SmcModel, gains: SmcGains, s, error_rate, eta_dot, psi: f
     variable s (from ``sliding_surface``), the error rate and the heading psi.
     """
     c1, c2, eps, k, bl = gains.c1, gains.c2, gains.epsilon, gains.k, gains.boundary_layer
-    q0, q1, q2 = (-(1.0 / c2) * (eps * _sgn(si, bl) + k * si + c1 * rate) for si, rate in zip(s, error_rate))
+    (s0, s1, s2), (r0, r1, r2), g = s, error_rate, -(1.0 / c2)
+    q0 = g * (eps * _sgn(s0, bl) + k * s0 + c1 * r0)
+    q1 = g * (eps * _sgn(s1, bl) + k * s1 + c1 * r1)
+    q2 = g * (eps * _sgn(s2, bl) + k * s2 + c1 * r2)
     xd, yd, psi_dot = eta_dot
     c, sn = math.cos(psi), math.sin(psi)
     u, v = c * xd + sn * yd, -sn * xd + c * yd
     # M (C_dot eta_dot + C eta_ddot_req) - A C eta_dot
-    m0, m1, m2 = _mul(model._m, psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1, q2)
-    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
-    return (m0 - a0, m1 - a1, m2 - a2)
+    b0, b1 = psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = model._m
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = model._a
+    return (m00 * b0 + m01 * b1 + m02 * q2 - (a00 * u + a01 * v + a02 * psi_dot),
+            m10 * b0 + m11 * b1 + m12 * q2 - (a10 * u + a11 * v + a12 * psi_dot),
+            m20 * b0 + m21 * b1 + m22 * q2 - (a20 * u + a21 * v + a22 * psi_dot))
 
 
 def pose_acceleration(model: SmcModel, u_forces, eta_dot, psi: float) -> tuple:
@@ -198,11 +205,16 @@ def pose_acceleration(model: SmcModel, u_forces, eta_dot, psi: float) -> tuple:
     xd, yd, psi_dot = eta_dot
     c, sn = math.cos(psi), math.sin(psi)
     u, v = c * xd + sn * yd, -sn * xd + c * yd
-    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = model._a
     f0, f1, f2 = u_forces
-    x0, x1, x2 = _mul(model._m_inv, a0 + f0, a1 + f1, a2 + f2)
-    w0, w1 = x0 - psi_dot * v, x1 + psi_dot * u
-    return (c * w0 - sn * w1, sn * w0 + c * w1, x2)
+    # M^-1 (A C eta_dot + U) - C_dot eta_dot, rotated back by C^T
+    g0 = a00 * u + a01 * v + a02 * psi_dot + f0
+    g1 = a10 * u + a11 * v + a12 * psi_dot + f1
+    g2 = a20 * u + a21 * v + a22 * psi_dot + f2
+    n00, n01, n02, n10, n11, n12, n20, n21, n22 = model._m_inv
+    w0 = n00 * g0 + n01 * g1 + n02 * g2 - psi_dot * v
+    w1 = n10 * g0 + n11 * g1 + n12 * g2 + psi_dot * u
+    return (c * w0 - sn * w1, sn * w0 + c * w1, n20 * g0 + n21 * g1 + n22 * g2)
 
 
 def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
@@ -251,7 +263,9 @@ class ReferenceTrajectory:
 
     The yaw column is unwrapped on construction so interpolation never
     jumps across the +-pi seam; sampled rates are the segment slopes. Both
-    tables are stored as float tuples.
+    tables are stored as float tuples, and construction precomputes one
+    segment row (t0, t1 - t0, p0, p1 - p0, slope) per pair of knots, so a
+    sample inside the table is one bisection and three multiply-adds.
     """
 
     times: tuple
@@ -267,8 +281,14 @@ class ReferenceTrajectory:
             raise ValueError("need at least two strictly increasing sample times")
         poses = poses.copy()
         poses[:, 2] = np.unwrap(poses[:, 2])
-        object.__setattr__(self, "times", tuple(times.tolist()))
-        object.__setattr__(self, "poses", tuple(map(tuple, poses.tolist())))
+        times, poses = tuple(times.tolist()), tuple(map(tuple, poses.tolist()))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "poses", poses)
+        segments = []
+        for t0, t1, (x0, y0, psi0), (x1, y1, psi1) in zip(times, times[1:], poses, poses[1:]):
+            dt, dp = t1 - t0, (x1 - x0, y1 - y0, psi1 - psi0)
+            segments.append((t0, dt, (x0, y0, psi0), dp, (dp[0] / dt, dp[1] / dt, dp[2] / dt)))
+        object.__setattr__(self, "_segments", tuple(segments))
 
     @classmethod
     def from_file(cls, path) -> "ReferenceTrajectory":
@@ -282,14 +302,12 @@ class ReferenceTrajectory:
 
     def sample(self, t: float):
         """Pose and pose rate at time t as float tuples; held, at zero rate, beyond the table ends."""
-        times = self.times
-        held = not times[0] <= t < times[-1]
-        t = min(max(float(t), times[0]), times[-1])
-        idx = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
-        t0, t1 = times[idx], times[idx + 1]
-        p0, p1 = self.poses[idx], self.poses[idx + 1]
-        frac = (t - t0) / (t1 - t0)
-        pose = tuple(a + frac * (b - a) for a, b in zip(p0, p1))
-        if held:
-            return pose, (0.0, 0.0, 0.0)
-        return pose, tuple((b - a) / (t1 - t0) for a, b in zip(p0, p1))
+        t, times = float(t), self.times
+        if times[0] <= t < times[-1]:
+            t0, dt, (x, y, psi), (dx, dy, dpsi), rate = self._segments[bisect.bisect_right(times, t) - 1]
+        else:
+            t = min(max(t, times[0]), times[-1])
+            idx = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
+            (t0, dt, (x, y, psi), (dx, dy, dpsi), _), rate = self._segments[idx], (0.0, 0.0, 0.0)
+        frac = (t - t0) / dt
+        return (x + frac * dx, y + frac * dy, psi + frac * dpsi), rate

@@ -137,10 +137,11 @@ def collision_force_density_mc(
     Deterministic for a fixed seed and sample count; the independent oracle for
     collision_force_density, kept free of that closed form.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
+    for name, value in (("n_samples", n_samples), ("chunk", chunk)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     u = np.asarray(slip_velocity, dtype=float).reshape(3)
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(BOLTZMANN * p.temperature * (1.0 / p.neutral_mass + 1.0 / p.ion_mass))

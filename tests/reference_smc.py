@@ -5,9 +5,22 @@ time derivative, and the plant inverts M and C_bg per call with
 ``np.linalg.solve``. ``ionblimp.smc`` computes the same quantities with
 plain floats, C_bg^-1 = C_bg^T and M^-1 computed once per model;
 ``test_smc_reference.py`` compares the two.
+
+The per-step float functions are also kept here in their straightforward
+form over row tuples and generators (``sample``, ``tracking_error``,
+``float_sliding_surface``, ``lyapunov_monitor``, ``float_smc_control``,
+``float_pose_acceleration``). ``ionblimp.smc`` writes them out per channel
+over flat row-major tuples with the same operands in the same order, so the
+two must agree exactly.
 """
 
+import bisect
+import math
+
 import numpy as np
+
+from ionblimp import smc
+from ionblimp.frames import angle_difference
 
 
 def planar_transforms(psi, psi_dot):
@@ -59,3 +72,61 @@ def pose_acceleration(model, u_forces, eta_dot, c_bg, c_bg_dot) -> np.ndarray:
         model.aero_matrix @ (c_bg @ eta_dot) + u_forces,
     )
     return np.linalg.solve(c_bg, x_dot - c_bg_dot @ eta_dot)
+
+
+def sample(reference, t):
+    """Pose and rate of a ReferenceTrajectory at t, interpolated from its two tables."""
+    times = reference.times
+    held = not times[0] <= t < times[-1]
+    t = min(max(float(t), times[0]), times[-1])
+    idx = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
+    t0, t1 = times[idx], times[idx + 1]
+    p0, p1 = reference.poses[idx], reference.poses[idx + 1]
+    frac = (t - t0) / (t1 - t0)
+    pose = tuple(a + frac * (b - a) for a, b in zip(p0, p1))
+    if held:
+        return pose, (0.0, 0.0, 0.0)
+    return pose, tuple((b - a) / (t1 - t0) for a, b in zip(p0, p1))
+
+
+def tracking_error(pose, pose_rate, ref_pose, ref_rate):
+    """(error, error_rate) of TrackingError.from_pose as float tuples."""
+    (x, y, psi), (ref_x, ref_y, ref_psi) = pose, ref_pose
+    error = (x - ref_x, y - ref_y, angle_difference(psi, ref_psi))
+    return tuple(map(float, error)), tuple(float(a - b) for a, b in zip(pose_rate, ref_rate))
+
+
+def float_sliding_surface(gains, err):
+    return tuple([gains.c1 * e + gains.c2 * r for e, r in zip(err.error, err.error_rate)])
+
+
+def lyapunov_monitor(gains, s):
+    return tuple([0.5 * x * x for x in s]), tuple([-gains.epsilon * abs(x) - gains.k * x * x for x in s])
+
+
+def _mul(matrix, x0, x1, x2) -> tuple:
+    """matrix @ (x0, x1, x2) for a 3x3 matrix held as a flat row-major 9-tuple."""
+    a, b, c, d, e, f, g, h, i = matrix
+    return (a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2)
+
+
+def float_smc_control(model, gains, s, error_rate, eta_dot, psi):
+    c1, c2, eps, k, bl = gains.c1, gains.c2, gains.epsilon, gains.k, gains.boundary_layer
+    q0, q1, q2 = (-(1.0 / c2) * (eps * smc._sgn(si, bl) + k * si + c1 * rate) for si, rate in zip(s, error_rate))
+    xd, yd, psi_dot = eta_dot
+    c, sn = math.cos(psi), math.sin(psi)
+    u, v = c * xd + sn * yd, -sn * xd + c * yd
+    m0, m1, m2 = _mul(model._m, psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1, q2)
+    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
+    return (m0 - a0, m1 - a1, m2 - a2)
+
+
+def float_pose_acceleration(model, u_forces, eta_dot, psi):
+    xd, yd, psi_dot = eta_dot
+    c, sn = math.cos(psi), math.sin(psi)
+    u, v = c * xd + sn * yd, -sn * xd + c * yd
+    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
+    f0, f1, f2 = u_forces
+    x0, x1, x2 = _mul(model._m_inv, a0 + f0, a1 + f1, a2 + f2)
+    w0, w1 = x0 - psi_dot * v, x1 + psi_dot * u
+    return (c * w0 - sn * w1, sn * w0 + c * w1, x2)

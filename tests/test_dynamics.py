@@ -340,3 +340,10 @@ def test_thruster_command_validation():
     # The limit is exact: one ulp past it is refused.
     with pytest.raises(ValueError, match=r"^\|delta_p\| must not exceed"):
         ThrusterCommand(thrust=0.01, pitch_deflection=math.nextafter(GIMBAL_LIMIT, 2.0))
+    # nan is refused on every axis, named as above.
+    with pytest.raises(ValueError, match="^thrust must be non-negative, got nan$"):
+        ThrusterCommand(math.nan, math.nan, 0.0)
+    with pytest.raises(ValueError, match=r"^\|delta_y\| must not exceed .* rad, got nan$"):
+        ThrusterCommand(0.01, math.nan, 0.0)
+    with pytest.raises(ValueError, match=r"^\|delta_p\| must not exceed .* rad, got nan$"):
+        ThrusterCommand(0.01, 0.0, math.nan)

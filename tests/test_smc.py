@@ -215,6 +215,13 @@ def test_allocation_requires_positive_thrust_budget():
         allocate_actuation([0.01, 0.0, 0.0], t_max=0.0)
 
 
+@pytest.mark.parametrize("u", [(np.nan, 0.0, 0.0), (0.0, np.nan, 0.0)])
+def test_allocation_refuses_a_nan_force_demand(u):
+    # A nan demand would otherwise become a nan-thrust command and a nan servo angle.
+    with pytest.raises(ValueError, match="^thrust must be non-negative, got nan$"):
+        allocate_actuation(u, t_max=0.05)
+
+
 # --- tracking error / reference ---------------------------------------------
 
 def test_tracking_error_wraps_yaw():

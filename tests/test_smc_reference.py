@@ -1,21 +1,36 @@
-"""The plain-float SMC kernel against the matrix formulation in reference_smc.
+"""The plain-float SMC kernel against the references in reference_smc.
 
 ``smc_control`` and ``pose_acceleration`` use C_bg^-1 = C_bg^T and M^-1
-computed once per model; the reference builds the transforms as matrices
-and its plant calls ``np.linalg.solve`` on every evaluation.
+computed once per model; the matrix reference builds the transforms as
+matrices and its plant calls ``np.linalg.solve`` on every evaluation, so
+those agree to a tolerance. The per-channel float functions keep the
+operands and order of their generator forms in reference_smc, so those
+agree exactly (``==``).
 """
 
 import math
 
 import numpy as np
+import pytest
 import reference_smc as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionblimp.smc import SmcGains, SmcModel, TrackingError, pose_acceleration, sliding_surface, smc_control
+from ionblimp.smc import (
+    ReferenceTrajectory,
+    SmcGains,
+    SmcModel,
+    TrackingError,
+    lyapunov_monitor,
+    pose_acceleration,
+    sliding_surface,
+    smc_control,
+)
 
 RTOL, ATOL = 1e-12, 1e-13
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# A changed operation order shows on a large share of draws, so the exact checks need fewer.
+EXACT = settings(PROPERTY, max_examples=100)
 
 
 def _triple(lo, hi):
@@ -77,3 +92,92 @@ def test_control_propagates_nan():
     u = smc_control(model, gains, sliding_surface(gains, err), err.error_rate, (0.0, 0.0, 0.0), 0.3)
     assert all(math.isnan(x) for x in u)
     assert all(math.isnan(x) for x in pose_acceleration(model, u, (0.0, 0.0, 0.0), 0.3))
+
+
+# --- exact agreement with the generator forms ---------------------------------
+
+WIDE = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def references(draw):
+    """A 2-6 knot table; yaw steps up to 3 pi, so most tables unwrap."""
+    n = draw(st.integers(2, 6))
+    times = [draw(st.floats(-5.0, 5.0))]
+    for _ in range(n - 1):
+        times.append(times[-1] + draw(st.floats(1e-3, 2.0)))
+    poses = [(draw(WIDE), draw(WIDE), draw(st.floats(-3 * math.pi, 3 * math.pi))) for _ in range(n)]
+    return ReferenceTrajectory(times=times, poses=poses)
+
+
+@st.composite
+def query_times(draw, reference):
+    """Inside a segment, on a knot, before the start, at the end or after it."""
+    times = reference.times
+    i = draw(st.integers(0, len(times) - 2))
+    return draw(st.sampled_from([
+        times[i] + draw(st.floats(0.0, 1.0, exclude_max=True)) * (times[i + 1] - times[i]),
+        times[i],
+        times[0] - draw(st.floats(1e-9, 10.0)),
+        times[-1],
+        times[-1] + draw(st.floats(1e-9, 10.0)),
+    ]))
+
+
+@EXACT
+@given(data=st.data(), reference=references())
+def test_sample_equals_the_generator_form(data, reference):
+    t = data.draw(query_times(reference))
+    assert reference.sample(t) == ref.sample(reference, t)
+
+
+def test_sample_equals_the_generator_form_on_an_unwrapped_yaw_table():
+    reference = ReferenceTrajectory(times=[0.0, 0.3, 0.7, 1.0], poses=[(0, 0, 3.0), (0.1, 0, -3.0),
+                                                                       (0.2, 0.1, -0.5), (0.2, 0.3, 2.5)])
+    assert reference.poses[3][2] > 2 * math.pi  # a steady spin, unwrapped past the seam
+    for t in np.linspace(-0.5, 1.5, 201).tolist() + list(reference.times):
+        assert reference.sample(t) == ref.sample(reference, t)
+
+
+@EXACT
+@given(pose=_triple(-1e3, 1e3), pose_rate=_triple(-1e3, 1e3), ref_pose=_triple(-1e3, 1e3),
+       ref_rate=_triple(-1e3, 1e3))
+def test_from_pose_equals_the_generator_form(pose, pose_rate, ref_pose, ref_rate):
+    err = TrackingError.from_pose(pose, pose_rate, ref_pose, ref_rate)
+    assert (err.error, err.error_rate) == ref.tracking_error(pose, pose_rate, ref_pose, ref_rate)
+
+
+@EXACT
+@given(gains=GAINS, error=_triple(-1e3, 1e3), error_rate=_triple(-1e3, 1e3))
+def test_surface_and_monitor_equal_the_generator_forms(gains, error, error_rate):
+    err = TrackingError(error=error, error_rate=error_rate)
+    s = sliding_surface(gains, err)
+    assert s == ref.float_sliding_surface(gains, err)
+    assert lyapunov_monitor(gains, s) == ref.lyapunov_monitor(gains, s)
+
+
+# Every entry of M nonzero, unlike the mass matrices from_components builds.
+FULL_MODELS = st.builds(lambda m, a: SmcModel(mass_matrix=np.eye(3) + m, aero_matrix=a),
+                        _matrix(0.01, 0.2), _matrix(-0.2, 0.2))
+
+
+@EXACT
+@given(model=FULL_MODELS, gains=GAINS, channels=CHANNELS, eta_dot=_triple(-1.0, 1.0), psi=ANGLES,
+       u_forces=_triple(-0.1, 0.1))
+def test_control_and_plant_equal_the_row_tuple_forms(model, gains, channels, eta_dot, psi, u_forces):
+    s, rate = tuple(e for e, _ in channels), tuple(r for _, r in channels)
+    want = ref.float_smc_control(model, gains, s, rate, eta_dot, psi)
+    assert smc_control(model, gains, s, rate, eta_dot, psi) == want
+    want = ref.float_pose_acceleration(model, u_forces, eta_dot, psi)
+    assert pose_acceleration(model, u_forces, eta_dot, psi) == want
+
+
+@pytest.mark.parametrize("number", [int, np.float64])
+def test_sample_and_from_pose_return_python_floats(number):
+    reference = ReferenceTrajectory(times=[number(0), number(2)], poses=[[number(0)] * 3, [number(1)] * 3])
+    for t in (-1, 0, 1, 2, 3):
+        pose, rate = reference.sample(number(t))
+        assert all(type(value) is float for value in pose + rate)
+    three = tuple(map(number, (1, 2, 3)))
+    err = TrackingError.from_pose(three, three, (number(0),) * 3, (number(0),) * 3)
+    assert all(type(value) is float for value in err.error + err.error_rate)

@@ -101,6 +101,17 @@ def test_monte_carlo_rejects_empty_sizes(sizes, message):
         collision_force_density_mc(NITROGEN_LIKE, [50.0, 0.0, 0.0], **{"n_samples": 10, **sizes})
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ({"n_samples": 1e4}, "^n_samples must be an int, got 10000.0$"),
+    ({"n_samples": True}, "^n_samples must be an int, got True$"),
+    ({"chunk": 2.0}, "^chunk must be an int, got 2.0$"),
+    ({"chunk": False}, "^chunk must be an int, got False$"),
+])
+def test_monte_carlo_refuses_sizes_that_are_not_ints(sizes, message):
+    with pytest.raises(TypeError, match=message):
+        collision_force_density_mc(NITROGEN_LIKE, [50.0, 0.0, 0.0], **{"n_samples": 10, **sizes})
+
+
 def test_monte_carlo_does_not_depend_on_chunk_size():
     # Pairs come from one stream, so only the summation order differs.
     slip = [50.0, -20.0, 10.0]
