@@ -5,11 +5,12 @@ what that buys in payload, and the pendulum moment that keeps the hull
 upright without any active control.
 """
 
+import math
+
 import numpy as np
 
 from ionblimp import (
     AirshipParams,
-    AttitudeAngles,
     EnvelopeGeometry,
     gravity_buoyancy_wrench,
     lift_budget,
@@ -48,6 +49,7 @@ print()
 params = AirshipParams(mass=0.2978, cb_offset=0.20)
 print("pitch angle -> restoring moment about body y:")
 for theta_deg in (2, 5, 10, 20):
-    wrench = gravity_buoyancy_wrench(params, AttitudeAngles(theta=np.radians(theta_deg)))
-    print("  theta = %4.1f deg   M_y = %+.4f N m" % (theta_deg, wrench.moment[1]))
+    theta = np.radians(theta_deg)
+    wrench = gravity_buoyancy_wrench(params, 1.0, 0.0, math.cos(theta), math.sin(theta))
+    print("  theta = %4.1f deg   M_y = %+.4f N m" % (theta_deg, wrench[4]))
 print("(negative moment opposes positive pitch: statically stable)")

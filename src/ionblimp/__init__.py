@@ -14,7 +14,6 @@ from .dynamics import (
 from .frames import (
     AttitudeAngles,
     FlowAngles,
-    Wrench,
     airflow_to_body,
     flow_angles_from_velocity,
     ground_to_body,

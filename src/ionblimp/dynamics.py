@@ -16,8 +16,9 @@ The state layout is ``BodyState``'s fields, in order (``STATE_LABELS``):
 tuple or list of 12 floats, as the RK4 step hands it (an array or a
 ``BodyState`` is accepted too), and return a 12-float tuple. One scalar
 kernel, ``_body_wrench``, sums the aero, thrust, gravity/buoyancy and
-yaw-damping terms for both models, so each has one definition; the
-``*_wrench`` functions wrap its per-term code in ``Wrench`` objects.
+yaw-damping terms for both models. Each term is defined once, as the public
+``*_wrench`` function the kernel calls, and returns its body-frame
+(fx, fy, fz, mx, my, mz) as a 6-float tuple.
 
 Both derivative fields include a net vertical lift force (buoyancy minus
 weight, a single configurable number) and a linear yaw-damping moment
@@ -31,7 +32,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .constants import STANDARD_GRAVITY
-from .frames import FLOW_ANGLE_LIMIT, V_EPS, AttitudeAngles, Wrench, wrap_angle
+from .frames import FLOW_ANGLE_LIMIT, V_EPS, wrap_angle
 
 # Tolerance for the planar-manifold constraint phi = theta = p = q = 0.
 PLANAR_TOL = 1e-9
@@ -181,12 +182,15 @@ def _state_values(state):
     return state[:6] + state[9:]
 
 
-def _wrench(terms: tuple) -> Wrench:
-    return Wrench(force=terms[:3], moment=terms[3:])
+def aero_wrench(params: AirshipParams, u: float, v: float, w: float) -> tuple:
+    """Aerodynamic (fx, fy, fz, mx, my, mz) in the body frame at body velocity (u, v, w).
 
-
-def _aero_terms(params: AirshipParams, u: float, v: float, w: float) -> tuple:
-    """``aero_wrench`` as (fx, fy, fz, mx, my, mz); flow angles as in ``frames``."""
+    Airflow-frame closures: drag D = q C_D, lift L = q C_La * alpha and
+    pitch moment M = q c0 C_ma * alpha with q = 0.5 rho V^2 (reference area
+    folded into the coefficients), assembled as force (-D, 0, -L) and
+    moment (0, M, 0), then rotated to the body frame; the flow angles are
+    clipped as in ``frames``. Zero for stagnant flow.
+    """
     speed_sq = u * u + v * v + w * w
     speed = math.sqrt(speed_sq)
     if speed <= V_EPS:
@@ -207,21 +211,13 @@ def _aero_terms(params: AirshipParams, u: float, v: float, w: float) -> tuple:
     )
 
 
-def aero_wrench(params: AirshipParams, v_body) -> Wrench:
-    """Aerodynamic force/moment in the body frame.
+def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> tuple:
+    """Vectored-thrust (fx, fy, fz, mx, my, mz) in the body frame.
 
-    Airflow-frame closures: drag D = q C_D, lift L = q C_La * alpha and
-    pitch moment M = q c0 C_ma * alpha with q = 0.5 rho V^2 (reference area
-    folded into the coefficients), assembled as force (-D, 0, -L) and
-    moment (0, M, 0), then rotated to the body frame. Returns a zero wrench
-    for stagnant flow.
+    The thrust line is tilted by the yaw/pitch gimbal angles; the moment is
+    arm x force, where the arm is the mount position (mount_x, 0, mount_z)
+    plus the deflected link. Zero deflection puts the full thrust along +x_b.
     """
-    u, v, w = np.asarray(v_body, dtype=float).reshape(3).tolist()
-    return _wrench(_aero_terms(params, u, v, w))
-
-
-def _thrust_terms(params: AirshipParams, cmd: ThrusterCommand) -> tuple:
-    """``thruster_wrench`` as (fx, fy, fz, mx, my, mz); the moment is arm x force."""
     t = cmd.thrust
     cy, sy = math.cos(cmd.yaw_deflection), math.sin(cmd.yaw_deflection)
     cp, sp = math.cos(cmd.pitch_deflection), math.sin(cmd.pitch_deflection)
@@ -231,18 +227,15 @@ def _thrust_terms(params: AirshipParams, cmd: ThrusterCommand) -> tuple:
     return (fx, fy, fz, ay * fz - az * fy, az * fx - ax * fz, ax * fy - ay * fx)
 
 
-def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
-    """Vectored-thrust force and moment in the body frame.
+def gravity_buoyancy_wrench(params: AirshipParams, cphi: float, sphi: float, cth: float, sth: float) -> tuple:
+    """Net vertical force plus the pendulum restoring moment, body-frame (fx, fy, fz, mx, my, mz).
 
-    The thrust line is tilted by the yaw/pitch gimbal angles; the moment
-    arm is the mount position (mount_x, 0, mount_z) plus the deflected
-    link. zero deflection puts the full thrust along +x_b.
+    Takes the cosine and sine of roll (cphi, sphi) and pitch (cth, sth).
+    The translational effect of buoyancy and weight is their difference
+    (params.net_lift, a single configurable number); the restoring moment
+    is driven by the full weight acting against the CB offset, which is
+    what sets the pendulum stiffness near neutral buoyancy.
     """
-    return _wrench(_thrust_terms(params, cmd))
-
-
-def _static_terms(params: AirshipParams, cphi: float, sphi: float, cth: float, sth: float) -> tuple:
-    """``gravity_buoyancy_wrench`` as (fx, fy, fz, mx, my, mz) from the attitude trig."""
     # Ground z (down) in body components: the last column of frames.ground_to_body.
     down_x, down_y, down_z = -sth, sphi * cth, cphi * cth
     lift = params.net_lift
@@ -254,27 +247,14 @@ def _static_terms(params: AirshipParams, cphi: float, sphi: float, cth: float, s
     )
 
 
-def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrench:
-    """Net vertical force plus the pendulum restoring moment, body frame.
-
-    The translational effect of buoyancy and weight is their difference
-    (params.net_lift, a single configurable number); the restoring moment
-    is driven by the full weight acting against the CB offset, which is
-    what sets the pendulum stiffness near neutral buoyancy.
-    """
-    return _wrench(_static_terms(
-        params, math.cos(att.phi), math.sin(att.phi), math.cos(att.theta), math.sin(att.theta)
-    ))
-
-
 def _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd) -> tuple:
     """The kernel both fields share: the total body-frame (fx, fy, fz, mx, my, mz).
 
     Yaw damping is in both models so that they agree on the shared manifold.
     """
-    a = _aero_terms(params, u, v, w)
-    t = _thrust_terms(params, cmd)
-    s = _static_terms(params, cphi, sphi, cth, sth)
+    a = aero_wrench(params, u, v, w)
+    t = thruster_wrench(params, cmd)
+    s = gravity_buoyancy_wrench(params, cphi, sphi, cth, sth)
     return (
         a[0] + t[0] + s[0], a[1] + t[1] + s[1], a[2] + t[2] + s[2],
         a[3] + t[3] + s[3], a[4] + t[4] + s[4], a[5] + t[5] + s[5] - params.yaw_damping * r,

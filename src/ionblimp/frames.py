@@ -73,18 +73,6 @@ class FlowAngles:
             )
 
 
-@dataclass(frozen=True)
-class Wrench:
-    """Body-frame force/moment pair."""
-
-    force: np.ndarray
-    moment: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", np.asarray(self.force, dtype=float).reshape(3))
-        object.__setattr__(self, "moment", np.asarray(self.moment, dtype=float).reshape(3))
-
-
 def ground_to_body(att: AttitudeAngles) -> np.ndarray:
     """Rotation taking ground-frame components to body-frame components.
 

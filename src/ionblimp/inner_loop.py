@@ -204,6 +204,9 @@ class FirstOrderTf:
     gain: float
     pole: float
 
+    def __post_init__(self):
+        require_finite(self)
+
     @property
     def dc_gain(self) -> float:
         if self.pole == 0.0:

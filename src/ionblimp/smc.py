@@ -228,7 +228,7 @@ def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
     produces (mount_arm_x * T * sin(delta_y)). Saturation is never hidden:
     it shows up in the residual.
     """
-    if t_max <= 0.0:
+    if not t_max > 0.0:  # nan is refused too
         raise ValueError("t_max must be positive")
     fx, fy, nz = map(float, u_forces)
     requested = math.hypot(fx, fy)

@@ -310,7 +310,7 @@ def spacing_to_thrust(tmap: ThrustMap, spacing: float) -> float:
     segment is extended linearly and an ExtrapolatedThrustWarning is
     issued; beyond the last sample the value clamps to the final reading.
     """
-    if spacing <= 0.0:
+    if not spacing > 0.0:  # nan is refused too
         raise ValueError("spacing must be positive")
     if spacing <= PUNCTURE_SPACING:
         raise PunctureFault(

@@ -1,11 +1,12 @@
 """Matrix formulation of the rigid-body derivative fields, kept as a test oracle.
 
-Wrenches come from ``np.cross`` and the ``frames`` rotation matrices,
-body-rate accelerations from a 3x3 ``np.linalg.solve`` on the full inertia
-tensor (``inertia_matrix``), and the state passes through ``BodyState``
-(which wraps the angles) and ``AttitudeAngles``.
-``ionblimp.dynamics`` computes the same fields with scalar code; the
-property tests in ``test_dynamics_reference.py`` compare the two.
+Wrenches are (force, moment) array pairs built from ``np.cross`` and the
+``frames`` rotation matrices, body-rate accelerations come from a 3x3
+``np.linalg.solve`` on the full inertia tensor (``inertia_matrix``), and the
+state passes through ``BodyState`` (which wraps the angles) and
+``AttitudeAngles``. ``ionblimp.dynamics`` computes the same wrench terms and
+fields with scalar code; the property tests in ``test_dynamics_reference.py``
+compare the two.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from ionblimp.dynamics import (
 from ionblimp.frames import (
     AttitudeAngles,
     StagnantFlow,
-    Wrench,
     airflow_to_body,
     euler_rates_from_body_rates,
     flow_angles_from_velocity,
@@ -54,12 +54,12 @@ def inertia_matrix(params: AirshipParams) -> np.ndarray:
     )
 
 
-def aero_wrench(params: AirshipParams, v_body) -> Wrench:
+def aero_wrench(params: AirshipParams, v_body) -> tuple:
     v_body = np.asarray(v_body, dtype=float).reshape(3)
     try:
         flow = flow_angles_from_velocity(v_body)
     except StagnantFlow:
-        return Wrench(force=np.zeros(3), moment=np.zeros(3))
+        return np.zeros(3), np.zeros(3)
     speed_sq = float(v_body @ v_body)
     q_dyn = 0.5 * params.air_density * speed_sq
     drag = q_dyn * params.drag_coeff
@@ -68,10 +68,10 @@ def aero_wrench(params: AirshipParams, v_body) -> Wrench:
     l_ba = airflow_to_body(flow)
     force = l_ba @ np.array([-drag, 0.0, -lift])
     moment = l_ba @ np.array([0.0, pitch_moment, 0.0])
-    return Wrench(force=force, moment=moment)
+    return force, moment
 
 
-def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
+def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> tuple:
     t = cmd.thrust
     cy, sy = np.cos(cmd.yaw_deflection), np.sin(cmd.yaw_deflection)
     cp, sp = np.cos(cmd.pitch_deflection), np.sin(cmd.pitch_deflection)
@@ -79,10 +79,10 @@ def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> Wrench:
     arm = np.array([params.mount_x, 0.0, params.mount_z]) + params.link_length * np.array(
         [cy * sp, sy * sp, cp]
     )
-    return Wrench(force=force, moment=np.cross(arm, force))
+    return force, np.cross(arm, force)
 
 
-def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrench:
+def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> tuple:
     l_bg = ground_to_body(att)
     force = l_bg @ np.array([0.0, 0.0, -params.net_lift])
     weight = params.mass * params.gravity
@@ -90,15 +90,15 @@ def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> Wrenc
         np.array([0.0, 0.0, -params.cb_offset]),
         l_bg @ np.array([0.0, 0.0, -weight]),
     )
-    return Wrench(force=force, moment=moment)
+    return force, moment
 
 
 def _total_wrench(params: AirshipParams, state: BodyState, cmd: ThrusterCommand):
-    aero = aero_wrench(params, velocity(state))
-    thrust = thruster_wrench(params, cmd)
-    static = gravity_buoyancy_wrench(params, attitude(state))
-    force = aero.force + thrust.force + static.force
-    moment = aero.moment + thrust.moment + static.moment
+    aero_force, aero_moment = aero_wrench(params, velocity(state))
+    thrust_force, thrust_moment = thruster_wrench(params, cmd)
+    static_force, static_moment = gravity_buoyancy_wrench(params, attitude(state))
+    force = aero_force + thrust_force + static_force
+    moment = aero_moment + thrust_moment + static_moment
     moment = moment + np.array([0.0, 0.0, -params.yaw_damping * state.r])
     return force, moment
 

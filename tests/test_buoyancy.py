@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ BENCH_GEOMETRY = EnvelopeGeometry(0.985, 0.255, 0.255, envelope_mass=0.07936)
 def pendulum(weight_n, cb_offset_m):
     """Params whose static wrench is a vertical force weight_n at the CB, cb_offset_m above the CM."""
     return AirshipParams(mass=weight_n / STANDARD_GRAVITY, cb_offset=cb_offset_m, net_lift=weight_n)
+
+
+def static_wrench(params, att):
+    """(force, moment) arrays of gravity_buoyancy_wrench at the attitude's roll and pitch; yaw does not enter."""
+    terms = np.array(gravity_buoyancy_wrench(
+        params, math.cos(att.phi), math.sin(att.phi), math.cos(att.theta), math.sin(att.theta)
+    ))
+    return terms[:3], terms[3:]
 
 
 def test_ellipsoid_volume_bench_geometry():
@@ -62,26 +72,26 @@ def test_geometry_validation():
 def test_buoyancy_wrench_level_any_yaw():
     params = pendulum(2.92, 0.2)
     for psi in (0.0, 0.7, -2.0, np.pi):
-        wr = gravity_buoyancy_wrench(params, AttitudeAngles(psi=psi))
-        assert np.allclose(wr.force, [0.0, 0.0, -2.92], atol=1e-14)
-        assert np.allclose(wr.moment, np.zeros(3), atol=1e-14)
+        force, moment = static_wrench(params, AttitudeAngles(psi=psi))
+        assert np.allclose(force, [0.0, 0.0, -2.92], atol=1e-14)
+        assert np.allclose(moment, np.zeros(3), atol=1e-14)
 
 
 def test_buoyancy_wrench_pitch_restoring():
     # Oracle: evaluate the rotated force and (0, 0, -d) x F by scalar trig.
     g_n, d, theta = 2.92, 0.2, 0.1
-    wr = gravity_buoyancy_wrench(pendulum(g_n, d), AttitudeAngles(theta=theta))
-    assert np.allclose(wr.force, [g_n * np.sin(theta), 0.0, -g_n * np.cos(theta)], atol=1e-14)
-    assert np.allclose(wr.moment, [0.0, -d * g_n * np.sin(theta), 0.0], atol=1e-14)
-    assert wr.moment[1] < 0.0  # opposes positive pitch
+    force, moment = static_wrench(pendulum(g_n, d), AttitudeAngles(theta=theta))
+    assert np.allclose(force, [g_n * np.sin(theta), 0.0, -g_n * np.cos(theta)], atol=1e-14)
+    assert np.allclose(moment, [0.0, -d * g_n * np.sin(theta), 0.0], atol=1e-14)
+    assert moment[1] < 0.0  # opposes positive pitch
 
 
 def test_buoyancy_wrench_roll_restoring():
     g_n, d, phi = 2.92, 0.2, 0.1
-    wr = gravity_buoyancy_wrench(pendulum(g_n, d), AttitudeAngles(phi=phi))
-    assert np.allclose(wr.force, [0.0, -g_n * np.sin(phi), -g_n * np.cos(phi)], atol=1e-14)
-    assert np.allclose(wr.moment, [-d * g_n * np.sin(phi), 0.0, 0.0], atol=1e-14)
-    assert wr.moment[0] < 0.0  # opposes positive roll
+    force, moment = static_wrench(pendulum(g_n, d), AttitudeAngles(phi=phi))
+    assert np.allclose(force, [0.0, -g_n * np.sin(phi), -g_n * np.cos(phi)], atol=1e-14)
+    assert np.allclose(moment, [-d * g_n * np.sin(phi), 0.0, 0.0], atol=1e-14)
+    assert moment[0] < 0.0  # opposes positive roll
 
 
 def test_buoyancy_force_norm_preserved():
@@ -89,23 +99,23 @@ def test_buoyancy_force_norm_preserved():
     rng = np.random.default_rng(6)
     for _ in range(100):
         att = AttitudeAngles(*rng.uniform(-np.pi, np.pi, 3))
-        wr = gravity_buoyancy_wrench(params, att)
-        assert np.linalg.norm(wr.force) == pytest.approx(3.5, rel=1e-13)
+        force, _ = static_wrench(params, att)
+        assert np.linalg.norm(force) == pytest.approx(3.5, rel=1e-13)
 
 
 def test_buoyancy_moment_zero_only_when_axis_vertical():
     params = pendulum(3.5, 0.15)
-    assert np.allclose(gravity_buoyancy_wrench(params, AttitudeAngles()).moment, 0.0, atol=1e-15)
-    inverted = gravity_buoyancy_wrench(params, AttitudeAngles(phi=np.pi))
-    assert np.allclose(inverted.moment, 0.0, atol=1e-12)
-    tilted = gravity_buoyancy_wrench(params, AttitudeAngles(theta=0.3))
-    assert np.linalg.norm(tilted.moment) > 0.01
+    assert np.allclose(static_wrench(params, AttitudeAngles())[1], 0.0, atol=1e-15)
+    _, inverted = static_wrench(params, AttitudeAngles(phi=np.pi))
+    assert np.allclose(inverted, 0.0, atol=1e-12)
+    _, tilted = static_wrench(params, AttitudeAngles(theta=0.3))
+    assert np.linalg.norm(tilted) > 0.01
 
 
 def test_pitch_stiffness_negative_at_level():
     params = pendulum(2.92, 0.2)
     h = 1e-6
-    m_plus = gravity_buoyancy_wrench(params, AttitudeAngles(theta=+h)).moment[1]
-    m_minus = gravity_buoyancy_wrench(params, AttitudeAngles(theta=-h)).moment[1]
+    m_plus = static_wrench(params, AttitudeAngles(theta=+h))[1][1]
+    m_minus = static_wrench(params, AttitudeAngles(theta=-h))[1][1]
     assert (m_plus - m_minus) / (2 * h) < 0.0
 

@@ -72,6 +72,13 @@ def test_thruster_map_extrapolation_is_one_warning_line(capsys):
         assert out == dump_thrust_map(SPACING_MAP_DUAL_RING) + f"# thrust_newtons_at_0.028={thrust!r}\n"
 
 
+def test_thruster_map_refuses_a_nan_spacing(capsys):
+    assert main(["thruster-map", "spacing-dual", "--at", "nan"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: ValueError: spacing must be positive\n"
+    assert "thrust_newtons_at" not in out
+
+
 def test_step_response_output(capsys):
     assert main(["step-response", "0.9828", "--duration", "2.0", "--dt", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -80,6 +87,18 @@ def test_step_response_output(capsys):
     t_last, y_last = (float(x) for x in lines[-1].split(","))
     assert t_last == pytest.approx(2.0)
     assert y_last == pytest.approx(1.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["nan"], "pole"),
+    (["1", "--gain", "nan"], "gain"),
+    (["1", "--pole", "nan"], "pole"),
+], ids=["k-u-nan", "gain-nan", "pole-nan"])
+def test_step_response_refuses_a_nan_input(argv, named, capsys):
+    assert main(["step-response", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ValueError: {named} must be finite, got nan\n"
 
 
 def test_linearize_reports_both_surge_poles(params_cfg, capsys):

@@ -21,7 +21,7 @@ from ionblimp.dynamics import (
     planar_derivatives,
     thruster_wrench,
 )
-from ionblimp.frames import AttitudeAngles, ground_to_body
+from ionblimp.frames import ground_to_body
 
 PARAMS = AirshipParams(lift_slope=0.2, moment_slope=0.05)
 
@@ -37,22 +37,21 @@ def random_planar_state(rng):
 # --- aero wrench -----------------------------------------------------------
 
 def test_aero_zero_at_rest():
-    wr = aero_wrench(PARAMS, [0.0, 0.0, 0.0])
-    assert np.allclose(wr.force, 0.0) and np.allclose(wr.moment, 0.0)
+    wr = aero_wrench(PARAMS, 0.0, 0.0, 0.0)
+    assert np.allclose(wr[:3], 0.0) and np.allclose(wr[3:], 0.0)
 
 
 def test_aero_pure_drag_straight_flight():
     v = 1.3
-    wr = aero_wrench(PARAMS, [v, 0.0, 0.0])
+    wr = aero_wrench(PARAMS, v, 0.0, 0.0)
     drag = 0.5 * PARAMS.air_density * v**2 * PARAMS.drag_coeff
-    assert np.allclose(wr.force, [-drag, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(wr.moment, 0.0, atol=1e-15)
+    assert np.allclose(wr[:3], [-drag, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(wr[3:], 0.0, atol=1e-15)
 
 
 def test_aero_generic_point_scalar_oracle():
     # Hand-rolled closure + rotation for v = (1, 0, 0.1): beta = 0, so
     # F = (-D ca - L sa, 0, D sa - L ca) and M = (0, M, 0).
-    vel = np.array([1.0, 0.0, 0.1])
     speed_sq = 1.01
     alpha = np.arctan2(0.1, 1.0)
     q_dyn = 0.5 * PARAMS.air_density * speed_sq
@@ -60,9 +59,9 @@ def test_aero_generic_point_scalar_oracle():
     lift = q_dyn * PARAMS.lift_slope * alpha
     pitch_m = q_dyn * PARAMS.ref_chord * PARAMS.moment_slope * alpha
     ca, sa = np.cos(alpha), np.sin(alpha)
-    wr = aero_wrench(PARAMS, vel)
-    assert np.allclose(wr.force, [-drag * ca - lift * sa, 0.0, drag * sa - lift * ca], atol=1e-14)
-    assert np.allclose(wr.moment, [0.0, pitch_m, 0.0], atol=1e-14)
+    wr = aero_wrench(PARAMS, 1.0, 0.0, 0.1)
+    assert np.allclose(wr[:3], [-drag * ca - lift * sa, 0.0, drag * sa - lift * ca], atol=1e-14)
+    assert np.allclose(wr[3:], [0.0, pitch_m, 0.0], atol=1e-14)
 
 
 # --- thruster wrench -------------------------------------------------------
@@ -71,22 +70,22 @@ def test_thruster_wrench_zero_deflection_cross_product():
     cmd = ThrusterCommand(thrust=0.04)
     wr = thruster_wrench(PARAMS, cmd)
     arm_z = PARAMS.mount_z + PARAMS.link_length
-    assert np.allclose(wr.force, [0.04, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(wr.moment, [0.0, arm_z * 0.04, 0.0], atol=1e-15)
+    assert np.allclose(wr[:3], [0.04, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(wr[3:], [0.0, arm_z * 0.04, 0.0], atol=1e-15)
 
 
 def test_thruster_wrench_zero_thrust():
     wr = thruster_wrench(PARAMS, ThrusterCommand(thrust=0.0, yaw_deflection=0.4))
-    assert np.allclose(wr.force, 0.0) and np.allclose(wr.moment, 0.0)
+    assert np.allclose(wr[:3], 0.0) and np.allclose(wr[3:], 0.0)
 
 
 def test_thruster_wrench_full_pitch_deflection():
     t = 0.03
     wr = thruster_wrench(PARAMS, ThrusterCommand(thrust=t, pitch_deflection=np.pi / 2))
-    assert np.allclose(wr.force, [0.0, 0.0, -t], atol=1e-15)
+    assert np.allclose(wr[:3], [0.0, 0.0, -t], atol=1e-15)
     # arm is (s_x + l, 0, s_z), force (0, 0, -T): moment = (0, (s_x + l) T, 0)
     expected_my = (PARAMS.mount_x + PARAMS.link_length) * t
-    assert np.allclose(wr.moment, [0.0, expected_my, 0.0], atol=1e-15)
+    assert np.allclose(wr[3:], [0.0, expected_my, 0.0], atol=1e-15)
 
 
 def test_thruster_force_norm_equals_thrust():
@@ -98,7 +97,7 @@ def test_thruster_force_norm_equals_thrust():
             pitch_deflection=rng.uniform(-np.pi / 2, np.pi / 2),
         )
         wr = thruster_wrench(PARAMS, cmd)
-        assert np.linalg.norm(wr.force) == pytest.approx(cmd.thrust, abs=1e-14)
+        assert np.linalg.norm(wr[:3]) == pytest.approx(cmd.thrust, abs=1e-14)
 
 
 # --- full 6-DOF model ------------------------------------------------------
@@ -304,16 +303,16 @@ def test_full_matches_planar_all_components_with_null_coupling():
 
 def test_gravity_buoyancy_wrench_level():
     p = AirshipParams(net_lift=0.12)
-    wr = gravity_buoyancy_wrench(p, AttitudeAngles())
-    assert np.allclose(wr.force, [0.0, 0.0, -0.12], atol=1e-15)
-    assert np.allclose(wr.moment, 0.0, atol=1e-15)
+    wr = gravity_buoyancy_wrench(p, 1.0, 0.0, 1.0, 0.0)  # level: cos/sin of zero roll and pitch
+    assert np.allclose(wr[:3], [0.0, 0.0, -0.12], atol=1e-15)
+    assert np.allclose(wr[3:], 0.0, atol=1e-15)
 
 
 def test_gravity_buoyancy_restoring_moment_scales_with_weight():
     p = AirshipParams(net_lift=0.0)
-    wr = gravity_buoyancy_wrench(p, AttitudeAngles(theta=0.1))
+    wr = gravity_buoyancy_wrench(p, 1.0, 0.0, math.cos(0.1), math.sin(0.1))
     expected = -p.cb_offset * p.mass * p.gravity * np.sin(0.1)
-    assert wr.moment[1] == pytest.approx(expected, rel=1e-12)
+    assert wr[4] == pytest.approx(expected, rel=1e-12)
 
 
 def test_body_state_array_round_trip():

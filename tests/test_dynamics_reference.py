@@ -1,8 +1,8 @@
-"""The scalar derivative fields against the matrix formulation in reference_dynamics.
+"""The scalar wrench terms and derivative fields against the matrix forms in reference_dynamics.
 
 Both fields share one kernel, so full-vs-planar agreement (acceptance
 criterion 9) does not check the physics independently; these properties
-compare each field with a separate implementation.
+compare each wrench term and each field with a separate implementation.
 """
 
 import math
@@ -19,10 +19,13 @@ from ionblimp.dynamics import (
     BodyState,
     ConstraintViolation,
     ThrusterCommand,
+    aero_wrench,
     full_derivatives,
+    gravity_buoyancy_wrench,
     planar_derivatives,
+    thruster_wrench,
 )
-from ionblimp.frames import V_EPS
+from ionblimp.frames import V_EPS, AttitudeAngles
 
 RTOL, ATOL = 1e-12, 1e-13
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -88,6 +91,30 @@ def _assert_same(field, reference, params, y, cmd):
         assert got is want
     else:
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+
+def _assert_same_terms(got, want):
+    """A 6-float term tuple against the reference's (force, moment) pair."""
+    np.testing.assert_allclose(got, np.concatenate(want), rtol=RTOL, atol=ATOL)
+
+
+@PROPERTY
+@given(params=airship_params(), vel=VELOCITIES)
+def test_aero_wrench_matches_matrix_reference(params, vel):
+    _assert_same_terms(aero_wrench(params, *vel), ref.aero_wrench(params, vel))
+
+
+@PROPERTY
+@given(params=airship_params(), cmd=COMMANDS)
+def test_thruster_wrench_matches_matrix_reference(params, cmd):
+    _assert_same_terms(thruster_wrench(params, cmd), ref.thruster_wrench(params, cmd))
+
+
+@PROPERTY
+@given(params=airship_params(), phi=ANGLES, theta=ANGLES, psi=ANGLES)
+def test_gravity_buoyancy_wrench_matches_matrix_reference(params, phi, theta, psi):
+    got = gravity_buoyancy_wrench(params, math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta))
+    _assert_same_terms(got, ref.gravity_buoyancy_wrench(params, AttitudeAngles(phi, theta, psi)))
 
 
 @PROPERTY

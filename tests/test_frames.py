@@ -10,7 +10,6 @@ from ionblimp.frames import (
     FlowAngles,
     StagnantFlow,
     V_EPS,
-    Wrench,
     airflow_to_body,
     angle_difference,
     euler_rates_from_body_rates,
@@ -219,11 +218,6 @@ def test_flow_angles_type_rejects_out_of_range():
         FlowAngles(alpha=np.pi / 2)
     with pytest.raises(ValueError):
         FlowAngles(beta=-np.pi / 2)
-
-
-def test_wrench_coerces_to_3_vectors():
-    wr = Wrench(force=[1, 2, 3], moment=[0, 0, 0])
-    assert wr.force.shape == (3,)
 
 
 def test_is_rotation_matrix_rejects_non_rotations():

@@ -215,6 +215,12 @@ def test_allocation_requires_positive_thrust_budget():
         allocate_actuation([0.01, 0.0, 0.0], t_max=0.0)
 
 
+def test_allocation_refuses_a_nan_thrust_budget():
+    # min(requested, nan) is requested: a nan budget would otherwise lift the thrust limit.
+    with pytest.raises(ValueError, match="^t_max must be positive$"):
+        allocate_actuation([0.01, 0.0, 0.0], t_max=float("nan"))
+
+
 @pytest.mark.parametrize("u", [(np.nan, 0.0, 0.0), (0.0, np.nan, 0.0)])
 def test_allocation_refuses_a_nan_force_demand(u):
     # A nan demand would otherwise become a nan-thrust command and a nan servo angle.
