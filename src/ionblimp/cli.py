@@ -108,14 +108,15 @@ def _cmd_certify_gains(args) -> int:
 
 def _cmd_thruster_map(args) -> int:
     tmap, to_thrust = _MAP_PRESETS[args.preset]
-    sys.stdout.write(thruster.dump_thrust_map(tmap))
-    if args.at is not None:
+    text = thruster.dump_thrust_map(tmap)
+    if args.at is not None:  # evaluated before anything is written, so a refused query writes no map
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             thrust = float(to_thrust(tmap, args.at))
         for w in caught:  # one line each, without the source location
             print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
-        print(f"# thrust_newtons_at_{args.at!r}={thrust!r}")
+        text += f"# thrust_newtons_at_{args.at!r}={thrust!r}\n"
+    sys.stdout.write(text)
     return 0
 
 

@@ -3,16 +3,20 @@
 ``run_scenario`` steps every scenario through one loop over a plant: a
 derivative field, stepped by RK4 over Python floats (``integrate_step``),
 its initial state as a tuple, and a controller giving the recorded
-state, the thruster command and the input held over the step. The recorded
-state is laid out as ``BodyState``'s fields (``STATE_LABELS``). Two functions build the plant:
+state, the thruster command, the input held over the step and whether the
+actuators saturated. The recorded state is laid out as ``BodyState``'s
+fields (``STATE_LABELS``). The ``CONTROLLERS`` table maps each controller
+name to the function that builds its run's plant, once, before the loop:
 
-* ``_rigid_body_plant``: model ``full`` or ``planar`` with the
-  ``open_loop`` or ``inner_loop`` controller.
-* ``_pose_plant``: controller ``smc`` on the lateral pose model the tracker
-  is designed for (position/heading plus their rates). The single-thruster
-  allocation is evaluated and recorded at every step (command, saturation,
-  residual) so under-actuation is visible, but it does not feed back into
-  this idealized loop.
+* ``open_loop`` and ``inner_loop``: ``_rigid_body_plant``, model ``full``
+  or ``planar``, under the command law ``demand(t, y)``: the scripted or
+  constant command, or the trim feedback. Seeded yaw-gimbal noise and the
+  actuator clamp act on either law.
+* ``smc``: ``_pose_plant``, the lateral pose model the tracker is designed
+  for (position/heading plus their rates). The single-thruster allocation
+  is evaluated and recorded at every step (command, saturation, residual)
+  so under-actuation is visible, but it does not feed back into this
+  idealized loop.
 
 Every step's command is recorded with its servo angles from one fixed map
 (``servo_map``): a 90 deg center and travel equal to the gimbal limit, so a
@@ -68,8 +72,6 @@ from .thruster import THROTTLE_MAP, throttle_to_thrust
 
 CONFIG_HEADER = "# blimpsim-config v1"
 
-# Each controller reads the config section named after it and no other controller's.
-CONTROLLERS = ("open_loop", "inner_loop", "smc")
 # The smc pose model is planar and takes no gimbal noise, so it reads none of these keys.
 SMC_UNREAD = {"scenario": ("model", "gimbal_noise"), "initial": ("w", "p", "q", "phi", "theta")}
 
@@ -239,15 +241,11 @@ class Scenario:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.gimbal_noise) and self.gimbal_noise >= 0.0):
             raise ValueError(f"gimbal_noise must be finite and non-negative, got {self.gimbal_noise}")
-        if self.controller == "inner_loop" and self.inner_loop is None:
-            raise ValueError("inner_loop controller requires an [inner_loop] section")
-        if self.controller == "smc" and self.smc is None:
-            raise ValueError("smc controller requires an [smc] section")
-        # Another controller's section must be unset.
-        unset = {"open_loop": self.open_loop == OpenLoopCommand(),
-                 "inner_loop": self.inner_loop is None, "smc": self.smc is None}
+        # Each controller's section is the field named after it: its own must be set, another's unset.
+        if self.controller != "open_loop" and getattr(self, self.controller) is None:
+            raise ValueError(f"{self.controller} controller requires an [{self.controller}] section")
         for name in CONTROLLERS:
-            if name != self.controller and not unset[name]:
+            if name != self.controller and getattr(self, name) not in (None, OpenLoopCommand()):
                 raise ValueError(f"{name}: not read by the {self.controller} controller")
         last = self.open_loop.script[-1][0] if self.open_loop.script else 0.0
         if last > self.duration:  # the run would never reach that row
@@ -291,34 +289,51 @@ class SimResult:
 
 # What the run loop integrates: derivative(y, u) from the tuple y0
 # (components named by labels), driven by control(t, y) -> (12 recorded
-# state floats, command, integrator input u, flags, (s_x, s_y, s_psi,
-# lyap_v, lyap_vdot)), the last all None outside SMC.
+# state floats, command, integrator input u, saturated, (s_x, s_y, s_psi,
+# lyap_v, lyap_vdot)), the last all None outside SMC. A controller reads
+# the integrator state y, not the recorded state: the pose plant records
+# body (u, v) rotated from (x_dot, y_dot), and rotating them back would
+# not give the SMC the same bits.
 Plant = namedtuple("Plant", "derivative y0 labels control")
 
 
-def _rigid_body_plant(sc: Scenario) -> Plant:
-    """Full or planar field; open-loop or inner-loop command with seeded gimbal noise."""
+def _rigid_body_plant(sc: Scenario, demand) -> Plant:
+    """Full or planar field under demand(t, y) -> (thrust, delta_y, delta_p), with seeded gimbal noise."""
     deriv = full_derivatives if sc.model == "full" else planar_derivatives
     rng = np.random.default_rng(sc.seed)
-    il = sc.inner_loop
 
     def control(t, y):
-        u, v, w, p, q, r, x, y_pos, h, phi, theta, psi = y
-        state = (u, v, w, p, q, r, x, y_pos, h, wrap_angle(phi), wrap_angle(theta), wrap_angle(psi))
-        if sc.controller == "open_loop":
-            base = sc.open_loop.command_at(t)
-            thrust, dy, dp = base.thrust, base.yaw_deflection, base.pitch_deflection
-        else:
-            thrust = il.trim_thrust - il.k_u * (u - il.trim_speed)
-            dy, dp = -il.k1 * v - il.k2 * r, il.k_w * w
+        thrust, dy, dp = demand(t, y)
         if sc.gimbal_noise > 0.0:
             dy = dy + rng.uniform(-sc.gimbal_noise, sc.gimbal_noise)
         # Clamp to the actuator limits and flag it.
         limited = (max(thrust, 0.0), *(min(max(d, -GIMBAL_LIMIT), GIMBAL_LIMIT) for d in (dy, dp)))
         cmd = ThrusterCommand(*limited)
-        return state, cmd, cmd, {"saturation"} if limited != (thrust, dy, dp) else set(), (None,) * 5
+        state = (*y[:9], wrap_angle(y[9]), wrap_angle(y[10]), wrap_angle(y[11]))  # the angles wrapped
+        return state, cmd, cmd, limited != (thrust, dy, dp), (None,) * 5
 
     return Plant(lambda vec, cmd: deriv(sc.params, vec, cmd), astuple(sc.initial), STATE_LABELS, control)
+
+
+def _open_loop_plant(sc: Scenario) -> Plant:
+    """Open loop: the scripted or constant command at t."""
+
+    def demand(t, y):
+        cmd = sc.open_loop.command_at(t)
+        return cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection
+
+    return _rigid_body_plant(sc, demand)
+
+
+def _inner_loop_plant(sc: Scenario) -> Plant:
+    """Inner loop: trim feedback, thrust on u, yaw deflection on (v, r), pitch deflection on w."""
+    il = sc.inner_loop
+
+    def demand(t, y):
+        return (il.trim_thrust - il.k_u * (y[0] - il.trim_speed),
+                -il.k1 * y[1] - il.k2 * y[5], il.k_w * y[2])
+
+    return _rigid_body_plant(sc, demand)
 
 
 def _pose_plant(sc: Scenario) -> Plant:
@@ -348,29 +363,32 @@ def _pose_plant(sc: Scenario) -> Plant:
         v, v_dot = lyapunov_monitor(gains, s)
         u_forces = smc_control(model, gains, s, err.error_rate, (x_dot, y_dot, psi_dot), psi)
         cmd, residual = allocate_actuation(u_forces, t_max=cfg.t_max, mount_arm_x=sc.params.mount_x)
-        flags = {"saturation"} if max(map(abs, residual)) > 1e-9 else set()
         c, sn = math.cos(psi), math.sin(psi)
         state = (c * x_dot + sn * y_dot, -sn * x_dot + c * y_dot, 0.0, 0.0, 0.0, psi_dot,
                  x, y_pos, init.h, 0.0, 0.0, wrap_angle(psi))
-        return state, cmd, u_forces, flags, (*s, sum(v), sum(v_dot))
+        return state, cmd, u_forces, max(map(abs, residual)) > 1e-9, (*s, sum(v), sum(v_dot))
 
     return Plant(derivative, y0, ("x", "y", "psi", "x_dot", "y_dot", "psi_dot"), control)
 
 
+# Each controller reads the config section named after it and no other
+# controller's. Its entry builds the run's plant, once, from the scenario.
+CONTROLLERS = {"open_loop": _open_loop_plant, "inner_loop": _inner_loop_plant, "smc": _pose_plant}
+
+
 def run_scenario(sc: Scenario) -> SimResult:
     """Run a scenario to completion and, if paths are set, write its outputs."""
-    plant = _pose_plant(sc) if sc.controller == "smc" else _rigid_body_plant(sc)
+    plant = CONTROLLERS[sc.controller](sc)
     n_steps = int(round(sc.duration / sc.dt))
     y = plant.y0
     records = []
     for step in range(n_steps + 1):
         t = step * sc.dt
-        state, cmd, u, flags, internals = plant.control(t, y)
+        state, cmd, u, saturated, internals = plant.control(t, y)
         servo = servo_map(cmd)
-        if state[8] < 0.0:  # h
-            flags.add("ground")
+        flags = ("ground",) * (state[8] < 0.0) + ("saturation",) * saturated  # sorted
         records.append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
-                                 servo.yaw_deg, servo.pitch_deg, *internals, tuple(sorted(flags))))
+                                 servo.yaw_deg, servo.pitch_deg, *internals, flags))
         if step == n_steps:
             break
         try:

@@ -231,8 +231,9 @@ def step_response(tf: FirstOrderTf, duration: float, dt: float):
     Returns (t, y) arrays with y(t) = (gain/pole) * (1 - exp(-pole t)),
     degenerating to the ramp gain*t for a pole at the origin.
     """
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("duration and dt must be positive")
+    for name, value in (("duration", duration), ("dt", dt)):
+        if not 0.0 < value < np.inf:  # nan fails every comparison, so it is refused too
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     t = np.arange(0.0, duration + 0.5 * dt, dt)
     if tf.pole == 0.0:
         y = tf.gain * t

@@ -73,10 +73,22 @@ def test_thruster_map_extrapolation_is_one_warning_line(capsys):
 
 
 def test_thruster_map_refuses_a_nan_spacing(capsys):
+    # The query is evaluated before the map is written, so a refused one writes nothing to stdout.
     assert main(["thruster-map", "spacing-dual", "--at", "nan"]) == 1
     out, err = capsys.readouterr()
     assert err == "error: ValueError: spacing must be positive\n"
-    assert "thrust_newtons_at" not in out
+    assert out == ""
+
+
+@pytest.mark.parametrize("preset, at, error", [
+    ("spacing-dual", "0.02", "PunctureFault: spacing 0.0200 m <= 0.025 m: foil puncture"),
+    ("throttle", "1.5", "OutOfRange: throttle 1.5 outside [0.0, 1.0]"),
+], ids=["puncture", "throttle-over-one"])
+def test_thruster_map_refused_query_writes_no_map(preset, at, error, capsys):
+    assert main(["thruster-map", preset, "--at", at]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {error}\n"
+    assert out == ""
 
 
 def test_step_response_output(capsys):
@@ -89,16 +101,21 @@ def test_step_response_output(capsys):
     assert y_last == pytest.approx(1.0, abs=1e-2)
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["nan"], "pole"),
-    (["1", "--gain", "nan"], "gain"),
-    (["1", "--pole", "nan"], "pole"),
-], ids=["k-u-nan", "gain-nan", "pole-nan"])
-def test_step_response_refuses_a_nan_input(argv, named, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["nan"], "pole must be finite, got nan"),
+    (["1", "--gain", "nan"], "gain must be finite, got nan"),
+    (["1", "--pole", "nan"], "pole must be finite, got nan"),
+    (["1", "--duration", "nan"], "duration must be positive and finite, got nan"),
+    (["1", "--duration", "inf"], "duration must be positive and finite, got inf"),
+    (["1", "--dt", "nan"], "dt must be positive and finite, got nan"),
+    (["1", "--dt", "inf"], "dt must be positive and finite, got inf"),
+    (["1", "--dt", "0"], "dt must be positive and finite, got 0.0"),
+], ids=["k-u-nan", "gain-nan", "pole-nan", "duration-nan", "duration-inf", "dt-nan", "dt-inf", "dt-zero"])
+def test_step_response_refuses_a_nan_input(argv, message, capsys):
     assert main(["step-response", *argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: ValueError: {named} must be finite, got nan\n"
+    assert err == f"error: ValueError: {message}\n"
 
 
 def test_linearize_reports_both_surge_poles(params_cfg, capsys):

@@ -57,7 +57,7 @@ STEPS = st.floats(1e-4, 0.05)
        phi=st.floats(-10.0, 10.0), theta=st.floats(-1.2, 1.2), psi=st.floats(-10.0, 10.0),
        cmd=COMMANDS, dt=STEPS)
 def test_full_step_is_the_array_step(params, body, pos, phi, theta, psi, cmd, dt):
-    plant = harness._rigid_body_plant(Scenario(params=params, model="full"))
+    plant = harness.CONTROLLERS["open_loop"](Scenario(params=params, model="full"))
     _assert_bit_exact(plant, [*body, *pos, phi, theta, psi], cmd, dt)
 
 
@@ -65,7 +65,7 @@ def test_full_step_is_the_array_step(params, body, pos, phi, theta, psi, cmd, dt
 @given(params=PARAMS, vel=_floats(-2.0, 2.0, 3), r=st.floats(-2.0, 2.0), pos=_floats(-100.0, 100.0, 3),
        psi=st.floats(-10.0, 10.0), cmd=COMMANDS, dt=STEPS)
 def test_planar_step_is_the_array_step(params, vel, r, pos, psi, cmd, dt):
-    plant = harness._rigid_body_plant(Scenario(params=params, model="planar"))
+    plant = harness.CONTROLLERS["open_loop"](Scenario(params=params, model="planar"))
     _assert_bit_exact(plant, [*vel, 0.0, 0.0, r, *pos, 0.0, 0.0, psi], cmd, dt)
 
 
@@ -79,5 +79,5 @@ def test_pose_step_is_the_array_step(mass, inertia_z, yaw_damping, added, cg, po
                             added_mass_x=added[0], added_mass_y=added[1], added_inertia_z=added[2],
                             cg_x=cg[0], cg_y=cg[1])
     params = AirshipParams(mass=mass, inertia_z=inertia_z, yaw_damping=yaw_damping)
-    plant = harness._pose_plant(Scenario(params=params, controller="smc", smc=smc))
+    plant = harness.CONTROLLERS["smc"](Scenario(params=params, controller="smc", smc=smc))
     _assert_bit_exact(plant, [*pose, *rates], tuple(u_forces), dt)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ionblimp.dynamics import GIMBAL_LIMIT
 from ionblimp.smc import (
@@ -198,16 +202,35 @@ def test_allocation_thrust_saturation():
     assert residual[0] == pytest.approx(0.049)
 
 
-def test_allocation_residual_reconstruction_exact():
-    rng = np.random.default_rng(15)
-    for _ in range(200):
-        u = rng.normal(0, 0.05, 3)
-        cmd, residual = allocate_actuation(u, t_max=0.051, mount_arm_x=0.3)
-        fx = cmd.thrust * np.cos(cmd.yaw_deflection)
-        fy = cmd.thrust * np.sin(cmd.yaw_deflection)
-        assert fx + residual[0] == pytest.approx(u[0], abs=1e-15)
-        assert fy + residual[1] == pytest.approx(u[1], abs=1e-15)
-        assert residual[2] == pytest.approx(u[2] - 0.3 * fy, abs=1e-15)
+ALLOCATION = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+BUDGETS = st.floats(1e-3, 0.2)
+ARMS = st.floats(-0.5, 0.5)
+
+
+@ALLOCATION
+@given(t_max=BUDGETS, mount_arm_x=ARMS, demand=st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+def test_allocation_residual_reconstruction_exact(t_max, mount_arm_x, demand):
+    # Saturated or not: the force residual is what the thruster leaves unmet, and the
+    # moment residual is N_z minus the moment of the realized lateral force on the mount arm.
+    fx, fy, nz = demand
+    cmd, residual = allocate_actuation(demand, t_max=t_max, mount_arm_x=mount_arm_x)
+    realized_x = cmd.thrust * math.cos(cmd.yaw_deflection)
+    realized_y = cmd.thrust * math.sin(cmd.yaw_deflection)
+    assert residual[2] == nz - mount_arm_x * realized_y
+    assert realized_x + residual[0] == pytest.approx(fx, rel=0.0, abs=1e-15)
+    assert realized_y + residual[1] == pytest.approx(fy, rel=0.0, abs=1e-15)
+
+
+@ALLOCATION
+@given(t_max=BUDGETS, mount_arm_x=ARMS, a=st.floats(0.0, 1.0), b=st.floats(-1.0, 1.0),
+       nz=st.floats(-0.3, 0.3))
+def test_allocation_force_residual_zero_within_budget(t_max, mount_arm_x, a, b, nz):
+    # |F_xy| <= t_max with F_x >= 0: neither the thrust nor the gimbal clamps, so the force is met.
+    fx, fy = a * t_max, b * t_max
+    assume(math.hypot(fx, fy) <= t_max)
+    _, residual = allocate_actuation((fx, fy, nz), t_max=t_max, mount_arm_x=mount_arm_x)
+    assert abs(residual[0]) <= 2 * math.ulp(t_max)
+    assert abs(residual[1]) <= 2 * math.ulp(t_max)
 
 
 def test_allocation_requires_positive_thrust_budget():
