@@ -96,8 +96,8 @@ def integrate_step(derivative_fn, state, u, dt: float, labels=STATE_LABELS) -> t
     Each stage is a list computed per component in numpy's order, so the step is bit for bit the array
     form. A stage output of another length raises ValueError; a non-finite result, NonFiniteState.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:  # nan fails both comparisons
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     n, half, h6 = len(state), 0.5 * dt, dt / 6.0
     k1 = _sized(derivative_fn(state, u), n)
     k2 = _sized(derivative_fn([y + half * k for y, k in zip(state, k1)], u), n)
@@ -300,12 +300,12 @@ Plant = namedtuple("Plant", "derivative y0 labels control")
 def _rigid_body_plant(sc: Scenario, demand) -> Plant:
     """Full or planar field under demand(t, y) -> (thrust, delta_y, delta_p), with seeded gimbal noise."""
     deriv = full_derivatives if sc.model == "full" else planar_derivatives
-    rng = np.random.default_rng(sc.seed)
+    noise = np.random.default_rng(sc.seed).uniform if sc.gimbal_noise > 0.0 else None  # else no numpy.random
 
     def control(t, y):
         thrust, dy, dp = demand(t, y)
-        if sc.gimbal_noise > 0.0:
-            dy = dy + rng.uniform(-sc.gimbal_noise, sc.gimbal_noise)
+        if noise is not None:
+            dy = dy + noise(-sc.gimbal_noise, sc.gimbal_noise)
         # Clamp to the actuator limits and flag it.
         limited = (max(thrust, 0.0), *(min(max(d, -GIMBAL_LIMIT), GIMBAL_LIMIT) for d in (dy, dp)))
         cmd = ThrusterCommand(*limited)

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,8 @@ from ionblimp.cli import main
 from ionblimp.harness import CONFIG_HEADER, load_scenario
 from ionblimp.inner_loop import InnerLoopConfig, gain_report
 from ionblimp.thruster import SPACING_MAP_DUAL_RING, THROTTLE_MAP, dump_thrust_map, spacing_to_thrust
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PARAMS_CFG = (
     CONFIG_HEADER
@@ -186,6 +191,26 @@ thrust = 0.005
     assert csv_path.exists()
     header = csv_path.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("t,u,v,w")
+
+
+# Runs blimpsim simulate in a fresh interpreter, then prints whether numpy.random was imported.
+_COLD_SIMULATE = """import sys
+from ionblimp.cli import main
+code = main(["simulate", sys.argv[1]])
+print("numpy.random" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("name, noisy", [("hover", False), ("cruise", False), ("heading_step", False),
+                                         ("trim_hold", True)])
+def test_only_gimbal_noise_imports_numpy_random(name, noisy):
+    # numpy loads numpy.random on first use, an import that a cold run which
+    # draws nothing should not pay; only trim_hold sets gimbal_noise > 0.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", _COLD_SIMULATE, str(ROOT / "demos" / "scenarios" / f"{name}.cfg")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.splitlines()[-1] == str(noisy)
 
 
 def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):

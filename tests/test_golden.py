@@ -6,7 +6,9 @@ the CLI and compares numbers at rtol = atol = 1e-9, text exactly, so a
 refactor may move the last bits of a trajectory but not its physics.
 
 Regenerate the fixtures (only when a change of results is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py [NAME ...]``: the named fixtures,
+or all of ``NAMES`` when none is given. It prints nothing on success. CI
+regenerates them all and fails if any differs from the committed file.
 """
 
 import json
@@ -69,12 +71,18 @@ def test_demo_scenario_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
+    unknown = set(sys.argv[1:]) - set(NAMES)
+    if unknown:
+        sys.exit(f"unknown fixture(s) {sorted(unknown)}; choose from {', '.join(NAMES)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in NAMES:
-            run = run_sampled(name, Path(tmp))
+        for name in sys.argv[1:] or NAMES:
+            with contextlib.redirect_stdout(io.StringIO()):  # each run's summary is in its fixture
+                run = run_sampled(name, Path(tmp))
             rows = ",\n  ".join(json.dumps(row) for row in run["rows"])
             text = (f'{{"stride": {STRIDE},\n "columns": {json.dumps(run["columns"])},\n'
                     f' "rows": [\n  {rows}\n ],\n "summary": {json.dumps(run["summary"], indent=1)}\n}}\n')
