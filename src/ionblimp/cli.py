@@ -15,6 +15,7 @@ Every verb exits 0 on success; failures print one machine-parseable
 """
 
 import argparse
+import math
 import sys
 import warnings
 
@@ -43,12 +44,18 @@ def _load_params_config(path):
     return AirshipParams(**config.get("params", {})), trim.get("speed", 1.0), trim.get("thrust", 0.05)
 
 
-def _grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' into a grid, or a single float into [value]."""
-    if ":" in text:
-        start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
-    return np.array([float(text)])
+def _grid(option: str, text: str) -> np.ndarray:
+    """Parse 'start:stop:count' into a grid, or a single float into [value]: finite ends, count >= 1."""
+    parts = text.split(":")
+    try:
+        ends = [float(v) for v in parts[:2]]
+        count = 1 if len(parts) == 1 else int(parts[2]) if len(parts) == 3 else 0
+    except ValueError:
+        count = 0
+    if count < 1 or not all(map(math.isfinite, ends)):
+        raise ValueError(f"{option} must be a finite value or start:stop:count with finite ends and count >= 1,"
+                         f" got {text!r}")
+    return np.linspace(*ends, count) if len(parts) == 3 else np.array(ends)
 
 
 def _cmd_simulate(args) -> int:
@@ -88,7 +95,7 @@ def _cmd_linearize(args) -> int:
 def _cmd_certify_gains(args) -> int:
     params, speed, thrust = _load_params_config(args.config)
     model = inner_loop.linearize(params, speed, thrust)
-    k1_grid, k2_grid = _grid(args.k1), _grid(args.k2)
+    k1_grid, k2_grid = _grid("--k1", args.k1), _grid("--k2", args.k2)
     if k1_grid.size == 1 and k2_grid.size == 1:
         k1, k2 = float(k1_grid[0]), float(k2_grid[0])
         cert = inner_loop.lyapunov_certify(inner_loop.closed_loop_vr(model, k1, k2))

@@ -55,6 +55,7 @@ from .dynamics import (
 )
 from .frames import wrap_angle
 from .inner_loop import InnerLoopConfig
+from .pcg64 import uniform_stream
 from .smc import (
     ReferenceTrajectory,
     SmcGains,
@@ -300,7 +301,7 @@ Plant = namedtuple("Plant", "derivative y0 labels control")
 def _rigid_body_plant(sc: Scenario, demand) -> Plant:
     """Full or planar field under demand(t, y) -> (thrust, delta_y, delta_p), with seeded gimbal noise."""
     deriv = full_derivatives if sc.model == "full" else planar_derivatives
-    noise = np.random.default_rng(sc.seed).uniform if sc.gimbal_noise > 0.0 else None  # else no numpy.random
+    noise = uniform_stream(sc.seed) if sc.gimbal_noise > 0.0 else None  # a zero-width draw would turn -0.0 into 0.0
 
     def control(t, y):
         thrust, dy, dp = demand(t, y)

@@ -165,6 +165,25 @@ def test_certify_gains_failure_is_machine_parseable(params_cfg, capsys):
     assert "no stabilizing" in err
 
 
+@pytest.mark.parametrize("option, grid", [
+    ("--k1", "nan"),  # a non-finite single value
+    ("--k2", "inf"),
+    ("--k1", "0:inf:3"),  # a non-finite stop
+    ("--k2", "-inf:1:3"),  # a non-finite start
+    ("--k1", "0:1:0"),  # a count below 1: an empty grid
+    ("--k2", "0:1:-2"),
+])
+def test_certify_gains_refuses_a_bad_grid_by_its_option(params_cfg, capsys, option, grid):
+    grids = {"--k1": "0:5:11", "--k2": "0:5:11", option: grid}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning on a nan grid would fail here
+        assert main(["certify-gains", params_cfg, *(f"{k}={v}" for k, v in grids.items())]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: ValueError: {option} must be a finite value or start:stop:count with finite ends"
+                   f" and count >= 1, got {grid!r}\n")
+
+
 def test_simulate_writes_outputs(tmp_path, capsys):
     scenario = (
         CONFIG_HEADER
@@ -202,15 +221,15 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("name, noisy", [("hover", False), ("cruise", False), ("heading_step", False),
-                                         ("trim_hold", True)])
-def test_only_gimbal_noise_imports_numpy_random(name, noisy):
-    # numpy loads numpy.random on first use, an import that a cold run which
-    # draws nothing should not pay; only trim_hold sets gimbal_noise > 0.
+@pytest.mark.parametrize("name", ["hover", "cruise", "heading_step", "trim_hold"])
+def test_simulate_never_imports_numpy_random(name):
+    # numpy loads numpy.random (with secrets, hashlib and hmac) on first use, an
+    # import that costs a cold run more than its draws; trim_hold's gimbal noise
+    # comes from ionblimp.pcg64 instead.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", _COLD_SIMULATE, str(ROOT / "demos" / "scenarios" / f"{name}.cfg")],
                          capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines()[-1] == str(noisy)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):
