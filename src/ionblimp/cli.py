@@ -11,23 +11,24 @@ Verbs:
 Every verb exits 0 on success; failures print one machine-parseable
 ``error: ...`` line on stderr and exit 1 (argparse usage errors exit 2).
 ``thruster-map --at`` reports each warning (an extrapolated thrust) as one
-``warning: <category>: <message>`` line on stderr.
+``warning: <category>: <message>`` line on stderr. Importing this module
+imports no numpy and no ``thruster``.
 """
+
+from __future__ import annotations
 
 import argparse
 import math
 import sys
 import warnings
 
-import numpy as np
-
-from . import harness, inner_loop, thruster
+from . import harness, inner_loop
 from .dynamics import AirshipParams
 
-# Each preset's map and the function that reads thrust off it.
+# Each preset's map and the function that reads thrust off it, by their names in ``thruster``.
 _MAP_PRESETS = {
-    "throttle": (thruster.THROTTLE_MAP, thruster.throttle_to_thrust),
-    "spacing-dual": (thruster.SPACING_MAP_DUAL_RING, thruster.spacing_to_thrust),
+    "throttle": ("THROTTLE_MAP", "throttle_to_thrust"),
+    "spacing-dual": ("SPACING_MAP_DUAL_RING", "spacing_to_thrust"),
 }
 
 
@@ -55,6 +56,7 @@ def _grid(option: str, text: str) -> np.ndarray:
     if count < 1 or not all(map(math.isfinite, ends)):
         raise ValueError(f"{option} must be a finite value or start:stop:count with finite ends and count >= 1,"
                          f" got {text!r}")
+    import numpy as np
     return np.linspace(*ends, count) if len(parts) == 3 else np.array(ends)
 
 
@@ -98,7 +100,10 @@ def _cmd_certify_gains(args) -> int:
     k1_grid, k2_grid = _grid("--k1", args.k1), _grid("--k2", args.k2)
     if k1_grid.size == 1 and k2_grid.size == 1:
         k1, k2 = float(k1_grid[0]), float(k2_grid[0])
-        cert = inner_loop.lyapunov_certify(inner_loop.closed_loop_vr(model, k1, k2))
+        try:
+            cert = inner_loop.lyapunov_certify(inner_loop.closed_loop_vr(model, k1, k2))
+        except inner_loop.SingularLyapunov:  # no M exists: the pair is reported, not certified
+            cert = None
     else:
         found = inner_loop.search_stabilizing_gains(model, k1_grid, k2_grid)
         if found is None:
@@ -109,12 +114,13 @@ def _cmd_certify_gains(args) -> int:
     k_u = inner_loop.design_ku_unity_dc(inner_loop.U_CHANNEL_GAIN, inner_loop.U_CHANNEL_POLE)
     k_w = args.k_w if args.k_w is not None else inner_loop.kw_lower_bound(params, speed, thrust)
     design = inner_loop.InnerLoopConfig(trim_speed=speed, trim_thrust=thrust, k_u=k_u, k_w=k_w, k1=k1, k2=k2)
-    sys.stdout.write(inner_loop.gain_report(design, cert))
+    sys.stdout.write(inner_loop.gain_report(design, cert) + ("certificate_valid=false\n" if cert is None else ""))
     return 0
 
 
 def _cmd_thruster_map(args) -> int:
-    tmap, to_thrust = _MAP_PRESETS[args.preset]
+    from . import thruster
+    tmap, to_thrust = (getattr(thruster, name) for name in _MAP_PRESETS[args.preset])
     text = thruster.dump_thrust_map(tmap)
     if args.at is not None:  # evaluated before anything is written, so a refused query writes no map
         with warnings.catch_warnings(record=True) as caught:

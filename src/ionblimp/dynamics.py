@@ -26,10 +26,10 @@ weight, a single configurable number) and a linear yaw-damping moment
 planar manifold.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, fields, is_dataclass
-
-import numpy as np
 
 from .constants import STANDARD_GRAVITY
 from .frames import FLOW_ANGLE_LIMIT, V_EPS, wrap_angle
@@ -39,7 +39,7 @@ PLANAR_TOL = 1e-9
 
 # Gimbal deflections are limited to +-90 deg from the forward direction
 # (the servos sweep 0-180 deg around a 90 deg center).
-GIMBAL_LIMIT = np.pi / 2
+GIMBAL_LIMIT = math.pi / 2
 
 
 class ConstraintViolation(ValueError):
@@ -47,12 +47,22 @@ class ConstraintViolation(ValueError):
 
 
 def require_finite(instance) -> None:
-    """Raise ValueError naming the first dataclass field holding nan or inf (None is skipped)."""
+    """Raise ValueError naming the first dataclass field holding nan or inf (None is skipped).
+
+    Floats and ints in numpy's integer range are checked without numpy, anything else as numpy checks it.
+    """
     for f in fields(instance):
         value = getattr(instance, f.name)
         # Nested dataclasses check themselves.
-        if value is not None and not is_dataclass(value) and not np.all(np.isfinite(value)):
-            raise ValueError(f"{f.name} must be finite" + ("" if np.ndim(value) else f", got {value}"))
+        if value is None or is_dataclass(value) or isinstance(value, int) and -2**63 <= value < 2**64:
+            continue
+        if isinstance(value, float):
+            finite, scalar = math.isfinite(value), True
+        else:
+            import numpy as np
+            finite, scalar = np.all(np.isfinite(value)), not np.ndim(value)
+        if not finite:
+            raise ValueError(f"{f.name} must be finite" + (f", got {value}" if scalar else ""))
 
 
 def store_floats(instance, names) -> None:
@@ -140,6 +150,7 @@ class BodyState:
             object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([getattr(self, name) for name in STATE_LABELS])
 
     @classmethod
@@ -169,6 +180,7 @@ class ThrusterCommand:
 
 
 def _state_vector(vec) -> np.ndarray:
+    import numpy as np
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (12,):
         raise ValueError(f"state vector must have 12 components, got shape {vec.shape}")

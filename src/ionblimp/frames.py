@@ -12,19 +12,20 @@ Conventions
 * Rotation matrices map COMPONENTS into the body frame, e.g.
   ``v_body = ground_to_body(att) @ v_ground``.
 
-All functions are pure and safe to call from any thread.
+All functions are pure and safe to call from any thread. The matrix and
+flow-angle helpers import numpy when called; importing this module does not.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Below this speed the flow direction is undefined and aero forces are zeroed.
 V_EPS = 1e-6
 
 # Flow angles saturate just inside +-pi/2 so the aero closures stay finite.
-FLOW_ANGLE_LIMIT = np.pi / 2 - 1e-9
+FLOW_ANGLE_LIMIT = math.pi / 2 - 1e-9
 
 
 class StagnantFlow(ValueError):
@@ -67,7 +68,7 @@ class FlowAngles:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not (abs(self.alpha) < np.pi / 2 and abs(self.beta) < np.pi / 2):
+        if not (abs(self.alpha) < math.pi / 2 and abs(self.beta) < math.pi / 2):
             raise ValueError(
                 f"flow angles must lie in (-pi/2, pi/2), got alpha={self.alpha}, beta={self.beta}"
             )
@@ -78,6 +79,7 @@ def ground_to_body(att: AttitudeAngles) -> np.ndarray:
 
     Built as roll(x) @ pitch(y) @ yaw(z), the classic Z-Y-X sequence.
     """
+    import numpy as np
     cphi, sphi = np.cos(att.phi), np.sin(att.phi)
     cth, sth = np.cos(att.theta), np.sin(att.theta)
     cpsi, spsi = np.cos(att.psi), np.sin(att.psi)
@@ -92,6 +94,7 @@ def airflow_to_body(flow: FlowAngles) -> np.ndarray:
 
     Product of the sideslip roll factor and the attack pitch factor.
     """
+    import numpy as np
     ca, sa = np.cos(flow.alpha), np.sin(flow.alpha)
     cb, sb = np.cos(flow.beta), np.sin(flow.beta)
     roll_beta = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
@@ -104,6 +107,7 @@ def euler_rates_from_body_rates(att: AttitudeAngles, body_rates) -> np.ndarray:
 
     Singular at theta = +-pi/2 (cos(theta) = 0), like every Euler-angle chart.
     """
+    import numpy as np
     p, q, r = np.asarray(body_rates, dtype=float)
     cphi, sphi = np.cos(att.phi), np.sin(att.phi)
     cth = np.cos(att.theta)
@@ -127,6 +131,7 @@ def flow_angles_from_velocity(v_body) -> FlowAngles:
     Angles saturate just inside +-pi/2 (the aero closures are only meaningful
     well away from that boundary).
     """
+    import numpy as np
     u, v, w = np.asarray(v_body, dtype=float)
     speed = float(np.sqrt(u * u + v * v + w * w))
     if speed <= V_EPS:

@@ -29,8 +29,11 @@ section and key against a schema table at load time, and ``smc.read_table``
 reads the open-loop script and SMC reference tables. A run's records are
 its CSV rows: each ``SimRecord`` is a named tuple whose fields are
 ``CSV_COLUMNS``, so the column order is the record layout, defined once.
-Summaries are ``key=value`` text.
+Summaries are ``key=value`` text. A run with no SMC, script or throttle
+imports neither numpy nor ``thruster``.
 """
+
+from __future__ import annotations
 
 import bisect
 import configparser
@@ -38,8 +41,6 @@ import math
 from collections import namedtuple
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from .dynamics import (
     GIMBAL_LIMIT,
@@ -69,7 +70,6 @@ from .smc import (
     sliding_surface,
     smc_control,
 )
-from .thruster import THROTTLE_MAP, throttle_to_thrust
 
 CONFIG_HEADER = "# blimpsim-config v1"
 
@@ -154,6 +154,7 @@ class OpenLoopCommand:
     def __post_init__(self):
         store_floats(self, ("thrust", "throttle", "delta_y", "delta_p"))
         if self.script is not None:
+            import numpy as np
             script = np.asarray(self.script, dtype=float)
             if script.shape[1:] != (4,) or not len(script):
                 raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {script.shape}")
@@ -166,7 +167,10 @@ class OpenLoopCommand:
             if given[a] and given[b]:
                 raise ValueError(f"{a} and {b} cannot both be set")
         if self.script is None:
-            thrust = self.thrust if self.throttle is None else throttle_to_thrust(THROTTLE_MAP, self.throttle)
+            thrust = self.thrust
+            if self.throttle is not None:  # thruster (with numpy) is imported by a throttle, not by this module
+                from . import thruster
+                thrust = thruster.throttle_to_thrust(thruster.THROTTLE_MAP, self.throttle)
             table = [(0.0, ThrusterCommand(thrust, self.delta_y, self.delta_p))]
         else:
             table = []
@@ -276,6 +280,7 @@ class SimRecord(namedtuple("SimRecord", CSV_COLUMNS)):
     @property
     def s(self) -> np.ndarray | None:
         """Sliding variable (s_x, s_y, s_psi), or None outside SMC runs."""
+        import numpy as np
         return None if self.s_x is None else np.array((self.s_x, self.s_y, self.s_psi))
 
 
@@ -285,6 +290,7 @@ class SimResult:
     summary: dict
 
     def states(self) -> np.ndarray:
+        import numpy as np
         return np.array([rec[1:13] for rec in self.records])
 
 
@@ -344,7 +350,7 @@ def _pose_plant(sc: Scenario) -> Plant:
         mass=sc.params.mass, inertia_z=sc.params.inertia_z,
         added_mass_x=cfg.added_mass_x, added_mass_y=cfg.added_mass_y,
         added_inertia_z=cfg.added_inertia_z, cg_x=cfg.cg_x, cg_y=cfg.cg_y,
-        aero_matrix=np.diag([0.0, 0.0, -sc.params.yaw_damping]),
+        aero_matrix=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -sc.params.yaw_damping)),
     )
     gains = cfg.gains
     init = sc.initial
@@ -404,8 +410,29 @@ def run_scenario(sc: Scenario) -> SimResult:
     return result
 
 
+def _pairwise_sum(values: list) -> float:
+    """numpy's float64 sum: halves split at a multiple of 8 above 128 values, else 8 accumulators, then the rest."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    whole, acc = n - n % 8, values[:8]
+    for i in range(8, whole, 8):
+        acc = [a + b for a, b in zip(acc, values[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) if whole else 0.0
+    for value in values[whole:]:
+        total += value
+    return total
+
+
+def _mean(values: list) -> float:
+    """np.mean of a non-empty float list, bit for bit: its identity 0.0 plus the pairwise sum, over n."""
+    return (0.0 + _pairwise_sum(values)) / len(values)
+
+
 def _summarize(sc: Scenario, records) -> dict:
-    speeds = np.linalg.norm(np.array([rec[1:4] for rec in records]), axis=1)
+    # Each norm summed as np.linalg.norm(..., axis=1) sums it, so the statistics keep numpy's bits.
+    speeds = [math.sqrt((u * u + v * v) + w * w) for u, v, w in (rec[1:4] for rec in records)]
     tail = max(1, len(records) // 10)
     final = records[-1]
     summary = {
@@ -415,9 +442,9 @@ def _summarize(sc: Scenario, records) -> dict:
         "duration": sc.duration,
         "steps": len(records) - 1,
         "seed": sc.seed,
-        "max_speed": float(np.max(speeds)),
-        "steady_speed": float(np.mean(speeds[-tail:])),
-        "speed_drift": float(abs(speeds[-1] - speeds[-tail])),
+        "max_speed": max(speeds),
+        "steady_speed": _mean(speeds[-tail:]),
+        "speed_drift": abs(speeds[-1] - speeds[-tail]),
         "final_u": final.u,
         "final_x": final.x,
         "final_y": final.y,
@@ -427,6 +454,7 @@ def _summarize(sc: Scenario, records) -> dict:
         "ground_steps": sum(1 for rec in records if "ground" in rec.flags),
     }
     if sc.controller == "smc":
+        import numpy as np
         s_all = np.array([(rec.s_x, rec.s_y, rec.s_psi) for rec in records])
         s_inf = np.max(np.abs(s_all), axis=1)
         s0 = s_all[0]

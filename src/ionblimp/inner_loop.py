@@ -18,12 +18,14 @@ Gain design:
 U_CHANNEL_GAIN / U_CHANNEL_POLE are the fitted first-order surge-plant
 coefficients of the desk-scale prototype. Note the fitted pole is about
 twice the value the drag entry of ``linearize`` predicts from the same
-numbers; both are reported, neither is silently adjusted.
+numbers; both are reported, neither is silently adjusted. numpy is
+imported by the functions that use it, not by this module.
 """
 
-from dataclasses import dataclass, fields
+from __future__ import annotations
 
-import numpy as np
+import math
+from dataclasses import dataclass, fields
 
 from .dynamics import AirshipParams, require_finite
 
@@ -40,7 +42,7 @@ class DivisionByZeroThrust(ZeroDivisionError):
     """Gain bound requested at zero trim thrust (no gimbal authority)."""
 
 
-class SingularLyapunov(np.linalg.LinAlgError):
+class SingularLyapunov(ValueError):  # ValueError is numpy's LinAlgError's own base
     """The Lyapunov system is singular: the closed loop has mirrored eigenvalues."""
 
 
@@ -53,6 +55,7 @@ class LinearModel:
 
     def vr_blocks(self):
         """Open-loop sway/yaw sub-system: 2x2 state block and 2x1 input column."""
+        import numpy as np
         a_vr = self.a[np.ix_([1, 3], [1, 3])]
         b_vr = self.b[[1, 3], 1]
         return a_vr, b_vr
@@ -96,6 +99,7 @@ def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> L
         raise ValueError("trim_speed must be positive")
     if trim_thrust <= 0.0:
         raise ValueError("trim_thrust must be positive")
+    import numpy as np
     m = params.mass
     rho_v = params.air_density * trim_speed
     a = np.array(
@@ -140,6 +144,7 @@ def closed_loop_vr(model: LinearModel, k1: float, k2: float) -> np.ndarray:
     Formed by substituting the feedback into the open-loop (dv, dr) block,
     i.e. A_cl = A_vr - b_vr @ [k1, k2].
     """
+    import numpy as np
     a_vr, b_vr = model.vr_blocks()
     return a_vr - np.outer(b_vr, np.array([k1, k2]))
 
@@ -152,6 +157,7 @@ def lyapunov_certify(a_cl: np.ndarray) -> LyapunovCertificate:
     symmetrically about the imaginary axis and cannot be certified. The
     certificate is valid only when M is positive definite.
     """
+    import numpy as np
     a_cl = np.asarray(a_cl, dtype=float)
     if a_cl.shape != (2, 2):
         raise ValueError("a_cl must be 2x2")
@@ -232,8 +238,9 @@ def step_response(tf: FirstOrderTf, duration: float, dt: float):
     degenerating to the ramp gain*t for a pole at the origin.
     """
     for name, value in (("duration", duration), ("dt", dt)):
-        if not 0.0 < value < np.inf:  # nan fails every comparison, so it is refused too
+        if not 0.0 < value < math.inf:  # nan fails every comparison, so it is refused too
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    import numpy as np
     t = np.arange(0.0, duration + 0.5 * dt, dt)
     if tf.pole == 0.0:
         y = tf.gain * t

@@ -27,15 +27,15 @@ once) as flat row-major 9-tuples, and the per-step functions are straight-line
 float code over them, one expression per channel.
 
 The controller is a pure function of its arguments; the simulation harness
-owns all state.
+owns all state. Only the matrix and table builders import numpy.
 """
+
+from __future__ import annotations
 
 import bisect
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dynamics import GIMBAL_LIMIT, ThrusterCommand, require_finite
 from .frames import angle_difference
@@ -52,6 +52,7 @@ class SmcModel:
     aero_matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         object.__setattr__(self, "mass_matrix", np.asarray(self.mass_matrix, dtype=float).reshape(3, 3))
         object.__setattr__(self, "aero_matrix", np.asarray(self.aero_matrix, dtype=float).reshape(3, 3))
         if abs(np.linalg.det(self.mass_matrix)) < 1e-15:
@@ -80,6 +81,7 @@ class SmcModel:
              [0,        m + m22,    m*x_G],
              [-m*y_G,    m*x_G,  Iz + m66]]
         """
+        import numpy as np
         m11, m22, m66 = added_mass_x, added_mass_y, added_inertia_z
         mass_matrix = np.array([
             [mass + m11, 0.0, -mass * cg_y],
@@ -167,7 +169,8 @@ def reaching_time_bound(gains: SmcGains, s0: float) -> float:
     asymptotically and the bound is infinite.
     """
     if gains.epsilon == 0.0:
-        return np.inf
+        return math.inf
+    import numpy as np
     return float(np.log1p(gains.k * abs(s0) / gains.epsilon) / gains.k)
 
 
@@ -244,6 +247,7 @@ def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
 
 def read_table(path) -> np.ndarray:
     """Rows of a plain-text numeric table with ``#`` comments; a failure names the file."""
+    import numpy as np
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input warning; raised below
@@ -272,6 +276,7 @@ class ReferenceTrajectory:
     poses: tuple  # rows of (x, y, psi), psi unwrapped
 
     def __post_init__(self):
+        import numpy as np
         times = np.asarray(self.times, dtype=float)
         poses = np.asarray(self.poses, dtype=float)
         if times.ndim != 1 or poses.shape != (times.size, 3):

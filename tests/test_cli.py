@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -158,6 +159,19 @@ def test_certify_gains_report_loads_as_the_inner_loop_section(params_cfg, tmp_pa
     assert gain_report(loaded, None) == "".join(design)
 
 
+def test_certify_gains_singular_pair_is_reported_not_certified(tmp_path, capsys):
+    # With the default params (no lift or moment slope) this pair's Lyapunov system is singular: no M exists,
+    # so the design lines are printed with certificate_valid=false and no lyapunov_* line.
+    path = tmp_path / "params.cfg"
+    path.write_text(CONFIG_HEADER + "\n", encoding="utf-8")
+    assert main(["certify-gains", str(path), "--k1", "0", "--k2", "1.5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    keys = [line.split("=")[0] for line in out.splitlines()]
+    assert keys == ["trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2", "certificate_valid"]
+    assert parsed_kv(out)["certificate_valid"] == "false"
+
+
 def test_certify_gains_failure_is_machine_parseable(params_cfg, capsys):
     assert main(["certify-gains", params_cfg, "--k1", "50:80:2", "--k2", "50:80:2"]) == 1
     err = capsys.readouterr().err
@@ -230,6 +244,52 @@ def test_simulate_never_imports_numpy_random(name):
     run = subprocess.run([sys.executable, "-c", _COLD_SIMULATE, str(ROOT / "demos" / "scenarios" / f"{name}.cfg")],
                          capture_output=True, text=True, env=env, check=True)
     assert run.stdout.splitlines()[-1] == "False"
+
+
+# Runs code with sys.argv[2:] as its arguments in a fresh interpreter, then prints whether numpy was imported.
+_COLD_NUMPY = """import sys
+exec(sys.argv[1])
+print("numpy imported:", "numpy" in sys.modules)
+"""
+_SIMULATE = "from ionblimp.cli import main\nassert main(['simulate', *sys.argv[2:]]) == 0"
+
+
+def _imports_numpy(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", _COLD_NUMPY, code, *map(str, args)],
+                         capture_output=True, text=True, env=env, check=True)
+    last = run.stdout.splitlines()[-1]
+    assert last in ("numpy imported: True", "numpy imported: False"), run.stdout
+    return last.endswith("True")
+
+
+def _perfbench_inputs(workload, out_dir):
+    """The seed-0 input files perfbench generates for a workload."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.generate(workload, 0, out_dir)
+
+
+def test_import_cli_never_imports_numpy():
+    assert not _imports_numpy("import ionblimp.cli")
+
+
+@pytest.mark.parametrize("name", ["hover", "cruise", "trim_hold"])
+def test_table_free_demo_simulate_never_imports_numpy(name, tmp_path):
+    cfg = ROOT / "demos" / "scenarios" / f"{name}.cfg"
+    assert not _imports_numpy(_SIMULATE, cfg, "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt")
+
+
+@pytest.mark.parametrize("workload, plan_key", [("full_6dof", "scenario"), ("inner_loop_csv", "flight_base")])
+def test_table_free_perfbench_simulate_never_imports_numpy(workload, plan_key, tmp_path):
+    assert not _imports_numpy(_SIMULATE, _perfbench_inputs(workload, tmp_path)[plan_key])
+
+
+def test_smc_simulate_imports_numpy(tmp_path):
+    # The SMC plant and its reference table are numpy code: the documented boundary.
+    cfg = ROOT / "demos" / "scenarios" / "heading_step.cfg"
+    assert _imports_numpy(_SIMULATE, cfg, "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt")
 
 
 def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):

@@ -6,8 +6,10 @@ compare each wrench term and each field with a separate implementation.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import pytest
 import reference_dynamics as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from ionblimp.dynamics import (
     full_derivatives,
     gravity_buoyancy_wrench,
     planar_derivatives,
+    require_finite,
     thruster_wrench,
 )
 from ionblimp.frames import V_EPS, AttitudeAngles
@@ -133,3 +136,28 @@ def test_full_field_matches_matrix_reference(params, vel, rates, pos, phi, theta
 def test_planar_field_matches_matrix_reference(params, vel, r, pos, phi, theta, pq, psi, cmd):
     y = np.array([*vel, *pq, r, *pos, phi, theta, psi])
     _assert_same(planar_derivatives, ref.planar_derivatives, params, y, cmd)
+
+
+@dataclass(frozen=True)
+class _Holder:
+    value: object
+
+
+def _check_outcome(check, value):
+    try:
+        check(_Holder(value))
+    except Exception as exc:  # noqa: BLE001  (the type and message are what is compared)
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", [
+    0.5, -0.0, 1e308, 3, 0, -7, True, False, np.float64(2.5), np.float32(1.5), np.int64(4), np.bool_(True),
+    math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"), np.float32("inf"),
+    2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**400,  # numpy refuses ints beyond its integer range
+    np.array(math.nan), np.array([1.0, 2.0]), np.array([1.0, math.inf]), (1.0, math.nan), [[0.0, 1.0]],
+    "1.0", None,
+], ids=repr)
+def test_require_finite_matches_its_numpy_form(value):
+    # Floats and ints are checked without numpy: the exception type and message must not change.
+    assert _check_outcome(require_finite, value) == _check_outcome(ref.require_finite, value)

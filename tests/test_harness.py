@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ionblimp import harness
+from ionblimp import harness, thruster
 from ionblimp.dynamics import GIMBAL_LIMIT, PLANAR_TOL, AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
     CONFIG_HEADER,
@@ -268,7 +268,7 @@ def test_open_loop_throttle_is_converted_once(monkeypatch):
         calls.append(throttle)
         return throttle_to_thrust(tmap, throttle)
 
-    monkeypatch.setattr(harness, "throttle_to_thrust", counting)
+    monkeypatch.setattr(thruster, "throttle_to_thrust", counting)
     result = run_scenario(hover_scenario(open_loop=OpenLoopCommand(throttle=0.75), duration=1.0, dt=0.01))
     assert len(result.records) == 101
     assert calls == [0.75]
