@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import store_floats
+
 # Buoyant lift of helium at room conditions, kg per liter of displaced air.
 DEFAULT_LIFT_PER_LITER = 0.00111
 
@@ -24,6 +26,7 @@ class EnvelopeGeometry:
     envelope_mass: float = 0.0
 
     def __post_init__(self):
+        store_floats(self)
         if min(self.semi_axis_a, self.semi_axis_b, self.semi_axis_c) <= 0.0:
             raise ValueError("all semi-axes must be positive")
         if self.envelope_mass < 0.0:
@@ -51,7 +54,7 @@ def lift_budget(geom: EnvelopeGeometry, lift_per_liter: float = DEFAULT_LIFT_PER
     envelope fabric mass. A negative net lift is reported, not raised:
     simulations may deliberately run heavy.
     """
-    if lift_per_liter <= 0.0:
+    if not lift_per_liter > 0.0:  # nan is refused too
         raise ValueError("lift_per_liter must be positive")
     volume = ellipsoid_volume(geom)
     gross = volume * 1000.0 * lift_per_liter

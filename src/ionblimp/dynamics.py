@@ -29,7 +29,7 @@ planar manifold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 
 from .constants import STANDARD_GRAVITY
 from .frames import FLOW_ANGLE_LIMIT, V_EPS, wrap_angle
@@ -46,37 +46,27 @@ class ConstraintViolation(ValueError):
     """State handed to the planar model leaves the level-attitude manifold."""
 
 
-def require_finite(instance) -> None:
-    """Raise ValueError naming the first dataclass field holding nan or inf (None is skipped).
+def store_floats(instance, names=None) -> None:
+    """Store each named field (default: every field) of a frozen parameter dataclass as a finite Python float.
 
-    Floats and ints in numpy's integer range are checked without numpy, anything else as numpy checks it.
+    None stays None. A string (not parsed) or a value float() refuses, such as an array with a dimension,
+    raises TypeError naming the field; nan, +-inf or an int beyond float range, ValueError naming it.
     """
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        # Nested dataclasses check themselves.
-        if value is None or is_dataclass(value) or isinstance(value, int) and -2**63 <= value < 2**64:
-            continue
-        if isinstance(value, float):
-            finite, scalar = math.isfinite(value), True
-        else:
-            import numpy as np
-            finite, scalar = np.all(np.isfinite(value)), not np.ndim(value)
-        if not finite:
-            raise ValueError(f"{f.name} must be finite" + (f", got {value}" if scalar else ""))
-
-
-def store_floats(instance, names) -> None:
-    """Store each named field of a frozen dataclass as a Python float; None stays None.
-
-    An int given through the API would otherwise reach the records and the
-    CSV as an int. A string is refused, not parsed.
-    """
-    for name in names:
+    for name in names or [f.name for f in fields(instance)]:
         value = getattr(instance, name)
-        if isinstance(value, (str, bytes)):
-            raise TypeError(f"{name} must be a number, got {value!r}")
-        if value is not None:
-            object.__setattr__(instance, name, float(value))
+        if value is None:
+            continue
+        try:
+            if isinstance(value, (str, bytes)):
+                raise TypeError
+            number = float(value)
+        except TypeError:
+            raise TypeError(f"{name} must be a number, got {value!r}") from None
+        except OverflowError:  # an int beyond float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must be finite, got {value}")
+        object.__setattr__(instance, name, number)
 
 
 @dataclass(frozen=True)
@@ -107,7 +97,7 @@ class AirshipParams:
     gravity: float = STANDARD_GRAVITY  # m/s^2
 
     def __post_init__(self):
-        require_finite(self)
+        store_floats(self)
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if min(self.inertia_x, self.inertia_y, self.inertia_z) <= 0.0:
@@ -145,7 +135,7 @@ class BodyState:
     psi: float = 0.0
 
     def __post_init__(self):
-        store_floats(self, STATE_LABELS)
+        store_floats(self)
         for name in ("phi", "theta", "psi"):
             object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 

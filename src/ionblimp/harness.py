@@ -51,7 +51,6 @@ from .dynamics import (
     ThrusterCommand,
     full_derivatives,
     planar_derivatives,
-    require_finite,
     store_floats,
 )
 from .frames import wrap_angle
@@ -158,8 +157,9 @@ class OpenLoopCommand:
             script = np.asarray(self.script, dtype=float)
             if script.shape[1:] != (4,) or not len(script):
                 raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {script.shape}")
+            if not np.isfinite(script).all():
+                raise ValueError("script must be finite")
             object.__setattr__(self, "script", tuple(map(tuple, script.tolist())))
-        require_finite(self)
         given = {"thrust": self.thrust != 0.0, "throttle": self.throttle is not None,
                  "delta_y": self.delta_y != 0.0, "delta_p": self.delta_p != 0.0,
                  "script": self.script is not None}
@@ -205,7 +205,6 @@ class SmcScenarioConfig:
 
     def __post_init__(self):
         store_floats(self, ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y"))
-        require_finite(self)
         if self.t_max <= 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
 
@@ -232,10 +231,8 @@ class Scenario:
             raise ValueError(f"unknown model {self.model!r}")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if self.dt <= 0.0:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.duration):
-            raise ValueError(f"duration must be finite, got {self.duration}")
         if self.duration < self.dt:
             raise ValueError("duration must be at least one step")
         if not math.isclose(round(self.duration / self.dt) * self.dt, self.duration, rel_tol=1e-9):
@@ -244,7 +241,7 @@ class Scenario:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not (math.isfinite(self.gimbal_noise) and self.gimbal_noise >= 0.0):
+        if self.gimbal_noise < 0.0:
             raise ValueError(f"gimbal_noise must be finite and non-negative, got {self.gimbal_noise}")
         # Each controller's section is the field named after it: its own must be set, another's unset.
         if self.controller != "open_loop" and getattr(self, self.controller) is None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .dynamics import AirshipParams, require_finite
+from .dynamics import AirshipParams, store_floats
 
 # Fitted surge-channel plant for the 297.8 g prototype: du/dT1 = g / (s + a)
 # once the k_u loop is closed, with g and a below for the open loop.
@@ -77,7 +77,7 @@ class InnerLoopConfig:
     k2: float = 0.0
 
     def __post_init__(self):
-        require_finite(self)
+        store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class LyapunovCertificate:
 
 def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> LinearModel:
     """Small-deviation model about level flight at (trim_speed, trim_thrust)."""
-    if trim_speed <= 0.0:
+    if not trim_speed > 0.0:  # nan is refused too
         raise ValueError("trim_speed must be positive")
-    if trim_thrust <= 0.0:
+    if not trim_thrust > 0.0:
         raise ValueError("trim_thrust must be positive")
     import numpy as np
     m = params.mass
@@ -124,7 +124,7 @@ def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> L
 
 def design_ku_unity_dc(numerator: float, pole: float) -> float:
     """Surge gain giving unity DC gain for g/(s + pole + g*k_u)."""
-    if numerator <= 0.0:
+    if not numerator > 0.0:  # nan is refused too
         raise ValueError("numerator must be positive")
     return (numerator - pole) / numerator
 
@@ -133,7 +133,7 @@ def kw_lower_bound(params: AirshipParams, trim_speed: float, trim_thrust: float)
     """Minimum heave gain that stabilizes the dw channel: rho V C_La / (2 T)."""
     if trim_thrust == 0.0:
         raise DivisionByZeroThrust("k_w bound undefined at zero trim thrust")
-    if trim_thrust < 0.0:
+    if not trim_thrust >= 0.0:  # nan is refused too
         raise ValueError("trim_thrust must be non-negative")
     return params.air_density * trim_speed * params.lift_slope / (2.0 * trim_thrust)
 
@@ -211,7 +211,7 @@ class FirstOrderTf:
     pole: float
 
     def __post_init__(self):
-        require_finite(self)
+        store_floats(self)
 
     @property
     def dc_gain(self) -> float:

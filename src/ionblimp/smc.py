@@ -37,7 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .dynamics import GIMBAL_LIMIT, ThrusterCommand, require_finite
+from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats
 from .frames import angle_difference
 
 
@@ -108,7 +108,7 @@ class SmcGains:
     boundary_layer: float = 0.0
 
     def __post_init__(self):
-        require_finite(self)
+        store_floats(self)
         if self.c2 == 0.0:
             raise ValueError("c2 must be nonzero")
         if self.epsilon < 0.0:
@@ -281,7 +281,9 @@ class ReferenceTrajectory:
         poses = np.asarray(self.poses, dtype=float)
         if times.ndim != 1 or poses.shape != (times.size, 3):
             raise ValueError("times must be (n,) and poses (n, 3)")
-        require_finite(self)
+        for name, table in (("times", times), ("poses", poses)):
+            if not np.isfinite(table).all():
+                raise ValueError(f"{name} must be finite")
         if times.size < 2 or np.any(np.diff(times) <= 0.0):
             raise ValueError("need at least two strictly increasing sample times")
         poses = poses.copy()

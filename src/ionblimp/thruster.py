@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import BOLTZMANN, STANDARD_GRAVITY
+from .dynamics import store_floats
 
 # Typical positive air-ion mobility, m^2/(V s). Used wherever a numeric
 # mobility is needed; the kinetic formula needs a cross-section value the
@@ -55,6 +56,7 @@ class GasIonParams:
     neutral_density: float  # 1/m^3
 
     def __post_init__(self):
+        store_floats(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0.0:
                 raise ValueError(f"{f.name} must be strictly positive")
@@ -73,8 +75,10 @@ class ThrusterGeometry:
     dry_mass: float  # kg
 
     def __post_init__(self):
-        if self.electrode_gap <= 0.0:
-            raise ValueError("electrode_gap must be positive")
+        store_floats(self, ("electrode_gap", "dry_mass"))
+        for name in ("electrode_gap", "dry_mass"):  # thrust_to_weight divides by dry_mass
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.ring_count not in (1, 2, 4):
             raise ValueError("ring_count must be 1, 2 or 4 (bench-matching presets)")
 
@@ -217,7 +221,7 @@ def mobility_from_force_balance(p: GasIonParams) -> float:
 
 def einstein_diffusivity(mobility: float, temperature: float, charge: float) -> float:
     """Ion diffusivity from the Einstein relation: D = mu * kT / q, m^2/s."""
-    if mobility < 0.0 or temperature <= 0.0 or charge <= 0.0:
+    if not (mobility >= 0.0 and temperature > 0.0 and charge > 0.0):  # nan is refused too
         raise ValueError("mobility must be >= 0, temperature and charge > 0")
     return mobility * BOLTZMANN * temperature / charge
 
@@ -234,11 +238,11 @@ def thrust_from_current(
     toward the positive electrode (opposite to axis_pos_to_neg). Linear in
     both gap and current.
     """
-    if gap <= 0.0:
+    if not gap > 0.0:  # nan is refused too
         raise ValueError("gap must be positive")
-    if current < 0.0:
+    if not current >= 0.0:
         raise ValueError("current must be non-negative")
-    if mobility <= 0.0:
+    if not mobility > 0.0:
         raise ValueError("mobility must be positive")
     axis = np.asarray(axis_pos_to_neg, dtype=float).reshape(3)
     norm = np.linalg.norm(axis)
@@ -263,6 +267,9 @@ class ThrustMap:
     def __post_init__(self):
         if len(self.inputs) != len(self.thrust_grams) or len(self.inputs) < 2:
             raise ValueError("need at least two (input, thrust) samples")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite")
         if any(b <= a for a, b in zip(self.inputs, self.inputs[1:])):
             raise ValueError("inputs must be strictly increasing")
         if any(g < 0.0 for g in self.thrust_grams):
@@ -332,7 +339,7 @@ def spacing_to_thrust(tmap: ThrustMap, spacing: float) -> float:
 
 def thrust_to_weight(thrust: float, dry_mass: float) -> float:
     """Thrust-to-weight figure of merit in N/kg."""
-    if dry_mass <= 0.0:
+    if not dry_mass > 0.0:  # nan is refused too
         raise ValueError("dry_mass must be positive")
     return thrust / dry_mass
 

@@ -6,11 +6,8 @@ Wrenches are (force, moment) array pairs built from ``np.cross`` and the
 state passes through ``BodyState`` (which wraps the angles) and
 ``AttitudeAngles``. ``ionblimp.dynamics`` computes the same wrench terms and
 fields with scalar code; the property tests in ``test_dynamics_reference.py``
-compare the two. ``require_finite`` is the numpy form of the dataclass check
-that ``ionblimp.dynamics`` now makes without numpy for floats and ints.
+compare the two.
 """
-
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -160,10 +157,3 @@ def planar_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterCom
     out[11] = r
     return out
 
-
-def require_finite(instance) -> None:
-    """Raise ValueError naming the first dataclass field holding nan or inf (None is skipped)."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if value is not None and not is_dataclass(value) and not np.all(np.isfinite(value)):
-            raise ValueError(f"{f.name} must be finite" + ("" if np.ndim(value) else f", got {value}"))

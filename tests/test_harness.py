@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ionblimp import harness, thruster
+from ionblimp.buoyancy import EnvelopeGeometry, lift_budget
 from ionblimp.dynamics import GIMBAL_LIMIT, PLANAR_TOL, AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
     CONFIG_HEADER,
@@ -31,6 +32,7 @@ from ionblimp.harness import (
     servo_map,
     write_records_csv,
 )
+from ionblimp.inner_loop import FirstOrderTf, design_ku_unity_dc, kw_lower_bound, linearize
 from ionblimp.smc import ReferenceTrajectory, SmcGains, sliding_surface
 from ionblimp.thruster import throttle_to_thrust
 
@@ -182,16 +184,6 @@ def test_an_int_smc_t_max_is_recorded_as_a_float_when_thrust_saturates():
     records = run_scenario(Scenario(controller="smc", smc=smc, duration=0.002, dt=0.001)).records
     assert "saturation" in records[0].flags and records[0].thrust == 1.0
     assert _all_floats(records, "thrust")
-
-
-@pytest.mark.parametrize("build", [
-    lambda: BodyState(h="2"), lambda: OpenLoopCommand(thrust="1"), lambda: Scenario(dt="0.5"),
-    lambda: SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=INT_REFERENCE,
-                              t_max="1"),
-], ids=["body-state", "open-loop", "scenario", "smc-config"])
-def test_a_numeric_field_refuses_a_string(build):
-    with pytest.raises(TypeError, match="must be a number, got '"):
-        build()
 
 
 # --- servo mapping -----------------------------------------------------------
@@ -434,28 +426,80 @@ def test_scenario_rejects_bad_gimbal_noise(noise):
 
 VALID_GAINS = {"c1": 1.0, "c2": 1.0, "epsilon": 0.05, "k": 1.0}
 VALID_INNER = {"trim_speed": 0.3, "trim_thrust": 0.01, "k_u": 0.5}
-VALID_SMC = {
-    "gains": SmcGains(**VALID_GAINS),
-    "reference": ReferenceTrajectory(times=[0.0, 1.0], poses=[[0, 0, 0], [0, 0, 0.5]]),
+VALID_REFERENCE = {"times": [0.0, 1.0], "poses": [[0, 0, 0], [0, 0, 0.5]]}
+VALID_SMC = {"gains": SmcGains(**VALID_GAINS), "reference": ReferenceTrajectory(**VALID_REFERENCE)}
+VALID_GAS = dict(zip([f.name for f in fields(thruster.GasIonParams)],
+                     (4.65e-26, 4.65e-26, 300.0, 1.602176634e-19, 1e-19, 1e15, 2.5e25)))
+VALID_MAP = {"inputs": (0.0, 1.0), "thrust_grams": (0.0, 1.0), "valid_range": (0.0, 1.0)}
+# Each parameter dataclass, a valid base and its numeric fields. Every float field
+# also takes the int 1 (a throttle is at most 1, a gimbal deflection at most pi/2);
+# AirshipParams' base has inertias large enough for inertia_xz = 1.
+NUMERIC_CLASSES = [
+    (AirshipParams, {"inertia_x": 10.0, "inertia_z": 10.0}, [f.name for f in fields(AirshipParams)]),
+    (BodyState, {}, STATE_LABELS),
+    (OpenLoopCommand, {}, ("thrust", "throttle", "delta_y", "delta_p", "script")),
+    (SmcScenarioConfig, VALID_SMC, ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y")),
+    (Scenario, {}, ("duration", "dt", "gimbal_noise")),
+    (SmcGains, VALID_GAINS, ("c1", "c2", "epsilon", "k", "boundary_layer")),
+    (InnerLoopConfig, VALID_INNER, ("trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2")),
+    (FirstOrderTf, {"gain": 3.358, "pole": 0.0575}, ("gain", "pole")),
+    (thruster.GasIonParams, VALID_GAS, list(VALID_GAS)),
+    (thruster.ThrusterGeometry, {"electrode_gap": 0.03, "ring_count": 4, "dry_mass": 0.02},
+     ("electrode_gap", "dry_mass")),
+    (EnvelopeGeometry, {"semi_axis_a": 0.985, "semi_axis_b": 0.255, "semi_axis_c": 0.255},
+     ("semi_axis_a", "semi_axis_b", "semi_axis_c", "envelope_mass")),
+    (ReferenceTrajectory, VALID_REFERENCE, ("times", "poses")),
+    (thruster.ThrustMap, VALID_MAP, list(VALID_MAP)),
+]
+NUMERIC_FIELDS = [(cls, valid, name) for cls, valid, names in NUMERIC_CLASSES for name in names]
+# A table field checks its own entries: the table it is given, holding one bad value.
+TABLES = {
+    "script": lambda bad: np.array([[0.0, bad, 0.0, 0.0]]),
+    "times": lambda bad: [0.0, bad], "poses": lambda bad: [[0, 0, 0], [0, bad, 0]],
+    "inputs": lambda bad: (0.0, bad), "thrust_grams": lambda bad: (0.0, bad), "valid_range": lambda bad: (0.0, bad),
 }
-NUMERIC_FIELDS = (
-    [(SmcGains, VALID_GAINS, name) for name in ("c1", "c2", "epsilon", "k", "boundary_layer")]
-    + [(InnerLoopConfig, VALID_INNER, name)
-       for name in ("trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2")]
-    + [(OpenLoopCommand, {}, name) for name in ("thrust", "throttle", "delta_y", "delta_p", "script")]
-    + [(SmcScenarioConfig, VALID_SMC, name)
-       for name in ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y")]
-)
 
 
 @pytest.mark.parametrize("cls, valid, name", NUMERIC_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, _, name in NUMERIC_FIELDS])
 def test_config_dataclasses_reject_non_finite(cls, valid, name):
+    # A float field refuses nan, +-inf and an int beyond float range as not finite and
+    # a string as not a number, naming itself, and stores an int as a Python float.
     cls(**valid)  # the valid base builds
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        value = np.array([[0.0, bad, 0.0, 0.0]]) if name == "script" else bad
+    table = TABLES.get(name)
+    for bad in (float("nan"), float("inf"), float("-inf")) + (() if table else (10**400,)):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            cls(**{**valid, name: value})
+            cls(**{**valid, name: table(bad) if table else bad})
+    if table is None:
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got '1'$"):
+            cls(**{**valid, name: "1"})
+        stored = getattr(cls(**{**valid, name: 1}), name)
+        assert type(stored) is float and stored == 1.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: thruster.thrust_from_current(NAN, 1e-3, 2e-4), "gap must be positive"),
+    (lambda: thruster.thrust_from_current(0.03, NAN, 2e-4), "current must be non-negative"),
+    (lambda: thruster.thrust_from_current(0.03, 1e-3, NAN), "mobility must be positive"),
+    (lambda: thruster.einstein_diffusivity(NAN, 300.0, 1.6e-19), "mobility must be >= 0, temperature"),
+    (lambda: thruster.einstein_diffusivity(2e-4, NAN, 1.6e-19), "mobility must be >= 0, temperature"),
+    (lambda: thruster.einstein_diffusivity(2e-4, 300.0, NAN), "mobility must be >= 0, temperature"),
+    (lambda: thruster.thrust_to_weight(0.01, NAN), "dry_mass must be positive"),
+    (lambda: lift_budget(EnvelopeGeometry(1.0, 1.0, 1.0), NAN), "lift_per_liter must be positive"),
+    (lambda: linearize(AirshipParams(), NAN, 0.05), "trim_speed must be positive"),
+    (lambda: linearize(AirshipParams(), 0.4, NAN), "trim_thrust must be positive"),
+    (lambda: design_ku_unity_dc(NAN, 0.0575), "numerator must be positive"),
+    (lambda: kw_lower_bound(AirshipParams(), 0.4, NAN), "trim_thrust must be non-negative"),
+], ids=["gap", "current", "mobility", "diffusivity-mobility", "diffusivity-temperature", "diffusivity-charge",
+        "thrust-to-weight", "lift-per-liter", "linearize-speed", "linearize-thrust",
+        "ku-numerator", "kw-thrust"])
+def test_a_positive_only_argument_refuses_nan(call, message):
+    # Written "not x > 0.0", as ThrusterCommand writes its checks, so nan is refused, not returned.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
 
 
 def test_ground_flag_on_every_plant():
