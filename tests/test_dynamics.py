@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -208,6 +209,13 @@ def test_airship_params_validation():
         AirshipParams(inertia_xz=1.0)  # breaks positive definiteness
     with pytest.raises(ValueError):
         AirshipParams(yaw_damping=-0.1)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(AirshipParams)])
+def test_airship_params_reject_non_finite(name):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            AirshipParams(**{name: bad})
 
 
 # --- planar model ----------------------------------------------------------

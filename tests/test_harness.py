@@ -186,6 +186,16 @@ def test_an_int_smc_t_max_is_recorded_as_a_float_when_thrust_saturates():
     assert _all_floats(records, "thrust")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: BodyState(h="2"), lambda: OpenLoopCommand(thrust="1"), lambda: Scenario(dt="0.5"),
+    lambda: SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=INT_REFERENCE,
+                              t_max="1"),
+], ids=["body-state", "open-loop", "scenario", "smc-config"])
+def test_a_numeric_field_refuses_a_string(build):
+    with pytest.raises(TypeError, match="must be a number, got '"):
+        build()
+
+
 # --- servo mapping -----------------------------------------------------------
 
 def test_servo_map_center_and_range():
