@@ -46,27 +46,38 @@ class ConstraintViolation(ValueError):
     """State handed to the planar model leaves the level-attitude manifold."""
 
 
-def store_floats(instance, names=None) -> None:
-    """Store each named field (default: every field) of a frozen parameter dataclass as a finite Python float.
+def _floats(name: str, value, table: bool):
+    """value as a finite Python float; a table (any nesting of sequences) as tuples of them, entry by entry."""
+    if isinstance(value, (str, bytes)):  # not parsed
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if table and hasattr(value, "__iter__") and getattr(value, "ndim", 1):  # a 0-d array is one entry
+        return tuple(_floats(name, entry, True) for entry in value)
+    try:
+        number = float(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return number
 
-    None stays None. A string (not parsed) or a value float() refuses, such as an array with a dimension,
-    raises TypeError naming the field; nan, +-inf or an int beyond float range, ValueError naming it.
-    """
-    for name in names or [f.name for f in fields(instance)]:
-        value = getattr(instance, name)
-        if value is None:
-            continue
-        try:
-            if isinstance(value, (str, bytes)):
-                raise TypeError
-            number = float(value)
-        except TypeError:
-            raise TypeError(f"{name} must be a number, got {value!r}") from None
-        except OverflowError:  # an int beyond float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(instance, name, number)
+
+def store_floats(instance, names=None, tables=()) -> None:
+    """Store each named field (default: all but the tables) of a frozen parameter dataclass as a finite Python
+    float, and each table field (a matrix, a column or rows) as nested tuples of them; None stays None. A string
+    or what float() refuses raises TypeError naming the field; nan, +-inf or an int past float range, ValueError."""
+    for name in (*(names or [f.name for f in fields(instance) if f.name not in tables]), *tables):
+        if getattr(instance, name) is not None:
+            object.__setattr__(instance, name, _floats(name, getattr(instance, name), name in tables))
+
+
+def table_shape(table) -> tuple:
+    """numpy's shape of a table store_floats stored: () for a number, (n,) for n rows of unequal shapes."""
+    if not isinstance(table, tuple):
+        return ()
+    shapes = {table_shape(row) for row in table}
+    return (len(table), *shapes.pop()) if len(shapes) == 1 else (len(table),)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from .dynamics import (
     full_derivatives,
     planar_derivatives,
     store_floats,
+    table_shape,
 )
 from .frames import wrap_angle
 from .inner_loop import InnerLoopConfig
@@ -151,15 +152,9 @@ class OpenLoopCommand:
     script: tuple | None = None  # rows of (t, thrust, delta_y, delta_p), float tuples
 
     def __post_init__(self):
-        store_floats(self, ("thrust", "throttle", "delta_y", "delta_p"))
-        if self.script is not None:
-            import numpy as np
-            script = np.asarray(self.script, dtype=float)
-            if script.shape[1:] != (4,) or not len(script):
-                raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {script.shape}")
-            if not np.isfinite(script).all():
-                raise ValueError("script must be finite")
-            object.__setattr__(self, "script", tuple(map(tuple, script.tolist())))
+        store_floats(self, tables=("script",))
+        if self.script is not None and (shape := table_shape(self.script))[1:] != (4,):
+            raise ValueError(f"script needs rows of t, thrust, delta_y, delta_p, got shape {shape}")
         given = {"thrust": self.thrust != 0.0, "throttle": self.throttle is not None,
                  "delta_y": self.delta_y != 0.0, "delta_p": self.delta_p != 0.0,
                  "script": self.script is not None}
@@ -450,19 +445,15 @@ def _summarize(sc: Scenario, records) -> dict:
         "saturation_steps": sum(1 for rec in records if "saturation" in rec.flags),
         "ground_steps": sum(1 for rec in records if "ground" in rec.flags),
     }
-    if sc.controller == "smc":
-        import numpy as np
-        s_all = np.array([(rec.s_x, rec.s_y, rec.s_psi) for rec in records])
-        s_inf = np.max(np.abs(s_all), axis=1)
-        s0 = s_all[0]
-        bound = max(reaching_time_bound(sc.smc.gains, float(ch)) for ch in s0)
-        below = np.flatnonzero(s_inf < 1e-3)
+    if sc.controller == "smc":  # each sample's max-norm of s, as np.max(np.abs(s), axis=1) gave it
+        s_inf = [max(abs(rec.s_x), abs(rec.s_y), abs(rec.s_psi)) for rec in records]
+        first = records[0]
         summary.update(
-            s0_inf=float(np.max(np.abs(s0))),
-            reaching_bound=float(bound),
-            reaching_time=float(records[below[0]].t) if below.size else float("inf"),
-            s_final_max=float(np.max(s_inf[-tail:])),
-            vdot_max=float(max(rec.lyap_vdot for rec in records)),
+            s0_inf=s_inf[0],
+            reaching_bound=max(reaching_time_bound(sc.smc.gains, s) for s in (first.s_x, first.s_y, first.s_psi)),
+            reaching_time=next((rec.t for rec, s in zip(records, s_inf) if s < 1e-3), math.inf),
+            s_final_max=max(s_inf[-tail:]),
+            vdot_max=max(rec.lyap_vdot for rec in records),
             s_energy_final=records[-1].lyap_v,
         )
     return summary

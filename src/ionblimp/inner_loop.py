@@ -135,6 +135,8 @@ def kw_lower_bound(params: AirshipParams, trim_speed: float, trim_thrust: float)
         raise DivisionByZeroThrust("k_w bound undefined at zero trim thrust")
     if not trim_thrust >= 0.0:  # nan is refused too
         raise ValueError("trim_thrust must be non-negative")
+    if not trim_speed >= 0.0:
+        raise ValueError("trim_speed must be non-negative")
     return params.air_density * trim_speed * params.lift_slope / (2.0 * trim_thrust)
 
 

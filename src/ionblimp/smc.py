@@ -23,11 +23,12 @@ should be piecewise-linear in time).
 
 C = C_bg(psi) is the planar rotation, so C^-1 = C^T and C_dot eta_dot =
 psi_dot * (v, -u, 0). An ``SmcModel`` holds M_s, A_s and M_s^-1 (computed
-once) as flat row-major 9-tuples, and the per-step functions are straight-line
-float code over them, one expression per channel.
+once) as three rows of three floats, and the per-step functions are
+straight-line float code over them, one expression per channel.
 
 The controller is a pure function of its arguments; the simulation harness
-owns all state. Only the matrix and table builders import numpy.
+owns all state. numpy is imported only for M_s^-1, a reference's yaw
+unwrap, table files and the reaching-time bound.
 """
 
 from __future__ import annotations
@@ -37,29 +38,25 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats
+from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats, table_shape
 from .frames import angle_difference
 
 
 @dataclass(frozen=True)
 class SmcModel:
-    """Lateral-plane plant matrices for controller synthesis.
+    """Lateral-plane plant matrices M and A for controller synthesis, and M^-1 (``_m_inv``): rows of three floats."""
 
-    ``_m``, ``_a``, ``_m_inv`` hold M, A, M^-1 as flat row-major 9-tuples.
-    """
-
-    mass_matrix: np.ndarray
-    aero_matrix: np.ndarray
+    mass_matrix: tuple
+    aero_matrix: tuple
 
     def __post_init__(self):
+        store_floats(self, tables=("mass_matrix", "aero_matrix"))
+        if table_shape(self.mass_matrix) != (3, 3) or table_shape(self.aero_matrix) != (3, 3):
+            raise ValueError("mass_matrix and aero_matrix must be 3x3")
         import numpy as np
-        object.__setattr__(self, "mass_matrix", np.asarray(self.mass_matrix, dtype=float).reshape(3, 3))
-        object.__setattr__(self, "aero_matrix", np.asarray(self.aero_matrix, dtype=float).reshape(3, 3))
         if abs(np.linalg.det(self.mass_matrix)) < 1e-15:
             raise ValueError("mass_matrix is singular")
-        m = self.mass_matrix
-        for name, matrix in (("_m", m), ("_a", self.aero_matrix), ("_m_inv", np.linalg.inv(m))):
-            object.__setattr__(self, name, tuple(matrix.ravel().tolist()))
+        object.__setattr__(self, "_m_inv", tuple(map(tuple, np.linalg.inv(self.mass_matrix).tolist())))
 
     @classmethod
     def from_components(
@@ -71,7 +68,7 @@ class SmcModel:
         added_inertia_z: float = 0.0,
         cg_x: float = 0.0,
         cg_y: float = 0.0,
-        aero_matrix=None,
+        aero_matrix=((0.0, 0.0, 0.0),) * 3,
     ) -> "SmcModel":
         """Assemble the generalized mass matrix from physical components.
 
@@ -81,16 +78,10 @@ class SmcModel:
              [0,        m + m22,    m*x_G],
              [-m*y_G,    m*x_G,  Iz + m66]]
         """
-        import numpy as np
         m11, m22, m66 = added_mass_x, added_mass_y, added_inertia_z
-        mass_matrix = np.array([
-            [mass + m11, 0.0, -mass * cg_y],
-            [0.0, mass + m22, mass * cg_x],
-            [-mass * cg_y, mass * cg_x, inertia_z + m66],
-        ])
-        if aero_matrix is None:
-            aero_matrix = np.zeros((3, 3))
-        return cls(mass_matrix=mass_matrix, aero_matrix=aero_matrix)
+        return cls(mass_matrix=((mass + m11, 0.0, -mass * cg_y),
+                                (0.0, mass + m22, mass * cg_x),
+                                (-mass * cg_y, mass * cg_x, inertia_z + m66)), aero_matrix=aero_matrix)
 
 
 @dataclass(frozen=True)
@@ -191,8 +182,8 @@ def smc_control(model: SmcModel, gains: SmcGains, s, error_rate, eta_dot, psi: f
     u, v = c * xd + sn * yd, -sn * xd + c * yd
     # M (C_dot eta_dot + C eta_ddot_req) - A C eta_dot
     b0, b1 = psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = model._m
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = model._a
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = model.mass_matrix
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = model.aero_matrix
     return (m00 * b0 + m01 * b1 + m02 * q2 - (a00 * u + a01 * v + a02 * psi_dot),
             m10 * b0 + m11 * b1 + m12 * q2 - (a10 * u + a11 * v + a12 * psi_dot),
             m20 * b0 + m21 * b1 + m22 * q2 - (a20 * u + a21 * v + a22 * psi_dot))
@@ -208,13 +199,13 @@ def pose_acceleration(model: SmcModel, u_forces, eta_dot, psi: float) -> tuple:
     xd, yd, psi_dot = eta_dot
     c, sn = math.cos(psi), math.sin(psi)
     u, v = c * xd + sn * yd, -sn * xd + c * yd
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = model._a
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = model.aero_matrix
     f0, f1, f2 = u_forces
     # M^-1 (A C eta_dot + U) - C_dot eta_dot, rotated back by C^T
     g0 = a00 * u + a01 * v + a02 * psi_dot + f0
     g1 = a10 * u + a11 * v + a12 * psi_dot + f1
     g2 = a20 * u + a21 * v + a22 * psi_dot + f2
-    n00, n01, n02, n10, n11, n12, n20, n21, n22 = model._m_inv
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = model._m_inv
     w0 = n00 * g0 + n01 * g1 + n02 * g2 - psi_dot * v
     w1 = n10 * g0 + n11 * g1 + n12 * g2 + psi_dot * u
     return (c * w0 - sn * w1, sn * w0 + c * w1, n20 * g0 + n21 * g1 + n22 * g2)
@@ -276,20 +267,15 @@ class ReferenceTrajectory:
     poses: tuple  # rows of (x, y, psi), psi unwrapped
 
     def __post_init__(self):
-        import numpy as np
-        times = np.asarray(self.times, dtype=float)
-        poses = np.asarray(self.poses, dtype=float)
-        if times.ndim != 1 or poses.shape != (times.size, 3):
+        store_floats(self, tables=("times", "poses"))
+        times = self.times
+        if len(table_shape(times)) != 1 or table_shape(self.poses) != (len(times), 3):
             raise ValueError("times must be (n,) and poses (n, 3)")
-        for name, table in (("times", times), ("poses", poses)):
-            if not np.isfinite(table).all():
-                raise ValueError(f"{name} must be finite")
-        if times.size < 2 or np.any(np.diff(times) <= 0.0):
+        if len(times) < 2 or any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("need at least two strictly increasing sample times")
-        poses = poses.copy()
-        poses[:, 2] = np.unwrap(poses[:, 2])
-        times, poses = tuple(times.tolist()), tuple(map(tuple, poses.tolist()))
-        object.__setattr__(self, "times", times)
+        import numpy as np
+        psis = np.unwrap([psi for _, _, psi in self.poses]).tolist()
+        poses = tuple((x, y, psi) for (x, y, _), psi in zip(self.poses, psis))
         object.__setattr__(self, "poses", poses)
         segments = []
         for t0, t1, (x0, y0, psi0), (x1, y1, psi1) in zip(times, times[1:], poses, poses[1:]):

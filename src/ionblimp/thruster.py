@@ -79,6 +79,8 @@ class ThrusterGeometry:
         for name in ("electrode_gap", "dry_mass"):  # thrust_to_weight divides by dry_mass
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if isinstance(self.ring_count, bool) or not isinstance(self.ring_count, (int, np.integer)):
+            raise TypeError(f"ring_count must be an int, got {self.ring_count!r}")
         if self.ring_count not in (1, 2, 4):
             raise ValueError("ring_count must be 1, 2 or 4 (bench-matching presets)")
 
@@ -265,11 +267,9 @@ class ThrustMap:
     valid_range: tuple
 
     def __post_init__(self):
+        store_floats(self, tables=("inputs", "thrust_grams", "valid_range"))
         if len(self.inputs) != len(self.thrust_grams) or len(self.inputs) < 2:
             raise ValueError("need at least two (input, thrust) samples")
-        for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)).all():
-                raise ValueError(f"{f.name} must be finite")
         if any(b <= a for a, b in zip(self.inputs, self.inputs[1:])):
             raise ValueError("inputs must be strictly increasing")
         if any(g < 0.0 for g in self.thrust_grams):

@@ -10,7 +10,7 @@ The per-step float functions are also kept here in their straightforward
 form over row tuples and generators (``sample``, ``tracking_error``,
 ``float_sliding_surface``, ``lyapunov_monitor``, ``float_smc_control``,
 ``float_pose_acceleration``). ``ionblimp.smc`` writes them out per channel
-over flat row-major tuples with the same operands in the same order, so the
+over rows of three floats with the same operands in the same order, so the
 two must agree exactly.
 """
 
@@ -105,8 +105,8 @@ def lyapunov_monitor(gains, s):
 
 
 def _mul(matrix, x0, x1, x2) -> tuple:
-    """matrix @ (x0, x1, x2) for a 3x3 matrix held as a flat row-major 9-tuple."""
-    a, b, c, d, e, f, g, h, i = matrix
+    """matrix @ (x0, x1, x2) for a 3x3 matrix held as three rows of three floats."""
+    (a, b, c), (d, e, f), (g, h, i) = matrix
     return (a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2)
 
 
@@ -116,8 +116,8 @@ def float_smc_control(model, gains, s, error_rate, eta_dot, psi):
     xd, yd, psi_dot = eta_dot
     c, sn = math.cos(psi), math.sin(psi)
     u, v = c * xd + sn * yd, -sn * xd + c * yd
-    m0, m1, m2 = _mul(model._m, psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1, q2)
-    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
+    m0, m1, m2 = _mul(model.mass_matrix, psi_dot * v + c * q0 + sn * q1, -psi_dot * u - sn * q0 + c * q1, q2)
+    a0, a1, a2 = _mul(model.aero_matrix, u, v, psi_dot)
     return (m0 - a0, m1 - a1, m2 - a2)
 
 
@@ -125,7 +125,7 @@ def float_pose_acceleration(model, u_forces, eta_dot, psi):
     xd, yd, psi_dot = eta_dot
     c, sn = math.cos(psi), math.sin(psi)
     u, v = c * xd + sn * yd, -sn * xd + c * yd
-    a0, a1, a2 = _mul(model._a, u, v, psi_dot)
+    a0, a1, a2 = _mul(model.aero_matrix, u, v, psi_dot)
     f0, f1, f2 = u_forces
     x0, x1, x2 = _mul(model._m_inv, a0 + f0, a1 + f1, a2 + f2)
     w0, w1 = x0 - psi_dot * v, x1 + psi_dot * u

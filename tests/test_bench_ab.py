@@ -2,8 +2,10 @@
 
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,31 @@ def test_assemble_keeps_other_workloads_only_under_the_same_header():
     third = bench_ab.assemble(second, other_head, {"full_6dof": PAIRS[:2]}, SPEC)
     assert list(third["workloads"]) == ["full_6dof"]
     json.dumps(third)  # the document is plain JSON
+
+
+def test_run_env_records_bytecode_python_and_cpu_count(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench_ab.run_env()
+    assert env == {"python": sys.version.split()[0], "PYTHONDONTWRITEBYTECODE": "1", "nproc": os.cpu_count()}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_ab.run_env()["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_each_workload_records_its_env_outside_the_header(monkeypatch):
+    # The env decides nothing about merging: a workload run with bytecode off is kept beside one
+    # run with it on, and each keeps the env it was measured in.
+    header = {"label": "24", "base": "a" * 40, "head": {"commit": "b" * 40, "dirty": True, "src_sha256": "c"},
+              "command": ["python3", "perfbench/run.py", "--trace", "0", "--seconds", "15"]}
+    cold = {"python": "3.11.7", "PYTHONDONTWRITEBYTECODE": "1", "nproc": 2}
+    warm = {**cold, "PYTHONDONTWRITEBYTECODE": None}
+    first = bench_ab.assemble(None, header, {"collision_oracle": PAIRS}, SPEC, env=cold)
+    second = bench_ab.assemble(first, header, {"full_6dof": PAIRS[:2]}, SPEC, env=warm)
+    assert set(second) == set(header) | {"workloads"}
+    assert second["workloads"]["collision_oracle"]["env"] == cold
+    assert second["workloads"]["full_6dof"]["env"] == warm
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_ab.assemble(None, header, {"full_6dof": PAIRS}, SPEC)["workloads"]["full_6dof"]["env"] == {
+        "python": sys.version.split()[0], "PYTHONDONTWRITEBYTECODE": "1", "nproc": os.cpu_count()}
 
 
 def test_snapshot_holds_the_working_tree_and_leaves_the_index_alone(tmp_path):

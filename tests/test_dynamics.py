@@ -281,6 +281,35 @@ def test_full_matches_planar_on_manifold():
         assert dp[3] == dp[4] == 0.0
 
 
+LEVEL_STATES = st.builds(
+    BodyState, u=st.floats(-2.0, 2.0), v=st.floats(-2.0, 2.0), w=st.floats(-2.0, 2.0), r=st.floats(-2.0, 2.0),
+    x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0), h=st.floats(-5.0, 5.0), psi=st.floats(-10.0, 10.0),
+)
+# Every AirshipParams field drawn around its default, with Ixz = 0.
+UNCOUPLED_PARAMS = st.builds(
+    AirshipParams, mass=st.floats(0.05, 2.0), inertia_x=st.floats(0.001, 0.5), inertia_y=st.floats(0.001, 0.5),
+    inertia_z=st.floats(0.001, 0.5), inertia_xz=st.just(0.0), cb_offset=st.floats(0.0, 0.5),
+    mount_x=st.floats(-0.5, 0.5), mount_z=st.floats(-0.5, 0.5), link_length=st.floats(0.0, 0.2),
+    yaw_damping=st.floats(0.0, 0.05), drag_coeff=st.floats(0.0, 0.3), lift_slope=st.floats(-0.5, 0.5),
+    moment_slope=st.floats(-0.1, 0.1), ref_chord=st.floats(0.1, 3.0), air_density=st.floats(0.5, 1.5),
+    net_lift=st.floats(-0.5, 0.5), gravity=st.floats(9.0, 10.0),
+)
+DEFLECTIONS = st.floats(-GIMBAL_LIMIT, GIMBAL_LIMIT)
+COMMANDS = st.builds(ThrusterCommand, thrust=st.floats(0.0, 0.1), yaw_deflection=DEFLECTIONS,
+                     pitch_deflection=DEFLECTIONS)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(params=UNCOUPLED_PARAMS, state=LEVEL_STATES, cmd=COMMANDS)
+def test_full_matches_planar_on_manifold_property(params, state, cmd):
+    # On phi = theta = p = q = 0 with Ixz = 0 the two fields agree on every component both
+    # evolve: all but p_dot and q_dot, whatever the parameters and both gimbal deflections.
+    full, planar = full_derivatives(params, state, cmd), planar_derivatives(params, state, cmd)
+    for i in (0, 1, 2, 5, 6, 7, 8, 9, 10, 11):
+        assert math.isclose(full[i], planar[i], rel_tol=1e-12, abs_tol=1e-12), (STATE_LABELS[i], full, planar)
+    assert planar[3] == planar[4] == 0.0
+
+
 def test_full_matches_planar_all_components_with_null_coupling():
     # Zero pitch-moment slope and a thruster link ending at CM height make
     # the full model's pitch/roll moments vanish on the manifold, so all 12

@@ -33,7 +33,7 @@ from ionblimp.harness import (
     write_records_csv,
 )
 from ionblimp.inner_loop import FirstOrderTf, design_ku_unity_dc, kw_lower_bound, linearize
-from ionblimp.smc import ReferenceTrajectory, SmcGains, sliding_surface
+from ionblimp.smc import ReferenceTrajectory, SmcGains, SmcModel, sliding_surface
 from ionblimp.thruster import throttle_to_thrust
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -487,6 +487,72 @@ def test_config_dataclasses_reject_non_finite(cls, valid, name):
         assert type(stored) is float and stored == 1.0
 
 
+# Each table field, a valid base and a table holding one value where the bad one goes.
+TABLE_FIELDS = [
+    (OpenLoopCommand, {}, "script", lambda x: [[0.0, 0.0, 0.0, 0.0], [1, x, 0, 0]]),
+    (ReferenceTrajectory, VALID_REFERENCE, "times", lambda x: [0, x]),
+    (ReferenceTrajectory, VALID_REFERENCE, "poses", lambda x: [[0, 0, 0], [x, 0, 0]]),
+    (thruster.ThrustMap, VALID_MAP, "inputs", lambda x: (0, x)),
+    (thruster.ThrustMap, VALID_MAP, "thrust_grams", lambda x: (0, x)),
+    (thruster.ThrustMap, VALID_MAP, "valid_range", lambda x: (0, x)),
+    (SmcModel, {"aero_matrix": np.zeros((3, 3))}, "mass_matrix", lambda x: [[1, 0, 0], [0, x, 0], [0, 0, 1]]),
+    (SmcModel, {"mass_matrix": np.eye(3)}, "aero_matrix", lambda x: [[1, 0, 0], [0, x, 0], [0, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("cls, valid, name, table", TABLE_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name, _ in TABLE_FIELDS])
+def test_a_table_field_follows_the_number_rule(cls, valid, name, table):
+    # Every entry of a table gets the float fields' rule, naming the table: a string is not a
+    # number, nan, +-inf and an int beyond float range are not finite, and ints (also as 0-d arrays)
+    # are stored as floats.
+    with pytest.raises(TypeError, match=f"^{name} must be a number, got '1'$"):
+        cls(**{**valid, name: table("1")})
+    for bad in (float("nan"), float("inf"), float("-inf"), 10**400):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            cls(**{**valid, name: table(bad)})
+    for one in (1, np.array(1)):
+        stored = getattr(cls(**{**valid, name: table(one)}), name)
+        flat = [x for row in stored for x in (row if isinstance(row, tuple) else (row,))]
+        assert type(stored) is tuple and all(type(x) is float for x in flat)
+
+
+def test_an_int_thrust_map_is_dumped_as_floats():
+    text = thruster.dump_thrust_map(thruster.ThrustMap((0, 1), (0, 2), (0, 1)))
+    assert text == "# input  thrust_grams\n0.0  0.0\n1.0  2.0\n"
+
+
+@pytest.mark.parametrize("script, shape", [
+    ([[0.0, 0.01, 0.0, 0.0], [1.0, 0.01, 0.0]], "(2,)"),
+    ([[0.0, 0.01, 0.0], [1.0, 0.01, 0.0, 0.0]], "(2,)"),
+    ([], "(0,)"),
+    ([0.0, 0.01, 0.0, 0.0], "(4,)"),
+    ([[[0.0, 0.01, 0.0, 0.0]]], "(1, 1, 4)"),
+], ids=["ragged-short-last", "ragged-short-first", "empty", "one-row-flat", "three-dimensional"])
+def test_open_loop_script_of_the_wrong_shape_names_its_shape(script, shape):
+    message = f"script needs rows of t, thrust, delta_y, delta_p, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OpenLoopCommand(script=script)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mass_matrix": np.eye(3).ravel(), "aero_matrix": np.zeros((3, 3))},
+    {"mass_matrix": np.eye(3), "aero_matrix": np.zeros((3, 2))},
+    {"mass_matrix": [[1, 0, 0], [0, 1], [0, 0, 1]], "aero_matrix": np.zeros((3, 3))},
+])
+def test_smc_model_refuses_a_matrix_that_is_not_3x3(kwargs):
+    with pytest.raises(ValueError, match="^mass_matrix and aero_matrix must be 3x3$"):
+        SmcModel(**kwargs)
+
+
+def test_the_scalar_rule_does_not_read_a_float_field_as_a_table():
+    # An array with a dimension is not a number, even of one value; a 0-d array is one.
+    with pytest.raises(TypeError, match=re.escape("mass must be a number, got array([0.3])")):
+        AirshipParams(mass=np.array([0.3]))
+    mass = AirshipParams(mass=np.array(0.3)).mass
+    assert type(mass) is float and mass == 0.3
+
+
 NAN = float("nan")
 
 
@@ -503,9 +569,11 @@ NAN = float("nan")
     (lambda: linearize(AirshipParams(), 0.4, NAN), "trim_thrust must be positive"),
     (lambda: design_ku_unity_dc(NAN, 0.0575), "numerator must be positive"),
     (lambda: kw_lower_bound(AirshipParams(), 0.4, NAN), "trim_thrust must be non-negative"),
+    (lambda: kw_lower_bound(AirshipParams(lift_slope=0.1), NAN, 0.05), "trim_speed must be non-negative"),
+    (lambda: kw_lower_bound(AirshipParams(lift_slope=0.1), -0.4, 0.05), "trim_speed must be non-negative"),
 ], ids=["gap", "current", "mobility", "diffusivity-mobility", "diffusivity-temperature", "diffusivity-charge",
         "thrust-to-weight", "lift-per-liter", "linearize-speed", "linearize-thrust",
-        "ku-numerator", "kw-thrust"])
+        "ku-numerator", "kw-thrust", "kw-speed", "kw-negative-speed"])
 def test_a_positive_only_argument_refuses_nan(call, message):
     # Written "not x > 0.0", as ThrusterCommand writes its checks, so nan is refused, not returned.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

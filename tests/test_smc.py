@@ -168,7 +168,7 @@ def test_symmetric_mass_matrix_default():
         mass=0.3, inertia_z=0.06, added_mass_x=0.02, added_mass_y=0.05,
         added_inertia_z=0.01, cg_x=0.03, cg_y=-0.02,
     )
-    m = model.mass_matrix
+    m = np.array(model.mass_matrix)
     assert np.allclose(m, m.T)
     assert np.all(np.linalg.eigvalsh(m) > 0)
     assert m[0, 0] == pytest.approx(0.32)

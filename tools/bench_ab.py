@@ -20,7 +20,11 @@ passes the gain rule (wins in at least nine tenths of the pairs and a
 median difference beyond the base's quartile spread) or stays within the
 metric's bound. An existing file with the same label, base, head source
 and run length keeps its other workloads, so one file can collect several
-invocations.
+invocations. Each workload also records the environment its runs inherited,
+as ``tools/bench_cold.py`` records it: the Python version, the CPU count and
+``PYTHONDONTWRITEBYTECODE`` (when set, the exports hold no bytecode, so every
+run compiles ionblimp from source inside ``setup_s``). It is kept out of the
+header, so a workload measured in another environment is kept beside them.
 """
 
 import argparse
@@ -77,6 +81,12 @@ def head_identity() -> dict:
             "tree": snapshot(), "src_sha256": digest.hexdigest()}
 
 
+def run_env() -> dict:
+    """The Python version, the CPU count and PYTHONDONTWRITEBYTECODE that every run inherits from this process."""
+    return {"python": sys.version.split()[0], "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "nproc": os.cpu_count()}
+
+
 def parse_run(stdout: str) -> dict:
     """The result of one run.py invocation: its last JSON line plus its ``env`` line."""
     lines = stdout.strip().splitlines()
@@ -129,11 +139,15 @@ def summarize(pairs: list, spec: list) -> dict:
     return {"pairs": pairs, "metrics": metrics, **sides}
 
 
-def assemble(previous: dict | None, header: dict, workload_pairs: dict, spec: list) -> dict:
-    """The BENCH document: a previous one's other workloads are kept when its header matches."""
+def assemble(previous: dict | None, header: dict, workload_pairs: dict, spec: list, env: dict | None = None) -> dict:
+    """The BENCH document: a previous one's other workloads are kept when its header matches.
+
+    Each workload summarized here records env (default: ``run_env()``); a kept one keeps its own.
+    """
     keep = previous if previous and all(previous.get(k) == v for k, v in header.items()) else {}
     workloads = dict(keep.get("workloads", {}))
-    workloads.update({w: summarize(pairs, spec) for w, pairs in workload_pairs.items()})
+    env = run_env() if env is None else env
+    workloads.update({w: {**summarize(pairs, spec), "env": env} for w, pairs in workload_pairs.items()})
     return {**header, "workloads": dict(sorted(workloads.items()))}
 
 
