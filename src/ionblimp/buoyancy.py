@@ -6,9 +6,8 @@ buoyancy sitting above the center of mass) is
 ``dynamics.gravity_buoyancy_wrench``.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dynamics import store_floats
 
@@ -44,7 +43,7 @@ class LiftBudget:
 
 def ellipsoid_volume(geom: EnvelopeGeometry) -> float:
     """Envelope volume (m^3): V = 4/3 * pi * a * b * c."""
-    return 4.0 / 3.0 * np.pi * geom.semi_axis_a * geom.semi_axis_b * geom.semi_axis_c
+    return 4.0 / 3.0 * math.pi * geom.semi_axis_a * geom.semi_axis_b * geom.semi_axis_c
 
 
 def lift_budget(geom: EnvelopeGeometry, lift_per_liter: float = DEFAULT_LIFT_PER_LITER) -> LiftBudget:

@@ -41,8 +41,8 @@ _PARAMS_SCHEMA = {
 def _load_params_config(path):
     """Read [params] and optional [trim] (nothing else) from a versioned config file."""
     config = harness.read_config(path, _PARAMS_SCHEMA)
-    trim = config.get("trim", {})
-    return AirshipParams(**config.get("params", {})), trim.get("speed", 1.0), trim.get("thrust", 0.05)
+    params, trim = harness._section(path, "params", AirshipParams, config.get("params", {})), config.get("trim", {})
+    return params, trim.get("speed", 1.0), trim.get("thrust", 0.05)
 
 
 def _grid(option: str, text: str) -> np.ndarray:

@@ -95,10 +95,9 @@ class LyapunovCertificate:
 
 def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> LinearModel:
     """Small-deviation model about level flight at (trim_speed, trim_thrust)."""
-    if not trim_speed > 0.0:  # nan is refused too
-        raise ValueError("trim_speed must be positive")
-    if not trim_thrust > 0.0:
-        raise ValueError("trim_thrust must be positive")
+    for name, value in (("trim_speed", trim_speed), ("trim_thrust", trim_thrust)):
+        if not 0.0 < value < math.inf:  # nan fails every comparison, so it is refused too
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     import numpy as np
     m = params.mass
     rho_v = params.air_density * trim_speed

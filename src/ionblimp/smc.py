@@ -280,7 +280,10 @@ class ReferenceTrajectory:
         segments = []
         for t0, t1, (x0, y0, psi0), (x1, y1, psi1) in zip(times, times[1:], poses, poses[1:]):
             dt, dp = t1 - t0, (x1 - x0, y1 - y0, psi1 - psi0)
-            segments.append((t0, dt, (x0, y0, psi0), dp, (dp[0] / dt, dp[1] / dt, dp[2] / dt)))
+            slope = (dp[0] / dt, dp[1] / dt, dp[2] / dt)
+            if not all(map(math.isfinite, slope)):  # knots a subnormal time apart overflow it
+                raise ValueError(f"pose slope from t={t0!r} to t={t1!r} is not finite")
+            segments.append((t0, dt, (x0, y0, psi0), dp, slope))
         object.__setattr__(self, "_segments", tuple(segments))
 
     @classmethod

@@ -32,7 +32,7 @@ PUNCTURE_SPACING = 0.025
 
 
 class OutOfRange(ValueError):
-    """Input outside the validity range of a thrust map."""
+    """A throttle fraction outside [0, 1]."""
 
 
 class PunctureFault(RuntimeError):
@@ -176,6 +176,16 @@ def collision_force_density_mc(
     return p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density * mean
 
 
+def _drift_factor(p: GasIonParams) -> float:
+    """(9/64) * (q / n_air) * sqrt(2 pi / kT) * sqrt(1/m + 1/M): both mobility forms before Omega_D."""
+    return (
+        9.0 / 64.0
+        * (p.ion_charge / p.neutral_density)
+        * np.sqrt(2.0 * np.pi / (BOLTZMANN * p.temperature))
+        * np.sqrt(1.0 / p.ion_mass + 1.0 / p.neutral_mass)
+    )
+
+
 def ion_mobility(p: GasIonParams) -> float:
     """Ion mobility, m^2/(V s).
 
@@ -190,13 +200,7 @@ def ion_mobility(p: GasIonParams) -> float:
     exposed rather than silently reconciled; where a numeric mobility is
     needed, use a measured one such as DEFAULT_ION_MOBILITY.
     """
-    return (
-        9.0 / 64.0
-        * (p.ion_charge / p.neutral_density)
-        * np.sqrt(2.0 * np.pi / (BOLTZMANN * p.temperature))
-        * np.sqrt(1.0 / p.ion_mass + 1.0 / p.neutral_mass)
-        * p.cross_section
-    )
+    return _drift_factor(p) * p.cross_section
 
 
 def mobility_from_force_balance(p: GasIonParams) -> float:
@@ -212,13 +216,7 @@ def mobility_from_force_balance(p: GasIonParams) -> float:
     the denominator. This form round-trips exactly against
     collision_force_density.
     """
-    return (
-        9.0 / 64.0
-        * (p.ion_charge / p.neutral_density)
-        * np.sqrt(2.0 * np.pi / (BOLTZMANN * p.temperature))
-        * np.sqrt(1.0 / p.ion_mass + 1.0 / p.neutral_mass)
-        / p.cross_section
-    )
+    return _drift_factor(p) / p.cross_section
 
 
 def einstein_diffusivity(mobility: float, temperature: float, charge: float) -> float:
@@ -258,16 +256,14 @@ class ThrustMap:
     """Measured (input, thrust-grams) samples with linear interpolation.
 
     Inputs must be strictly increasing; thrust readings are grams-force as
-    read off the bench scale. valid_range brackets the inputs the map may
-    be queried at without extrapolating.
+    read off the bench scale.
     """
 
     inputs: tuple
     thrust_grams: tuple
-    valid_range: tuple
 
     def __post_init__(self):
-        store_floats(self, tables=("inputs", "thrust_grams", "valid_range"))
+        store_floats(self, tables=("inputs", "thrust_grams"))
         if len(self.inputs) != len(self.thrust_grams) or len(self.inputs) < 2:
             raise ValueError("need at least two (input, thrust) samples")
         if any(b <= a for a, b in zip(self.inputs, self.inputs[1:])):
@@ -281,14 +277,12 @@ class ThrustMap:
 THROTTLE_MAP = ThrustMap(
     inputs=(0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 1.00),
     thrust_grams=(0.00, 0.06, 0.12, 0.31, 0.45, 0.58, 0.70, 1.16, 1.20),
-    valid_range=(0.0, 1.0),
 )
 
 # Dual-ring thrust vs electrode spacing (m). 2.5 cm punctured the foil.
 SPACING_MAP_DUAL_RING = ThrustMap(
     inputs=(0.030, 0.035, 0.040, 0.045, 0.050),
     thrust_grams=(1.16, 1.10, 0.99, 0.90, 0.80),
-    valid_range=(0.030, 0.050),
 )
 
 
@@ -303,9 +297,8 @@ def throttle_to_thrust(tmap: ThrustMap, throttle: float) -> float:
     clamps to zero thrust (corona-onset threshold). Raises OutOfRange
     outside [0, 1].
     """
-    lo, hi = tmap.valid_range
-    if not (lo <= throttle <= hi):
-        raise OutOfRange(f"throttle {throttle} outside [{lo}, {hi}]")
+    if not 0.0 <= throttle <= 1.0:  # nan is refused too
+        raise OutOfRange(f"throttle {throttle} outside [0.0, 1.0]")
     return grams_force_to_newtons(float(np.interp(throttle, tmap.inputs, tmap.thrust_grams)))
 
 

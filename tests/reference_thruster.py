@@ -1,9 +1,16 @@
-"""Two-norm formulation of the Monte-Carlo collision integral, kept as a test oracle.
+"""Earlier forms of thruster kernels, kept as test oracles.
 
-Each chunk forms g = u + d and g = u - d as (m, 3) arrays and takes each
-norm with its own ``einsum``. ``ionblimp.thruster.collision_force_density_mc``
-takes both norms from |d|^2 + |u|^2 +- 2 u.d in reused buffers, drawing the
-same normal stream in the same order; ``test_thruster.py`` compares the two.
+``collision_force_density_mc`` is the two-norm formulation of the Monte-Carlo
+collision integral: each chunk forms g = u + d and g = u - d as (m, 3) arrays
+and takes each norm with its own ``einsum``.
+``ionblimp.thruster.collision_force_density_mc`` takes both norms from
+|d|^2 + |u|^2 +- 2 u.d in reused buffers, drawing the same normal stream in
+the same order; ``test_thruster_reference.py`` compares the two.
+
+``ion_mobility`` and ``mobility_from_force_balance`` each write the whole
+drift factor (9/64) (q / n_air) sqrt(2 pi / kT) sqrt(1/m + 1/M) out, as
+``ionblimp.thruster`` did before both shared ``_drift_factor``; the two
+forms there must equal these bit for bit.
 """
 
 import numpy as np
@@ -29,3 +36,23 @@ def collision_force_density_mc(p, slip_velocity, n_samples, seed, chunk):
         total += (s_plus + s_minus).sum() * u + (s_plus - s_minus) @ d
     mean = total / n_samples
     return p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density * mean
+
+
+def ion_mobility(p):
+    return (
+        9.0 / 64.0
+        * (p.ion_charge / p.neutral_density)
+        * np.sqrt(2.0 * np.pi / (BOLTZMANN * p.temperature))
+        * np.sqrt(1.0 / p.ion_mass + 1.0 / p.neutral_mass)
+        * p.cross_section
+    )
+
+
+def mobility_from_force_balance(p):
+    return (
+        9.0 / 64.0
+        * (p.ion_charge / p.neutral_density)
+        * np.sqrt(2.0 * np.pi / (BOLTZMANN * p.temperature))
+        * np.sqrt(1.0 / p.ion_mass + 1.0 / p.neutral_mass)
+        / p.cross_section
+    )

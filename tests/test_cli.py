@@ -286,6 +286,11 @@ def test_table_free_perfbench_simulate_never_imports_numpy(workload, plan_key, t
     assert not _imports_numpy(_SIMULATE, _perfbench_inputs(workload, tmp_path)[plan_key])
 
 
+def test_lift_budget_never_imports_numpy():
+    assert not _imports_numpy("from ionblimp.buoyancy import EnvelopeGeometry, lift_budget\n"
+                              "assert lift_budget(EnvelopeGeometry(0.985, 0.255, 0.255)).net_lift_kg > 0.0")
+
+
 def test_smc_simulate_imports_numpy(tmp_path):
     # The SMC plant and its reference table are numpy code: the documented boundary.
     cfg = ROOT / "demos" / "scenarios" / "heading_step.cfg"
@@ -349,7 +354,8 @@ reference = ref.txt
     ("t_max = -0.01\n", "0.0 0 0 0.5\n1.0 0 0 0.5\n", "smc.cfg: [smc] t_max"),
     ("", "0.0 0 0 0.5\n1.0 0 0 nan\n", "ref.txt"),
     ("", "# t x y psi\n", "ref.txt: no data rows"),
-], ids=["negative-t-max", "nan-reference", "empty-reference"])
+    ("", "0.0 0 0 0.5\n1e-320 1 0 0.5\n", "ref.txt: pose slope from t=0.0 to t=1e-320 is not finite"),
+], ids=["negative-t-max", "nan-reference", "empty-reference", "subnormal-knot-spacing"])
 def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
     (tmp_path / "ref.txt").write_text(ref, encoding="utf-8")
     path = tmp_path / "smc.cfg"
@@ -468,6 +474,8 @@ thrust_feedforward = 0.01
     ("linearize", "[trim]\nspeed = -inf\n", "[trim] speed"),
     ("simulate", "[output]\ncsv =\n", "[output] csv"),
     ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
+    ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
+    ("certify-gains", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
     ("simulate", "[scenario]\ndt = -1\n", "bad.cfg: [scenario] dt"),
     ("simulate", "[open_loop]\nthrust = -0.1\n", "bad.cfg: [open_loop] thrust"),
     ("simulate", "[open_loop]\ndelta_y = 2.0\n", "bad.cfg: [open_loop] |delta_y|"),
@@ -497,7 +505,8 @@ thrust_feedforward = 0.01
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
         "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
-        "negative-mass", "negative-dt", "negative-thrust", "delta-y-beyond-gimbal",
+        "negative-mass", "linearize-negative-mass", "certify-gains-negative-mass", "negative-dt", "negative-thrust",
+        "delta-y-beyond-gimbal",
         "delta-p-beyond-gimbal", "delta-p-2-ulp-past-gimbal", "zero-inertia-determinant",
         "negative-inertia-determinant", "planar-initial-theta", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u",
         "open-loop-section-under-smc", "smc-section-under-open-loop", "open-loop-section-under-inner-loop",

@@ -440,7 +440,7 @@ VALID_REFERENCE = {"times": [0.0, 1.0], "poses": [[0, 0, 0], [0, 0, 0.5]]}
 VALID_SMC = {"gains": SmcGains(**VALID_GAINS), "reference": ReferenceTrajectory(**VALID_REFERENCE)}
 VALID_GAS = dict(zip([f.name for f in fields(thruster.GasIonParams)],
                      (4.65e-26, 4.65e-26, 300.0, 1.602176634e-19, 1e-19, 1e15, 2.5e25)))
-VALID_MAP = {"inputs": (0.0, 1.0), "thrust_grams": (0.0, 1.0), "valid_range": (0.0, 1.0)}
+VALID_MAP = {"inputs": (0.0, 1.0), "thrust_grams": (0.0, 1.0)}
 # Each parameter dataclass, a valid base and its numeric fields. Every float field
 # also takes the int 1 (a throttle is at most 1, a gimbal deflection at most pi/2);
 # AirshipParams' base has inertias large enough for inertia_xz = 1.
@@ -466,7 +466,7 @@ NUMERIC_FIELDS = [(cls, valid, name) for cls, valid, names in NUMERIC_CLASSES fo
 TABLES = {
     "script": lambda bad: np.array([[0.0, bad, 0.0, 0.0]]),
     "times": lambda bad: [0.0, bad], "poses": lambda bad: [[0, 0, 0], [0, bad, 0]],
-    "inputs": lambda bad: (0.0, bad), "thrust_grams": lambda bad: (0.0, bad), "valid_range": lambda bad: (0.0, bad),
+    "inputs": lambda bad: (0.0, bad), "thrust_grams": lambda bad: (0.0, bad),
 }
 
 
@@ -494,7 +494,6 @@ TABLE_FIELDS = [
     (ReferenceTrajectory, VALID_REFERENCE, "poses", lambda x: [[0, 0, 0], [x, 0, 0]]),
     (thruster.ThrustMap, VALID_MAP, "inputs", lambda x: (0, x)),
     (thruster.ThrustMap, VALID_MAP, "thrust_grams", lambda x: (0, x)),
-    (thruster.ThrustMap, VALID_MAP, "valid_range", lambda x: (0, x)),
     (SmcModel, {"aero_matrix": np.zeros((3, 3))}, "mass_matrix", lambda x: [[1, 0, 0], [0, x, 0], [0, 0, 1]]),
     (SmcModel, {"mass_matrix": np.eye(3)}, "aero_matrix", lambda x: [[1, 0, 0], [0, x, 0], [0, 0, 1]]),
 ]
@@ -518,7 +517,7 @@ def test_a_table_field_follows_the_number_rule(cls, valid, name, table):
 
 
 def test_an_int_thrust_map_is_dumped_as_floats():
-    text = thruster.dump_thrust_map(thruster.ThrustMap((0, 1), (0, 2), (0, 1)))
+    text = thruster.dump_thrust_map(thruster.ThrustMap((0, 1), (0, 2)))
     assert text == "# input  thrust_grams\n0.0  0.0\n1.0  2.0\n"
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -66,6 +68,17 @@ def test_linearize_gimbal_authority_vanishes_without_thrust():
     assert np.max(np.abs(model.b[:, 1:])) < 1e-8
     with pytest.raises(ValueError):
         linearize(BENCH, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("speed, thrust, message", [
+    (math.inf, 0.05, "trim_speed must be positive and finite, got inf"),
+    (1.0, math.inf, "trim_thrust must be positive and finite, got inf"),
+    (-math.inf, 0.05, "trim_speed must be positive and finite, got -inf"),
+])
+def test_linearize_refuses_a_non_finite_trim(speed, thrust, message):
+    # An infinite trim speed would fill the matrix with -inf and nan, as step_response's inputs would.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        linearize(BENCH, speed, thrust)
 
 
 def test_lateral_entries_are_asserted_not_derived():

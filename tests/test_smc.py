@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,15 @@ def test_reference_trajectory_unwraps_yaw_column():
 ])
 def test_reference_trajectory_rejects_non_finite(times, poses, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ReferenceTrajectory(times=times, poses=poses)
+
+
+@pytest.mark.parametrize("times, poses, t0, t1", [
+    ([0.0, 1e-320], [[0, 0, 0], [1, 0, 0]], "0.0", "1e-320"),
+    ([0.0, 1.0, 1.0 + 2e-16], [[0, 0, 0], [0, 0, 0], [0, 1e300, 0]], "1.0", "1.0000000000000002"),
+], ids=["subnormal-dt", "overflowing-y-rate"])
+def test_reference_trajectory_refuses_a_non_finite_slope(times, poses, t0, t1):
+    with pytest.raises(ValueError, match=f"^pose slope from t={re.escape(t0)} to t={re.escape(t1)} is not finite$"):
         ReferenceTrajectory(times=times, poses=poses)
 
 

@@ -216,6 +216,16 @@ def test_throttle_out_of_range():
         throttle_to_thrust(THROTTLE_MAP, 1.01)
 
 
+@pytest.mark.parametrize("throttle", [-0.01, 1.5, float("nan")])
+def test_any_map_is_queried_for_a_throttle_on_zero_one(throttle):
+    # A throttle fraction is on [0, 1] whatever inputs a map was measured at; inside it the map clamps.
+    tmap = ThrustMap(inputs=(0.3, 0.6), thrust_grams=(0.0, 1.0))
+    with pytest.raises(OutOfRange, match=f"^{re.escape(f'throttle {throttle} outside [0.0, 1.0]')}$"):
+        throttle_to_thrust(tmap, throttle)
+    assert throttle_to_thrust(tmap, 0.0) == 0.0
+    assert throttle_to_thrust(tmap, 1.0) == grams_force_to_newtons(1.0)
+
+
 def test_throttle_map_monotone_non_decreasing():
     grid = np.linspace(0.0, 1.0, 301)
     vals = [throttle_to_thrust(THROTTLE_MAP, x) for x in grid]
@@ -259,8 +269,7 @@ def test_thrust_map_file_round_trip(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text(dump_thrust_map(THROTTLE_MAP), encoding="utf-8")
     data = np.loadtxt(path, comments="#", ndmin=2)
-    loaded = ThrustMap(inputs=tuple(data[:, 0].tolist()), thrust_grams=tuple(data[:, 1].tolist()),
-                       valid_range=(0.0, 1.0))
+    loaded = ThrustMap(inputs=tuple(data[:, 0].tolist()), thrust_grams=tuple(data[:, 1].tolist()))
     assert loaded.inputs == THROTTLE_MAP.inputs
     assert loaded.thrust_grams == THROTTLE_MAP.thrust_grams
     assert throttle_to_thrust(loaded, 0.95) == throttle_to_thrust(THROTTLE_MAP, 0.95)
@@ -268,11 +277,11 @@ def test_thrust_map_file_round_trip(tmp_path):
 
 def test_thrust_map_validation():
     with pytest.raises(ValueError):
-        ThrustMap(inputs=(0.2, 0.1), thrust_grams=(0.0, 1.0), valid_range=(0, 1))
+        ThrustMap(inputs=(0.2, 0.1), thrust_grams=(0.0, 1.0))
     with pytest.raises(ValueError):
-        ThrustMap(inputs=(0.1, 0.2), thrust_grams=(0.0, -1.0), valid_range=(0, 1))
+        ThrustMap(inputs=(0.1, 0.2), thrust_grams=(0.0, -1.0))
     with pytest.raises(ValueError):
-        ThrustMap(inputs=(0.1,), thrust_grams=(0.0,), valid_range=(0, 1))
+        ThrustMap(inputs=(0.1,), thrust_grams=(0.0,))
 
 
 def test_gas_params_validation():

@@ -1,9 +1,10 @@
-"""The Monte-Carlo collision oracle against the two-norm form in reference_thruster.
+"""Thruster kernels against their earlier forms in reference_thruster.
 
-The kernel takes |u + d| and |u - d| from |d|^2 + |u|^2 +- 2 u.d instead of
-forming both (m, 3) differences, so its floats differ from the reference's
-only by rounding; these properties bound that difference and keep the exact
-zero at u = 0.
+The Monte-Carlo kernel takes |u + d| and |u - d| from |d|^2 + |u|^2 +- 2 u.d
+instead of forming both (m, 3) differences, so its floats differ from the
+reference's only by rounding; these properties bound that difference and
+keep the exact zero at u = 0. The two mobility forms share one drift factor
+in the same operation order as the written-out forms, so they are equal.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import reference_thruster as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionblimp.thruster import GasIonParams, collision_force_density_mc
+from ionblimp.thruster import GasIonParams, collision_force_density_mc, ion_mobility, mobility_from_force_balance
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -59,3 +60,15 @@ def test_monte_carlo_is_exactly_zero_at_zero_slip_for_every_chunk(size, seed):
     n_samples, chunk = size
     mc = collision_force_density_mc(GAS, [0.0, 0.0, 0.0], n_samples=n_samples, seed=seed, chunk=chunk)
     assert mc.tolist() == [0.0, 0.0, 0.0]
+
+
+# Every field from 1e-40 to 1e40: wide enough for any gas, narrow enough that no
+# product or quotient of the mobility forms overflows or underflows to zero.
+GAS_PARAMS = st.builds(GasIonParams, *[st.floats(1e-40, 1e40)] * 7)
+
+
+@PROPERTY
+@given(gas=GAS_PARAMS)
+def test_mobility_forms_equal_the_written_out_forms(gas):
+    assert ion_mobility(gas) == ref.ion_mobility(gas)
+    assert mobility_from_force_balance(gas) == ref.mobility_from_force_balance(gas)
