@@ -9,7 +9,7 @@ buoyancy sitting above the center of mass) is
 import math
 from dataclasses import dataclass
 
-from .dynamics import store_floats
+from .dynamics import check_sign, store_floats
 
 # Buoyant lift of helium at room conditions, kg per liter of displaced air.
 DEFAULT_LIFT_PER_LITER = 0.00111
@@ -25,11 +25,7 @@ class EnvelopeGeometry:
     envelope_mass: float = 0.0
 
     def __post_init__(self):
-        store_floats(self)
-        if min(self.semi_axis_a, self.semi_axis_b, self.semi_axis_c) <= 0.0:
-            raise ValueError("all semi-axes must be positive")
-        if self.envelope_mass < 0.0:
-            raise ValueError("envelope_mass must be non-negative")
+        store_floats(self, positive=("semi_axis_a", "semi_axis_b", "semi_axis_c"), non_negative=("envelope_mass",))
 
 
 @dataclass(frozen=True)
@@ -53,8 +49,7 @@ def lift_budget(geom: EnvelopeGeometry, lift_per_liter: float = DEFAULT_LIFT_PER
     envelope fabric mass. A negative net lift is reported, not raised:
     simulations may deliberately run heavy.
     """
-    if not lift_per_liter > 0.0:  # nan is refused too
-        raise ValueError("lift_per_liter must be positive")
+    check_sign("lift_per_liter", lift_per_liter)
     volume = ellipsoid_volume(geom)
     gross = volume * 1000.0 * lift_per_liter
     return LiftBudget(volume_m3=volume, gross_lift_kg=gross, net_lift_kg=gross - geom.envelope_mass)

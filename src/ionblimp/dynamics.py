@@ -63,13 +63,23 @@ def _floats(name: str, value, table: bool):
     return number
 
 
-def store_floats(instance, names=None, tables=()) -> None:
+def check_sign(name: str, value, positive: bool = True) -> None:
+    """Refuse value unless it is finite and positive (positive=False: finite and non-negative), naming it."""
+    if not (0.0 < value < math.inf or not positive and value == 0.0):  # nan fails every comparison
+        raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {value!r}")
+
+
+def store_floats(instance, names=None, tables=(), positive=(), non_negative=()) -> None:
     """Store each named field (default: all but the tables) of a frozen parameter dataclass as a finite Python
     float, and each table field (a matrix, a column or rows) as nested tuples of them; None stays None. A string
-    or what float() refuses raises TypeError naming the field; nan, +-inf or an int past float range, ValueError."""
+    or what float() refuses raises TypeError naming the field; nan, +-inf or an int past float range, ValueError.
+    Then check_sign bounds each field named in positive= or non_negative= (a flat table: each of its entries)."""
     for name in (*(names or [f.name for f in fields(instance) if f.name not in tables]), *tables):
         if getattr(instance, name) is not None:
             object.__setattr__(instance, name, _floats(name, getattr(instance, name), name in tables))
+    for name in (*positive, *non_negative):
+        for value in getattr(instance, name) if name in tables else (getattr(instance, name),):
+            check_sign(name, value, name in positive)
 
 
 def table_shape(table) -> tuple:
@@ -108,15 +118,8 @@ class AirshipParams:
     gravity: float = STANDARD_GRAVITY  # m/s^2
 
     def __post_init__(self):
-        store_floats(self)
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if min(self.inertia_x, self.inertia_y, self.inertia_z) <= 0.0:
-            raise ValueError("principal inertias must be positive")
-        if self.yaw_damping < 0.0:
-            raise ValueError("yaw_damping must be non-negative")
-        if self.air_density <= 0.0:
-            raise ValueError("air_density must be positive")
+        store_floats(self, positive=("mass", "inertia_x", "inertia_y", "inertia_z", "air_density"),
+                     non_negative=("yaw_damping",))
         # Given positive principal inertias, the tensor is positive definite when
         # the (p, r) determinant that full_derivatives divides by is positive.
         if self.inertia_x * self.inertia_z - self.inertia_xz * self.inertia_xz <= 0.0:

@@ -199,9 +199,8 @@ class SmcScenarioConfig:
     cg_y: float = 0.0
 
     def __post_init__(self):
-        store_floats(self, ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y"))
-        if self.t_max <= 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        store_floats(self, ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y"),
+                     positive=("t_max",))
 
 
 @dataclass(frozen=True)
@@ -221,13 +220,11 @@ class Scenario:
     summary_path: str | None = None
 
     def __post_init__(self):
-        store_floats(self, ("duration", "dt", "gimbal_noise"))
+        store_floats(self, ("duration", "dt", "gimbal_noise"), positive=("dt",), non_negative=("gimbal_noise",))
         if self.model not in ("full", "planar"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.duration < self.dt:
             raise ValueError("duration must be at least one step")
         if not math.isclose(round(self.duration / self.dt) * self.dt, self.duration, rel_tol=1e-9):
@@ -236,8 +233,8 @@ class Scenario:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.gimbal_noise < 0.0:
-            raise ValueError(f"gimbal_noise must be finite and non-negative, got {self.gimbal_noise}")
+        if not math.isfinite(2.0 * self.gimbal_noise):  # each draw's span high - low, which uniform_stream refuses
+            raise ValueError(f"gimbal_noise overflows the draw width 2 * gimbal_noise, got {self.gimbal_noise!r}")
         # Each controller's section is the field named after it: its own must be set, another's unset.
         if self.controller != "open_loop" and getattr(self, self.controller) is None:
             raise ValueError(f"{self.controller} controller requires an [{self.controller}] section")

@@ -24,10 +24,9 @@ imported by the functions that use it, not by this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .dynamics import AirshipParams, store_floats
+from .dynamics import AirshipParams, check_sign, store_floats
 
 # Fitted surge-channel plant for the 297.8 g prototype: du/dT1 = g / (s + a)
 # once the k_u loop is closed, with g and a below for the open loop.
@@ -95,9 +94,8 @@ class LyapunovCertificate:
 
 def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> LinearModel:
     """Small-deviation model about level flight at (trim_speed, trim_thrust)."""
-    for name, value in (("trim_speed", trim_speed), ("trim_thrust", trim_thrust)):
-        if not 0.0 < value < math.inf:  # nan fails every comparison, so it is refused too
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    check_sign("trim_speed", trim_speed)
+    check_sign("trim_thrust", trim_thrust)
     import numpy as np
     m = params.mass
     rho_v = params.air_density * trim_speed
@@ -123,8 +121,7 @@ def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> L
 
 def design_ku_unity_dc(numerator: float, pole: float) -> float:
     """Surge gain giving unity DC gain for g/(s + pole + g*k_u)."""
-    if not numerator > 0.0:  # nan is refused too
-        raise ValueError("numerator must be positive")
+    check_sign("numerator", numerator)
     return (numerator - pole) / numerator
 
 
@@ -132,10 +129,8 @@ def kw_lower_bound(params: AirshipParams, trim_speed: float, trim_thrust: float)
     """Minimum heave gain that stabilizes the dw channel: rho V C_La / (2 T)."""
     if trim_thrust == 0.0:
         raise DivisionByZeroThrust("k_w bound undefined at zero trim thrust")
-    if not trim_thrust >= 0.0:  # nan is refused too
-        raise ValueError("trim_thrust must be non-negative")
-    if not trim_speed >= 0.0:
-        raise ValueError("trim_speed must be non-negative")
+    check_sign("trim_thrust", trim_thrust, positive=False)
+    check_sign("trim_speed", trim_speed, positive=False)
     return params.air_density * trim_speed * params.lift_slope / (2.0 * trim_thrust)
 
 
@@ -238,9 +233,8 @@ def step_response(tf: FirstOrderTf, duration: float, dt: float):
     Returns (t, y) arrays with y(t) = (gain/pole) * (1 - exp(-pole t)),
     degenerating to the ramp gain*t for a pole at the origin.
     """
-    for name, value in (("duration", duration), ("dt", dt)):
-        if not 0.0 < value < math.inf:  # nan fails every comparison, so it is refused too
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    check_sign("duration", duration)
+    check_sign("dt", dt)
     import numpy as np
     t = np.arange(0.0, duration + 0.5 * dt, dt)
     if tf.pole == 0.0:

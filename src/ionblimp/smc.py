@@ -99,15 +99,9 @@ class SmcGains:
     boundary_layer: float = 0.0
 
     def __post_init__(self):
-        store_floats(self)
+        store_floats(self, positive=("k",), non_negative=("epsilon", "boundary_layer"))
         if self.c2 == 0.0:
             raise ValueError("c2 must be nonzero")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be non-negative")
-        if self.k <= 0.0:
-            raise ValueError("k must be positive")
-        if self.boundary_layer < 0.0:
-            raise ValueError("boundary_layer must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -280,6 +274,8 @@ class ReferenceTrajectory:
         segments = []
         for t0, t1, (x0, y0, psi0), (x1, y1, psi1) in zip(times, times[1:], poses, poses[1:]):
             dt, dp = t1 - t0, (x1 - x0, y1 - y0, psi1 - psi0)
+            if dt == math.inf:  # knots far apart overflow the spacing, and the slope would read 0
+                raise ValueError(f"knot spacing from t={t0!r} to t={t1!r} is not finite")
             slope = (dp[0] / dt, dp[1] / dt, dp[2] / dt)
             if not all(map(math.isfinite, slope)):  # knots a subnormal time apart overflow it
                 raise ValueError(f"pose slope from t={t0!r} to t={t1!r} is not finite")

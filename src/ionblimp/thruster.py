@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import BOLTZMANN, STANDARD_GRAVITY
-from .dynamics import store_floats
+from .dynamics import check_sign, store_floats
 
 # Typical positive air-ion mobility, m^2/(V s). Used wherever a numeric
 # mobility is needed; the kinetic formula needs a cross-section value the
@@ -56,10 +56,7 @@ class GasIonParams:
     neutral_density: float  # 1/m^3
 
     def __post_init__(self):
-        store_floats(self)
-        for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"{f.name} must be strictly positive")
+        store_floats(self, positive=[f.name for f in fields(self)])
 
     @property
     def reduced_mass(self) -> float:
@@ -75,10 +72,8 @@ class ThrusterGeometry:
     dry_mass: float  # kg
 
     def __post_init__(self):
-        store_floats(self, ("electrode_gap", "dry_mass"))
-        for name in ("electrode_gap", "dry_mass"):  # thrust_to_weight divides by dry_mass
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        names = ("electrode_gap", "dry_mass")  # thrust_to_weight divides by dry_mass
+        store_floats(self, names, positive=names)
         if isinstance(self.ring_count, bool) or not isinstance(self.ring_count, (int, np.integer)):
             raise TypeError(f"ring_count must be an int, got {self.ring_count!r}")
         if self.ring_count not in (1, 2, 4):
@@ -221,8 +216,9 @@ def mobility_from_force_balance(p: GasIonParams) -> float:
 
 def einstein_diffusivity(mobility: float, temperature: float, charge: float) -> float:
     """Ion diffusivity from the Einstein relation: D = mu * kT / q, m^2/s."""
-    if not (mobility >= 0.0 and temperature > 0.0 and charge > 0.0):  # nan is refused too
-        raise ValueError("mobility must be >= 0, temperature and charge > 0")
+    check_sign("mobility", mobility, positive=False)
+    check_sign("temperature", temperature)
+    check_sign("charge", charge)
     return mobility * BOLTZMANN * temperature / charge
 
 
@@ -238,12 +234,9 @@ def thrust_from_current(
     toward the positive electrode (opposite to axis_pos_to_neg). Linear in
     both gap and current.
     """
-    if not gap > 0.0:  # nan is refused too
-        raise ValueError("gap must be positive")
-    if not current >= 0.0:
-        raise ValueError("current must be non-negative")
-    if not mobility > 0.0:
-        raise ValueError("mobility must be positive")
+    check_sign("gap", gap)
+    check_sign("current", current, positive=False)
+    check_sign("mobility", mobility)
     axis = np.asarray(axis_pos_to_neg, dtype=float).reshape(3)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
@@ -263,13 +256,11 @@ class ThrustMap:
     thrust_grams: tuple
 
     def __post_init__(self):
-        store_floats(self, tables=("inputs", "thrust_grams"))
+        store_floats(self, tables=("inputs", "thrust_grams"), non_negative=("thrust_grams",))
         if len(self.inputs) != len(self.thrust_grams) or len(self.inputs) < 2:
             raise ValueError("need at least two (input, thrust) samples")
         if any(b <= a for a, b in zip(self.inputs, self.inputs[1:])):
             raise ValueError("inputs must be strictly increasing")
-        if any(g < 0.0 for g in self.thrust_grams):
-            raise ValueError("thrust samples must be non-negative")
 
 
 # Quad-ring thrust vs throttle fraction. Below 20% throttle the corona has
@@ -310,8 +301,7 @@ def spacing_to_thrust(tmap: ThrustMap, spacing: float) -> float:
     segment is extended linearly and an ExtrapolatedThrustWarning is
     issued; beyond the last sample the value clamps to the final reading.
     """
-    if not spacing > 0.0:  # nan is refused too
-        raise ValueError("spacing must be positive")
+    check_sign("spacing", spacing)
     if spacing <= PUNCTURE_SPACING:
         raise PunctureFault(
             f"spacing {spacing:.4f} m <= {PUNCTURE_SPACING} m: foil puncture"
@@ -332,8 +322,7 @@ def spacing_to_thrust(tmap: ThrustMap, spacing: float) -> float:
 
 def thrust_to_weight(thrust: float, dry_mass: float) -> float:
     """Thrust-to-weight figure of merit in N/kg."""
-    if not dry_mass > 0.0:  # nan is refused too
-        raise ValueError("dry_mass must be positive")
+    check_sign("dry_mass", dry_mass)
     return thrust / dry_mass
 
 

@@ -82,7 +82,7 @@ def test_thruster_map_refuses_a_nan_spacing(capsys):
     # The query is evaluated before the map is written, so a refused one writes nothing to stdout.
     assert main(["thruster-map", "spacing-dual", "--at", "nan"]) == 1
     out, err = capsys.readouterr()
-    assert err == "error: ValueError: spacing must be positive\n"
+    assert err == "error: ValueError: spacing must be positive and finite, got nan\n"
     assert out == ""
 
 
@@ -355,7 +355,8 @@ reference = ref.txt
     ("", "0.0 0 0 0.5\n1.0 0 0 nan\n", "ref.txt"),
     ("", "# t x y psi\n", "ref.txt: no data rows"),
     ("", "0.0 0 0 0.5\n1e-320 1 0 0.5\n", "ref.txt: pose slope from t=0.0 to t=1e-320 is not finite"),
-], ids=["negative-t-max", "nan-reference", "empty-reference", "subnormal-knot-spacing"])
+    ("", "-1e308 0 0 0\n1e308 1 0 0\n", "ref.txt: knot spacing from t=-1e+308 to t=1e+308 is not finite"),
+], ids=["negative-t-max", "nan-reference", "empty-reference", "subnormal-knot-spacing", "far-apart-knots"])
 def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
     (tmp_path / "ref.txt").write_text(ref, encoding="utf-8")
     path = tmp_path / "smc.cfg"
@@ -476,6 +477,10 @@ thrust_feedforward = 0.01
     ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
     ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
     ("certify-gains", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
+    ("simulate", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
+    ("linearize", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
+    ("certify-gains", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
+    ("simulate", "[scenario]\ngimbal_noise = 1e308\n", "bad.cfg: [scenario] gimbal_noise"),
     ("simulate", "[scenario]\ndt = -1\n", "bad.cfg: [scenario] dt"),
     ("simulate", "[open_loop]\nthrust = -0.1\n", "bad.cfg: [open_loop] thrust"),
     ("simulate", "[open_loop]\ndelta_y = 2.0\n", "bad.cfg: [open_loop] |delta_y|"),
@@ -505,8 +510,9 @@ thrust_feedforward = 0.01
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
         "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
-        "negative-mass", "linearize-negative-mass", "certify-gains-negative-mass", "negative-dt", "negative-thrust",
-        "delta-y-beyond-gimbal",
+        "negative-mass", "linearize-negative-mass", "certify-gains-negative-mass", "negative-inertia-y",
+        "linearize-negative-inertia-y", "certify-gains-negative-inertia-y", "huge-gimbal-noise", "negative-dt",
+        "negative-thrust", "delta-y-beyond-gimbal",
         "delta-p-beyond-gimbal", "delta-p-2-ulp-past-gimbal", "zero-inertia-determinant",
         "negative-inertia-determinant", "planar-initial-theta", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u",
         "open-loop-section-under-smc", "smc-section-under-open-loop", "open-loop-section-under-inner-loop",

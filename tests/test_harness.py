@@ -2,7 +2,9 @@ import csv
 import io
 import math
 import re
+import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from ionblimp.harness import (
     servo_map,
     write_records_csv,
 )
-from ionblimp.inner_loop import FirstOrderTf, design_ku_unity_dc, kw_lower_bound, linearize
+from ionblimp.inner_loop import FirstOrderTf, design_ku_unity_dc, kw_lower_bound, linearize, step_response
 from ionblimp.smc import ReferenceTrajectory, SmcGains, SmcModel, sliding_surface
 from ionblimp.thruster import throttle_to_thrust
 
@@ -428,10 +430,16 @@ def test_scenario_rejects_non_finite_timing(timing):
         hover_scenario(**timing)
 
 
-@pytest.mark.parametrize("noise", [-0.01, float("nan"), float("inf")])
+@pytest.mark.parametrize("noise", [-0.01, float("nan"), float("inf"), 1e308])
 def test_scenario_rejects_bad_gimbal_noise(noise):
     with pytest.raises(ValueError, match="gimbal_noise"):
         hover_scenario(gimbal_noise=noise)
+
+
+def test_the_widest_gimbal_noise_draw_runs():
+    # Each draw spans 2 * gimbal_noise; the largest noise whose span is finite loads and runs.
+    result = run_scenario(hover_scenario(gimbal_noise=sys.float_info.max / 2, duration=0.01, dt=0.01))
+    assert len(result.records) == 2
 
 
 VALID_GAINS = {"c1": 1.0, "c2": 1.0, "epsilon": 0.05, "k": 1.0}
@@ -485,6 +493,39 @@ def test_config_dataclasses_reject_non_finite(cls, valid, name):
             cls(**{**valid, name: "1"})
         stored = getattr(cls(**{**valid, name: 1}), name)
         assert type(stored) is float and stored == 1.0
+
+
+VALID_BASES = {cls: valid for cls, valid, _ in NUMERIC_CLASSES}
+# The fields whose sign store_floats bounds, each with its bound.
+SIGNED_FIELDS = [
+    *[(AirshipParams, name, "positive") for name in ("mass", "inertia_x", "inertia_y", "inertia_z", "air_density")],
+    (AirshipParams, "yaw_damping", "non-negative"),
+    (SmcScenarioConfig, "t_max", "positive"),
+    (Scenario, "dt", "positive"),
+    (Scenario, "gimbal_noise", "non-negative"),
+    (SmcGains, "k", "positive"),
+    (SmcGains, "epsilon", "non-negative"),
+    (SmcGains, "boundary_layer", "non-negative"),
+    *[(thruster.GasIonParams, name, "positive") for name in VALID_GAS],
+    (thruster.ThrusterGeometry, "electrode_gap", "positive"),
+    (thruster.ThrusterGeometry, "dry_mass", "positive"),
+    *[(EnvelopeGeometry, name, "positive") for name in ("semi_axis_a", "semi_axis_b", "semi_axis_c")],
+    (EnvelopeGeometry, "envelope_mass", "non-negative"),
+    (thruster.ThrustMap, "thrust_grams", "non-negative"),
+]
+
+
+@pytest.mark.parametrize("cls, name, sign", SIGNED_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in SIGNED_FIELDS])
+def test_a_signed_field_refuses_the_wrong_sign_naming_itself(cls, name, sign):
+    # 0 where the field must be positive, and -1 always, are refused in check_sign's one form;
+    # a non-negative field stores 0.0. A table field holds the value as one of its entries.
+    valid, table = VALID_BASES[cls], TABLES.get(name, lambda x: x)
+    for bad in (0.0, -1.0) if sign == "positive" else (-1.0,):
+        with pytest.raises(ValueError, match=f"^{name} must be {sign} and finite, got {bad!r}$"):
+            cls(**{**valid, name: table(bad)})
+    if sign == "non-negative":
+        assert getattr(cls(**{**valid, name: table(0.0)}), name) == table(0.0)
 
 
 # Each table field, a valid base and a table holding one value where the bad one goes.
@@ -553,15 +594,34 @@ def test_the_scalar_rule_does_not_read_a_float_field_as_a_table():
 
 
 NAN = float("nan")
+# Every function argument under the sign rule: a call taking its value, its name and its bound.
+SIGNED_ARGUMENTS = {
+    "gap": (lambda x: thruster.thrust_from_current(x, 1e-3, 2e-4), "gap", "positive"),
+    "current": (lambda x: thruster.thrust_from_current(0.03, x, 2e-4), "current", "non-negative"),
+    "mobility": (lambda x: thruster.thrust_from_current(0.03, 1e-3, x), "mobility", "positive"),
+    "diffusivity-mobility": (lambda x: thruster.einstein_diffusivity(x, 300.0, 1.6e-19), "mobility", "non-negative"),
+    "diffusivity-temperature": (lambda x: thruster.einstein_diffusivity(2e-4, x, 1.6e-19), "temperature", "positive"),
+    "diffusivity-charge": (lambda x: thruster.einstein_diffusivity(2e-4, 300.0, x), "charge", "positive"),
+    "spacing": (lambda x: thruster.spacing_to_thrust(thruster.SPACING_MAP_DUAL_RING, x), "spacing", "positive"),
+    "thrust-to-weight": (lambda x: thruster.thrust_to_weight(0.01, x), "dry_mass", "positive"),
+    "lift-per-liter": (lambda x: lift_budget(EnvelopeGeometry(1.0, 1.0, 1.0), x), "lift_per_liter", "positive"),
+    "linearize-speed": (lambda x: linearize(AirshipParams(), x, 0.05), "trim_speed", "positive"),
+    "linearize-thrust": (lambda x: linearize(AirshipParams(), 0.4, x), "trim_thrust", "positive"),
+    "ku-numerator": (lambda x: design_ku_unity_dc(x, 0.0575), "numerator", "positive"),
+    "kw-thrust": (lambda x: kw_lower_bound(AirshipParams(lift_slope=0.1), 0.4, x), "trim_thrust", "non-negative"),
+    "kw-speed": (lambda x: kw_lower_bound(AirshipParams(lift_slope=0.1), x, 0.05), "trim_speed", "non-negative"),
+    "step-duration": (lambda x: step_response(FirstOrderTf(3.358, 0.0575), x, 0.1), "duration", "positive"),
+    "step-dt": (lambda x: step_response(FirstOrderTf(3.358, 0.0575), 1.0, x), "dt", "positive"),
+}
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: thruster.thrust_from_current(NAN, 1e-3, 2e-4), "gap must be positive"),
     (lambda: thruster.thrust_from_current(0.03, NAN, 2e-4), "current must be non-negative"),
     (lambda: thruster.thrust_from_current(0.03, 1e-3, NAN), "mobility must be positive"),
-    (lambda: thruster.einstein_diffusivity(NAN, 300.0, 1.6e-19), "mobility must be >= 0, temperature"),
-    (lambda: thruster.einstein_diffusivity(2e-4, NAN, 1.6e-19), "mobility must be >= 0, temperature"),
-    (lambda: thruster.einstein_diffusivity(2e-4, 300.0, NAN), "mobility must be >= 0, temperature"),
+    (lambda: thruster.einstein_diffusivity(NAN, 300.0, 1.6e-19), "mobility must be non-negative and finite, got nan"),
+    (lambda: thruster.einstein_diffusivity(2e-4, NAN, 1.6e-19), "temperature must be positive and finite, got nan"),
+    (lambda: thruster.einstein_diffusivity(2e-4, 300.0, NAN), "charge must be positive and finite, got nan"),
     (lambda: thruster.thrust_to_weight(0.01, NAN), "dry_mass must be positive"),
     (lambda: lift_budget(EnvelopeGeometry(1.0, 1.0, 1.0), NAN), "lift_per_liter must be positive"),
     (lambda: linearize(AirshipParams(), NAN, 0.05), "trim_speed must be positive"),
@@ -570,11 +630,15 @@ NAN = float("nan")
     (lambda: kw_lower_bound(AirshipParams(), 0.4, NAN), "trim_thrust must be non-negative"),
     (lambda: kw_lower_bound(AirshipParams(lift_slope=0.1), NAN, 0.05), "trim_speed must be non-negative"),
     (lambda: kw_lower_bound(AirshipParams(lift_slope=0.1), -0.4, 0.05), "trim_speed must be non-negative"),
+    *[(partial(call, bad), f"{name} must be {sign} and finite, got {bad!r}")
+      for call, name, sign in SIGNED_ARGUMENTS.values()
+      for bad in (math.inf, 0.0 if sign == "positive" else -1.0)],
 ], ids=["gap", "current", "mobility", "diffusivity-mobility", "diffusivity-temperature", "diffusivity-charge",
         "thrust-to-weight", "lift-per-liter", "linearize-speed", "linearize-thrust",
-        "ku-numerator", "kw-thrust", "kw-speed", "kw-negative-speed"])
+        "ku-numerator", "kw-thrust", "kw-speed", "kw-negative-speed",
+        *[f"{key}-{bad}" for key in SIGNED_ARGUMENTS for bad in ("inf", "wrong-sign")]])
 def test_a_positive_only_argument_refuses_nan(call, message):
-    # Written "not x > 0.0", as ThrusterCommand writes its checks, so nan is refused, not returned.
+    # Each argument goes through dynamics.check_sign: nan, +inf and the wrong sign are refused by name, not returned.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
 

@@ -309,6 +309,14 @@ def test_reference_trajectory_refuses_a_non_finite_slope(times, poses, t0, t1):
         ReferenceTrajectory(times=times, poses=poses)
 
 
+def test_reference_trajectory_refuses_knots_whose_spacing_overflows():
+    # t1 - t0 is inf here, so the slope would read 0 and sample(0.0) the first pose, not the midpoint.
+    with pytest.raises(ValueError, match=r"^knot spacing from t=-1e\+308 to t=1e\+308 is not finite$"):
+        ReferenceTrajectory(times=[-1e308, 1e308], poses=[[0, 0, 0], [1, 0, 0]])
+    ref = ReferenceTrajectory(times=[-1e307, 1e307], poses=[[0, 0, 0], [1, 0, 0]])
+    assert ref.sample(0.0)[0] == (0.5, 0.0, 0.0)
+
+
 def test_reference_trajectory_file_error_names_the_file(tmp_path):
     path = tmp_path / "ref.txt"
     path.write_text("0.0 0.0 0.0 0.0\n10.0 nan 0.0 0.5\n", encoding="utf-8")

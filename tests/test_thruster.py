@@ -298,7 +298,7 @@ def test_geometry_presets():
     assert QUAD_RING.dry_mass == pytest.approx(0.01964)
     with pytest.raises(ValueError):
         type(QUAD_RING)(electrode_gap=0.03, ring_count=3, dry_mass=0.02)
-    with pytest.raises(ValueError, match="^dry_mass must be positive$"):  # thrust_to_weight divides by it
+    with pytest.raises(ValueError, match="^dry_mass must be positive and finite, got 0.0$"):  # thrust_to_weight divides by it
         type(QUAD_RING)(electrode_gap=0.03, ring_count=4, dry_mass=0.0)
 
 
