@@ -7,8 +7,6 @@ average over both Maxwellian populations, then look at what the hardware
 actually measured.
 """
 
-import numpy as np
-
 from ionblimp import (
     DUAL_RING,
     QUAD_RING,
@@ -57,7 +55,7 @@ print()
 # the implied corona current.
 gap = QUAD_RING.electrode_gap
 for current_ma in (0.1, 0.2, 0.34, 0.5):
-    t = np.linalg.norm(thrust_from_current(gap, current_ma * 1e-3, DEFAULT_ION_MOBILITY))
+    t = thrust_from_current(gap, current_ma * 1e-3, DEFAULT_ION_MOBILITY)
     print("I = %.2f mA  ->  |T| = %.4f N" % (current_ma, t))
 print("(0.34 mA reproduces the measured 0.051 N maximum)")
 print()

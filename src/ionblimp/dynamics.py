@@ -12,9 +12,9 @@ The state layout is ``BodyState``'s fields, in order (``STATE_LABELS``):
 
     [u, v, w, p, q, r, x, y, h, phi, theta, psi]
 
-``BodyState.as_array``/``from_array`` follow it. Both fields take it as a
-tuple or list of 12 floats, as the RK4 step hands it (an array or a
-``BodyState`` is accepted too), and return a 12-float tuple. One scalar
+``BodyState.as_array``/``from_array`` follow it. Both fields take it as the
+tuple or list of 12 floats the RK4 step hands them (``dataclasses.astuple``
+gives it from a ``BodyState``) and return a 12-float tuple. One scalar
 kernel, ``_body_wrench``, sums the aero, thrust, gravity/buoyancy and
 yaw-damping terms for both models. Each term is defined once, as the public
 ``*_wrench`` function the kernel calls, and returns its body-frame
@@ -159,7 +159,7 @@ class BodyState:
 
     @classmethod
     def from_array(cls, vec) -> "BodyState":
-        return cls(*_state_vector(vec).tolist())
+        return cls(**dict(zip(STATE_LABELS, vec, strict=True)))  # a length other than 12 raises ValueError
 
 
 STATE_LABELS = tuple(f.name for f in fields(BodyState))
@@ -181,21 +181,6 @@ class ThrusterCommand:
             raise ValueError(f"|delta_y| must not exceed {GIMBAL_LIMIT} rad, got {self.yaw_deflection}")
         if not abs(self.pitch_deflection) <= GIMBAL_LIMIT:
             raise ValueError(f"|delta_p| must not exceed {GIMBAL_LIMIT} rad, got {self.pitch_deflection}")
-
-
-def _state_vector(vec) -> np.ndarray:
-    import numpy as np
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (12,):
-        raise ValueError(f"state vector must have 12 components, got shape {vec.shape}")
-    return vec
-
-
-def _state_values(state):
-    """(u, v, w, p, q, r, phi, theta, psi) as floats; the fields read the angles only through trig."""
-    if not isinstance(state, (tuple, list)) or len(state) != 12:  # a wrong length raises in _state_vector
-        state = (state.as_array() if isinstance(state, BodyState) else _state_vector(state)).tolist()
-    return state[:6] + state[9:]
 
 
 def aero_wrench(params: AirshipParams, u: float, v: float, w: float) -> tuple:
@@ -278,8 +263,8 @@ def _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd) -> tuple:
 
 
 def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tuple:
-    """Time derivative, a 12-float tuple, of the state (sequence, array or BodyState) for the 6-DOF model."""
-    u, v, w, p, q, r, phi, theta, psi = _state_values(state)
+    """Time derivative, a 12-float tuple, of the 12-float state tuple or list for the 6-DOF model."""
+    u, v, w, p, q, r, _, _, _, phi, theta, psi = state  # a length other than 12 raises ValueError
     cphi, sphi = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
     cpsi, spsi = math.cos(psi), math.sin(psi)
@@ -311,13 +296,13 @@ def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tupl
 
 
 def planar_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tuple:
-    """Time derivative, a 12-float tuple, of the state (sequence, array or BodyState) for the planar model.
+    """Time derivative, a 12-float tuple, of the 12-float state tuple or list for the planar model.
 
     Raises ConstraintViolation if phi, theta, p or q exceed PLANAR_TOL:
     this model assumes the pendulum stability of the hull pins pitch and
     roll at zero, so those components must arrive (and stay) zero.
     """
-    u, v, w, p, q, r, phi, theta, psi = _state_values(state)
+    u, v, w, p, q, r, _, _, _, phi, theta, psi = state
     off_manifold = max(abs(wrap_angle(phi)), abs(wrap_angle(theta)), abs(p), abs(q))
     if off_manifold > PLANAR_TOL:
         raise ConstraintViolation(

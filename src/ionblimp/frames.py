@@ -41,11 +41,6 @@ def wrap_angle(angle: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-def angle_difference(a: float, b: float) -> float:
-    """Shortest-path difference a - b, wrapped to (-pi, pi]."""
-    return wrap_angle(a - b)
-
-
 @dataclass(frozen=True)
 class AttitudeAngles:
     """Roll, pitch, yaw (rad), each wrapped to (-pi, pi] on construction."""

@@ -73,6 +73,10 @@ from .smc import (
 
 CONFIG_HEADER = "# blimpsim-config v1"
 
+# The most steps (duration / dt) a scenario may take: over 800x the longest committed scenario, and far below
+# the 1e9 steps at which the whole-number check's rel_tol of 1e-9 no longer tells a part of a step apart.
+MAX_STEPS = 10_000_000
+
 # The smc pose model is planar and takes no gimbal noise, so it reads none of these keys.
 SMC_UNREAD = {"scenario": ("model", "gimbal_noise"), "initial": ("w", "p", "q", "phi", "theta")}
 
@@ -121,17 +125,15 @@ def _sized(k, n: int):
 # Zero deflection points a servo at its center; its travel either side is the gimbal limit.
 SERVO_CENTER_DEG = 90.0
 
-ServoAngles = namedtuple("ServoAngles", "yaw_deg pitch_deg")
 
-
-def servo_map(cmd: ThrusterCommand) -> ServoAngles:
-    """Servo angle pair for a thruster command: a deflection d maps to SERVO_CENTER_DEG + degrees(d).
+def servo_map(cmd: ThrusterCommand) -> tuple:
+    """(yaw, pitch) servo angles (deg) of a thruster command: a deflection d maps to SERVO_CENTER_DEG + degrees(d).
 
     ThrusterCommand keeps |d| <= GIMBAL_LIMIT = pi/2, degrees(pi/2) is
     exactly 90.0 and rounding is monotone, so the angles lie in [0, 180].
     """
-    return ServoAngles(SERVO_CENTER_DEG + math.degrees(cmd.yaw_deflection),
-                       SERVO_CENTER_DEG + math.degrees(cmd.pitch_deflection))
+    return (SERVO_CENTER_DEG + math.degrees(cmd.yaw_deflection),
+            SERVO_CENTER_DEG + math.degrees(cmd.pitch_deflection))
 
 
 # Open-loop values that cannot be set together: the script wins, throttle replaces thrust.
@@ -227,6 +229,9 @@ class Scenario:
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.duration < self.dt:
             raise ValueError("duration must be at least one step")
+        if not self.duration / self.dt <= MAX_STEPS:  # a quotient that overflows to inf fails too
+            raise ValueError(f"duration / dt must be at most {MAX_STEPS} steps, got duration={self.duration!r}, "
+                             f"dt={self.dt!r}")
         if not math.isclose(round(self.duration / self.dt) * self.dt, self.duration, rel_tol=1e-9):
             raise ValueError(f"duration {self.duration} s is not a whole number of dt={self.dt} s steps")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
@@ -380,17 +385,15 @@ def run_scenario(sc: Scenario) -> SimResult:
     records = []
     for step in range(n_steps + 1):
         t = step * sc.dt
-        state, cmd, u, saturated, internals = plant.control(t, y)
-        servo = servo_map(cmd)
-        flags = ("ground",) * (state[8] < 0.0) + ("saturation",) * saturated  # sorted
-        records.append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
-                                 servo.yaw_deg, servo.pitch_deg, *internals, flags))
-        if step == n_steps:
-            break
-        try:
-            y = integrate_step(plant.derivative, y, u, sc.dt, plant.labels)
+        try:  # one failure path: the controller's and the integrator's errors carry the step
+            state, cmd, u, saturated, internals = plant.control(t, y)
+            if step < n_steps:
+                y = integrate_step(plant.derivative, y, u, sc.dt, plant.labels)
         except Exception as exc:
             raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
+        flags = ("ground",) * (state[8] < 0.0) + ("saturation",) * saturated  # sorted
+        records.append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
+                                 *servo_map(cmd), *internals, flags))
     result = SimResult(records=records, summary=_summarize(sc, records))
     if sc.csv_path:
         write_records_csv(result.records, sc.csv_path)

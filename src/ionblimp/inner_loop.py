@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .dynamics import AirshipParams, check_sign, store_floats
+from .dynamics import AirshipParams, _floats, check_sign, store_floats
 
 # Fitted surge-channel plant for the 297.8 g prototype: du/dT1 = g / (s + a)
 # once the k_u loop is closed, with g and a below for the open loop.
@@ -51,13 +51,6 @@ class LinearModel:
 
     a: np.ndarray
     b: np.ndarray
-
-    def vr_blocks(self):
-        """Open-loop sway/yaw sub-system: 2x2 state block and 2x1 input column."""
-        import numpy as np
-        a_vr = self.a[np.ix_([1, 3], [1, 3])]
-        b_vr = self.b[[1, 3], 1]
-        return a_vr, b_vr
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ def linearize(params: AirshipParams, trim_speed: float, trim_thrust: float) -> L
 def design_ku_unity_dc(numerator: float, pole: float) -> float:
     """Surge gain giving unity DC gain for g/(s + pole + g*k_u)."""
     check_sign("numerator", numerator)
-    return (numerator - pole) / numerator
+    return _floats(f"k_u at numerator={numerator!r}, pole={pole!r}", (numerator - pole) / numerator, False)
 
 
 def kw_lower_bound(params: AirshipParams, trim_speed: float, trim_thrust: float) -> float:
@@ -131,18 +124,18 @@ def kw_lower_bound(params: AirshipParams, trim_speed: float, trim_thrust: float)
         raise DivisionByZeroThrust("k_w bound undefined at zero trim thrust")
     check_sign("trim_thrust", trim_thrust, positive=False)
     check_sign("trim_speed", trim_speed, positive=False)
-    return params.air_density * trim_speed * params.lift_slope / (2.0 * trim_thrust)
+    k_w = params.air_density * trim_speed * params.lift_slope / (2.0 * trim_thrust)
+    return _floats(f"k_w bound at trim_speed={trim_speed!r}, trim_thrust={trim_thrust!r}", k_w, False)
 
 
 def closed_loop_vr(model: LinearModel, k1: float, k2: float) -> np.ndarray:
     """Sway/yaw closed-loop matrix under d_deltay = -k1*dv - k2*dr.
 
-    Formed by substituting the feedback into the open-loop (dv, dr) block,
-    i.e. A_cl = A_vr - b_vr @ [k1, k2].
+    Formed by substituting the feedback into the open-loop (dv, dr) block
+    A_vr and its d_deltay input column b_vr, i.e. A_cl = A_vr - b_vr @ [k1, k2].
     """
     import numpy as np
-    a_vr, b_vr = model.vr_blocks()
-    return a_vr - np.outer(b_vr, np.array([k1, k2]))
+    return model.a[np.ix_([1, 3], [1, 3])] - np.outer(model.b[[1, 3], 1], np.array([k1, k2]))
 
 
 def lyapunov_certify(a_cl: np.ndarray) -> LyapunovCertificate:

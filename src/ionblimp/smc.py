@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats, table_shape
-from .frames import angle_difference
+from .frames import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class TrackingError:
         (x, y, psi), (ref_x, ref_y, ref_psi) = pose, ref_pose
         (xd, yd, psid), (ref_xd, ref_yd, ref_psid) = pose_rate, ref_rate
         err = object.__new__(cls)  # both tuples are built as floats here, so __post_init__ is skipped
-        object.__setattr__(err, "error", (float(x - ref_x), float(y - ref_y), angle_difference(psi, ref_psi)))
+        object.__setattr__(err, "error", (float(x - ref_x), float(y - ref_y), wrap_angle(psi - ref_psi)))
         object.__setattr__(err, "error_rate", (float(xd - ref_xd), float(yd - ref_yd), float(psid - ref_psid)))
         return err
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import BOLTZMANN, STANDARD_GRAVITY
-from .dynamics import check_sign, store_floats
+from .dynamics import _floats, check_sign, store_floats
 
 # Typical positive air-ion mobility, m^2/(V s). Used wherever a numeric
 # mobility is needed; the kinetic formula needs a cross-section value the
@@ -219,29 +219,20 @@ def einstein_diffusivity(mobility: float, temperature: float, charge: float) -> 
     check_sign("mobility", mobility, positive=False)
     check_sign("temperature", temperature)
     check_sign("charge", charge)
-    return mobility * BOLTZMANN * temperature / charge
+    return _floats(f"diffusivity at mobility={mobility!r}, temperature={temperature!r}, charge={charge!r}",
+                   mobility * BOLTZMANN * temperature / charge, False)
 
 
-def thrust_from_current(
-    gap: float,
-    current: float,
-    mobility: float,
-    axis_pos_to_neg=(1.0, 0.0, 0.0),
-) -> np.ndarray:
-    """Drift-region thrust vector for a given gap and corona current, N.
+def thrust_from_current(gap: float, current: float, mobility: float) -> float:
+    """Drift-region thrust magnitude for a given gap and corona current, N.
 
-    |T| = gap * current / mobility, directed from the negative electrode
-    toward the positive electrode (opposite to axis_pos_to_neg). Linear in
-    both gap and current.
+    |T| = gap * current / mobility, linear in both gap and current. The
+    thrust points from the negative electrode toward the positive one.
     """
     check_sign("gap", gap)
     check_sign("current", current, positive=False)
     check_sign("mobility", mobility)
-    axis = np.asarray(axis_pos_to_neg, dtype=float).reshape(3)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        raise ValueError("axis_pos_to_neg must be a nonzero vector")
-    return -(gap * current / mobility) * (axis / norm)
+    return gap * current / mobility
 
 
 @dataclass(frozen=True)
@@ -323,7 +314,7 @@ def spacing_to_thrust(tmap: ThrustMap, spacing: float) -> float:
 def thrust_to_weight(thrust: float, dry_mass: float) -> float:
     """Thrust-to-weight figure of merit in N/kg."""
     check_sign("dry_mass", dry_mass)
-    return thrust / dry_mass
+    return _floats(f"thrust_to_weight at thrust={thrust!r}, dry_mass={dry_mass!r}", thrust / dry_mass, False)
 
 
 def dump_thrust_map(tmap: ThrustMap) -> str:

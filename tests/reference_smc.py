@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ionblimp import smc
-from ionblimp.frames import angle_difference
+from ionblimp.frames import wrap_angle
 
 
 def planar_transforms(psi, psi_dot):
@@ -92,7 +92,7 @@ def sample(reference, t):
 def tracking_error(pose, pose_rate, ref_pose, ref_rate):
     """(error, error_rate) of TrackingError.from_pose as float tuples."""
     (x, y, psi), (ref_x, ref_y, ref_psi) = pose, ref_pose
-    error = (x - ref_x, y - ref_y, angle_difference(psi, ref_psi))
+    error = (x - ref_x, y - ref_y, wrap_angle(psi - ref_psi))
     return tuple(map(float, error)), tuple(float(a - b) for a, b in zip(pose_rate, ref_rate))
 
 

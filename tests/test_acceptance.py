@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion; any assertion failure marks that criterion red.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ def test_criterion_05_linearization_fidelity():
     eps = 1e-5
 
     def deriv(vec, cmd):
-        return np.array(full_derivatives(params, BodyState.from_array(vec), cmd))
+        return np.array(full_derivatives(params, vec.tolist(), cmd))
 
     a_fd = np.zeros((4, 4))
     for col, j in enumerate(state_idx):
@@ -231,8 +233,8 @@ def test_criterion_09_model_equivalence():
     for _ in range(100):
         st = random_planar(rng)
         cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
-        full = full_derivatives(null_coupling, st, cmd)
-        planar = planar_derivatives(null_coupling, st, cmd)
+        full = full_derivatives(null_coupling, astuple(st), cmd)
+        planar = planar_derivatives(null_coupling, astuple(st), cmd)
         assert np.allclose(full, planar, atol=1e-9)
 
     # (b) with aero moments and a hanging thruster the models still agree on
@@ -243,8 +245,8 @@ def test_criterion_09_model_equivalence():
     for _ in range(100):
         st = random_planar(rng)
         cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
-        full = np.array(full_derivatives(rich, st, cmd))
-        planar = np.array(planar_derivatives(rich, st, cmd))
+        full = np.array(full_derivatives(rich, astuple(st), cmd))
+        planar = np.array(planar_derivatives(rich, astuple(st), cmd))
         assert np.allclose(full[planar_components], planar[planar_components], atol=1e-9)
     _passed(9, "100 random planar states agree componentwise within 1e-9")
 

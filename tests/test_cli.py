@@ -304,6 +304,19 @@ def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("c2, where", [("1e-310", "step 0 (t=0.000000 s)"), ("1e-300", "step 1 (t=0.001000 s)")])
+def test_a_controller_failure_carries_its_step(c2, where, tmp_path, capsys):
+    # A tiny c2 blows up the SMC's demand until its thrust is nan: the controller, not the
+    # integrator, fails, and its error goes through the run loop's one failure path.
+    scenarios = ROOT / "demos" / "scenarios"
+    (tmp_path / "heading_step_ref.txt").write_bytes((scenarios / "heading_step_ref.txt").read_bytes())
+    cfg = (scenarios / "heading_step.cfg").read_text(encoding="utf-8").replace("c2 = 1.0", f"c2 = {c2}")
+    (tmp_path / "run.cfg").write_text(cfg, encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "run.cfg")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ScenarioError: {where}: thrust must be non-negative, got nan\n"
+
 
 def test_non_finite_param_error_names_the_key(tmp_path, capsys):
     path = tmp_path / "nan_drag.cfg"
@@ -507,6 +520,16 @@ thrust_feedforward = 0.01
     ("simulate", "[params]\nmass = 0.3\nmass = 0.4\n",
      "'{dir}/bad.cfg' [line 4]: option 'mass' in section 'params' already exists"),
     ("simulate", "[params]\nmass = 0.3\n[params]\n", "'{dir}/bad.cfg' [line 4]: section 'params' already exists"),
+    ("simulate", "[scenario]\nduration = 1e300\ndt = 0.01\n",
+     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1e+300, dt=0.01"),
+    ("simulate", "[scenario]\nduration = 1.0\ndt = 1e-300\n",
+     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1.0, dt=1e-300"),
+    ("simulate", "[scenario]\nduration = 1.0\ndt = 1e-320\n",
+     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1.0, dt=1e-320"),
+    ("simulate", "[scenario]\nduration = 1e300\ndt = 1e-10\n",
+     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1e+300, dt=1e-10"),
+    ("certify-gains", "[params]\nlift_slope = 0.1\n[trim]\nthrust = 1e-320\n",
+     "k_w bound at trim_speed=1.0, trim_thrust=1e-320 must be finite, got inf"),
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
         "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
@@ -518,7 +541,8 @@ thrust_feedforward = 0.01
         "open-loop-section-under-smc", "smc-section-under-open-loop", "open-loop-section-under-inner-loop",
         "model-under-smc", "gimbal-noise-under-smc", "initial-w-under-smc", "initial-theta-under-smc",
         "unknown-controller-beside-section", "negative-seed", "key-before-any-section", "line-without-equals",
-        "duplicate-key", "duplicate-section"])
+        "duplicate-key", "duplicate-section", "huge-duration", "tiny-dt", "subnormal-dt", "step-count-overflows",
+        "certify-gains-k-w-overflows"])
 def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys):
     path, named = config, named.format(dir=tmp_path)
     if isinstance(config, str):

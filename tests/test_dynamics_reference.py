@@ -121,7 +121,7 @@ def test_gravity_buoyancy_wrench_matches_matrix_reference(params, phi, theta, ps
 @given(params=airship_params(), vel=VELOCITIES, rates=_triple(-2.0, 2.0),
        pos=_triple(-100.0, 100.0), phi=ANGLES, theta=PITCHES, psi=ANGLES, cmd=COMMANDS)
 def test_full_field_matches_matrix_reference(params, vel, rates, pos, phi, theta, psi, cmd):
-    y = np.array([*vel, *rates, *pos, phi, theta, psi])
+    y = (*vel, *rates, *pos, phi, theta, psi)
     _assert_same(full_derivatives, ref.full_derivatives, params, y, cmd)
 
 
@@ -131,6 +131,6 @@ def test_full_field_matches_matrix_reference(params, vel, rates, pos, phi, theta
        pq=_pair(-PLANAR_TOL / 2, PLANAR_TOL / 2),
        psi=ANGLES, cmd=COMMANDS)
 def test_planar_field_matches_matrix_reference(params, vel, r, pos, phi, theta, pq, psi, cmd):
-    y = np.array([*vel, *pq, r, *pos, phi, theta, psi])
+    y = (*vel, *pq, r, *pos, phi, theta, psi)
     _assert_same(planar_derivatives, ref.planar_derivatives, params, y, cmd)
 

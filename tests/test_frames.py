@@ -11,7 +11,6 @@ from ionblimp.frames import (
     StagnantFlow,
     V_EPS,
     airflow_to_body,
-    angle_difference,
     euler_rates_from_body_rates,
     flow_angles_from_velocity,
     ground_to_body,
@@ -89,9 +88,10 @@ def test_wrap_angle_keeps_nan_and_rejects_infinity():
 
 
 def test_angle_difference_shortest_path():
-    assert angle_difference(3.0, -3.0) == pytest.approx(6.0 - 2 * np.pi)
-    assert angle_difference(-3.0, 3.0) == pytest.approx(2 * np.pi - 6.0)
-    assert angle_difference(0.2, 0.5) == pytest.approx(-0.3)
+    # The yaw tracking error wraps the difference a - b (smc.TrackingError.from_pose).
+    assert wrap_angle(3.0 - -3.0) == pytest.approx(6.0 - 2 * np.pi)
+    assert wrap_angle(-3.0 - 3.0) == pytest.approx(2 * np.pi - 6.0)
+    assert wrap_angle(0.2 - 0.5) == pytest.approx(-0.3)
 
 
 def test_attitude_angles_wrap_on_construction():

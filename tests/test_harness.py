@@ -643,6 +643,24 @@ def test_a_positive_only_argument_refuses_nan(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: thruster.einstein_diffusivity(1e300, 1e300, 1e-300),
+     "diffusivity at mobility=1e+300, temperature=1e+300, charge=1e-300 must be finite, got inf"),
+    (lambda: design_ku_unity_dc(1e-320, 0.0575), "k_u at numerator=1e-320, pole=0.0575 must be finite, got -inf"),
+    (lambda: design_ku_unity_dc(1.0, NAN), "k_u at numerator=1.0, pole=nan must be finite, got nan"),
+    (lambda: kw_lower_bound(AirshipParams(lift_slope=0.1), 1.0, 1e-320),
+     "k_w bound at trim_speed=1.0, trim_thrust=1e-320 must be finite, got inf"),
+    (lambda: thruster.thrust_to_weight(1e300, 1e-300),
+     "thrust_to_weight at thrust=1e+300, dry_mass=1e-300 must be finite, got inf"),
+    (lambda: thruster.thrust_to_weight(NAN, 0.02),
+     "thrust_to_weight at thrust=nan, dry_mass=0.02 must be finite, got nan"),
+], ids=["diffusivity", "ku", "ku-nan-pole", "kw", "thrust-to-weight", "thrust-to-weight-nan-thrust"])
+def test_a_result_that_overflows_is_refused_naming_the_arguments(call, message):
+    # Finite arguments within the sign rule can still overflow the result: it is refused, not returned.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_ground_flag_on_every_plant():
     ref = ReferenceTrajectory(times=[0.0, 1.0], poses=[[0, 0, 0.5], [0, 0, 0.5]])
     smc = SmcScenarioConfig(gains=SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0), reference=ref)
@@ -750,6 +768,14 @@ def test_scenario_fields_are_what_a_scenario_file_sets():
     sections = ("params", "initial", "open_loop", "inner_loop", "smc")
     expected = {*SCENARIO_SCHEMA["scenario"], *sections, "csv_path", "summary_path"}
     assert {f.name for f in fields(Scenario)} == expected
+
+
+def test_scenario_refuses_one_step_more_than_max_steps():
+    # The scenario files beyond the bound are rows of test_cli's test_bad_input_fails_at_load_naming_it.
+    hover_scenario(duration=float(harness.MAX_STEPS), dt=1.0)  # the bound itself loads
+    message = f"duration / dt must be at most {harness.MAX_STEPS} steps, got duration=10000001.0, dt=1.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hover_scenario(duration=harness.MAX_STEPS + 1.0, dt=1.0)
 
 
 def test_scenario_rejects_duration_off_the_step_grid():
