@@ -23,7 +23,7 @@ import sys
 import warnings
 
 from . import harness, inner_loop
-from .dynamics import AirshipParams
+from .dynamics import AirshipParams, check_sign
 
 # Each preset's map and the function that reads thrust off it, by their names in ``thruster``.
 _MAP_PRESETS = {
@@ -32,17 +32,20 @@ _MAP_PRESETS = {
 }
 
 
-_PARAMS_SCHEMA = {
-    "params": harness.SCENARIO_SCHEMA["params"],
-    "trim": {"speed": harness.finite_float, "thrust": harness.finite_float},
-}
+_PARAMS_SCHEMA = {"params": harness.SCENARIO_SCHEMA["params"], "trim": {"speed": float, "thrust": float}}
+
+
+def _trim(speed=1.0, thrust=0.05) -> tuple:
+    check_sign("speed", speed)
+    check_sign("thrust", thrust)
+    return speed, thrust
 
 
 def _load_params_config(path):
-    """Read [params] and optional [trim] (nothing else) from a versioned config file."""
+    """Read [params] and optional [trim] (nothing else) from a versioned config file: (params, speed, thrust)."""
     config = harness.read_config(path, _PARAMS_SCHEMA)
-    params, trim = harness._section(path, "params", AirshipParams, config.get("params", {})), config.get("trim", {})
-    return params, trim.get("speed", 1.0), trim.get("thrust", 0.05)
+    params = harness._section(path, "params", AirshipParams, config.get("params", {}))
+    return params, *harness._section(path, "trim", _trim, config.get("trim", {}))
 
 
 def _grid(option: str, text: str) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Attitude representations and frame rotations for the blimp simulator.
+"""Frame rotations and flow angles for the blimp simulator.
 
 Conventions
 -----------
@@ -10,7 +10,8 @@ Conventions
 * All angles are radians everywhere inside the library. Degrees exist only
   at the config/CLI boundary.
 * Rotation matrices map COMPONENTS into the body frame, e.g.
-  ``v_body = ground_to_body(att) @ v_ground``.
+  ``v_body = ground_to_body(att) @ v_ground``. The attitude ``att`` is a
+  ``dynamics.BodyState``; only its wrapped phi, theta and psi are read.
 
 All functions are pure and safe to call from any thread. The matrix and
 flow-angle helpers import numpy when called; importing this module does not.
@@ -42,20 +43,6 @@ def wrap_angle(angle: float) -> float:
 
 
 @dataclass(frozen=True)
-class AttitudeAngles:
-    """Roll, pitch, yaw (rad), each wrapped to (-pi, pi] on construction."""
-
-    phi: float = 0.0
-    theta: float = 0.0
-    psi: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-        object.__setattr__(self, "psi", wrap_angle(self.psi))
-
-
-@dataclass(frozen=True)
 class FlowAngles:
     """Angle of attack and sideslip (rad), both strictly inside (-pi/2, pi/2)."""
 
@@ -69,8 +56,8 @@ class FlowAngles:
             )
 
 
-def ground_to_body(att: AttitudeAngles) -> np.ndarray:
-    """Rotation taking ground-frame components to body-frame components.
+def ground_to_body(att: BodyState) -> np.ndarray:
+    """Rotation taking ground-frame components to body-frame components at att's phi, theta and psi.
 
     Built as roll(x) @ pitch(y) @ yaw(z), the classic Z-Y-X sequence.
     """
@@ -97,8 +84,8 @@ def airflow_to_body(flow: FlowAngles) -> np.ndarray:
     return roll_beta @ pitch_alpha
 
 
-def euler_rates_from_body_rates(att: AttitudeAngles, body_rates) -> np.ndarray:
-    """Invert the attitude-rate kinematics: (p, q, r) -> (phi_dot, theta_dot, psi_dot).
+def euler_rates_from_body_rates(att: BodyState, body_rates) -> np.ndarray:
+    """Invert the attitude-rate kinematics at att's phi and theta: (p, q, r) -> (phi_dot, theta_dot, psi_dot).
 
     Singular at theta = +-pi/2 (cos(theta) = 0), like every Euler-angle chart.
     """

@@ -477,14 +477,6 @@ def format_summary(summary: dict) -> str:
 # Scenario config files
 # ---------------------------------------------------------------------------
 
-def finite_float(text: str) -> float:
-    """Config converter: a finite float (nan and inf are input errors)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {text!r}")
-    return value
-
-
 def _path(text: str) -> Path:
     if not text:
         raise ValueError("empty path")
@@ -496,19 +488,14 @@ _SMC_FIELDS = [f for f in (*fields(SmcGains), *fields(SmcScenarioConfig)) if f.n
 
 # Everything a scenario file may contain: section -> key -> converter.
 # A converter returning a Path marks a file name, resolved by read_config.
+# A float is checked once, as finite, by store_floats in the dataclass its section builds.
 SCENARIO_SCHEMA = {
-    "scenario": {
-        "model": str, "controller": str, "duration": finite_float, "dt": finite_float,
-        "seed": int, "gimbal_noise": finite_float,
-    },
-    "params": dict.fromkeys((f.name for f in fields(AirshipParams)), finite_float),
-    "initial": dict.fromkeys(STATE_LABELS, finite_float),
-    "open_loop": {
-        "thrust": finite_float, "throttle": finite_float, "delta_y": finite_float,
-        "delta_p": finite_float, "script": _path,
-    },
-    "inner_loop": dict.fromkeys((f.name for f in fields(InnerLoopConfig)), finite_float),
-    "smc": {f.name: _path if f.name == "reference" else finite_float for f in _SMC_FIELDS},
+    "scenario": {"model": str, "controller": str, "duration": float, "dt": float, "seed": int, "gimbal_noise": float},
+    "params": dict.fromkeys((f.name for f in fields(AirshipParams)), float),
+    "initial": dict.fromkeys(STATE_LABELS, float),
+    "open_loop": {"thrust": float, "throttle": float, "delta_y": float, "delta_p": float, "script": _path},
+    "inner_loop": dict.fromkeys((f.name for f in fields(InnerLoopConfig)), float),
+    "smc": {f.name: _path if f.name == "reference" else float for f in _SMC_FIELDS},
     "output": {"csv": _path, "summary": _path},
 }
 
@@ -525,8 +512,8 @@ def read_config(path, schema: dict) -> dict:
     first_line = text.splitlines()[0].strip() if text.strip() else ""
     if first_line != CONFIG_HEADER:
         raise ValueError(f"{path}: first line must be {CONFIG_HEADER!r}, got {first_line!r}")
-    # No default section: a [DEFAULT] header is an unknown section like any other.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
+    # No default section: a [DEFAULT] header is an unknown section like any other. No % expansion either.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="", interpolation=None)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:  # its message names the file and the line, over several lines

@@ -37,10 +37,6 @@ U_CHANNEL_POLE = 0.0575  # 1/s (fitted open-loop pole)
 RESIDUAL_LIMIT = 1e-10
 
 
-class DivisionByZeroThrust(ZeroDivisionError):
-    """Gain bound requested at zero trim thrust (no gimbal authority)."""
-
-
 class SingularLyapunov(ValueError):  # ValueError is numpy's LinAlgError's own base
     """The Lyapunov system is singular: the closed loop has mirrored eigenvalues."""
 
@@ -120,9 +116,7 @@ def design_ku_unity_dc(numerator: float, pole: float) -> float:
 
 def kw_lower_bound(params: AirshipParams, trim_speed: float, trim_thrust: float) -> float:
     """Minimum heave gain that stabilizes the dw channel: rho V C_La / (2 T)."""
-    if trim_thrust == 0.0:
-        raise DivisionByZeroThrust("k_w bound undefined at zero trim thrust")
-    check_sign("trim_thrust", trim_thrust, positive=False)
+    check_sign("trim_thrust", trim_thrust)  # zero thrust leaves no gimbal authority
     check_sign("trim_speed", trim_speed, positive=False)
     k_w = params.air_density * trim_speed * params.lift_slope / (2.0 * trim_thrust)
     return _floats(f"k_w bound at trim_speed={trim_speed!r}, trim_thrust={trim_thrust!r}", k_w, False)

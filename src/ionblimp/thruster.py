@@ -68,32 +68,18 @@ class ThrusterGeometry:
     """Ring-thruster build geometry and dry mass."""
 
     electrode_gap: float  # m, emitter wire to collector foil
-    ring_count: int
     dry_mass: float  # kg
 
     def __post_init__(self):
-        names = ("electrode_gap", "dry_mass")  # thrust_to_weight divides by dry_mass
-        store_floats(self, names, positive=names)
-        if isinstance(self.ring_count, bool) or not isinstance(self.ring_count, (int, np.integer)):
-            raise TypeError(f"ring_count must be an int, got {self.ring_count!r}")
-        if self.ring_count not in (1, 2, 4):
-            raise ValueError("ring_count must be 1, 2 or 4 (bench-matching presets)")
+        store_floats(self, positive=("electrode_gap", "dry_mass"))  # thrust_to_weight divides by dry_mass
 
 
 # Final quad-ring flight build: 3.0 cm gap (the 2.5 cm gap of the data sheet
 # punctures; the flight configuration settled on 3.0 cm).
-QUAD_RING = ThrusterGeometry(
-    electrode_gap=0.030,
-    ring_count=4,
-    dry_mass=0.01964,
-)
+QUAD_RING = ThrusterGeometry(electrode_gap=0.030, dry_mass=0.01964)
 
 # Dual-ring spacing-sweep build; nominal 25 mm gap, swept 2.5-5.0 cm on the bench.
-DUAL_RING = ThrusterGeometry(
-    electrode_gap=0.025,
-    ring_count=2,
-    dry_mass=0.01600,
-)
+DUAL_RING = ThrusterGeometry(electrode_gap=0.025, dry_mass=0.01600)
 
 
 def collision_force_density(p: GasIonParams, slip_velocity) -> np.ndarray:

@@ -3,10 +3,9 @@
 Wrenches are (force, moment) array pairs built from ``np.cross`` and the
 ``frames`` rotation matrices, body-rate accelerations come from a 3x3
 ``np.linalg.solve`` on the full inertia tensor (``inertia_matrix``), and the
-state passes through ``BodyState`` (which wraps the angles) and
-``AttitudeAngles``. ``ionblimp.dynamics`` computes the same wrench terms and
-fields with scalar code; the property tests in ``test_dynamics_reference.py``
-compare the two.
+state passes through ``BodyState``, which wraps the angles.
+``ionblimp.dynamics`` computes the same wrench terms and fields with scalar
+code; the property tests in ``test_dynamics_reference.py`` compare the two.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from ionblimp.dynamics import (
     ThrusterCommand,
 )
 from ionblimp.frames import (
-    AttitudeAngles,
     StagnantFlow,
     airflow_to_body,
     euler_rates_from_body_rates,
@@ -36,11 +34,6 @@ def velocity(state: BodyState) -> np.ndarray:
 def rates(state: BodyState) -> np.ndarray:
     """Body rates (p, q, r)."""
     return np.array([state.p, state.q, state.r])
-
-
-def attitude(state: BodyState) -> AttitudeAngles:
-    """Roll, pitch and yaw (phi, theta, psi)."""
-    return AttitudeAngles(state.phi, state.theta, state.psi)
 
 
 def inertia_matrix(params: AirshipParams) -> np.ndarray:
@@ -82,7 +75,7 @@ def thruster_wrench(params: AirshipParams, cmd: ThrusterCommand) -> tuple:
     return force, np.cross(arm, force)
 
 
-def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> tuple:
+def gravity_buoyancy_wrench(params: AirshipParams, att: BodyState) -> tuple:
     l_bg = ground_to_body(att)
     force = l_bg @ np.array([0.0, 0.0, -params.net_lift])
     weight = params.mass * params.gravity
@@ -96,7 +89,7 @@ def gravity_buoyancy_wrench(params: AirshipParams, att: AttitudeAngles) -> tuple
 def _total_wrench(params: AirshipParams, state: BodyState, cmd: ThrusterCommand):
     aero_force, aero_moment = aero_wrench(params, velocity(state))
     thrust_force, thrust_moment = thruster_wrench(params, cmd)
-    static_force, static_moment = gravity_buoyancy_wrench(params, attitude(state))
+    static_force, static_moment = gravity_buoyancy_wrench(params, state)
     force = aero_force + thrust_force + static_force
     moment = aero_moment + thrust_moment + static_moment
     moment = moment + np.array([0.0, 0.0, -params.yaw_damping * state.r])
@@ -121,8 +114,8 @@ def full_derivatives(params: AirshipParams, state: BodyState, cmd: ThrusterComma
     )
     rate_dot = np.linalg.solve(inertia_matrix(params), rhs)
 
-    euler_dot = euler_rates_from_body_rates(attitude(state), rates(state))
-    ground_vel = ground_to_body(attitude(state)).T @ velocity(state)
+    euler_dot = euler_rates_from_body_rates(state, rates(state))
+    ground_vel = ground_to_body(state).T @ velocity(state)
 
     out = np.empty(12)
     out[0:3] = vel_dot

@@ -5,8 +5,7 @@ import pytest
 
 from ionblimp.buoyancy import EnvelopeGeometry, ellipsoid_volume, lift_budget
 from ionblimp.constants import STANDARD_GRAVITY
-from ionblimp.dynamics import AirshipParams, gravity_buoyancy_wrench
-from ionblimp.frames import AttitudeAngles
+from ionblimp.dynamics import AirshipParams, BodyState, gravity_buoyancy_wrench
 
 # 1.97 m long, 51 cm max diameter envelope of the bench vehicle.
 BENCH_GEOMETRY = EnvelopeGeometry(0.985, 0.255, 0.255, envelope_mass=0.07936)
@@ -72,7 +71,7 @@ def test_geometry_validation():
 def test_buoyancy_wrench_level_any_yaw():
     params = pendulum(2.92, 0.2)
     for psi in (0.0, 0.7, -2.0, np.pi):
-        force, moment = static_wrench(params, AttitudeAngles(psi=psi))
+        force, moment = static_wrench(params, BodyState(psi=psi))
         assert np.allclose(force, [0.0, 0.0, -2.92], atol=1e-14)
         assert np.allclose(moment, np.zeros(3), atol=1e-14)
 
@@ -80,7 +79,7 @@ def test_buoyancy_wrench_level_any_yaw():
 def test_buoyancy_wrench_pitch_restoring():
     # Oracle: evaluate the rotated force and (0, 0, -d) x F by scalar trig.
     g_n, d, theta = 2.92, 0.2, 0.1
-    force, moment = static_wrench(pendulum(g_n, d), AttitudeAngles(theta=theta))
+    force, moment = static_wrench(pendulum(g_n, d), BodyState(theta=theta))
     assert np.allclose(force, [g_n * np.sin(theta), 0.0, -g_n * np.cos(theta)], atol=1e-14)
     assert np.allclose(moment, [0.0, -d * g_n * np.sin(theta), 0.0], atol=1e-14)
     assert moment[1] < 0.0  # opposes positive pitch
@@ -88,7 +87,7 @@ def test_buoyancy_wrench_pitch_restoring():
 
 def test_buoyancy_wrench_roll_restoring():
     g_n, d, phi = 2.92, 0.2, 0.1
-    force, moment = static_wrench(pendulum(g_n, d), AttitudeAngles(phi=phi))
+    force, moment = static_wrench(pendulum(g_n, d), BodyState(phi=phi))
     assert np.allclose(force, [0.0, -g_n * np.sin(phi), -g_n * np.cos(phi)], atol=1e-14)
     assert np.allclose(moment, [-d * g_n * np.sin(phi), 0.0, 0.0], atol=1e-14)
     assert moment[0] < 0.0  # opposes positive roll
@@ -98,24 +97,25 @@ def test_buoyancy_force_norm_preserved():
     params = pendulum(3.5, 0.15)
     rng = np.random.default_rng(6)
     for _ in range(100):
-        att = AttitudeAngles(*rng.uniform(-np.pi, np.pi, 3))
+        phi, theta, psi = rng.uniform(-np.pi, np.pi, 3)
+        att = BodyState(phi=phi, theta=theta, psi=psi)
         force, _ = static_wrench(params, att)
         assert np.linalg.norm(force) == pytest.approx(3.5, rel=1e-13)
 
 
 def test_buoyancy_moment_zero_only_when_axis_vertical():
     params = pendulum(3.5, 0.15)
-    assert np.allclose(static_wrench(params, AttitudeAngles())[1], 0.0, atol=1e-15)
-    _, inverted = static_wrench(params, AttitudeAngles(phi=np.pi))
+    assert np.allclose(static_wrench(params, BodyState())[1], 0.0, atol=1e-15)
+    _, inverted = static_wrench(params, BodyState(phi=np.pi))
     assert np.allclose(inverted, 0.0, atol=1e-12)
-    _, tilted = static_wrench(params, AttitudeAngles(theta=0.3))
+    _, tilted = static_wrench(params, BodyState(theta=0.3))
     assert np.linalg.norm(tilted) > 0.01
 
 
 def test_pitch_stiffness_negative_at_level():
     params = pendulum(2.92, 0.2)
     h = 1e-6
-    m_plus = static_wrench(params, AttitudeAngles(theta=+h))[1][1]
-    m_minus = static_wrench(params, AttitudeAngles(theta=-h))[1][1]
+    m_plus = static_wrench(params, BodyState(theta=+h))[1][1]
+    m_minus = static_wrench(params, BodyState(theta=-h))[1][1]
     assert (m_plus - m_minus) / (2 * h) < 0.0
 

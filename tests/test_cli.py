@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ionblimp.cli import main
-from ionblimp.harness import CONFIG_HEADER, load_scenario
+from ionblimp.harness import CONFIG_HEADER, SCENARIO_SCHEMA, load_scenario
 from ionblimp.inner_loop import InnerLoopConfig, gain_report
 from ionblimp.thruster import SPACING_MAP_DUAL_RING, THROTTLE_MAP, dump_thrust_map, spacing_to_thrust
 
@@ -331,6 +331,59 @@ def test_non_finite_param_error_names_the_key(tmp_path, capsys):
     assert lines[0].startswith("error: ") and "drag_coeff" in lines[0]
 
 
+# Every number a config file may hold, with the verb that reads it, and the other
+# sections it needs to load: a minimal valid [inner_loop] or [smc] for their keys.
+NUMERIC_KEYS = [("simulate", section, key) for section, keys in SCENARIO_SCHEMA.items()
+                for key, convert in keys.items() if isinstance(convert("1"), (int, float))]
+NUMERIC_KEYS += [("linearize", "trim", "speed"), ("linearize", "trim", "thrust")]
+NUMERIC_BASES = {
+    "inner_loop": {"scenario": {"controller": "inner_loop"},
+                   "inner_loop": {"trim_speed": "0.3", "trim_thrust": "0.01", "k_u": "0.5"}},
+    "smc": {"scenario": {"controller": "smc"},
+            "smc": {"c1": "1.0", "c2": "1.0", "epsilon": "0.05", "k": "1.0", "reference": "ref.txt"}},
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("verb, section, key", NUMERIC_KEYS, ids=[f"{s}-{k}" for _, s, k in NUMERIC_KEYS])
+def test_a_non_finite_number_fails_at_load_naming_its_key(verb, section, key, bad, tmp_path, capsys):
+    # One owner per rule: each number is refused at load by the section it builds, naming the file and the key.
+    sections = {"scenario": {"duration": "0.01", "dt": "0.01"}} if verb == "simulate" else {}
+    for name, values in NUMERIC_BASES.get(section, {}).items():
+        sections.setdefault(name, {}).update(values)
+    sections.setdefault(section, {})[key] = bad
+    (tmp_path / "ref.txt").write_text("0.0 0 0 0.5\n1.0 0 0 0.5\n", encoding="utf-8")
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG_HEADER + "\n" + "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+                                                  for name, values in sections.items()), encoding="utf-8")
+    assert main([verb, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and f"{path}: [{section}] {key}" in lines[0]
+
+
+def test_a_percent_reference_is_not_expanded(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG_HEADER + "\n[open_loop]\ndelta_y = 0.1\nthrust = %(delta_y)s\n", encoding="utf-8")
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and f"{path}: [open_loop] thrust: " in lines[0]
+
+
+def test_a_percent_sign_in_a_path_is_literal(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_HEADER + "\n[scenario]\nduration = 0.01\ndt = 0.01\n[output]\ncsv = run%1.csv\n",
+                    encoding="utf-8")
+    assert main(["simulate", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "run%1.csv").read_text(encoding="utf-8").startswith("t,u,")
+
+
 @pytest.mark.parametrize("keys", [("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"),
                                   ("script", "delta_y")],
                          ids=["thrust-throttle", "script-thrust", "script-throttle", "script-delta-y"])
@@ -486,6 +539,8 @@ thrust_feedforward = 0.01
     ("simulate", "[scenario]\ngimbal_noise = nan\n", "[scenario] gimbal_noise"),
     ("simulate", "[scenario]\ndt = inf\n", "[scenario] dt"),
     ("linearize", "[trim]\nspeed = -inf\n", "[trim] speed"),
+    ("linearize", "[trim]\nspeed = -1\n", "bad.cfg: [trim] speed must be positive and finite, got -1.0"),
+    ("certify-gains", "[trim]\nthrust = 0\n", "bad.cfg: [trim] thrust must be positive and finite, got 0.0"),
     ("simulate", "[output]\ncsv =\n", "[output] csv"),
     ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
     ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
@@ -532,7 +587,8 @@ thrust_feedforward = 0.01
      "k_w bound at trim_speed=1.0, trim_thrust=1e-320 must be finite, got inf"),
 ], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
         "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
-        "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "empty-path",
+        "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "negative-trim-speed",
+        "zero-trim-thrust", "empty-path",
         "negative-mass", "linearize-negative-mass", "certify-gains-negative-mass", "negative-inertia-y",
         "linearize-negative-inertia-y", "certify-gains-negative-inertia-y", "huge-gimbal-noise", "negative-dt",
         "negative-thrust", "delta-y-beyond-gimbal",

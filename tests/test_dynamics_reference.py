@@ -25,7 +25,7 @@ from ionblimp.dynamics import (
     planar_derivatives,
     thruster_wrench,
 )
-from ionblimp.frames import V_EPS, AttitudeAngles
+from ionblimp.frames import V_EPS
 
 RTOL, ATOL = 1e-12, 1e-13
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -114,7 +114,7 @@ def test_thruster_wrench_matches_matrix_reference(params, cmd):
 @given(params=airship_params(), phi=ANGLES, theta=ANGLES, psi=ANGLES)
 def test_gravity_buoyancy_wrench_matches_matrix_reference(params, phi, theta, psi):
     got = gravity_buoyancy_wrench(params, math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta))
-    _assert_same_terms(got, ref.gravity_buoyancy_wrench(params, AttitudeAngles(phi, theta, psi)))
+    _assert_same_terms(got, ref.gravity_buoyancy_wrench(params, BodyState(phi=phi, theta=theta, psi=psi)))
 
 
 @PROPERTY

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionblimp.dynamics import BodyState
 from ionblimp.frames import (
-    AttitudeAngles,
     FlowAngles,
     StagnantFlow,
     V_EPS,
@@ -18,7 +18,7 @@ from ionblimp.frames import (
 )
 
 
-def body_rates_from_euler_rates(att: AttitudeAngles, euler_rates) -> np.ndarray:
+def body_rates_from_euler_rates(att: BodyState, euler_rates) -> np.ndarray:
     """Map attitude-angle rates (phi_dot, theta_dot, psi_dot) to body rates (p, q, r)."""
     phid, thd, psid = np.asarray(euler_rates, dtype=float)
     cphi, sphi = np.cos(att.phi), np.sin(att.phi)
@@ -65,7 +65,7 @@ IN_RANGE = (st.floats(-math.pi, math.pi, exclude_min=True)
 @given(x=IN_RANGE)
 def test_wrap_angle_keeps_an_angle_in_range_exactly(x):
     assert wrap_angle(x) == x
-    att = AttitudeAngles(phi=x, theta=x, psi=x)
+    att = BodyState(phi=x, theta=x, psi=x)
     assert (att.phi, att.theta, att.psi) == (x, x, x)
 
 
@@ -95,19 +95,19 @@ def test_angle_difference_shortest_path():
 
 
 def test_attitude_angles_wrap_on_construction():
-    att = AttitudeAngles(phi=3 * np.pi, theta=-3 * np.pi / 2, psi=2 * np.pi)
+    att = BodyState(phi=3 * np.pi, theta=-3 * np.pi / 2, psi=2 * np.pi)
     assert att.phi == pytest.approx(np.pi)
     assert att.theta == pytest.approx(np.pi / 2)
     assert att.psi == pytest.approx(0.0)
 
 
 def test_ground_to_body_identity():
-    assert np.allclose(ground_to_body(AttitudeAngles()), np.eye(3), atol=1e-15)
+    assert np.allclose(ground_to_body(BodyState()), np.eye(3), atol=1e-15)
 
 
 def test_ground_to_body_pure_yaw_90():
     # Frozen elementwise from the yaw factor alone: ground x maps to body -y.
-    r = ground_to_body(AttitudeAngles(psi=np.pi / 2))
+    r = ground_to_body(BodyState(psi=np.pi / 2))
     expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.allclose(r, expected, atol=1e-15)
     assert np.allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, -1.0, 0.0], atol=1e-15)
@@ -118,13 +118,14 @@ def test_ground_to_body_level_matches_planar_yaw_matrix():
     for psi in np.linspace(-np.pi, np.pi, 17):
         c, s = np.cos(psi), np.sin(psi)
         expected = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-        assert np.allclose(ground_to_body(AttitudeAngles(psi=psi)), expected, atol=1e-15)
+        assert np.allclose(ground_to_body(BodyState(psi=psi)), expected, atol=1e-15)
 
 
 def test_rotation_group_property_random_attitudes():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        att = AttitudeAngles(*rng.uniform(-np.pi, np.pi, 3))
+        phi, theta, psi = rng.uniform(-np.pi, np.pi, 3)
+        att = BodyState(phi=phi, theta=theta, psi=psi)
         assert is_rotation_matrix(ground_to_body(att), tol=1e-12)
 
 
@@ -148,7 +149,7 @@ def test_airflow_to_body_pure_pitch():
 
 
 def test_body_rates_level_cases():
-    level = AttitudeAngles()
+    level = BodyState()
     assert np.allclose(body_rates_from_euler_rates(level, [0.0, 0.0, 0.7]), [0.0, 0.0, 0.7])
     assert np.allclose(body_rates_from_euler_rates(level, [0.3, 0.0, 0.0]), [0.3, 0.0, 0.0])
 
@@ -157,7 +158,7 @@ def test_body_rates_match_kinematic_matrix():
     # Independent oracle: build the Euler-rate kinematic matrix explicitly.
     rng = np.random.default_rng(3)
     for _ in range(100):
-        att = AttitudeAngles(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2), rng.uniform(-3, 3))
+        att = BodyState(phi=rng.uniform(-1.2, 1.2), theta=rng.uniform(-1.2, 1.2), psi=rng.uniform(-3, 3))
         rates = rng.uniform(-2, 2, 3)
         cphi, sphi = np.cos(att.phi), np.sin(att.phi)
         cth, sth = np.cos(att.theta), np.sin(att.theta)
@@ -170,7 +171,7 @@ def test_body_rates_match_kinematic_matrix():
 def test_euler_rate_inversion_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        att = AttitudeAngles(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2), rng.uniform(-3, 3))
+        att = BodyState(phi=rng.uniform(-1.2, 1.2), theta=rng.uniform(-1.2, 1.2), psi=rng.uniform(-3, 3))
         rates = rng.uniform(-2, 2, 3)
         pqr = body_rates_from_euler_rates(att, rates)
         assert np.allclose(euler_rates_from_body_rates(att, pqr), rates, atol=1e-12)

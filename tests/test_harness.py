@@ -462,7 +462,7 @@ NUMERIC_CLASSES = [
     (InnerLoopConfig, VALID_INNER, ("trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2")),
     (FirstOrderTf, {"gain": 3.358, "pole": 0.0575}, ("gain", "pole")),
     (thruster.GasIonParams, VALID_GAS, list(VALID_GAS)),
-    (thruster.ThrusterGeometry, {"electrode_gap": 0.03, "ring_count": 4, "dry_mass": 0.02},
+    (thruster.ThrusterGeometry, {"electrode_gap": 0.03, "dry_mass": 0.02},
      ("electrode_gap", "dry_mass")),
     (EnvelopeGeometry, {"semi_axis_a": 0.985, "semi_axis_b": 0.255, "semi_axis_c": 0.255},
      ("semi_axis_a", "semi_axis_b", "semi_axis_c", "envelope_mass")),
@@ -608,7 +608,7 @@ SIGNED_ARGUMENTS = {
     "linearize-speed": (lambda x: linearize(AirshipParams(), x, 0.05), "trim_speed", "positive"),
     "linearize-thrust": (lambda x: linearize(AirshipParams(), 0.4, x), "trim_thrust", "positive"),
     "ku-numerator": (lambda x: design_ku_unity_dc(x, 0.0575), "numerator", "positive"),
-    "kw-thrust": (lambda x: kw_lower_bound(AirshipParams(lift_slope=0.1), 0.4, x), "trim_thrust", "non-negative"),
+    "kw-thrust": (lambda x: kw_lower_bound(AirshipParams(lift_slope=0.1), 0.4, x), "trim_thrust", "positive"),
     "kw-speed": (lambda x: kw_lower_bound(AirshipParams(lift_slope=0.1), x, 0.05), "trim_speed", "non-negative"),
     "step-duration": (lambda x: step_response(FirstOrderTf(3.358, 0.0575), x, 0.1), "duration", "positive"),
     "step-dt": (lambda x: step_response(FirstOrderTf(3.358, 0.0575), 1.0, x), "dt", "positive"),
@@ -627,7 +627,7 @@ SIGNED_ARGUMENTS = {
     (lambda: linearize(AirshipParams(), NAN, 0.05), "trim_speed must be positive"),
     (lambda: linearize(AirshipParams(), 0.4, NAN), "trim_thrust must be positive"),
     (lambda: design_ku_unity_dc(NAN, 0.0575), "numerator must be positive"),
-    (lambda: kw_lower_bound(AirshipParams(), 0.4, NAN), "trim_thrust must be non-negative"),
+    (lambda: kw_lower_bound(AirshipParams(), 0.4, NAN), "trim_thrust must be positive"),
     (lambda: kw_lower_bound(AirshipParams(lift_slope=0.1), NAN, 0.05), "trim_speed must be non-negative"),
     (lambda: kw_lower_bound(AirshipParams(lift_slope=0.1), -0.4, 0.05), "trim_speed must be non-negative"),
     *[(partial(call, bad), f"{name} must be {sign} and finite, got {bad!r}")
