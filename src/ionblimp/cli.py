@@ -145,47 +145,75 @@ def _cmd_step_response(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="blimpsim", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("simulate", help="run a scenario config file")
+def _simulate_args(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--csv", help="override the CSV output path")
     p.add_argument("--summary", help="override the summary output path")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("linearize", help="linear model about a trim")
+
+def _linearize_args(p) -> None:
     p.add_argument("config", help="config file with [params] and optional [trim]")
-    p.set_defaults(func=_cmd_linearize)
 
-    p = sub.add_parser("certify-gains", help="Lyapunov-certify sway/yaw gains")
+
+def _certify_gains_args(p) -> None:
     p.add_argument("config")
     p.add_argument("--k1", required=True, help="single value or start:stop:count grid")
     p.add_argument("--k2", required=True, help="single value or start:stop:count grid")
     p.add_argument("--k-w", type=float, default=None, dest="k_w",
                    help="heave gain to report (default: its stability lower bound)")
-    p.set_defaults(func=_cmd_certify_gains)
 
-    p = sub.add_parser("thruster-map", help="print a measured thrust map")
+
+def _thruster_map_args(p) -> None:
     p.add_argument("preset", choices=sorted(_MAP_PRESETS))
     p.add_argument("--at", type=float, default=None,
                    help="also interpolate the thrust (N) at this input")
-    p.set_defaults(func=_cmd_thruster_map)
 
-    p = sub.add_parser("step-response", help="closed-loop surge step response")
+
+def _step_response_args(p) -> None:
     p.add_argument("k_u", type=float)
     p.add_argument("--duration", type=float, default=3.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--gain", type=float, default=inner_loop.U_CHANNEL_GAIN)
     p.add_argument("--pole", type=float, default=inner_loop.U_CHANNEL_POLE)
-    p.set_defaults(func=_cmd_step_response)
 
+
+# Each verb, in usage order: its help line, the function adding its arguments and its command.
+VERBS = {
+    "simulate": ("run a scenario config file", _simulate_args, _cmd_simulate),
+    "linearize": ("linear model about a trim", _linearize_args, _cmd_linearize),
+    "certify-gains": ("Lyapunov-certify sway/yaw gains", _certify_gains_args, _cmd_certify_gains),
+    "thruster-map": ("print a measured thrust map", _thruster_map_args, _cmd_thruster_map),
+    "step-response": ("closed-loop surge step response", _step_response_args, _cmd_step_response),
+}
+
+
+def build_parser(verbs=VERBS) -> argparse.ArgumentParser:
+    """The blimpsim parser with a subparser for each of the named verbs (default: all of them)."""
+    parser = argparse.ArgumentParser(prog="blimpsim", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name in verbs:
+        help_text, add_arguments, command = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=command)
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv with only the called verb's subparser when argv[0] names one.
+
+    An argv that does not start with a verb, or that leaves an argument over,
+    goes through the full parser, whose usage and error lines list every verb.
+    """
+    if argv and argv[0] in VERBS:
+        args, rest = build_parser(argv[:1]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except Exception as exc:  # one greppable line per failure

@@ -14,11 +14,13 @@ The state layout is ``BodyState``'s fields, in order (``STATE_LABELS``):
 
 ``BodyState.as_array``/``from_array`` follow it. Both fields take it as the
 tuple or list of 12 floats the RK4 step hands them (``dataclasses.astuple``
-gives it from a ``BodyState``) and return a 12-float tuple. One scalar
-kernel, ``_body_wrench``, sums the aero, thrust, gravity/buoyancy and
-yaw-damping terms for both models. Each term is defined once, as the public
-``*_wrench`` function the kernel calls, and returns its body-frame
-(fx, fy, fz, mx, my, mz) as a 6-float tuple.
+gives it from a ``BodyState``) and return a 12-float tuple. Each wrench
+term is defined once, as a public ``*_wrench`` function returning its
+body-frame (fx, fy, fz, mx, my, mz) as a 6-float tuple. The thrust command is
+held over an RK4 step, so both fields take the step's thrust wrench
+(``thruster_wrench`` of the command, computed once per step by the caller),
+and one scalar kernel, ``_body_wrench``, sums the aero, gravity/buoyancy and
+yaw-damping terms onto it for both models.
 
 Both derivative fields include a net vertical lift force (buoyancy minus
 weight, a single configurable number) and a linear yaw-damping moment
@@ -196,9 +198,13 @@ def aero_wrench(params: AirshipParams, u: float, v: float, w: float) -> tuple:
     speed = math.sqrt(speed_sq)
     if speed <= V_EPS:
         return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # Each clamp is min(max(x, lo), hi) written as comparisons: the same float for every x, nan and -0.0 included.
     limit = FLOW_ANGLE_LIMIT
-    alpha = min(max(math.atan2(w, u), -limit), limit)
-    beta = min(max(math.asin(min(max(v / speed, -1.0), 1.0)), -limit), limit)
+    alpha = math.atan2(w, u)
+    alpha = -limit if alpha < -limit else limit if alpha > limit else alpha
+    sin_beta = v / speed
+    beta = math.asin(-1.0 if sin_beta < -1.0 else 1.0 if sin_beta > 1.0 else sin_beta)
+    beta = -limit if beta < -limit else limit if beta > limit else beta
     q_dyn = 0.5 * params.air_density * speed_sq
     drag = q_dyn * params.drag_coeff
     lift = q_dyn * params.lift_slope * alpha
@@ -248,13 +254,12 @@ def gravity_buoyancy_wrench(params: AirshipParams, cphi: float, sphi: float, cth
     )
 
 
-def _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd) -> tuple:
-    """The kernel both fields share: the total body-frame (fx, fy, fz, mx, my, mz).
+def _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, t) -> tuple:
+    """The kernel both fields share: the total body-frame (fx, fy, fz, mx, my, mz) with thrust wrench t.
 
     Yaw damping is in both models so that they agree on the shared manifold.
     """
     a = aero_wrench(params, u, v, w)
-    t = thruster_wrench(params, cmd)
     s = gravity_buoyancy_wrench(params, cphi, sphi, cth, sth)
     return (
         a[0] + t[0] + s[0], a[1] + t[1] + s[1], a[2] + t[2] + s[2],
@@ -262,13 +267,16 @@ def _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd) -> tuple:
     )
 
 
-def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tuple:
-    """Time derivative, a 12-float tuple, of the 12-float state tuple or list for the 6-DOF model."""
+def full_derivatives(params: AirshipParams, state, thrust_wrench) -> tuple:
+    """Time derivative, a 12-float tuple, of the 12-float state tuple or list for the 6-DOF model.
+
+    thrust_wrench is the 6-float ``thruster_wrench`` of the command held over the step.
+    """
     u, v, w, p, q, r, _, _, _, phi, theta, psi = state  # a length other than 12 raises ValueError
     cphi, sphi = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
     cpsi, spsi = math.cos(psi), math.sin(psi)
-    fx, fy, fz, mx, my, mz = _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, cmd)
+    fx, fy, fz, mx, my, mz = _body_wrench(params, u, v, w, r, cphi, sphi, cth, sth, thrust_wrench)
     mass = params.mass
 
     ix, iy, iz, ixz = params.inertia_x, params.inertia_y, params.inertia_z, params.inertia_xz
@@ -295,22 +303,27 @@ def full_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tupl
     )
 
 
-def planar_derivatives(params: AirshipParams, state, cmd: ThrusterCommand) -> tuple:
+def planar_derivatives(params: AirshipParams, state, thrust_wrench) -> tuple:
     """Time derivative, a 12-float tuple, of the 12-float state tuple or list for the planar model.
 
-    Raises ConstraintViolation if phi, theta, p or q exceed PLANAR_TOL:
-    this model assumes the pendulum stability of the hull pins pitch and
-    roll at zero, so those components must arrive (and stay) zero.
+    thrust_wrench is as for ``full_derivatives``. Raises ConstraintViolation
+    if phi, theta, p or q exceed PLANAR_TOL: this model assumes the pendulum
+    stability of the hull pins pitch and roll at zero, so those components
+    must arrive (and stay) zero.
     """
     u, v, w, p, q, r, _, _, _, phi, theta, psi = state
-    off_manifold = max(abs(wrap_angle(phi)), abs(wrap_angle(theta)), abs(p), abs(q))
-    if off_manifold > PLANAR_TOL:
-        raise ConstraintViolation(
-            f"planar model requires phi=theta=p=q=0, worst violation {off_manifold:.3e}"
-        )
+    tol = PLANAR_TOL
+    # Within tol, wrap_angle leaves all four unchanged and the worst violation cannot exceed tol, so the
+    # check is only computed (and raises exactly as before, nan and inf included) outside it.
+    if not (-tol <= phi <= tol and -tol <= theta <= tol and -tol <= p <= tol and -tol <= q <= tol):
+        off_manifold = max(abs(wrap_angle(phi)), abs(wrap_angle(theta)), abs(p), abs(q))
+        if off_manifold > tol:
+            raise ConstraintViolation(
+                f"planar model requires phi=theta=p=q=0, worst violation {off_manifold:.3e}"
+            )
 
     fx, fy, fz, _, _, mz = _body_wrench(
-        params, u, v, w, r, math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta), cmd
+        params, u, v, w, r, math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta), thrust_wrench
     )
     mass = params.mass
     cpsi, spsi = math.cos(psi), math.sin(psi)

@@ -3,10 +3,13 @@
 ``run_scenario`` steps every scenario through one loop over a plant: a
 derivative field, stepped by RK4 over Python floats (``integrate_step``),
 its initial state as a tuple, and a controller giving the recorded
-state, the thruster command, the input held over the step and whether the
-actuators saturated. The recorded state is laid out as ``BodyState``'s
-fields (``STATE_LABELS``). The ``CONTROLLERS`` table maps each controller
-name to the function that builds its run's plant, once, before the loop:
+state, the thruster command, the integrator input ``u`` and whether the
+actuators saturated. In both plants ``u`` is a generalized force held over
+the step: the rigid-body plant's is the command's ``thruster_wrench``,
+computed once per step, and the pose plant's the SMC force demand. The
+recorded state is laid out as ``BodyState``'s fields (``STATE_LABELS``).
+The ``CONTROLLERS`` table maps each controller name to the function that
+builds its run's plant, once, before the loop:
 
 * ``open_loop`` and ``inner_loop``: ``_rigid_body_plant``, model ``full``
   or ``planar``, under the command law ``demand(t, y)``: the scripted or
@@ -53,6 +56,7 @@ from .dynamics import (
     planar_derivatives,
     store_floats,
     table_shape,
+    thruster_wrench,
 )
 from .frames import wrap_angle
 from .inner_loop import InnerLoopConfig
@@ -291,10 +295,11 @@ class SimResult:
 # What the run loop integrates: derivative(y, u) from the tuple y0
 # (components named by labels), driven by control(t, y) -> (12 recorded
 # state floats, command, integrator input u, saturated, (s_x, s_y, s_psi,
-# lyap_v, lyap_vdot)), the last all None outside SMC. A controller reads
-# the integrator state y, not the recorded state: the pose plant records
-# body (u, v) rotated from (x_dot, y_dot), and rotating them back would
-# not give the SMC the same bits.
+# lyap_v, lyap_vdot)), the last all None outside SMC. u is a generalized
+# force held over the step: the thrust wrench, or the SMC force demand. A
+# controller reads the integrator state y, not the recorded state: the pose
+# plant records body (u, v) rotated from (x_dot, y_dot), and rotating them
+# back would not give the SMC the same bits.
 Plant = namedtuple("Plant", "derivative y0 labels control")
 
 
@@ -307,13 +312,17 @@ def _rigid_body_plant(sc: Scenario, demand) -> Plant:
         thrust, dy, dp = demand(t, y)
         if noise is not None:
             dy = dy + noise(-sc.gimbal_noise, sc.gimbal_noise)
-        # Clamp to the actuator limits and flag it.
-        limited = (max(thrust, 0.0), *(min(max(d, -GIMBAL_LIMIT), GIMBAL_LIMIT) for d in (dy, dp)))
+        # Clamp to the actuator limits and flag it: max(thrust, 0.0) and min(max(d, -lim), lim) as comparisons,
+        # which keep nan (ThrusterCommand refuses it) and -0.0.
+        lim = GIMBAL_LIMIT
+        limited = (0.0 if thrust < 0.0 else thrust,
+                   -lim if dy < -lim else lim if dy > lim else dy,
+                   -lim if dp < -lim else lim if dp > lim else dp)
         cmd = ThrusterCommand(*limited)
         state = (*y[:9], wrap_angle(y[9]), wrap_angle(y[10]), wrap_angle(y[11]))  # the angles wrapped
-        return state, cmd, cmd, limited != (thrust, dy, dp), (None,) * 5
+        return state, cmd, thruster_wrench(sc.params, cmd), limited != (thrust, dy, dp), (None,) * 5
 
-    return Plant(lambda vec, cmd: deriv(sc.params, vec, cmd), astuple(sc.initial), STATE_LABELS, control)
+    return Plant(lambda vec, wrench: deriv(sc.params, vec, wrench), astuple(sc.initial), STATE_LABELS, control)
 
 
 def _open_loop_plant(sc: Scenario) -> Plant:

@@ -102,6 +102,8 @@ class SmcGains:
         store_floats(self, positive=("k",), non_negative=("epsilon", "boundary_layer"))
         if self.c2 == 0.0:
             raise ValueError("c2 must be nonzero")
+        if not math.isfinite(1.0 / self.c2):  # the control law's gain -(1 / c2) overflows
+            raise ValueError(f"c2 must have a finite reciprocal 1 / c2, got {self.c2!r}")
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,8 @@ def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
     if not t_max > 0.0:  # nan is refused too
         raise ValueError("t_max must be positive")
     fx, fy, nz = map(float, u_forces)
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(nz)):
+        raise ValueError(f"force demand (F_x, F_y, N_z) must be finite, got {(fx, fy, nz)!r}")
     requested = math.hypot(fx, fy)
     thrust = min(requested, t_max)
     delta_y = math.atan2(fy, fx) if requested > 0.0 else 0.0

@@ -16,6 +16,7 @@ from ionblimp.dynamics import (
     ThrusterCommand,
     full_derivatives,
     planar_derivatives,
+    thruster_wrench,
 )
 from ionblimp.harness import (
     OpenLoopCommand,
@@ -122,7 +123,7 @@ def test_criterion_05_linearization_fidelity():
     eps = 1e-5
 
     def deriv(vec, cmd):
-        return np.array(full_derivatives(params, vec.tolist(), cmd))
+        return np.array(full_derivatives(params, vec.tolist(), thruster_wrench(params, cmd)))
 
     a_fd = np.zeros((4, 4))
     for col, j in enumerate(state_idx):
@@ -233,8 +234,9 @@ def test_criterion_09_model_equivalence():
     for _ in range(100):
         st = random_planar(rng)
         cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
-        full = full_derivatives(null_coupling, astuple(st), cmd)
-        planar = planar_derivatives(null_coupling, astuple(st), cmd)
+        wrench = thruster_wrench(null_coupling, cmd)
+        full = full_derivatives(null_coupling, astuple(st), wrench)
+        planar = planar_derivatives(null_coupling, astuple(st), wrench)
         assert np.allclose(full, planar, atol=1e-9)
 
     # (b) with aero moments and a hanging thruster the models still agree on
@@ -245,8 +247,9 @@ def test_criterion_09_model_equivalence():
     for _ in range(100):
         st = random_planar(rng)
         cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
-        full = np.array(full_derivatives(rich, astuple(st), cmd))
-        planar = np.array(planar_derivatives(rich, astuple(st), cmd))
+        wrench = thruster_wrench(rich, cmd)
+        full = np.array(full_derivatives(rich, astuple(st), wrench))
+        planar = np.array(planar_derivatives(rich, astuple(st), wrench))
         assert np.allclose(full[planar_components], planar[planar_components], atol=1e-9)
     _passed(9, "100 random planar states agree componentwise within 1e-9")
 

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ionblimp import cli
 from ionblimp.cli import main
 from ionblimp.harness import CONFIG_HEADER, SCENARIO_SCHEMA, load_scenario
 from ionblimp.inner_loop import InnerLoopConfig, gain_report
@@ -304,18 +307,31 @@ def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("c2, where", [("1e-310", "step 0 (t=0.000000 s)"), ("1e-300", "step 1 (t=0.001000 s)")])
-def test_a_controller_failure_carries_its_step(c2, where, tmp_path, capsys):
-    # A tiny c2 blows up the SMC's demand until its thrust is nan: the controller, not the
-    # integrator, fails, and its error goes through the run loop's one failure path.
+def _heading_step_with_c2(c2, tmp_path):
     scenarios = ROOT / "demos" / "scenarios"
     (tmp_path / "heading_step_ref.txt").write_bytes((scenarios / "heading_step_ref.txt").read_bytes())
     cfg = (scenarios / "heading_step.cfg").read_text(encoding="utf-8").replace("c2 = 1.0", f"c2 = {c2}")
     (tmp_path / "run.cfg").write_text(cfg, encoding="utf-8")
-    assert main(["simulate", str(tmp_path / "run.cfg")]) == 1
+    return tmp_path / "run.cfg"
+
+
+@pytest.mark.parametrize("c2, where", [("1e-300", "step 1 (t=0.001000 s)")])
+def test_a_controller_failure_carries_its_step(c2, where, tmp_path, capsys):
+    # A tiny c2 blows up the SMC's demand until it is not finite: the controller, not the
+    # integrator, fails, and its error goes through the run loop's one failure path.
+    assert main(["simulate", str(_heading_step_with_c2(c2, tmp_path))]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: ScenarioError: {where}: thrust must be non-negative, got nan\n"
+    assert err == f"error: ScenarioError: {where}: force demand (F_x, F_y, N_z) must be finite, got (nan, nan, -inf)\n"
+
+
+def test_a_c2_whose_reciprocal_overflows_fails_at_load(tmp_path, capsys):
+    # 1 / 1e-310 is inf: the run would fail at step 0 on a nan thrust naming neither c2 nor the cause.
+    path = _heading_step_with_c2("1e-310", tmp_path)
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ValueError: {path}: [smc] c2 must have a finite reciprocal 1 / c2, got 1e-310\n"
 
 
 def test_non_finite_param_error_names_the_key(tmp_path, capsys):
@@ -611,3 +627,66 @@ def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and named in lines[0]
+
+
+# --- argument parsing ----------------------------------------------------------
+
+# blimpsim's stdout, stderr and exit code on usage errors and help, captured when main built every verb's
+# subparser on each call. argparse wraps to COLUMNS, and its wording is that of the Python version recorded.
+USAGE = json.loads((ROOT / "tests" / "cli_usage.json").read_text(encoding="utf-8"))
+PARSED = [["simulate", "x.cfg"], ["simulate", "x.cfg", "--csv", "a.csv", "--summ", "s.txt"], ["linearize", "c.cfg"],
+          ["certify-gains", "p.cfg", "--k1", "0:1:3", "--k2", "2", "--k-w", "3"],
+          ["thruster-map", "throttle", "--at", "0.5"], ["step-response", "1.0", "--dt", "0.1", "--pole", "2"],
+          ["simulate", "--", "x.cfg"]]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "no-arguments"
+
+
+@pytest.mark.skipif(list(platform.python_version_tuple()[:2]) != USAGE["python"],
+                    reason="the captured text is the recorded Python version's argparse output")
+@pytest.mark.parametrize("case", USAGE["cases"], ids=lambda case: _argv_id(case["argv"]))
+def test_usage_help_and_errors_are_byte_for_byte_as_captured(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(USAGE["columns"]))
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (out, err, code) == (case["stdout"], case["stderr"], case["exit"])
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in USAGE["cases"]] + PARSED, ids=_argv_id)
+def test_parse_args_matches_the_full_parser(argv, monkeypatch, capsys):
+    # The called verb's parser alone against all five verbs' parser, in this interpreter.
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert outcome(cli.parse_args) == outcome(cli.build_parser().parse_args)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["simulate", "x.cfg"], ["simulate"]),
+    (["step-response", "1.0", "--dt", "0.1"], ["step-response"]),
+    (["simulate", "x.cfg", "--bogus"], ["simulate", *cli.VERBS]),  # the leftover goes through the full parser
+    (["bogus"], [*cli.VERBS]),
+])
+def test_a_verb_builds_only_its_own_subparser(argv, built, monkeypatch, capsys):
+    calls = []
+    for name, (help_text, add_arguments, command) in list(cli.VERBS.items()):
+        def counted(p, name=name, add_arguments=add_arguments):
+            calls.append(name)
+            add_arguments(p)
+        monkeypatch.setitem(cli.VERBS, name, (help_text, counted, command))
+    try:
+        cli.parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+    assert calls == built

@@ -3,7 +3,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_dynamics import velocity
@@ -13,6 +13,7 @@ from ionblimp.dynamics import (
     STATE_LABELS,
     AirshipParams,
     BodyState,
+    PLANAR_TOL,
     ConstraintViolation,
     ThrusterCommand,
     aero_wrench,
@@ -21,7 +22,7 @@ from ionblimp.dynamics import (
     planar_derivatives,
     thruster_wrench,
 )
-from ionblimp.frames import ground_to_body
+from ionblimp.frames import FLOW_ANGLE_LIMIT, V_EPS, ground_to_body, wrap_angle
 
 PARAMS = AirshipParams(lift_slope=0.2, moment_slope=0.05)
 
@@ -64,6 +65,43 @@ def test_aero_generic_point_scalar_oracle():
     assert np.allclose(wr[3:], [0.0, pitch_m, 0.0], atol=1e-14)
 
 
+def _min_max_aero_wrench(params, u, v, w):
+    """aero_wrench with its three clamps written as min(max(x, lo), hi) calls."""
+    speed_sq = u * u + v * v + w * w
+    speed = math.sqrt(speed_sq)
+    if speed <= V_EPS:
+        return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    limit = FLOW_ANGLE_LIMIT
+    alpha = min(max(math.atan2(w, u), -limit), limit)
+    beta = min(max(math.asin(min(max(v / speed, -1.0), 1.0)), -limit), limit)
+    q_dyn = 0.5 * params.air_density * speed_sq
+    drag = q_dyn * params.drag_coeff
+    lift = q_dyn * params.lift_slope * alpha
+    pitch_moment = q_dyn * params.ref_chord * params.moment_slope * alpha
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    return (
+        -drag * ca - lift * sa, (lift * ca - drag * sa) * sb, (drag * sa - lift * ca) * cb,
+        0.0, pitch_moment * cb, pitch_moment * sb,
+    )
+
+
+SPEEDS, NEAR_ZERO = st.floats(-3.0, 3.0), st.floats(-1e-6, 1e-6)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(vel=st.tuples(SPEEDS, SPEEDS, SPEEDS)
+       | st.tuples(st.floats(-3.0, -1e-3), SPEEDS, SPEEDS)  # u < 0: |alpha| > pi/2 is clipped
+       | st.tuples(NEAR_ZERO, SPEEDS, NEAR_ZERO))  # |v| near the speed: beta is clipped
+@example(vel=(-1.0, 0.0, 0.0)).via("alpha = pi")
+@example(vel=(-1.0, 0.0, -0.0)).via("alpha = -pi")
+@example(vel=(0.0, 2.0, 0.0)).via("v / speed = 1")
+@example(vel=(-0.0, -2.0, -0.0)).via("v / speed = -1, signed zeros")
+def test_aero_wrench_clamps_as_min_max_calls(vel):
+    got, want = aero_wrench(PARAMS, *vel), _min_max_aero_wrench(PARAMS, *vel)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 # --- thruster wrench -------------------------------------------------------
 
 def test_thruster_wrench_zero_deflection_cross_product():
@@ -104,20 +142,20 @@ def test_thruster_force_norm_equals_thrust():
 
 def test_full_hover_equilibrium():
     # Neutral buoyancy, at rest, level, no thrust: exact equilibrium.
-    d = full_derivatives(PARAMS, astuple(BodyState()), ThrusterCommand())
+    d = full_derivatives(PARAMS, astuple(BodyState()), thruster_wrench(PARAMS, ThrusterCommand()))
     assert np.allclose(d, 0.0, atol=1e-15)
 
 
 def test_full_not_equilibrium_when_heavy():
     heavy = AirshipParams(net_lift=-0.05)
-    d = full_derivatives(heavy, astuple(BodyState()), ThrusterCommand())
+    d = full_derivatives(heavy, astuple(BodyState()), thruster_wrench(heavy, ThrusterCommand()))
     assert d[2] == pytest.approx(0.05 / heavy.mass)  # sinks: positive w (body z down)
 
 
 def test_full_pure_yaw_torque():
     p = AirshipParams(inertia_xz=0.0)
     cmd = ThrusterCommand(thrust=0.03, yaw_deflection=0.2)
-    d = full_derivatives(p, astuple(BodyState()), cmd)
+    d = full_derivatives(p, astuple(BodyState()), thruster_wrench(p, cmd))
     expected_rdot = p.mount_x * 0.03 * np.sin(0.2) / p.inertia_z
     assert d[5] == pytest.approx(expected_rdot, rel=1e-12)
 
@@ -130,7 +168,7 @@ def test_full_position_rates_are_rotated_velocity():
             p=rng.uniform(-1, 1), q=rng.uniform(-1, 1), r=rng.uniform(-1, 1),
             phi=rng.uniform(-1, 1), theta=rng.uniform(-1, 1), psi=rng.uniform(-3, 3),
         )
-        d = full_derivatives(PARAMS, astuple(st), ThrusterCommand())
+        d = full_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand()))
         ground_vel = ground_to_body(st).T @ velocity(st)
         assert np.allclose(d[6:8], ground_vel[0:2], atol=1e-13)
         assert d[8] == pytest.approx(-ground_vel[2], abs=1e-13)
@@ -139,7 +177,7 @@ def test_full_position_rates_are_rotated_velocity():
 def test_full_position_rate_finite_difference_consistency():
     # d/dt of position from a tiny explicit-Euler step matches the derivative.
     st = BodyState(u=0.5, v=0.1, w=-0.2, phi=0.1, theta=-0.2, psi=0.8)
-    d = np.array(full_derivatives(PARAMS, astuple(st), ThrusterCommand()))
+    d = np.array(full_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand())))
     dt = 1e-7
     moved = st.as_array() + dt * d
     fd = (moved[6:9] - st.as_array()[6:9]) / dt
@@ -150,17 +188,17 @@ def test_full_position_rate_finite_difference_consistency():
 @pytest.mark.parametrize("state", [(0.0,) * 11, [0.0] * 13], ids=["11-tuple", "13-list"])
 def test_fields_reject_a_state_without_12_components(field, state):
     with pytest.raises(ValueError, match=r"values to unpack \(expected 12"):
-        field(PARAMS, state, ThrusterCommand())
+        field(PARAMS, state, thruster_wrench(PARAMS, ThrusterCommand()))
 
 
 @pytest.mark.parametrize("field", [full_derivatives, planar_derivatives])
 def test_fields_return_one_float_tuple_for_every_state_form(field):
     # The two forms are the tuple and the list of 12 floats the RK4 step hands a field.
     y = astuple(BodyState(u=0.5, v=0.1, w=-0.2, r=0.3, x=1.0, y=-2.0, h=1.5, psi=0.8))
-    cmd = ThrusterCommand(thrust=0.02, yaw_deflection=0.3)
-    want = field(PARAMS, y, cmd)
+    wrench = thruster_wrench(PARAMS, ThrusterCommand(thrust=0.02, yaw_deflection=0.3))
+    want = field(PARAMS, y, wrench)
     assert type(want) is tuple and len(want) == 12 and all(type(c) is float for c in want)
-    assert field(PARAMS, list(y), cmd) == want
+    assert field(PARAMS, list(y), wrench) == want
 
 
 # Ixx Izz - Ixz^2 rounds to exactly 0, and to -4.2e-21: a tensor eigenvalue
@@ -196,7 +234,9 @@ def test_inertia_rule_is_the_kernel_determinant(ix, iz, iy, sign, ulps):
         return
     assert ix * iz - ixz * ixz > 0.0
     state = BodyState(u=0.4, p=0.3, q=-0.2, r=0.5, phi=0.1, theta=-0.2)
-    derivative = full_derivatives(params, astuple(state), ThrusterCommand(thrust=0.05, yaw_deflection=0.3))
+    derivative = full_derivatives(
+        params, astuple(state), thruster_wrench(params, ThrusterCommand(thrust=0.05, yaw_deflection=0.3))
+    )
     assert np.all(np.isfinite(derivative))
 
 
@@ -220,35 +260,35 @@ def test_airship_params_reject_non_finite(name):
 
 def test_planar_straight_cruise_no_yaw_rate():
     st = BodyState(u=0.8)
-    d = planar_derivatives(PARAMS, astuple(st), ThrusterCommand(thrust=0.01))
+    d = planar_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand(thrust=0.01)))
     assert d[5] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_planar_kinematics_heading_east():
     st = BodyState(u=1.0, psi=np.pi / 2)
-    d = planar_derivatives(PARAMS, astuple(st), ThrusterCommand())
+    d = planar_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand()))
     assert d[6] == pytest.approx(0.0, abs=1e-12)
     assert d[7] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_planar_rejects_off_manifold_state():
     with pytest.raises(ConstraintViolation):
-        planar_derivatives(PARAMS, astuple(BodyState(theta=1e-6)), ThrusterCommand())
+        planar_derivatives(PARAMS, astuple(BodyState(theta=1e-6)), thruster_wrench(PARAMS, ThrusterCommand()))
     with pytest.raises(ConstraintViolation):
-        planar_derivatives(PARAMS, astuple(BodyState(q=1e-6)), ThrusterCommand())
+        planar_derivatives(PARAMS, astuple(BodyState(q=1e-6)), thruster_wrench(PARAMS, ThrusterCommand()))
 
 
 def test_planar_yaw_damping_decays_rate():
     p = AirshipParams(yaw_damping=0.01)
     st = BodyState(r=0.5)
-    d = planar_derivatives(p, astuple(st), ThrusterCommand())
+    d = planar_derivatives(p, astuple(st), thruster_wrench(p, ThrusterCommand()))
     assert d[5] == pytest.approx(-0.01 * 0.5 / p.inertia_z, rel=1e-12)
     # integrate: r decays monotonically toward zero
     r = 0.5
     dt = 0.01
     values = [r]
     for _ in range(2000):
-        k = planar_derivatives(p, astuple(BodyState(r=r)), ThrusterCommand())[5]
+        k = planar_derivatives(p, astuple(BodyState(r=r)), thruster_wrench(p, ThrusterCommand()))[5]
         r = r + dt * k
         values.append(r)
     assert all(b <= a for a, b in zip(values, values[1:]))
@@ -256,7 +296,7 @@ def test_planar_yaw_damping_decays_rate():
 
 
 def test_planar_equilibrium_at_rest():
-    d = planar_derivatives(PARAMS, astuple(BodyState()), ThrusterCommand())
+    d = planar_derivatives(PARAMS, astuple(BodyState()), thruster_wrench(PARAMS, ThrusterCommand()))
     assert np.allclose(d, 0.0, atol=1e-15)
 
 
@@ -270,11 +310,11 @@ def test_full_matches_planar_on_manifold():
     compare = [0, 1, 2, 5, 6, 7, 8, 9, 10, 11]
     for _ in range(100):
         st = random_planar_state(rng)
-        cmd = ThrusterCommand(
+        wrench = thruster_wrench(p, ThrusterCommand(
             thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5)
-        )
-        df = np.array(full_derivatives(p, astuple(st), cmd))
-        dp = np.array(planar_derivatives(p, astuple(st), cmd))
+        ))
+        df = np.array(full_derivatives(p, astuple(st), wrench))
+        dp = np.array(planar_derivatives(p, astuple(st), wrench))
         assert np.allclose(df[compare], dp[compare], atol=1e-9)
         assert dp[3] == dp[4] == 0.0
 
@@ -302,8 +342,8 @@ COMMANDS = st.builds(ThrusterCommand, thrust=st.floats(0.0, 0.1), yaw_deflection
 def test_full_matches_planar_on_manifold_property(params, state, cmd):
     # On phi = theta = p = q = 0 with Ixz = 0 the two fields agree on every component both
     # evolve: all but p_dot and q_dot, whatever the parameters and both gimbal deflections.
-    y = astuple(state)
-    full, planar = full_derivatives(params, y, cmd), planar_derivatives(params, y, cmd)
+    y, wrench = astuple(state), thruster_wrench(params, cmd)
+    full, planar = full_derivatives(params, y, wrench), planar_derivatives(params, y, wrench)
     for i in (0, 1, 2, 5, 6, 7, 8, 9, 10, 11):
         assert math.isclose(full[i], planar[i], rel_tol=1e-12, abs_tol=1e-12), (STATE_LABELS[i], full, planar)
     assert planar[3] == planar[4] == 0.0
@@ -320,10 +360,52 @@ def test_full_matches_planar_all_components_with_null_coupling():
     rng = np.random.default_rng(43)
     for _ in range(100):
         st = random_planar_state(rng)
-        cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
+        wrench = thruster_wrench(p, ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5)))
         assert np.allclose(
-            full_derivatives(p, astuple(st), cmd), planar_derivatives(p, astuple(st), cmd), atol=1e-9
+            full_derivatives(p, astuple(st), wrench), planar_derivatives(p, astuple(st), wrench), atol=1e-9
         )
+
+
+def _max_call_manifold_check(phi, theta, p, q):
+    """planar_derivatives' manifold check as one max() over all four components."""
+    off_manifold = max(abs(wrap_angle(phi)), abs(wrap_angle(theta)), abs(p), abs(q))
+    if off_manifold > PLANAR_TOL:
+        raise ConstraintViolation(f"planar model requires phi=theta=p=q=0, worst violation {off_manifold:.3e}")
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:  # ConstraintViolation, or wrap_angle's for an infinite angle
+        return type(exc), str(exc)
+    return None
+
+
+TOL_EDGES = [0.0, -0.0, PLANAR_TOL, -PLANAR_TOL, math.nextafter(PLANAR_TOL, 1.0), math.nextafter(-PLANAR_TOL, -1.0),
+             1e-6, -2e-3, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi + 1e-12, math.nan, math.inf, -math.inf]
+MANIFOLD_COMPONENTS = st.sampled_from(TOL_EDGES) | st.floats(-2.0 * PLANAR_TOL, 2.0 * PLANAR_TOL)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(phi=MANIFOLD_COMPONENTS, theta=MANIFOLD_COMPONENTS, p=MANIFOLD_COMPONENTS, q=MANIFOLD_COMPONENTS)
+def test_planar_manifold_check_raises_as_the_max_call(phi, theta, p, q):
+    # Raises, with the same text, exactly when the max() form does: nan, a whole turn and inf included.
+    y = (0.4, 0.05, 0.0, p, q, 0.1, 1.0, -2.0, 1.5, phi, theta, 0.3)
+    wrench = thruster_wrench(PARAMS, ThrusterCommand(thrust=0.01, yaw_deflection=0.2))
+    want = _raised(lambda: _max_call_manifold_check(phi, theta, p, q))
+    assert _raised(lambda: planar_derivatives(PARAMS, y, wrench)) == want
+
+
+@pytest.mark.parametrize("component, value, worst", [
+    (9, 1e-6, "1.000e-06"), (10, -2e-3, "2.000e-03"), (3, math.nextafter(PLANAR_TOL, 1.0), "1.000e-09"),
+    (4, -math.inf, "inf"), (10, 2.0 * math.pi + 1e-6, "1.000e-06"),
+])
+def test_planar_off_manifold_error_text(component, value, worst):
+    y = [0.0] * 12
+    y[component] = value
+    with pytest.raises(ConstraintViolation) as info:
+        planar_derivatives(PARAMS, y, thruster_wrench(PARAMS, ThrusterCommand()))
+    assert str(info.value) == f"planar model requires phi=theta=p=q=0, worst violation {worst}"
 
 
 # --- shared pieces ---------------------------------------------------------

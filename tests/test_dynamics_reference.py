@@ -77,15 +77,16 @@ LEVEL = (st.floats(-PLANAR_TOL / 2, PLANAR_TOL / 2)
          | st.sampled_from([2 * math.pi, -2 * math.pi, 4 * math.pi]))
 
 
-def _outcome(field, params, state, cmd):
+def _outcome(field, params, state, u):
     try:
-        return field(params, state, cmd)
+        return field(params, state, u)
     except (ConstraintViolation, ZeroDivisionError) as exc:
         return type(exc)
 
 
 def _assert_same(field, reference, params, y, cmd):
-    got = _outcome(field, params, y, cmd)
+    # The fields take the command's thrust wrench; the reference takes the command itself.
+    got = _outcome(field, params, y, thruster_wrench(params, cmd))
     want = _outcome(reference, params, BodyState.from_array(y), cmd)
     if isinstance(want, type):
         assert got is want

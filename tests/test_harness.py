@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ionblimp import harness, thruster
+from ionblimp import dynamics, harness, thruster
 from ionblimp.buoyancy import EnvelopeGeometry, lift_budget
 from ionblimp.dynamics import GIMBAL_LIMIT, PLANAR_TOL, AirshipParams, BodyState, ThrusterCommand
 from ionblimp.harness import (
@@ -783,6 +783,81 @@ def test_scenario_rejects_duration_off_the_step_grid():
         hover_scenario(duration=0.025, dt=0.01)
     # 0.03 / 0.01 is 2.9999999999999996 in floating point: still three steps
     assert len(run_scenario(hover_scenario(duration=0.03, dt=0.01)).records) == 4
+
+
+# --- rigid-body plant: actuator clamp and thrust wrench ----------------------
+
+def _min_max_clamp(thrust, dy, dp):
+    """The rigid plant's actuator clamp written as max/min calls."""
+    return (max(thrust, 0.0), *(min(max(d, -GIMBAL_LIMIT), GIMBAL_LIMIT) for d in (dy, dp)))
+
+
+def _plant_control(thrust, dy, dp):
+    """(command, integrator input, saturated) of a rigid plant whose law demands (thrust, dy, dp)."""
+    plant = harness._rigid_body_plant(hover_scenario(), lambda t, y: (thrust, dy, dp))
+    _, cmd, u, saturated, _ = plant.control(0.0, plant.y0)
+    return cmd, u, saturated
+
+
+LIM, INF, NAN = GIMBAL_LIMIT, math.inf, math.nan
+PAST_LIM = math.nextafter(GIMBAL_LIMIT, INF)
+
+
+@pytest.mark.parametrize("demand, limited, saturated", [
+    ((0.02, 0.3, -0.2), (0.02, 0.3, -0.2), False),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), False),
+    ((-0.0, -0.0, -0.0), (-0.0, -0.0, -0.0), False),  # -0.0 is kept, not clamped to 0.0
+    ((0.01, LIM, -LIM), (0.01, LIM, -LIM), False),
+    ((-1e-9, PAST_LIM, -PAST_LIM), (0.0, LIM, -LIM), True),
+    ((-INF, 2.0, -3.0), (0.0, LIM, -LIM), True),
+    ((INF, INF, -INF), (INF, LIM, -LIM), True),
+], ids=["inside", "zeros", "negative-zeros", "at-the-limits", "one-ulp-past", "far-past", "infinite"])
+def test_rigid_plant_clamp(demand, limited, saturated):
+    cmd, u, flagged = _plant_control(*demand)
+    got = (cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection)
+    assert [x.hex() for x in got] == [x.hex() for x in limited] == [x.hex() for x in _min_max_clamp(*demand)]
+    assert flagged is saturated
+    assert [x.hex() for x in u] == [x.hex() for x in dynamics.thruster_wrench(AirshipParams(), cmd)]
+
+
+@pytest.mark.parametrize("demand, message", [
+    ((NAN, 0.0, 0.0), "thrust must be non-negative, got nan"),
+    ((0.01, NAN, 0.0), f"|delta_y| must not exceed {GIMBAL_LIMIT} rad, got nan"),
+    ((0.01, 0.0, NAN), f"|delta_p| must not exceed {GIMBAL_LIMIT} rad, got nan"),
+], ids=["thrust", "delta_y", "delta_p"])
+def test_rigid_plant_clamp_keeps_nan_for_the_command_to_refuse(demand, message):
+    assert any(math.isnan(x) for x in _min_max_clamp(*demand))
+    with pytest.raises(ValueError) as info:
+        _plant_control(*demand)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("model", ["full", "planar"])
+def test_a_nan_thrust_demand_fails_at_its_step(model, monkeypatch):
+    def law(t, y):
+        return NAN if t > 0.0025 else 0.01, 0.1, 0.0
+
+    monkeypatch.setitem(harness.CONTROLLERS, "open_loop", lambda sc: harness._rigid_body_plant(sc, law))
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(hover_scenario(model=model, duration=0.01))
+    assert str(info.value) == "step 3 (t=0.003000 s): thrust must be non-negative, got nan"
+
+
+@pytest.mark.parametrize("model", ["full", "planar"])
+def test_the_thrust_wrench_is_computed_once_per_step(model, monkeypatch):
+    # The command is held over the step, so its wrench is computed by the plant, not in each RK4 stage.
+    calls, thruster_wrench = [], dynamics.thruster_wrench
+
+    def counted(params, cmd):
+        calls.append(cmd)
+        return thruster_wrench(params, cmd)
+
+    monkeypatch.setattr(harness, "thruster_wrench", counted)
+    monkeypatch.setattr(dynamics, "thruster_wrench", None)  # a field calling it would fail
+    sc = hover_scenario(model=model, duration=0.05, open_loop=OpenLoopCommand(thrust=0.01, delta_y=0.2))
+    records = run_scenario(sc).records
+    assert len(records) == 51 and len(calls) == 50 + 1  # one per recorded step, the last included
+    assert all(cmd.thrust == 0.01 and cmd.yaw_deflection == 0.2 for cmd in calls)
 
 
 # --- outputs -----------------------------------------------------------------

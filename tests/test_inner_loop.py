@@ -86,20 +86,20 @@ def test_lateral_entries_are_asserted_not_derived():
     # moment slope). The nonlinear model's attack-only aero closure does not
     # produce them: its sway Jacobian entry is zero and its heave entry is
     # (C_D - C_La) shaped. Pin that difference so it stays visible.
-    from ionblimp.dynamics import BodyState, ThrusterCommand, full_derivatives
+    from ionblimp.dynamics import BodyState, ThrusterCommand, full_derivatives, thruster_wrench
 
     params = AirshipParams(lift_slope=0.2, moment_slope=0.05, inertia_xz=0.0)
     speed, thrust = 1.0, 0.05
     model = linearize(params, speed, thrust)
     x0 = BodyState(u=speed).as_array()
-    cmd = ThrusterCommand(thrust=thrust)
+    wrench = thruster_wrench(params, ThrusterCommand(thrust=thrust))
     eps = 1e-6
 
     def column(j):
         dx = np.zeros(12)
         dx[j] = eps
-        plus = np.array(full_derivatives(params, (x0 + dx).tolist(), cmd))
-        minus = np.array(full_derivatives(params, (x0 - dx).tolist(), cmd))
+        plus = np.array(full_derivatives(params, (x0 + dx).tolist(), wrench))
+        minus = np.array(full_derivatives(params, (x0 - dx).tolist(), wrench))
         return (plus - minus) / (2 * eps)
 
     dv_col, dw_col = column(1), column(2)

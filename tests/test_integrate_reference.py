@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionblimp import harness
-from ionblimp.dynamics import GIMBAL_LIMIT, AirshipParams, ThrusterCommand
+from ionblimp.dynamics import GIMBAL_LIMIT, AirshipParams, ThrusterCommand, thruster_wrench
 from ionblimp.harness import Scenario, SmcScenarioConfig, integrate_step
 from ionblimp.smc import ReferenceTrajectory, SmcGains
 
@@ -58,7 +58,7 @@ STEPS = st.floats(1e-4, 0.05)
        cmd=COMMANDS, dt=STEPS)
 def test_full_step_is_the_array_step(params, body, pos, phi, theta, psi, cmd, dt):
     plant = harness.CONTROLLERS["open_loop"](Scenario(params=params, model="full"))
-    _assert_bit_exact(plant, [*body, *pos, phi, theta, psi], cmd, dt)
+    _assert_bit_exact(plant, [*body, *pos, phi, theta, psi], thruster_wrench(params, cmd), dt)
 
 
 @PROPERTY
@@ -66,7 +66,7 @@ def test_full_step_is_the_array_step(params, body, pos, phi, theta, psi, cmd, dt
        psi=st.floats(-10.0, 10.0), cmd=COMMANDS, dt=STEPS)
 def test_planar_step_is_the_array_step(params, vel, r, pos, psi, cmd, dt):
     plant = harness.CONTROLLERS["open_loop"](Scenario(params=params, model="planar"))
-    _assert_bit_exact(plant, [*vel, 0.0, 0.0, r, *pos, 0.0, 0.0, psi], cmd, dt)
+    _assert_bit_exact(plant, [*vel, 0.0, 0.0, r, *pos, 0.0, 0.0, psi], thruster_wrench(params, cmd), dt)
 
 
 @PROPERTY

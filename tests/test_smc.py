@@ -90,6 +90,18 @@ def test_smc_gains_validation():
         SmcGains(c1=1.0, c2=1.0, epsilon=0.1, k=0.0)
 
 
+@pytest.mark.parametrize("c2", [1e-310, -1e-310, 5e-324])
+def test_smc_gains_refuse_a_c2_whose_reciprocal_overflows(c2):
+    # smc_control's gain -(1 / c2) would be inf, and the first demand nan.
+    with pytest.raises(ValueError, match=rf"^c2 must have a finite reciprocal 1 / c2, got {c2!r}$"):
+        SmcGains(c1=1.0, c2=c2, epsilon=0.1, k=1.0)
+
+
+@pytest.mark.parametrize("c2", [1e-300, -1e-300, 1e-308])
+def test_smc_gains_take_a_tiny_c2_with_a_finite_reciprocal(c2):
+    assert SmcGains(c1=1.0, c2=c2, epsilon=0.1, k=1.0).c2 == c2
+
+
 # --- control law -------------------------------------------------------------
 
 def test_control_zero_on_trajectory_at_rest():
@@ -247,9 +259,22 @@ def test_allocation_refuses_a_nan_thrust_budget():
 
 @pytest.mark.parametrize("u", [(np.nan, 0.0, 0.0), (0.0, np.nan, 0.0)])
 def test_allocation_refuses_a_nan_force_demand(u):
-    # A nan demand would otherwise become a nan-thrust command and a nan servo angle.
-    with pytest.raises(ValueError, match="^thrust must be non-negative, got nan$"):
+    # A nan demand would otherwise become a nan-thrust command and a nan servo angle; the error names the demand.
+    with pytest.raises(ValueError) as info:
         allocate_actuation(u, t_max=0.05)
+    assert str(info.value) == f"force demand (F_x, F_y, N_z) must be finite, got {tuple(map(float, u))!r}"
+
+
+@pytest.mark.parametrize("u, shown", [
+    ((math.inf, 0.0, 0.0), "(inf, 0.0, 0.0)"),
+    ((0.0, -math.inf, 0.0), "(0.0, -inf, 0.0)"),
+    ((0.01, 0.0, math.inf), "(0.01, 0.0, inf)"),  # N_z alone would only show in the residual
+    ((0.0, 0.0, math.nan), "(0.0, 0.0, nan)"),
+])
+def test_allocation_refuses_a_non_finite_force_demand_naming_it(u, shown):
+    with pytest.raises(ValueError) as info:
+        allocate_actuation(u, t_max=0.05, mount_arm_x=0.3)
+    assert str(info.value) == f"force demand (F_x, F_y, N_z) must be finite, got {shown}"
 
 
 # --- tracking error / reference ---------------------------------------------
