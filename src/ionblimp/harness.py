@@ -8,6 +8,10 @@ actuators saturated. In both plants ``u`` is a generalized force held over
 the step: the rigid-body plant's is the command's ``thruster_wrench``,
 computed once per step, and the pose plant's the SMC force demand. The
 recorded state is laid out as ``BodyState``'s fields (``STATE_LABELS``).
+The RK4 step runs one unrolled kernel per state length (12 or 6),
+compiled from a source template the first time that length is stepped. A
+step that leaves a non-finite state fails naming the components and the
+input ``u`` held over it.
 The ``CONTROLLERS`` table maps each controller name to the function that
 builds its run's plant, once, before the loop:
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import configparser
+import functools
 import math
 from collections import namedtuple
 from dataclasses import MISSING, astuple, dataclass, field, fields
@@ -102,17 +107,14 @@ class ScenarioError(RuntimeError):
 def integrate_step(derivative_fn, state, u, dt: float, labels=STATE_LABELS) -> tuple:
     """One RK4 step of state' = f(state, u), u held, over Python floats: float sequence in, float tuple out.
 
-    Each stage is a list computed per component in numpy's order, so the step is bit for bit the array
-    form. A stage output of another length raises ValueError; a non-finite result, NonFiniteState.
+    The step runs the unrolled kernel compiled for the state's length (``_rk4_kernel``, generated from
+    ``_RK4_TEMPLATE``). Each stage input is a list computed per component in numpy's order, so the step is bit
+    for bit the array form. A stage output of another length raises ValueError before the next stage is called;
+    a non-finite result, NonFiniteState.
     """
     if not 0.0 < dt < math.inf:  # nan fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    n, half, h6 = len(state), 0.5 * dt, dt / 6.0
-    k1 = _sized(derivative_fn(state, u), n)
-    k2 = _sized(derivative_fn([y + half * k for y, k in zip(state, k1)], u), n)
-    k3 = _sized(derivative_fn([y + half * k for y, k in zip(state, k2)], u), n)
-    k4 = _sized(derivative_fn([y + dt * k for y, k in zip(state, k3)], u), n)
-    result = tuple([y + h6 * (((a + 2.0 * b) + 2.0 * c) + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4)])
+    result = _rk4_kernel(len(state))(derivative_fn, state, u, dt)
     if not all(map(math.isfinite, result)):
         names = ", ".join(labels[i] if labels and i < len(labels) else f"[{i}]"
                           for i, value in enumerate(result) if not math.isfinite(value))
@@ -120,10 +122,46 @@ def integrate_step(derivative_fn, state, u, dt: float, labels=STATE_LABELS) -> t
     return result
 
 
-def _sized(k, n: int):
-    if len(k) != n:  # zip would silently truncate the longer of the state and k
-        raise ValueError(f"derivative has {len(k)} components, the state has {n}")
-    return k
+def _wrong_length(k, n: int):
+    raise ValueError(f"derivative has {len(k)} components, the state has {n}")
+
+
+# One RK4 step with the state y and the stages a, b, c, d unpacked into locals, each {placeholder} a line of n
+# components. Written out, a component costs no zip, comprehension or call; for the pose model's 6-float state
+# those cost as much as its field. The length is checked before each unpacking. The source is generated because
+# Python has no loop unrolling; only n and fixed names enter it, as in namedtuple and dataclasses.
+_RK4_TEMPLATE = """\
+def rk4(f, state, u, dt):
+    half, h6 = 0.5 * dt, dt / 6.0
+    [{y}] = state
+    k = f(state, u)
+    if len(k) != {n}: _wrong_length(k, {n})
+    [{a}] = k
+    k = f([{y_half_a}], u)
+    if len(k) != {n}: _wrong_length(k, {n})
+    [{b}] = k
+    k = f([{y_half_b}], u)
+    if len(k) != {n}: _wrong_length(k, {n})
+    [{c}] = k
+    k = f([{y_dt_c}], u)
+    if len(k) != {n}: _wrong_length(k, {n})
+    [{d}] = k
+    return ({result})
+"""
+
+
+@functools.cache
+def _rk4_kernel(n: int):
+    """The RK4 step for an n-component state, compiled from _RK4_TEMPLATE once per n."""
+    def row(component):  # component i of each line, for every i
+        return "".join(component.format(i=i) + ", " for i in range(n))
+    source = _RK4_TEMPLATE.format(
+        n=n, y=row("y{i}"), a=row("a{i}"), b=row("b{i}"), c=row("c{i}"), d=row("d{i}"),
+        y_half_a=row("y{i} + half * a{i}"), y_half_b=row("y{i} + half * b{i}"), y_dt_c=row("y{i} + dt * c{i}"),
+        result=row("y{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})"))
+    namespace = {"_wrong_length": _wrong_length}
+    exec(compile(source, f"<rk4 kernel, n={n}>", "exec"), namespace)
+    return namespace["rk4"]
 
 
 # Zero deflection points a servo at its center; its travel either side is the gimbal limit.
@@ -355,8 +393,9 @@ def _pose_plant(sc: Scenario) -> Plant:
         added_inertia_z=cfg.added_inertia_z, cg_x=cfg.cg_x, cg_y=cfg.cg_y,
         aero_matrix=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -sc.params.yaw_damping)),
     )
-    gains = cfg.gains
+    gains, reference, t_max, mount_x = cfg.gains, cfg.reference, cfg.t_max, sc.params.mount_x
     init = sc.initial
+    h = init.h
     c0, s0 = math.cos(init.psi), math.sin(init.psi)
     # eta_dot = C_bg(psi)^T (u, v, r)
     y0 = (init.x, init.y, init.psi, c0 * init.u - s0 * init.v, s0 * init.u + c0 * init.v, init.r)
@@ -367,16 +406,19 @@ def _pose_plant(sc: Scenario) -> Plant:
 
     def control(t, y):
         x, y_pos, psi, x_dot, y_dot, psi_dot = y
-        ref_pose, ref_rate = cfg.reference.sample(t)
+        ref_pose, ref_rate = reference.sample(t)
         err = TrackingError.from_pose((x, y_pos, psi), (x_dot, y_dot, psi_dot), ref_pose, ref_rate)
         s = sliding_surface(gains, err)
         v, v_dot = lyapunov_monitor(gains, s)
         u_forces = smc_control(model, gains, s, err.error_rate, (x_dot, y_dot, psi_dot), psi)
-        cmd, residual = allocate_actuation(u_forces, t_max=cfg.t_max, mount_arm_x=sc.params.mount_x)
+        cmd, (rx, ry, rn) = allocate_actuation(u_forces, t_max, mount_x)
+        # Some |residual component| > 1e-9, as comparisons: they agree with abs on every float but nan, and
+        # allocate_actuation refuses a non-finite demand, so no component is nan.
+        saturated = not (-1e-9 <= rx <= 1e-9 and -1e-9 <= ry <= 1e-9 and -1e-9 <= rn <= 1e-9)
         c, sn = math.cos(psi), math.sin(psi)
         state = (c * x_dot + sn * y_dot, -sn * x_dot + c * y_dot, 0.0, 0.0, 0.0, psi_dot,
-                 x, y_pos, init.h, 0.0, 0.0, wrap_angle(psi))
-        return state, cmd, u_forces, max(map(abs, residual)) > 1e-9, (*s, sum(v), sum(v_dot))
+                 x, y_pos, h, 0.0, 0.0, wrap_angle(psi))
+        return state, cmd, u_forces, saturated, (*s, sum(v), sum(v_dot))
 
     return Plant(derivative, y0, ("x", "y", "psi", "x_dot", "y_dot", "psi_dot"), control)
 
@@ -398,6 +440,9 @@ def run_scenario(sc: Scenario) -> SimResult:
             state, cmd, u, saturated, internals = plant.control(t, y)
             if step < n_steps:
                 y = integrate_step(plant.derivative, y, u, sc.dt, plant.labels)
+        except NonFiniteState as exc:  # the state blew up under the input held over the step: name that input
+            held = ", ".join(map(repr, u))
+            raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}; input held over the step: ({held})") from exc
         except Exception as exc:
             raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
         flags = ("ground",) * (state[8] < 0.0) + ("saturation",) * saturated  # sorted

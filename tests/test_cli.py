@@ -325,6 +325,16 @@ def test_a_controller_failure_carries_its_step(c2, where, tmp_path, capsys):
     assert err == f"error: ScenarioError: {where}: force demand (F_x, F_y, N_z) must be finite, got (nan, nan, -inf)\n"
 
 
+def test_a_blown_up_step_names_the_demand_it_held(tmp_path, capsys):
+    # 1 / 1e-308 is finite, so c2 loads; the N_z it demands overflows psi_dot in the RK4 step. The one error
+    # line names that component and the SMC demand (F_x, F_y, N_z) held over the step.
+    assert main(["simulate", str(_heading_step_with_c2("1e-308", tmp_path))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ScenarioError: step 0 (t=0.000000 s): non-finite state component(s): psi_dot; "
+                   "input held over the step: (0.0, 0.0, 3.410000000000001e+306)\n")
+
+
 def test_a_c2_whose_reciprocal_overflows_fails_at_load(tmp_path, capsys):
     # 1 / 1e-310 is inf: the run would fail at step 0 on a nan thrust naming neither c2 nor the cause.
     path = _heading_step_with_c2("1e-310", tmp_path)

@@ -843,6 +843,17 @@ def test_a_nan_thrust_demand_fails_at_its_step(model, monkeypatch):
     assert str(info.value) == "step 3 (t=0.003000 s): thrust must be non-negative, got nan"
 
 
+def test_a_blown_up_step_names_the_wrench_it_held():
+    # A surge of 1e200 overflows the drag in the first RK4 stage: the error names the state components and the
+    # thrust wrench (X, Y, Z, L, M, N) held over the step, each as its repr.
+    sc = hover_scenario(initial=BodyState(u=1e200), duration=0.01, open_loop=OpenLoopCommand(thrust=0.01))
+    wrench = ", ".join(map(repr, dynamics.thruster_wrench(sc.params, ThrusterCommand(0.01, 0.0, 0.0))))
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(sc)
+    assert str(info.value) == ("step 0 (t=0.000000 s): non-finite state component(s): u, v, w, p, q, r, x, y, h, "
+                               f"phi, theta, psi; input held over the step: ({wrench})")
+
+
 @pytest.mark.parametrize("model", ["full", "planar"])
 def test_the_thrust_wrench_is_computed_once_per_step(model, monkeypatch):
     # The command is held over the step, so its wrench is computed by the plant, not in each RK4 stage.
