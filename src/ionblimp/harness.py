@@ -36,8 +36,8 @@ section and key against a schema table at load time, and ``smc.read_table``
 reads the open-loop script and SMC reference tables. A run's records are
 its CSV rows: each ``SimRecord`` is a named tuple whose fields are
 ``CSV_COLUMNS``, so the column order is the record layout, defined once.
-Summaries are ``key=value`` text. A run with no SMC, script or throttle
-imports neither numpy nor ``thruster``.
+Summaries are ``key=value`` text. A run imports numpy only for an irregular
+table, a non-diagonal M or a throttle, and ``thruster`` only for a throttle.
 """
 
 from __future__ import annotations

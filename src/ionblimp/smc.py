@@ -27,8 +27,8 @@ once) as three rows of three floats, and the per-step functions are
 straight-line float code over them, one expression per channel.
 
 The controller is a pure function of its arguments; the simulation harness
-owns all state. numpy is imported only for M_s^-1, a reference's yaw
-unwrap, table files and the reaching-time bound.
+owns all state. numpy is imported only for an irregular table file (one
+outside ``read_table``'s plain grammar) and a non-diagonal M_s.
 """
 
 from __future__ import annotations
@@ -53,30 +53,25 @@ class SmcModel:
         store_floats(self, tables=("mass_matrix", "aero_matrix"))
         if table_shape(self.mass_matrix) != (3, 3) or table_shape(self.aero_matrix) != (3, 3):
             raise ValueError("mass_matrix and aero_matrix must be 3x3")
-        import numpy as np
-        if abs(np.linalg.det(self.mass_matrix)) < 1e-15:
+        m = self.mass_matrix
+        recips = [1.0 / m[i][i] if m[i][i] else math.inf for i in range(3)]
+        if any(m[i][j] for i in range(3) for j in range(3) if i != j) or not all(map(math.isfinite, recips)):
+            import numpy as np  # cg offsets couple the channels, or a 1 / M_ii overflows (LAPACK then has nan)
+            det, m_inv = np.linalg.det(m), None
+        else:  # diagonal: LAPACK's M^-1 has row i = (i == j) * (1 / M_ii), zeros signed as 1 / M_ii
+            det, m_inv = m[0][0] * m[1][1] * m[2][2], tuple(tuple(float(i == j) * r for j in range(3))
+                                                             for i, r in enumerate(recips))
+        if abs(det) < 1e-15:
             raise ValueError("mass_matrix is singular")
-        object.__setattr__(self, "_m_inv", tuple(map(tuple, np.linalg.inv(self.mass_matrix).tolist())))
+        object.__setattr__(self, "_m_inv", m_inv or tuple(map(tuple, np.linalg.inv(m).tolist())))
 
     @classmethod
-    def from_components(
-        cls,
-        mass: float,
-        inertia_z: float,
-        added_mass_x: float = 0.0,
-        added_mass_y: float = 0.0,
-        added_inertia_z: float = 0.0,
-        cg_x: float = 0.0,
-        cg_y: float = 0.0,
-        aero_matrix=((0.0, 0.0, 0.0),) * 3,
-    ) -> "SmcModel":
-        """Assemble the generalized mass matrix from physical components.
+    def from_components(cls, mass: float, inertia_z: float, added_mass_x: float = 0.0, added_mass_y: float = 0.0,
+                        added_inertia_z: float = 0.0, cg_x: float = 0.0, cg_y: float = 0.0,
+                        aero_matrix=((0.0, 0.0, 0.0),) * 3) -> "SmcModel":
+        """The generalized mass matrix in its standard symmetric form from physical components:
 
-        The matrix has the standard symmetric form
-
-            [[m + m11,      0,     -m*y_G],
-             [0,        m + m22,    m*x_G],
-             [-m*y_G,    m*x_G,  Iz + m66]]
+            [[m + m11, 0, -m*y_G], [0, m + m22, m*x_G], [-m*y_G, m*x_G, Iz + m66]]
         """
         m11, m22, m66 = added_mass_x, added_mass_y, added_inertia_z
         return cls(mass_matrix=((mass + m11, 0.0, -mass * cg_y),
@@ -157,8 +152,7 @@ def reaching_time_bound(gains: SmcGains, s0: float) -> float:
     """
     if gains.epsilon == 0.0:
         return math.inf
-    import numpy as np
-    return float(np.log1p(gains.k * abs(s0) / gains.epsilon) / gains.k)
+    return math.log1p(gains.k * abs(s0) / gains.epsilon) / gains.k
 
 
 def smc_control(model: SmcModel, gains: SmcGains, s, error_rate, eta_dot, psi: float) -> tuple:
@@ -234,8 +228,30 @@ def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
     return cmd, residual
 
 
-def read_table(path) -> np.ndarray:
-    """Rows of a plain-text numeric table with ``#`` comments; a failure names the file."""
+def _plain_rows(path):
+    """The rows of a table file in the plain grammar, or None for ``np.loadtxt`` to read (or to word the failure)."""
+    if isinstance(path, (bytes, int)) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None  # np.loadtxt iterates a bytes or int argument, and decompresses a file with such a suffix
+    try:
+        with open(path, "rb") as file:
+            text = file.read()
+        bodies = [line.split(b"#", 1)[0] for line in text.split(b"\n")]
+        if not text.isascii() or b"\r" in text or any(body.translate(None, b"0123456789+-.eE \t") for body in bodies):
+            return None
+        rows = tuple(tuple(map(float, body.split())) for body in bodies if body.strip())
+    except (OSError, TypeError, ValueError):
+        return None
+    return rows if rows and len(set(map(len, rows))) == 1 else None
+
+
+def read_table(path) -> tuple:
+    """Rows of a plain-text numeric table with ``#`` comments, as float tuples; a failure names the file.
+
+    A file in the plain grammar (ASCII; ``\\n`` line ends; tokens of digits and ``+-.eE`` split by spaces or tabs;
+    rows of one length, at least one) is read in Python: float() parses such a token with PyOS_string_to_double,
+    as numpy does. An irregular file goes to ``np.loadtxt``, whose messages are the specification."""
+    if (rows := _plain_rows(path)) is not None:
+        return rows
     import numpy as np
     try:
         with warnings.catch_warnings():
@@ -247,7 +263,7 @@ def read_table(path) -> np.ndarray:
         raise ValueError(f"{path}: {exc.strerror or 'not found'}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return rows
+    return tuple(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -271,10 +287,13 @@ class ReferenceTrajectory:
             raise ValueError("times must be (n,) and poses (n, 3)")
         if len(times) < 2 or any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("need at least two strictly increasing sample times")
-        import numpy as np
-        psis = np.unwrap([psi for _, _, psi in self.poses]).tolist()
-        poses = tuple((x, y, psi) for (x, y, _), psi in zip(self.poses, psis))
-        object.__setattr__(self, "poses", poses)
+        poses, total, pi = [self.poses[0]], 0.0, math.pi
+        for (_, _, psi0), (x, y, psi) in zip(self.poses, self.poses[1:]):  # np.unwrap, step for step
+            dd = psi - psi0
+            ddmod = (dd + pi) % (2.0 * pi) - pi  # in [-pi, pi); a jump up by an odd multiple of pi keeps +pi
+            total += 0.0 if abs(dd) < pi else (pi if ddmod == -pi and dd > 0.0 else ddmod) - dd
+            poses.append((x, y, psi + total))
+        object.__setattr__(self, "poses", tuple(poses))
         segments = []
         for t0, t1, (x0, y0, psi0), (x1, y1, psi1) in zip(times, times[1:], poses, poses[1:]):
             dt, dp = t1 - t0, (x1 - x0, y1 - y0, psi1 - psi0)
@@ -289,10 +308,10 @@ class ReferenceTrajectory:
     @classmethod
     def from_file(cls, path) -> "ReferenceTrajectory":
         data = read_table(path)
-        if data.shape[1] != 4:
+        if len(data[0]) != 4:
             raise ValueError(f"expected four columns (t, x, y, psi) in {path}")
         try:
-            return cls(times=data[:, 0], poses=data[:, 1:4])
+            return cls(times=tuple(row[0] for row in data), poses=tuple(row[1:] for row in data))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

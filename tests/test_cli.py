@@ -294,10 +294,51 @@ def test_lift_budget_never_imports_numpy():
                               "assert lift_budget(EnvelopeGeometry(0.985, 0.255, 0.255)).net_lift_kg > 0.0")
 
 
-def test_smc_simulate_imports_numpy(tmp_path):
-    # The SMC plant and its reference table are numpy code: the documented boundary.
-    cfg = ROOT / "demos" / "scenarios" / "heading_step.cfg"
-    assert _imports_numpy(_SIMULATE, cfg, "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt")
+SCRIPT_CFG = CONFIG_HEADER + "\n[scenario]\nduration = 1.0\ndt = 0.01\n[open_loop]\nscript = script.txt\n"
+
+
+@pytest.mark.parametrize("case", ["heading_step", "perfbench_smc_tracking", "script"])
+def test_table_simulate_never_imports_numpy(case, tmp_path):
+    # A reference or script table in the plain grammar is read in Python, and a diagonal M is inverted there.
+    if case == "heading_step":
+        cfg = ROOT / "demos" / "scenarios" / "heading_step.cfg"
+    elif case == "perfbench_smc_tracking":
+        cfg = _perfbench_inputs("smc_tracking", tmp_path)["scenario"]
+    else:
+        (tmp_path / "script.txt").write_text("# t thrust delta_y delta_p\n0.0 0.01 0.0 0.0\n0.5\t+2e-2 -.1 5E-2\n",
+                                             encoding="utf-8")
+        cfg = tmp_path / "script.cfg"
+        cfg.write_text(SCRIPT_CFG, encoding="utf-8")
+    assert not _imports_numpy(_SIMULATE, cfg, "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt")
+
+
+@pytest.mark.parametrize("table, line", [
+    ("0.0 0.01 0.0 0.0\n0.5 nan 0.0 0.0\n", "[open_loop] script must be finite, got nan"),
+    ("0.0 0.01 0.0 0.0\n0.5 1_0 0.0 0.0\n", "[open_loop] {script}: could not convert string '1_0' to float64 at row 1, "
+                                            "column 2."),
+    ("0.0 0.01 0.0 0.0\r\n0.5 0.02 0.0\r\n", "[open_loop] {script}: the number of columns changed from 4 to 3 at row 2; "
+                                              "use `usecols` to select a subset and avoid this error"),
+], ids=["nan", "underscore", "crlf-ragged"])
+def test_a_table_the_plain_reader_defers_imports_numpy_and_keeps_its_error_line(table, line, tmp_path, capsys):
+    # numpy reads what the plain grammar leaves out, so its messages stay the specification.
+    (tmp_path / "script.txt").write_text(table, encoding="utf-8", newline="")
+    cfg = tmp_path / "script.cfg"
+    cfg.write_text(SCRIPT_CFG, encoding="utf-8")
+    assert main(["simulate", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {cfg}: {line.format(script=tmp_path / 'script.txt')}\n"
+    assert _imports_numpy("from ionblimp.cli import main\nassert main(['simulate', sys.argv[2]]) == 1", cfg)
+
+
+def test_a_yaw_jump_that_overflows_fails_on_one_stderr_line(tmp_path):
+    # psi from 1e308 to -1e308: the jump overflows to -inf, and the unwrap adds no warning lines before the error.
+    ref, cfg = tmp_path / "ref.txt", tmp_path / "smc.cfg"
+    ref.write_text("0.0 0 0 1e308\n1.0 0 0 -1e308\n", encoding="utf-8")
+    cfg.write_text(CONFIG_HEADER + "\n" + SMC_SECTION, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", "import sys\nfrom ionblimp.cli import main\nsys.exit(main(sys.argv[1:]))",
+                          "simulate", str(cfg)], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == f"error: ValueError: {cfg}: [smc] {ref}: pose slope from t=0.0 to t=1.0 is not finite\n"
 
 
 def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):
