@@ -280,7 +280,7 @@ class Scenario:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not math.isfinite(2.0 * self.gimbal_noise):  # each draw's span high - low, which uniform_stream refuses
+        if not math.isfinite(2.0 * self.gimbal_noise):  # each draw's span; uniform_stream checks none
             raise ValueError(f"gimbal_noise overflows the draw width 2 * gimbal_noise, got {self.gimbal_noise!r}")
         # Each controller's section is the field named after it: its own must be set, another's unset.
         if self.controller != "open_loop" and getattr(self, self.controller) is None:
@@ -456,28 +456,9 @@ def run_scenario(sc: Scenario) -> SimResult:
     return result
 
 
-def _pairwise_sum(values: list) -> float:
-    """numpy's float64 sum: halves split at a multiple of 8 above 128 values, else 8 accumulators, then the rest."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    whole, acc = n - n % 8, values[:8]
-    for i in range(8, whole, 8):
-        acc = [a + b for a, b in zip(acc, values[i:i + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) if whole else 0.0
-    for value in values[whole:]:
-        total += value
-    return total
-
-
-def _mean(values: list) -> float:
-    """np.mean of a non-empty float list, bit for bit: its identity 0.0 plus the pairwise sum, over n."""
-    return (0.0 + _pairwise_sum(values)) / len(values)
-
-
 def _summarize(sc: Scenario, records) -> dict:
-    # Each norm summed as np.linalg.norm(..., axis=1) sums it, so the statistics keep numpy's bits.
+    # Each norm summed as np.linalg.norm(..., axis=1) sums it, so the other statistics keep numpy's bits;
+    # steady_speed is the tail's correctly rounded sum (math.fsum) over its length.
     speeds = [math.sqrt((u * u + v * v) + w * w) for u, v, w in (rec[1:4] for rec in records)]
     tail = max(1, len(records) // 10)
     final = records[-1]
@@ -489,7 +470,7 @@ def _summarize(sc: Scenario, records) -> dict:
         "steps": len(records) - 1,
         "seed": sc.seed,
         "max_speed": max(speeds),
-        "steady_speed": _mean(speeds[-tail:]),
+        "steady_speed": math.fsum(speeds[-tail:]) / tail,
         "speed_drift": abs(speeds[-1] - speeds[-tail]),
         "final_u": final.u,
         "final_x": final.x,

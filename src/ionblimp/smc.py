@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats, table_shape
@@ -101,26 +102,17 @@ class SmcGains:
             raise ValueError(f"c2 must have a finite reciprocal 1 / c2, got {self.c2!r}")
 
 
-@dataclass(frozen=True)
-class TrackingError:
-    """Pose tracking error and its rate as (x, y, psi) float tuples; the yaw component is wrapped."""
+class TrackingError(namedtuple("TrackingError", "error error_rate")):
+    """Pose tracking error and its rate, (x, y, psi) each: ``from_pose`` builds float tuples, the yaw wrapped."""
 
-    error: tuple
-    error_rate: tuple
-
-    def __post_init__(self):
-        for name in ("error", "error_rate"):
-            x, y, psi = map(float, getattr(self, name))  # ValueError unless exactly three
-            object.__setattr__(self, name, (x, y, psi))
+    __slots__ = ()
 
     @classmethod
     def from_pose(cls, pose, pose_rate, ref_pose, ref_rate) -> "TrackingError":
         (x, y, psi), (ref_x, ref_y, ref_psi) = pose, ref_pose
         (xd, yd, psid), (ref_xd, ref_yd, ref_psid) = pose_rate, ref_rate
-        err = object.__new__(cls)  # both tuples are built as floats here, so __post_init__ is skipped
-        object.__setattr__(err, "error", (float(x - ref_x), float(y - ref_y), wrap_angle(psi - ref_psi)))
-        object.__setattr__(err, "error_rate", (float(xd - ref_xd), float(yd - ref_yd), float(psid - ref_psid)))
-        return err
+        return cls((float(x - ref_x), float(y - ref_y), wrap_angle(psi - ref_psi)),
+                   (float(xd - ref_xd), float(yd - ref_yd), float(psid - ref_psid)))
 
 
 def _sgn(s: float, boundary_layer: float) -> float:

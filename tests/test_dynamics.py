@@ -323,15 +323,16 @@ LEVEL_STATES = st.builds(
     BodyState, u=st.floats(-2.0, 2.0), v=st.floats(-2.0, 2.0), w=st.floats(-2.0, 2.0), r=st.floats(-2.0, 2.0),
     x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0), h=st.floats(-5.0, 5.0), psi=st.floats(-10.0, 10.0),
 )
-# Every AirshipParams field drawn around its default, with Ixz = 0.
-UNCOUPLED_PARAMS = st.builds(
-    AirshipParams, mass=st.floats(0.05, 2.0), inertia_x=st.floats(0.001, 0.5), inertia_y=st.floats(0.001, 0.5),
-    inertia_z=st.floats(0.001, 0.5), inertia_xz=st.just(0.0), cb_offset=st.floats(0.0, 0.5),
+# Every AirshipParams field but the roll/yaw inertias drawn around its default.
+OTHER_PARAMS = dict(
+    mass=st.floats(0.05, 2.0), inertia_y=st.floats(0.001, 0.5), cb_offset=st.floats(0.0, 0.5),
     mount_x=st.floats(-0.5, 0.5), mount_z=st.floats(-0.5, 0.5), link_length=st.floats(0.0, 0.2),
     yaw_damping=st.floats(0.0, 0.05), drag_coeff=st.floats(0.0, 0.3), lift_slope=st.floats(-0.5, 0.5),
     moment_slope=st.floats(-0.1, 0.1), ref_chord=st.floats(0.1, 3.0), air_density=st.floats(0.5, 1.5),
     net_lift=st.floats(-0.5, 0.5), gravity=st.floats(9.0, 10.0),
 )
+UNCOUPLED_PARAMS = st.builds(AirshipParams, inertia_x=st.floats(0.001, 0.5), inertia_z=st.floats(0.001, 0.5),
+                             inertia_xz=st.just(0.0), **OTHER_PARAMS)
 DEFLECTIONS = st.floats(-GIMBAL_LIMIT, GIMBAL_LIMIT)
 COMMANDS = st.builds(ThrusterCommand, thrust=st.floats(0.0, 0.1), yaw_deflection=DEFLECTIONS,
                      pitch_deflection=DEFLECTIONS)
@@ -364,6 +365,60 @@ def test_full_matches_planar_all_components_with_null_coupling():
         assert np.allclose(
             full_derivatives(p, astuple(st), wrench), planar_derivatives(p, astuple(st), wrench), atol=1e-9
         )
+
+
+# --- power balance ---------------------------------------------------------
+
+# Half the draws couple roll and yaw through an Ixz up to 0.9 sqrt(Ix Iz): the tensor stays positive definite.
+COUPLED_PARAMS = st.builds(
+    lambda ix, iz, coupling, **rest: AirshipParams(inertia_x=ix, inertia_z=iz,
+                                                   inertia_xz=coupling * math.sqrt(ix * iz), **rest),
+    ix=st.floats(0.001, 0.5), iz=st.floats(0.001, 0.5), coupling=st.just(0.0) | st.floats(-0.9, 0.9), **OTHER_PARAMS,
+)
+# Airspeeds on both sides of V_EPS, where aero_wrench turns to zero, and well above it.
+AIRSPEEDS = st.sampled_from([0.0, 0.5 * V_EPS, V_EPS, math.nextafter(V_EPS, 1.0), 2.0 * V_EPS]) | st.floats(0.0, 3.0)
+DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: math.hypot(*d) > 0.1)
+EDGE_COMMANDS = st.builds(ThrusterCommand, thrust=st.floats(0.0, 0.1),
+                          yaw_deflection=st.sampled_from([-GIMBAL_LIMIT, GIMBAL_LIMIT]) | DEFLECTIONS,
+                          pitch_deflection=st.sampled_from([-GIMBAL_LIMIT, GIMBAL_LIMIT]) | DEFLECTIONS)
+RATES = st.floats(-2.0, 2.0)
+ANGLES = st.floats(-10.0, 10.0)  # well outside (-pi, pi]
+
+
+def _power_balance(params, state, derivative, thrust_wrench):
+    """(m v.v_dot + w.I w_dot, F.v + M.w, a bound on their rounding) with the wrench summed from its terms."""
+    u, v, w, p, q, r, _, _, _, phi, theta, _ = state
+    du, dv, dw, dp, dq, dr = derivative[:6]
+    aero = aero_wrench(params, u, v, w)
+    weight = gravity_buoyancy_wrench(params, math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta))
+    fx, fy, fz, mx, my, mz = (a + t + g for a, t, g in zip(aero, thrust_wrench, weight))
+    mz -= params.yaw_damping * r
+    m, ix, iy, iz, ixz = params.mass, params.inertia_x, params.inertia_y, params.inertia_z, params.inertia_xz
+    # I = [[Ix, 0, -Ixz], [0, Iy, 0], [-Ixz, 0, Iz]]
+    stored = m * (u * du + v * dv + w * dw) + p * (ix * dp - ixz * dr) + q * iy * dq + r * (iz * dr - ixz * dp)
+    supplied = fx * u + fy * v + fz * w + mx * p + my * q + mz * r
+    speed, spin = abs(u) + abs(v) + abs(w), abs(p) + abs(q) + abs(r)
+    force, moment = abs(fx) + abs(fy) + abs(fz), abs(mx) + abs(my) + abs(mz)
+    inertia = ix + iy + iz + abs(ixz)
+    return stored, supplied, speed * (m * speed * spin + force) + spin * (inertia * spin * spin + moment)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(params=COUPLED_PARAMS, airspeed=AIRSPEEDS, direction=DIRECTIONS, rates=st.tuples(RATES, RATES, RATES),
+       position=st.tuples(*[st.floats(-50.0, 50.0)] * 3), phi=ANGLES,
+       theta=ANGLES.filter(lambda theta: abs(math.cos(theta)) > 1e-3), psi=ANGLES, cmd=EDGE_COMMANDS)
+def test_fields_balance_power(params, airspeed, direction, rates, position, phi, theta, psi, cmd):
+    # In the body frame m (v_dot + w x v) = F and I w_dot + w x I w = M, and v.(w x v) = w.(w x I w) = 0,
+    # so m v.v_dot + w.I w_dot = F.v + M.w: the fields' inertial and coupling terms must do no work.
+    # The planar field is checked on its manifold phi = theta = p = q = 0, where it drops no term.
+    scale = airspeed / math.hypot(*direction)
+    velocity = tuple(d * scale for d in direction)
+    wrench = thruster_wrench(params, cmd)
+    full = (*velocity, *rates, *position, phi, theta, psi)
+    planar = (*velocity, 0.0, 0.0, rates[2], *position, 0.0, 0.0, psi)
+    for field, state in ((full_derivatives, full), (planar_derivatives, planar)):
+        stored, supplied, bound = _power_balance(params, state, field(params, state, wrench), wrench)
+        assert abs(stored - supplied) <= 1e-13 * bound, (field.__name__, stored, supplied, bound)
 
 
 def _max_call_manifold_check(phi, theta, p, q):
