@@ -418,7 +418,8 @@ def _pose_plant(sc: Scenario) -> Plant:
         c, sn = math.cos(psi), math.sin(psi)
         state = (c * x_dot + sn * y_dot, -sn * x_dot + c * y_dot, 0.0, 0.0, 0.0, psi_dot,
                  x, y_pos, h, 0.0, 0.0, wrap_angle(psi))
-        return state, cmd, u_forces, saturated, (*s, sum(v), sum(v_dot))
+        # Summed left to right from 0.0, as sum() did before Python 3.12 compensated it.
+        return state, cmd, u_forces, saturated, (*s, 0.0 + v[0] + v[1] + v[2], 0.0 + v_dot[0] + v_dot[1] + v_dot[2])
 
     return Plant(derivative, y0, ("x", "y", "psi", "x_dot", "y_dot", "psi_dot"), control)
 

@@ -15,6 +15,7 @@ Two complementary views of the same device live here:
 """
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +27,10 @@ from .dynamics import _floats, check_sign, store_floats
 # mobility is needed; the kinetic formula needs a cross-section value the
 # bench work never pinned down.
 DEFAULT_ION_MOBILITY = 2.0e-4
+
+# collision_force_density_mc draws a block on its helper thread only from this
+# many pairs up; tools/chunk_sweep.py times both sides of it.
+_HELPER_PAIRS = 4_096
 
 # Electrode gaps at or below this distance arc through the collector foil.
 PUNCTURE_SPACING = 0.025
@@ -110,7 +115,7 @@ def collision_force_density_mc(
     slip_velocity,
     n_samples: int = 10_000_000,
     seed: int = 0,
-    chunk: int = 1_000_000,
+    chunk: int = 131_072,
 ) -> np.ndarray:
     """Monte-Carlo evaluation of the hard-sphere collision integral, N/m^3.
 
@@ -119,10 +124,12 @@ def collision_force_density_mc(
     drifting at the slip u and a zero-mean one, is Gaussian with mean u and
     per-axis variance kT (1/M + 1/m), so it is sampled directly, in antithetic
     pairs u + d and u - d drawn from one stream whatever the chunk size. Both
-    norms come from one expansion, |u +- d|^2 = |d|^2 + |u|^2 +- 2 u.d, computed
-    in one set of buffers allocated per call, so u = 0 gives exactly zero.
-    Deterministic for a fixed seed and sample count; the independent oracle for
-    collision_force_density, kept free of that closed form.
+    norms come from one expansion, |u +- d|^2 = |d|^2 + |u|^2 +- 2 u.d, so u = 0
+    gives exactly zero. Each block of chunk samples is reduced while one helper
+    thread draws the next from the same stream into a second buffer: 36 B per
+    chunk sample. A call of one block, or of blocks under 8,192 samples, starts
+    no thread. Deterministic for a fixed seed, sample count and chunk; the
+    independent oracle for collision_force_density, kept free of that closed form.
     """
     for name, value in (("n_samples", n_samples), ("chunk", chunk)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -134,25 +141,36 @@ def collision_force_density_mc(
     sigma = np.sqrt(BOLTZMANN * p.temperature * (1.0 / p.neutral_mass + 1.0 / p.ion_mass))
     total, u_sq, two_u = np.zeros(3), u @ u, 2.0 * u
     pairs, step = (n_samples + 1) // 2, (chunk + 1) // 2
-    size = min(step, pairs)
-    d_buf, (base_buf, cross_buf, plus_buf) = np.empty((size, 3)), np.empty((3, size))
-    for start in range(0, pairs, step):
-        m = min(step, pairs - start)
-        d, base, cross, s_plus = d_buf[:m], base_buf[:m], cross_buf[:m], plus_buf[:m]
-        rng.standard_normal(out=d)
-        d *= sigma
-        np.einsum("ij,ij->i", d, d, out=base)
-        base += u_sq
-        np.matmul(d, two_u, out=cross)
-        # |u + d|^2 = |d|^2 + |u|^2 + 2 u.d. Rounding takes a square below zero (and
-        # its root to nan) only for u + d within about 1e-8 (|u| + |d|) of zero: no real draw.
-        np.add(base, cross, out=s_plus)
-        np.sqrt(s_plus, out=s_plus)
-        s_minus = np.subtract(base, cross, out=base)  # |u - d|^2
-        np.sqrt(s_minus, out=s_minus)
-        if start + step >= pairs and n_samples % 2:
-            s_minus[-1] = 0.0  # an odd n_samples averages the last draw without its mirror
-        total += np.add(s_plus, s_minus, out=cross).sum() * u + np.subtract(s_plus, s_minus, out=cross) @ d
+    blocks, size = range(0, pairs, step), min(step, pairs)
+    draws = [np.empty((size, 3)) for _ in blocks[:2]]  # a second block gets a second draw buffer
+    base_buf, cross_buf, plus_buf = np.empty((3, size))
+
+    def draw(start):  # the block of pairs from start, into the buffer its predecessor does not use
+        return rng.standard_normal(out=draws[start // step % 2][:min(step, pairs - start)])
+
+    # The first submit starts the helper's thread; leaving the with-block joins it,
+    # also when a draw or a reduction raises. A smaller block costs more to hand over than to draw.
+    with ThreadPoolExecutor(1) as helper:
+        d = draw(0)
+        for start in blocks:
+            m, after = len(d), start + step
+            ahead = helper.submit(draw, after) if after < pairs and step >= _HELPER_PAIRS else None
+            base, cross, s_plus = base_buf[:m], cross_buf[:m], plus_buf[:m]
+            d *= sigma
+            np.einsum("ij,ij->i", d, d, out=base)
+            base += u_sq
+            np.matmul(d, two_u, out=cross)
+            # |u + d|^2 = |d|^2 + |u|^2 + 2 u.d. Rounding takes a square below zero (and
+            # its root to nan) only for u + d within about 1e-8 (|u| + |d|) of zero: no real draw.
+            np.add(base, cross, out=s_plus)
+            np.sqrt(s_plus, out=s_plus)
+            s_minus = np.subtract(base, cross, out=base)  # |u - d|^2
+            np.sqrt(s_minus, out=s_minus)
+            if after >= pairs and n_samples % 2:
+                s_minus[-1] = 0.0  # an odd n_samples averages the last draw without its mirror
+            total += np.add(s_plus, s_minus, out=cross).sum() * u + np.subtract(s_plus, s_minus, out=cross) @ d
+            if after < pairs:
+                d = ahead.result() if ahead else draw(after)
     mean = total / n_samples
     return p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density * mean
 

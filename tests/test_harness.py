@@ -35,7 +35,7 @@ from ionblimp.harness import (
     write_records_csv,
 )
 from ionblimp.inner_loop import FirstOrderTf, design_ku_unity_dc, kw_lower_bound, linearize, step_response
-from ionblimp.smc import ReferenceTrajectory, SmcGains, SmcModel, sliding_surface
+from ionblimp.smc import ReferenceTrajectory, SmcGains, SmcModel, lyapunov_monitor, sliding_surface
 from ionblimp.thruster import throttle_to_thrust
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -394,6 +394,20 @@ def test_smc_scenario_converges_on_heading_step():
     s_inf = np.array([np.max(np.abs(rec.s)) for rec in result.records])
     reached = np.flatnonzero(s_inf < 1e-3)[0]
     assert np.max(s_inf[reached:]) < 1e-3
+
+
+def test_smc_records_sum_the_lyapunov_channels_left_to_right():
+    # sum() compensates its rounding from Python 3.12 on, so it would record other
+    # bits there than on 3.10 and 3.11. Every row holds 0.0 + x + y + psi, as sum()
+    # adds before 3.12; math.fsum differs from it on 46 and 29 of these 201 rows.
+    ref = ReferenceTrajectory(times=[0.0, 1.0, 2.0], poses=[[0.0, 0.0, 0.0], [0.8, -0.5, 0.6], [1.3, -0.7, 0.9]])
+    gains = SmcGains(c1=1.0, c2=1.0, epsilon=0.05, k=1.0)
+    sc = Scenario(initial=BodyState(x=0.2, y=-0.1, h=2.0), model="planar", controller="smc",
+                  smc=SmcScenarioConfig(gains=gains, reference=ref), duration=2.0, dt=0.01)
+    for rec in run_scenario(sc).records:
+        v, v_dot = lyapunov_monitor(gains, (rec.s_x, rec.s_y, rec.s_psi))
+        assert rec.lyap_v == 0.0 + v[0] + v[1] + v[2], rec
+        assert rec.lyap_vdot == 0.0 + v_dot[0] + v_dot[1] + v_dot[2], rec
 
 
 def test_smc_step_evaluates_the_sliding_variable_once(monkeypatch):

@@ -1,4 +1,6 @@
+import inspect
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,8 @@ from ionblimp.thruster import (
     thrust_from_current,
     thrust_to_weight,
 )
+
+DEFAULT_CHUNK = inspect.signature(collision_force_density_mc).parameters["chunk"].default
 
 NITROGEN_LIKE = GasIonParams(
     ion_mass=4.65e-26,
@@ -124,15 +128,94 @@ def test_monte_carlo_does_not_depend_on_chunk_size():
 
 
 def test_monte_carlo_holds_at_most_32_bytes_per_chunk_sample():
-    # A chunk of m pairs, 2m samples, holds d (24 B per pair) and three length-m
-    # buffers (8 B per pair each): 24 B per sample. The two-norm form held 44.8.
+    # A block of m pairs, 2m samples, is reduced in three length-m buffers (8 B per
+    # pair each) while the next is drawn into a second (m, 3) buffer beside d (24 B
+    # per pair each): 36 B per chunk sample. Divided by 1e6 samples rather than by the
+    # default chunk of 131,072, this bound leaves room; the two tests below hold it tight.
     tracemalloc.start()
     try:
         collision_force_density_mc(NITROGEN_LIKE, [50.0, -20.0, 10.0], n_samples=2_000_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 1_000_000 <= 32.0  # the default chunk is 1_000_000 samples
+    assert peak / 1_000_000 <= 32.0
+
+
+def _traced_peak(**sizes):
+    tracemalloc.start()
+    try:
+        collision_force_density_mc(NITROGEN_LIKE, [50.0, -20.0, 10.0], seed=0, **sizes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Beyond its arrays a call holds a few Python objects: the executor, its thread
+# and the pending draw's future, 12-17 kB.
+CALL_OBJECTS = 32_768
+
+
+def test_the_default_chunk_holds_two_draw_blocks_and_three_buffers():
+    # 36 B x 131,072 is 4.7 MB, whatever the sample count; at the earlier default
+    # chunk of 1e6 a call held 24 MB. Eight blocks, so the helper draws seven.
+    assert _traced_peak(n_samples=1_000_000) <= 36 * DEFAULT_CHUNK + CALL_OBJECTS
+
+
+def test_a_million_sample_chunk_holds_at_most_36_bytes_per_chunk_sample():
+    # Two blocks of 1e6 samples: both draw buffers are in flight at once.
+    assert _traced_peak(n_samples=2_000_000, chunk=1_000_000) <= 36 * 1_000_000 + CALL_OBJECTS
+
+
+def _count_starts(monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_monte_carlo_leaves_no_thread_behind(monkeypatch):
+    started, before = _count_starts(monkeypatch), threading.active_count()
+    collision_force_density_mc(NITROGEN_LIKE, [50.0, -20.0, 10.0], n_samples=1_000_000, seed=0)
+    assert len(started) == 1 and not started[0].is_alive()  # joined before the call returned
+    assert threading.active_count() == before
+
+
+def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread_behind(monkeypatch):
+    fault, drawn_on = RuntimeError("third block"), []
+    real_rng = np.random.default_rng
+
+    class ThirdDrawFails:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def standard_normal(self, out):
+            drawn_on.append(threading.current_thread())
+            if len(drawn_on) == 3:
+                raise fault
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", ThirdDrawFails)
+    caller, before = threading.current_thread(), threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        collision_force_density_mc(NITROGEN_LIKE, [50.0, -20.0, 10.0], n_samples=1_000_000, seed=0)
+    assert caught.value is fault
+    assert drawn_on[0] is caller and drawn_on[2] is not caller  # the helper drew the third block
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("sizes, threads", [
+    ({"n_samples": 100_000}, 0),  # one block
+    ({"n_samples": 100_000, "chunk": 1_000}, 0),  # blocks too small to hand over
+    ({"n_samples": 1_000_000}, 1),  # eight default blocks, one helper for all of them
+])
+def test_only_a_call_of_several_large_blocks_starts_a_thread(monkeypatch, sizes, threads):
+    started = _count_starts(monkeypatch)
+    collision_force_density_mc(NITROGEN_LIKE, [50.0, -20.0, 10.0], seed=0, **sizes)
+    assert len(started) == threads
 
 
 def test_ion_mobility_verbatim():

@@ -3,16 +3,24 @@
 The Monte-Carlo kernel takes |u + d| and |u - d| from |d|^2 + |u|^2 +- 2 u.d
 instead of forming both (m, 3) differences, so its floats differ from the
 reference's only by rounding; these properties bound that difference and
-keep the exact zero at u = 0. The two mobility forms share one drift factor
-in the same operation order as the written-out forms, so they are equal.
+keep the exact zero at u = 0. The kernel draws each next block on a helper
+thread while it reduces the current one; at the same chunk it must return the
+serial kernel's floats bit for bit. The two mobility forms share one drift
+factor in the same operation order as the written-out forms, so they are equal.
 """
+
+import inspect
+from unittest import mock
 
 import numpy as np
 import reference_thruster as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionblimp import thruster
 from ionblimp.thruster import GasIonParams, collision_force_density_mc, ion_mobility, mobility_from_force_balance
+
+DEFAULT_CHUNK = inspect.signature(collision_force_density_mc).parameters["chunk"].default
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -51,6 +59,27 @@ def test_monte_carlo_matches_the_two_norm_reference(slip, size, seed):
     got = collision_force_density_mc(GAS, slip, n_samples=n_samples, seed=seed, chunk=chunk)
     want = ref.collision_force_density_mc(GAS, slip, n_samples, seed, chunk)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (got, want)
+
+
+@PROPERTY
+@given(slip=SLIP, size=sizes(), seed=SEED, helper=st.booleans())
+def test_monte_carlo_equals_the_serial_kernel_bit_for_bit(slip, size, seed, helper):
+    # Drawing block k + 1 on the helper thread keeps the draw order and each block's
+    # arithmetic, so only a block drawn into the buffer being reduced, or blocks
+    # reduced out of order, could move a bit. Blocks this small are drawn on the
+    # calling thread unless the helper threshold is lowered to one pair.
+    n_samples, chunk = size
+    with mock.patch.object(thruster, "_HELPER_PAIRS", 1 if helper else thruster._HELPER_PAIRS):
+        got = collision_force_density_mc(GAS, slip, n_samples=n_samples, seed=seed, chunk=chunk)
+    want = ref.serial_collision_force_density_mc(GAS, slip, n_samples=n_samples, seed=seed, chunk=chunk)
+    assert np.array_equal(got, want), (got, want)
+
+
+def test_a_default_call_equals_the_serial_kernel_at_the_default_chunk():
+    slip = [50.0, -20.0, 10.0]
+    got = collision_force_density_mc(GAS, slip, n_samples=10_000_000, seed=7)
+    want = ref.serial_collision_force_density_mc(GAS, slip, n_samples=10_000_000, seed=7, chunk=DEFAULT_CHUNK)
+    assert np.array_equal(got, want), (got, want)
 
 
 @PROPERTY
