@@ -28,10 +28,6 @@ from .dynamics import _floats, check_sign, store_floats
 # bench work never pinned down.
 DEFAULT_ION_MOBILITY = 2.0e-4
 
-# collision_force_density_mc draws a block on its helper thread only from this
-# many pairs up; tools/chunk_sweep.py times both sides of it.
-_HELPER_PAIRS = 4_096
-
 # Electrode gaps at or below this distance arc through the collector foil.
 PUNCTURE_SPACING = 0.025
 
@@ -127,9 +123,9 @@ def collision_force_density_mc(
     norms come from one expansion, |u +- d|^2 = |d|^2 + |u|^2 +- 2 u.d, so u = 0
     gives exactly zero. Each block of chunk samples is reduced while one helper
     thread draws the next from the same stream into a second buffer: 36 B per
-    chunk sample. A call of one block, or of blocks under 8,192 samples, starts
-    no thread. Deterministic for a fixed seed, sample count and chunk; the
-    independent oracle for collision_force_density, kept free of that closed form.
+    chunk sample. A call of one block starts no thread. Deterministic for a
+    fixed seed, sample count and chunk; the independent oracle for
+    collision_force_density, kept free of that closed form.
     """
     for name, value in (("n_samples", n_samples), ("chunk", chunk)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -149,12 +145,12 @@ def collision_force_density_mc(
         return rng.standard_normal(out=draws[start // step % 2][:min(step, pairs - start)])
 
     # The first submit starts the helper's thread; leaving the with-block joins it,
-    # also when a draw or a reduction raises. A smaller block costs more to hand over than to draw.
+    # also when a draw or a reduction raises.
     with ThreadPoolExecutor(1) as helper:
         d = draw(0)
         for start in blocks:
             m, after = len(d), start + step
-            ahead = helper.submit(draw, after) if after < pairs and step >= _HELPER_PAIRS else None
+            ahead = helper.submit(draw, after) if after < pairs else None
             base, cross, s_plus = base_buf[:m], cross_buf[:m], plus_buf[:m]
             d *= sigma
             np.einsum("ij,ij->i", d, d, out=base)
@@ -169,8 +165,8 @@ def collision_force_density_mc(
             if after >= pairs and n_samples % 2:
                 s_minus[-1] = 0.0  # an odd n_samples averages the last draw without its mirror
             total += np.add(s_plus, s_minus, out=cross).sum() * u + np.subtract(s_plus, s_minus, out=cross) @ d
-            if after < pairs:
-                d = ahead.result() if ahead else draw(after)
+            if ahead:
+                d = ahead.result()
     mean = total / n_samples
     return p.cross_section * (4.0 / 3.0) * p.reduced_mass * p.ion_density * p.neutral_density * mean
 

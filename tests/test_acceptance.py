@@ -4,10 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion; any assertion failure marks that criterion red.
 """
 
+import inspect
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+import reference_thruster as ref
 
 from ionblimp.buoyancy import EnvelopeGeometry, lift_budget
 from ionblimp.dynamics import (
@@ -107,6 +109,11 @@ def test_criterion_04_collision_integral_oracle():
         mc = collision_force_density_mc(params, slip, n_samples=10_000_000, seed=seed)
         rel = np.linalg.norm(mc - closed) / np.linalg.norm(closed)
         assert rel < 0.01, f"relative error {rel:.4f} at slip {slip}"
+    # The last call drew each next block on the helper thread; at the default
+    # chunk it is bit for bit the serial kernel's.
+    default_chunk = inspect.signature(collision_force_density_mc).parameters["chunk"].default
+    serial = ref.serial_collision_force_density_mc(params, slip, n_samples=10_000_000, seed=seed, chunk=default_chunk)
+    assert np.array_equal(mc, serial), (mc, serial)
     _passed(4, "closed form within 1% of the 1e7-sample collision integral at 3 points")
 
 

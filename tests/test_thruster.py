@@ -209,10 +209,9 @@ def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread_behind(monkeypatc
 
 @pytest.mark.parametrize("sizes, threads", [
     ({"n_samples": 100_000}, 0),  # one block
-    ({"n_samples": 100_000, "chunk": 1_000}, 0),  # blocks too small to hand over
     ({"n_samples": 1_000_000}, 1),  # eight default blocks, one helper for all of them
 ])
-def test_only_a_call_of_several_large_blocks_starts_a_thread(monkeypatch, sizes, threads):
+def test_only_a_call_of_several_blocks_starts_a_thread(monkeypatch, sizes, threads):
     started = _count_starts(monkeypatch)
     collision_force_density_mc(NITROGEN_LIKE, [50.0, -20.0, 10.0], seed=0, **sizes)
     assert len(started) == threads

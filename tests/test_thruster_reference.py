@@ -9,18 +9,12 @@ serial kernel's floats bit for bit. The two mobility forms share one drift
 factor in the same operation order as the written-out forms, so they are equal.
 """
 
-import inspect
-from unittest import mock
-
 import numpy as np
 import reference_thruster as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionblimp import thruster
 from ionblimp.thruster import GasIonParams, collision_force_density_mc, ion_mobility, mobility_from_force_balance
-
-DEFAULT_CHUNK = inspect.signature(collision_force_density_mc).parameters["chunk"].default
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -61,24 +55,18 @@ def test_monte_carlo_matches_the_two_norm_reference(slip, size, seed):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (got, want)
 
 
-@PROPERTY
-@given(slip=SLIP, size=sizes(), seed=SEED, helper=st.booleans())
-def test_monte_carlo_equals_the_serial_kernel_bit_for_bit(slip, size, seed, helper):
+# Any call of two or more blocks takes the helper's every path, and each of its
+# 25 us handoffs costs more than a small block's draw, so a hundred draws.
+@settings(PROPERTY, max_examples=100)
+@given(slip=SLIP, size=sizes(), seed=SEED)
+def test_monte_carlo_equals_the_serial_kernel_bit_for_bit(slip, size, seed):
     # Drawing block k + 1 on the helper thread keeps the draw order and each block's
     # arithmetic, so only a block drawn into the buffer being reduced, or blocks
-    # reduced out of order, could move a bit. Blocks this small are drawn on the
-    # calling thread unless the helper threshold is lowered to one pair.
+    # reduced out of order, could move a bit. A 1e7-sample call at the default
+    # chunk is compared in test_acceptance's criterion 4.
     n_samples, chunk = size
-    with mock.patch.object(thruster, "_HELPER_PAIRS", 1 if helper else thruster._HELPER_PAIRS):
-        got = collision_force_density_mc(GAS, slip, n_samples=n_samples, seed=seed, chunk=chunk)
+    got = collision_force_density_mc(GAS, slip, n_samples=n_samples, seed=seed, chunk=chunk)
     want = ref.serial_collision_force_density_mc(GAS, slip, n_samples=n_samples, seed=seed, chunk=chunk)
-    assert np.array_equal(got, want), (got, want)
-
-
-def test_a_default_call_equals_the_serial_kernel_at_the_default_chunk():
-    slip = [50.0, -20.0, 10.0]
-    got = collision_force_density_mc(GAS, slip, n_samples=10_000_000, seed=7)
-    want = ref.serial_collision_force_density_mc(GAS, slip, n_samples=10_000_000, seed=7, chunk=DEFAULT_CHUNK)
     assert np.array_equal(got, want), (got, want)
 
 

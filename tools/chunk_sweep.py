@@ -4,17 +4,13 @@
 
 Times ``thruster.collision_force_density_mc`` from the working tree's ``src/``
 at the three acceptance points of ``perfbench/gen.py`` (1e7 samples each, seed
-0) for ``chunk`` = 2^11 to 2^20 samples, with BLAS/OpenMP threads pinned to 1
-as ``perfbench/run.py`` pins them. Each chunk runs twice, with
-``thruster._HELPER_PAIRS`` set so that every next block is drawn on the helper
-thread (``helper``) and so that every block is drawn on the calling thread
-(``calling_thread``). Where the first overtakes the second sets that threshold;
-the first's rates and the memory pick the default chunk. Each round calls every
-point once at every chunk and side, starting one entry further along the list
-each round, so drift in machine speed spreads over all of them. Per chunk and
-side the file holds every call's samples per wall second, their median and
-quartiles, and per chunk the peak bytes that ``tracemalloc`` reports for one
-call (at the kernel's own threshold), per chunk sample.
+0) for ``chunk`` = 2^15 to 2^20 samples, with BLAS/OpenMP threads pinned to 1
+as ``perfbench/run.py`` pins them. The rates and the memory pick the default
+chunk. Each round calls every point once at every chunk, starting one chunk
+further along the list each round, so drift in machine speed spreads over all
+of them. Per chunk the file holds every call's samples per wall second, their
+median and quartiles, and the peak bytes that ``tracemalloc`` reports for one
+call, per chunk sample.
 """
 
 import argparse
@@ -36,18 +32,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 from gen import ORACLE_FIELDS, ORACLE_POINTS, ORACLE_SAMPLES  # noqa: E402
 
-from ionblimp import thruster  # noqa: E402
 from ionblimp.thruster import GasIonParams, collision_force_density_mc  # noqa: E402
 
-CHUNKS = tuple(2**k for k in range(11, 21))
-SIDES = {"helper": 1, "calling_thread": ORACLE_SAMPLES}  # the threshold, in pairs
-HELPER_PAIRS = thruster._HELPER_PAIRS
-ENTRIES = tuple((chunk, side) for chunk in CHUNKS for side in SIDES)
+CHUNKS = tuple(2**k for k in range(15, 21))
 POINTS = tuple((GasIonParams(**dict(zip(ORACLE_FIELDS, gas))), slip) for gas, slip in ORACLE_POINTS)
 
 
-def _rate(gas, slip, chunk: int, side: str) -> float:
-    thruster._HELPER_PAIRS = SIDES[side]
+def _rate(gas, slip, chunk: int) -> float:
     start = time.perf_counter()
     collision_force_density_mc(gas, slip, n_samples=ORACLE_SAMPLES, seed=0, chunk=chunk)
     return ORACLE_SAMPLES / (time.perf_counter() - start)
@@ -69,26 +60,21 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--rounds", type=int, default=5)
     args = ap.parse_args(argv)
-    rates = {entry: [] for entry in ENTRIES}
-    for entry in ENTRIES:  # one untimed call each, so no timed call pays a first-use cost
-        _rate(*POINTS[0], *entry)
+    rates = {chunk: [] for chunk in CHUNKS}
+    for chunk in CHUNKS:  # one untimed call each, so no timed call pays a first-use cost
+        _rate(*POINTS[0], chunk)
     for r in range(args.rounds):
-        shift = r % len(ENTRIES)
-        for entry in ENTRIES[shift:] + ENTRIES[:shift]:
-            rates[entry] += [_rate(gas, slip, *entry) for gas, slip in POINTS]
-    thruster._HELPER_PAIRS = HELPER_PAIRS
+        shift = r % len(CHUNKS)
+        for chunk in CHUNKS[shift:] + CHUNKS[:shift]:
+            rates[chunk] += [_rate(gas, slip, chunk) for gas, slip in POINTS]
     sweep = {}
-    for chunk in CHUNKS:
-        row = sweep[str(chunk)] = {"peak_traced_bytes_per_chunk_sample": _peak_bytes_per_sample(chunk)}
-        line = f"chunk {chunk:>9,} ({row['peak_traced_bytes_per_chunk_sample']:.2f} B/sample traced):"
-        for side in SIDES:
-            values = rates[chunk, side]
-            q1, median, q3 = statistics.quantiles(values, n=4)
-            row[side] = {"samples_per_s": values, "median": median, "q1": q1, "q3": q3}
-            line += f"  {side} {median:.4g}/s (q1 {q1:.4g}, q3 {q3:.4g})"
-        print(line)
+    for chunk, values in rates.items():
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        per_sample = _peak_bytes_per_sample(chunk)
+        sweep[str(chunk)] = {"peak_traced_bytes_per_chunk_sample": per_sample,
+                             "samples_per_s": values, "median": median, "q1": q1, "q3": q3}
+        print(f"chunk {chunk:>9,} ({per_sample:.2f} B/sample traced): {median:.4g}/s (q1 {q1:.4g}, q3 {q3:.4g})")
     out = {"label": args.label, "rounds": args.rounds, "n_samples": ORACLE_SAMPLES,
-           "helper_pairs": HELPER_PAIRS,
            "env": {"python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count()},
            "chunks": sweep}
     path = ROOT / f"BENCH_{args.label}_chunk.json"
