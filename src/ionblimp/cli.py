@@ -12,7 +12,8 @@ Every verb exits 0 on success; failures print one machine-parseable
 ``error: ...`` line on stderr and exit 1 (argparse usage errors exit 2).
 ``thruster-map --at`` reports each warning (an extrapolated thrust) as one
 ``warning: <category>: <message>`` line on stderr. Importing this module
-imports no numpy and no ``thruster``.
+imports no numpy, ``thruster``, ``smc`` or ``inner_loop``: ``linearize``,
+``certify-gains`` and ``step-response`` import ``inner_loop`` when called.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import sys
 import warnings
 
-from . import harness, inner_loop
+from . import harness
 from .dynamics import AirshipParams, check_sign
 
 # Each preset's map and the function that reads thrust off it, by their names in ``thruster``.
@@ -79,6 +80,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_linearize(args) -> int:
+    from . import inner_loop
     params, speed, thrust = _load_params_config(args.config)
     model = inner_loop.linearize(params, speed, thrust)
     print(f"trim_speed={speed!r}")
@@ -98,6 +100,7 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_certify_gains(args) -> int:
+    from . import inner_loop
     params, speed, thrust = _load_params_config(args.config)
     model = inner_loop.linearize(params, speed, thrust)
     k1_grid, k2_grid = _grid("--k1", args.k1), _grid("--k2", args.k2)
@@ -137,6 +140,7 @@ def _cmd_thruster_map(args) -> int:
 
 
 def _cmd_step_response(args) -> int:
+    from . import inner_loop
     tf = inner_loop.close_u_loop(args.k_u, gain=args.gain, pole=args.pole)
     t, y = inner_loop.step_response(tf, args.duration, args.dt)
     print("t,du")
@@ -170,6 +174,7 @@ def _thruster_map_args(p) -> None:
 
 
 def _step_response_args(p) -> None:
+    from . import inner_loop
     p.add_argument("k_u", type=float)
     p.add_argument("--duration", type=float, default=3.0)
     p.add_argument("--dt", type=float, default=0.01)

@@ -10,8 +10,8 @@ computed once per step, and the pose plant's the SMC force demand. The
 recorded state is laid out as ``BodyState``'s fields (``STATE_LABELS``).
 The RK4 step runs one unrolled kernel per state length (12 or 6),
 compiled from a source template the first time that length is stepped. A
-step that leaves a non-finite state fails naming the components and the
-input ``u`` held over it.
+step that leaves a non-finite state fails naming the components, the
+input ``u`` held over it and the last finite state.
 The ``CONTROLLERS`` table maps each controller name to the function that
 builds its run's plant, once, before the loop:
 
@@ -38,6 +38,8 @@ its CSV rows: each ``SimRecord`` is a named tuple whose fields are
 ``CSV_COLUMNS``, so the column order is the record layout, defined once.
 Summaries are ``key=value`` text. A run imports numpy only for an irregular
 table, a non-diagonal M or a throttle, and ``thruster`` only for a throttle.
+It imports ``smc`` only for an ``[smc]`` section or an open-loop script, and
+``inner_loop`` only for an ``[inner_loop]`` section.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import configparser
 import functools
 import math
 from collections import namedtuple
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import (
@@ -64,21 +66,7 @@ from .dynamics import (
     thruster_wrench,
 )
 from .frames import wrap_angle
-from .inner_loop import InnerLoopConfig
 from .pcg64 import uniform_stream
-from .smc import (
-    ReferenceTrajectory,
-    SmcGains,
-    SmcModel,
-    TrackingError,
-    allocate_actuation,
-    lyapunov_monitor,
-    pose_acceleration,
-    reaching_time_bound,
-    read_table,
-    sliding_surface,
-    smc_control,
-)
 
 CONFIG_HEADER = "# blimpsim-config v1"
 
@@ -386,6 +374,8 @@ def _inner_loop_plant(sc: Scenario) -> Plant:
 
 def _pose_plant(sc: Scenario) -> Plant:
     """SMC on the pose state (x, y, psi, x_dot, y_dot, psi_dot)."""
+    from .smc import (SmcModel, TrackingError, allocate_actuation, lyapunov_monitor, pose_acceleration,
+                      sliding_surface, smc_control)
     cfg = sc.smc
     model = SmcModel.from_components(
         mass=sc.params.mass, inertia_z=sc.params.inertia_z,
@@ -441,9 +431,10 @@ def run_scenario(sc: Scenario) -> SimResult:
             state, cmd, u, saturated, internals = plant.control(t, y)
             if step < n_steps:
                 y = integrate_step(plant.derivative, y, u, sc.dt, plant.labels)
-        except NonFiniteState as exc:  # the state blew up under the input held over the step: name that input
-            held = ", ".join(map(repr, u))
-            raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}; input held over the step: ({held})") from exc
+        except NonFiniteState as exc:  # the state blew up under the input held over it: name both
+            held, last = ", ".join(map(repr, u)), ", ".join(map(repr, y))
+            raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}; input held over the step: ({held}); "
+                                f"last finite state: ({last})") from exc
         except Exception as exc:
             raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
         flags = ("ground",) * (state[8] < 0.0) + ("saturation",) * saturated  # sorted
@@ -482,6 +473,7 @@ def _summarize(sc: Scenario, records) -> dict:
         "ground_steps": sum(1 for rec in records if "ground" in rec.flags),
     }
     if sc.controller == "smc":  # each sample's max-norm of s, as np.max(np.abs(s), axis=1) gave it
+        from .smc import reaching_time_bound
         s_inf = [max(abs(rec.s_x), abs(rec.s_y), abs(rec.s_psi)) for rec in records]
         first = records[0]
         summary.update(
@@ -519,8 +511,12 @@ def _path(text: str) -> Path:
     return Path(text)
 
 
-# The [smc] keys: the gains' fields, then the tracking scenario's own.
-_SMC_FIELDS = [f for f in (*fields(SmcGains), *fields(SmcScenarioConfig)) if f.name != "gains"]
+# The [inner_loop] keys are InnerLoopConfig's fields, and the [smc] keys SmcGains' fields, then
+# SmcScenarioConfig's own, each in field order. They are written out so that loading a scenario imports
+# inner_loop or smc only for its section. REQUIRED_KEYS below are the fields with no default.
+_INNER_LOOP_KEYS = ("trim_speed", "trim_thrust", "k_u", "k_w", "k1", "k2")
+_SMC_KEYS = ("c1", "c2", "epsilon", "k", "boundary_layer",
+             "reference", "t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y")
 
 # Everything a scenario file may contain: section -> key -> converter.
 # A converter returning a Path marks a file name, resolved by read_config.
@@ -530,8 +526,8 @@ SCENARIO_SCHEMA = {
     "params": dict.fromkeys((f.name for f in fields(AirshipParams)), float),
     "initial": dict.fromkeys(STATE_LABELS, float),
     "open_loop": {"thrust": float, "throttle": float, "delta_y": float, "delta_p": float, "script": _path},
-    "inner_loop": dict.fromkeys((f.name for f in fields(InnerLoopConfig)), float),
-    "smc": {f.name: _path if f.name == "reference" else float for f in _SMC_FIELDS},
+    "inner_loop": dict.fromkeys(_INNER_LOOP_KEYS, float),
+    "smc": {key: _path if key == "reference" else float for key in _SMC_KEYS},
     "output": {"csv": _path, "summary": _path},
 }
 
@@ -572,8 +568,8 @@ def read_config(path, schema: dict) -> dict:
 
 # Keys a section must set when it is present: the fields with no default.
 REQUIRED_KEYS = {
-    "inner_loop": [f.name for f in fields(InnerLoopConfig) if f.default is MISSING],
-    "smc": [f.name for f in _SMC_FIELDS if f.default is MISSING],
+    "inner_loop": ["trim_speed", "trim_thrust", "k_u"],
+    "smc": ["c1", "c2", "epsilon", "k", "reference"],
 }
 
 
@@ -589,10 +585,19 @@ def _section(path, name: str, make, values: dict):
 
 
 def _open_loop(script=None, **values) -> OpenLoopCommand:
-    return OpenLoopCommand(script=None if script is None else read_table(script), **values)
+    if script is not None:
+        from .smc import read_table
+        script = read_table(script)
+    return OpenLoopCommand(script=script, **values)
+
+
+def _inner_loop_config(**values):
+    from .inner_loop import InnerLoopConfig
+    return InnerLoopConfig(**values)
 
 
 def _smc_config(reference, **values) -> SmcScenarioConfig:
+    from .smc import ReferenceTrajectory, SmcGains
     gains = SmcGains(**{f.name: values.pop(f.name) for f in fields(SmcGains) if f.name in values})
     return SmcScenarioConfig(gains=gains, reference=ReferenceTrajectory.from_file(reference), **values)
 
@@ -615,7 +620,7 @@ def load_scenario(path) -> Scenario:
 
     # These Scenario fields are named after the sections they are built from.
     makers = {"params": AirshipParams, "initial": BodyState, "open_loop": _open_loop,
-              "inner_loop": InnerLoopConfig, "smc": _smc_config}
+              "inner_loop": _inner_loop_config, "smc": _smc_config}
     built = {s: _section(path, s, make, config[s]) for s, make in makers.items() if s in config}
     output = {key: str(value) for key, value in config.get("output", {}).items()}
     return _section(path, "scenario", Scenario, dict(

@@ -249,21 +249,26 @@ def test_simulate_never_imports_numpy_random(name):
     assert run.stdout.splitlines()[-1] == "False"
 
 
-# Runs code with sys.argv[2:] as its arguments in a fresh interpreter, then prints whether numpy was imported.
-_COLD_NUMPY = """import sys
+# Runs code with sys.argv[2:] as its arguments in a fresh interpreter, then prints which of the watched
+# modules (numpy, ionblimp.smc, ionblimp.inner_loop) it imported.
+_COLD_IMPORTS = """import sys
 exec(sys.argv[1])
-print("numpy imported:", "numpy" in sys.modules)
+print("imported:", *(name for name in ("numpy", "ionblimp.smc", "ionblimp.inner_loop") if name in sys.modules))
 """
 _SIMULATE = "from ionblimp.cli import main\nassert main(['simulate', *sys.argv[2:]]) == 0"
 
 
-def _imports_numpy(code, *args):
+def _cold_imports(code, *args) -> set:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c", _COLD_NUMPY, code, *map(str, args)],
+    run = subprocess.run([sys.executable, "-c", _COLD_IMPORTS, code, *map(str, args)],
                          capture_output=True, text=True, env=env, check=True)
-    last = run.stdout.splitlines()[-1]
-    assert last in ("numpy imported: True", "numpy imported: False"), run.stdout
-    return last.endswith("True")
+    last = run.stdout.splitlines()[-1].split()
+    assert last[0] == "imported:", run.stdout
+    return set(last[1:])
+
+
+def _imports_numpy(code, *args):
+    return "numpy" in _cold_imports(code, *args)
 
 
 def _perfbench_inputs(workload, out_dir):
@@ -297,19 +302,38 @@ def test_lift_budget_never_imports_numpy():
 SCRIPT_CFG = CONFIG_HEADER + "\n[scenario]\nduration = 1.0\ndt = 0.01\n[open_loop]\nscript = script.txt\n"
 
 
+def _scenario_file(case, tmp_path):
+    """A demo scenario, a seed-0 perfbench input (perfbench_<workload>) or the scripted SCRIPT_CFG."""
+    if case.startswith("perfbench_"):
+        workload = case.removeprefix("perfbench_")
+        return _perfbench_inputs(workload, tmp_path)["flight_base" if workload == "inner_loop_csv" else "scenario"]
+    if case != "script":
+        return ROOT / "demos" / "scenarios" / f"{case}.cfg"
+    (tmp_path / "script.txt").write_text("# t thrust delta_y delta_p\n0.0 0.01 0.0 0.0\n0.5\t+2e-2 -.1 5E-2\n",
+                                         encoding="utf-8")
+    (tmp_path / "script.cfg").write_text(SCRIPT_CFG, encoding="utf-8")
+    return tmp_path / "script.cfg"
+
+
 @pytest.mark.parametrize("case", ["heading_step", "perfbench_smc_tracking", "script"])
 def test_table_simulate_never_imports_numpy(case, tmp_path):
     # A reference or script table in the plain grammar is read in Python, and a diagonal M is inverted there.
-    if case == "heading_step":
-        cfg = ROOT / "demos" / "scenarios" / "heading_step.cfg"
-    elif case == "perfbench_smc_tracking":
-        cfg = _perfbench_inputs("smc_tracking", tmp_path)["scenario"]
-    else:
-        (tmp_path / "script.txt").write_text("# t thrust delta_y delta_p\n0.0 0.01 0.0 0.0\n0.5\t+2e-2 -.1 5E-2\n",
-                                             encoding="utf-8")
-        cfg = tmp_path / "script.cfg"
-        cfg.write_text(SCRIPT_CFG, encoding="utf-8")
+    cfg = _scenario_file(case, tmp_path)
     assert not _imports_numpy(_SIMULATE, cfg, "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt")
+
+
+@pytest.mark.parametrize("case, modules", [
+    ("import", set()), ("hover", set()), ("cruise", set()), ("perfbench_full_6dof", set()),
+    ("trim_hold", {"ionblimp.inner_loop"}), ("perfbench_inner_loop_csv", {"ionblimp.inner_loop"}),
+    ("heading_step", {"ionblimp.smc"}), ("perfbench_smc_tracking", {"ionblimp.smc"}), ("script", {"ionblimp.smc"}),
+])
+def test_a_run_imports_smc_and_inner_loop_only_for_what_it_flies(case, modules, tmp_path):
+    # smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop] section.
+    if case == "import":
+        loaded = _cold_imports("import ionblimp.cli")
+    else:
+        loaded = _cold_imports(_SIMULATE, _scenario_file(case, tmp_path), "--csv", tmp_path / "run.csv")
+    assert loaded - {"numpy"} == modules
 
 
 @pytest.mark.parametrize("table, line", [
@@ -368,12 +392,27 @@ def test_a_controller_failure_carries_its_step(c2, where, tmp_path, capsys):
 
 def test_a_blown_up_step_names_the_demand_it_held(tmp_path, capsys):
     # 1 / 1e-308 is finite, so c2 loads; the N_z it demands overflows psi_dot in the RK4 step. The one error
-    # line names that component and the SMC demand (F_x, F_y, N_z) held over the step.
+    # line names that component, the SMC demand (F_x, F_y, N_z) held over the step and the pose state before it.
     assert main(["simulate", str(_heading_step_with_c2("1e-308", tmp_path))]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: ScenarioError: step 0 (t=0.000000 s): non-finite state component(s): psi_dot; "
-                   "input held over the step: (0.0, 0.0, 3.410000000000001e+306)\n")
+                   "input held over the step: (0.0, 0.0, 3.410000000000001e+306); "
+                   "last finite state: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)\n")
+
+
+def test_a_huge_initial_surge_names_the_state_it_started_from(tmp_path, capsys):
+    # hover with [initial] u = 1e200: the drag overflows in the first RK4 stage, so every component fails. The
+    # line names the zero wrench held over the step and the loaded state, the only finite one the run had.
+    cfg = tmp_path / "hover.cfg"
+    text = (ROOT / "demos" / "scenarios" / "hover.cfg").read_text(encoding="utf-8")
+    cfg.write_text(text.replace("h = 1.8\n", "h = 1.8\nu = 1e200\n"), encoding="utf-8")
+    assert main(["simulate", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ScenarioError: step 0 (t=0.000000 s): non-finite state component(s): u, v, w, p, q, r, "
+                   "x, y, h, phi, theta, psi; input held over the step: (0.0, 0.0, -0.0, -0.0, 0.0, 0.0); "
+                   "last finite state: (1e+200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.8, 0.0, 0.0, 0.0)\n")
 
 
 def test_a_c2_whose_reciprocal_overflows_fails_at_load(tmp_path, capsys):

@@ -3,7 +3,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 
@@ -20,7 +20,6 @@ from ionblimp.harness import (
     CSV_COLUMNS,
     SCENARIO_SCHEMA,
     STATE_LABELS,
-    InnerLoopConfig,
     NonFiniteState,
     OpenLoopCommand,
     Scenario,
@@ -34,7 +33,14 @@ from ionblimp.harness import (
     servo_map,
     write_records_csv,
 )
-from ionblimp.inner_loop import FirstOrderTf, design_ku_unity_dc, kw_lower_bound, linearize, step_response
+from ionblimp.inner_loop import (
+    FirstOrderTf,
+    InnerLoopConfig,
+    design_ku_unity_dc,
+    kw_lower_bound,
+    linearize,
+    step_response,
+)
 from ionblimp.smc import ReferenceTrajectory, SmcGains, SmcModel, lyapunov_monitor, sliding_surface
 from ionblimp.thruster import throttle_to_thrust
 
@@ -329,8 +335,6 @@ def test_smc_config_rejects_non_positive_t_max(t_max):
 
 
 def test_scenario_error_carries_timestep_context():
-    from ionblimp.harness import InnerLoopConfig
-
     # destabilizing surge feedback drives u to overflow, which the stepper
     # must report with the timestep attached
     sc = hover_scenario(
@@ -346,8 +350,6 @@ def test_scenario_error_carries_timestep_context():
 
 
 def test_inner_loop_regulates_surge_on_planar_model():
-    from ionblimp.harness import InnerLoopConfig
-
     params = AirshipParams(drag_coeff=0.1848)
     sc = Scenario(
         params=params,
@@ -417,8 +419,7 @@ def test_smc_step_evaluates_the_sliding_variable_once(monkeypatch):
         calls.append(err)
         return sliding_surface(gains, err)
 
-    for name in ("ionblimp.harness.sliding_surface", "ionblimp.smc.sliding_surface"):
-        monkeypatch.setattr(name, counting)
+    monkeypatch.setattr("ionblimp.smc.sliding_surface", counting)  # the pose plant binds it when it is built
     result = run_scenario(hover_scenario(**SMC_API, duration=0.1, dt=0.01))
     assert len(calls) == len(result.records) == 11
 
@@ -784,6 +785,18 @@ def test_scenario_fields_are_what_a_scenario_file_sets():
     assert {f.name for f in fields(Scenario)} == expected
 
 
+def test_the_written_out_section_keys_are_the_fields_they_build():
+    # harness lists the [smc] and [inner_loop] keys itself, so that loading a scenario imports neither module.
+    smc = [*fields(SmcGains), *(f for f in fields(SmcScenarioConfig) if f.name != "gains")]
+    inner = fields(InnerLoopConfig)
+    assert list(SCENARIO_SCHEMA["smc"]) == [f.name for f in smc]
+    assert [key for key, convert in SCENARIO_SCHEMA["smc"].items() if isinstance(convert("1"), Path)] == ["reference"]
+    assert list(SCENARIO_SCHEMA["inner_loop"]) == [f.name for f in inner]
+    assert set(SCENARIO_SCHEMA["inner_loop"].values()) == {float}
+    assert harness.REQUIRED_KEYS == {"inner_loop": [f.name for f in inner if f.default is MISSING],
+                                     "smc": [f.name for f in smc if f.default is MISSING]}
+
+
 def test_scenario_refuses_one_step_more_than_max_steps():
     # The scenario files beyond the bound are rows of test_cli's test_bad_input_fails_at_load_naming_it.
     hover_scenario(duration=float(harness.MAX_STEPS), dt=1.0)  # the bound itself loads
@@ -858,14 +871,15 @@ def test_a_nan_thrust_demand_fails_at_its_step(model, monkeypatch):
 
 
 def test_a_blown_up_step_names_the_wrench_it_held():
-    # A surge of 1e200 overflows the drag in the first RK4 stage: the error names the state components and the
-    # thrust wrench (X, Y, Z, L, M, N) held over the step, each as its repr.
+    # A surge of 1e200 overflows the drag in the first RK4 stage: the error names the state components, the
+    # thrust wrench (X, Y, Z, L, M, N) held over the step and the state before it, each as its repr.
     sc = hover_scenario(initial=BodyState(u=1e200), duration=0.01, open_loop=OpenLoopCommand(thrust=0.01))
     wrench = ", ".join(map(repr, dynamics.thruster_wrench(sc.params, ThrusterCommand(0.01, 0.0, 0.0))))
     with pytest.raises(ScenarioError) as info:
         run_scenario(sc)
     assert str(info.value) == ("step 0 (t=0.000000 s): non-finite state component(s): u, v, w, p, q, r, x, y, h, "
-                               f"phi, theta, psi; input held over the step: ({wrench})")
+                               f"phi, theta, psi; input held over the step: ({wrench}); last finite state: (1e+200, "
+                               "0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)")
 
 
 @pytest.mark.parametrize("model", ["full", "planar"])
