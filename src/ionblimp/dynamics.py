@@ -25,7 +25,8 @@ yaw-damping terms onto it for both models.
 Both derivative fields include a net vertical lift force (buoyancy minus
 weight, a single configurable number) and a linear yaw-damping moment
 -C2*r. These appear in both models so that they agree exactly on the shared
-planar manifold.
+planar manifold. The angle rules every run applies (``wrap_angle``,
+``V_EPS``, ``FLOW_ANGLE_LIMIT``) are defined here; ``frames`` re-exports them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .constants import STANDARD_GRAVITY
-from .frames import FLOW_ANGLE_LIMIT, V_EPS, wrap_angle
+STANDARD_GRAVITY = 9.80665  # m/s^2, also the gram-force <-> newton conversion
+
+# Below this speed the flow direction is undefined and aero forces are zeroed.
+V_EPS = 1e-6
+
+# Flow angles saturate just inside +-pi/2 so the aero closures stay finite.
+FLOW_ANGLE_LIMIT = math.pi / 2 - 1e-9
 
 # Tolerance for the planar-manifold constraint phi = theta = p = q = 0.
 PLANAR_TOL = 1e-9
@@ -46,6 +52,15 @@ GIMBAL_LIMIT = math.pi / 2
 
 class ConstraintViolation(ValueError):
     """State handed to the planar model leaves the level-attitude manifold."""
+
+
+def wrap_angle(angle: float) -> float:
+    """Wrap an angle to (-pi, pi]; one already inside comes back unchanged.
+
+    The IEEE remainder is exact. nan stays nan; an infinite angle raises ValueError.
+    """
+    wrapped = math.remainder(angle, 2.0 * math.pi)
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 def _floats(name: str, value, table: bool):
@@ -192,7 +207,7 @@ def aero_wrench(params: AirshipParams, u: float, v: float, w: float) -> tuple:
     pitch moment M = q c0 C_ma * alpha with q = 0.5 rho V^2 (reference area
     folded into the coefficients), assembled as force (-D, 0, -L) and
     moment (0, M, 0), then rotated to the body frame; the flow angles are
-    clipped as in ``frames``. Zero for stagnant flow.
+    clipped to FLOW_ANGLE_LIMIT. Zero for stagnant flow (speed <= V_EPS).
     """
     speed_sq = u * u + v * v + w * w
     speed = math.sqrt(speed_sq)

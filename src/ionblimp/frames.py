@@ -1,4 +1,4 @@
-"""Frame rotations and flow angles for the blimp simulator.
+"""Matrix-form frame rotations and flow angles: the reference for the scalar kernel in ``dynamics``; no run loads it.
 
 Conventions
 -----------
@@ -13,8 +13,8 @@ Conventions
   ``v_body = ground_to_body(att) @ v_ground``. The attitude ``att`` is a
   ``dynamics.BodyState``; only its wrapped phi, theta and psi are read.
 
-All functions are pure and safe to call from any thread. The matrix and
-flow-angle helpers import numpy when called; importing this module does not.
+All functions are pure and safe to call from any thread, and import numpy when called. ``wrap_angle``,
+``V_EPS`` and ``FLOW_ANGLE_LIMIT`` are the kernel's own objects, re-exported from ``dynamics``.
 """
 
 from __future__ import annotations
@@ -22,24 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Below this speed the flow direction is undefined and aero forces are zeroed.
-V_EPS = 1e-6
-
-# Flow angles saturate just inside +-pi/2 so the aero closures stay finite.
-FLOW_ANGLE_LIMIT = math.pi / 2 - 1e-9
+from .dynamics import FLOW_ANGLE_LIMIT, V_EPS, wrap_angle  # noqa: F401  (wrap_angle is re-exported)
 
 
 class StagnantFlow(ValueError):
     """Airspeed below V_EPS: aero angles undefined, forces must be zeroed."""
-
-
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]; one already inside comes back unchanged.
-
-    The IEEE remainder is exact. nan stays nan; an infinite angle raises ValueError.
-    """
-    wrapped = math.remainder(angle, 2.0 * math.pi)
-    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass(frozen=True)

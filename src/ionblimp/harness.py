@@ -38,8 +38,8 @@ its CSV rows: each ``SimRecord`` is a named tuple whose fields are
 ``CSV_COLUMNS``, so the column order is the record layout, defined once.
 Summaries are ``key=value`` text. A run imports numpy only for an irregular
 table, a non-diagonal M or a throttle, and ``thruster`` only for a throttle.
-It imports ``smc`` only for an ``[smc]`` section or an open-loop script, and
-``inner_loop`` only for an ``[inner_loop]`` section.
+It imports ``smc`` only for an ``[smc]`` section or an open-loop script,
+``inner_loop`` only for an ``[inner_loop]`` section, and never ``frames``.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ from .dynamics import (
     store_floats,
     table_shape,
     thruster_wrench,
+    wrap_angle,
 )
-from .frames import wrap_angle
 from .pcg64 import uniform_stream
 
 CONFIG_HEADER = "# blimpsim-config v1"

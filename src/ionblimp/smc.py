@@ -39,8 +39,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats, table_shape
-from .frames import wrap_angle
+from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats, table_shape, wrap_angle
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import BOLTZMANN, STANDARD_GRAVITY
-from .dynamics import _floats, check_sign, store_floats
+from .dynamics import STANDARD_GRAVITY, _floats, check_sign, store_floats
+
+BOLTZMANN = 1.380649e-23  # J/K
 
 # Typical positive air-ion mobility, m^2/(V s). Used wherever a numeric
 # mobility is needed; the kinetic formula needs a cross-section value the

@@ -20,8 +20,7 @@ forms there must equal these bit for bit.
 
 import numpy as np
 
-from ionblimp.constants import BOLTZMANN
-from ionblimp.thruster import GasIonParams
+from ionblimp.thruster import BOLTZMANN, GasIonParams
 
 
 def collision_force_density_mc(p, slip_velocity, n_samples, seed, chunk):

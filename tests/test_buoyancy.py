@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ionblimp.buoyancy import EnvelopeGeometry, ellipsoid_volume, lift_budget
-from ionblimp.constants import STANDARD_GRAVITY
-from ionblimp.dynamics import AirshipParams, BodyState, gravity_buoyancy_wrench
+from ionblimp.dynamics import STANDARD_GRAVITY, AirshipParams, BodyState, gravity_buoyancy_wrench
 
 # 1.97 m long, 51 cm max diameter envelope of the bench vehicle.
 BENCH_GEOMETRY = EnvelopeGeometry(0.985, 0.255, 0.255, envelope_mass=0.07936)

@@ -250,11 +250,13 @@ def test_simulate_never_imports_numpy_random(name):
 
 
 # Runs code with sys.argv[2:] as its arguments in a fresh interpreter, then prints which of the watched
-# modules (numpy, ionblimp.smc, ionblimp.inner_loop) it imported.
+# modules it imported. ionblimp.constants no longer exists; it is watched so that no module brings it back.
 _COLD_IMPORTS = """import sys
 exec(sys.argv[1])
-print("imported:", *(name for name in ("numpy", "ionblimp.smc", "ionblimp.inner_loop") if name in sys.modules))
+watched = ("numpy", "ionblimp.smc", "ionblimp.inner_loop", "ionblimp.frames", "ionblimp.constants")
+print("imported:", *(name for name in watched if name in sys.modules))
 """
+_MAIN = "from ionblimp.cli import main\nassert main(sys.argv[2:]) == 0"
 _SIMULATE = "from ionblimp.cli import main\nassert main(['simulate', *sys.argv[2:]]) == 0"
 
 
@@ -328,12 +330,22 @@ def test_table_simulate_never_imports_numpy(case, tmp_path):
     ("heading_step", {"ionblimp.smc"}), ("perfbench_smc_tracking", {"ionblimp.smc"}), ("script", {"ionblimp.smc"}),
 ])
 def test_a_run_imports_smc_and_inner_loop_only_for_what_it_flies(case, modules, tmp_path):
-    # smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop] section.
+    # smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop] section; no run
+    # reads the matrix-form frames, or a constants module.
     if case == "import":
         loaded = _cold_imports("import ionblimp.cli")
     else:
         loaded = _cold_imports(_SIMULATE, _scenario_file(case, tmp_path), "--csv", tmp_path / "run.csv")
     assert loaded - {"numpy"} == modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["linearize", "PARAMS"], ["certify-gains", "PARAMS", "--k1", "0.0", "--k2", "1.5"],
+    ["thruster-map", "throttle", "--at", "0.5"], ["step-response", "1.0"],
+], ids=lambda argv: argv[0])
+def test_no_verb_loads_the_matrix_form_frames_or_a_constants_module(argv, params_cfg):
+    loaded = _cold_imports(_MAIN, *(params_cfg if arg == "PARAMS" else arg for arg in argv))
+    assert not loaded & {"ionblimp.frames", "ionblimp.constants"}
 
 
 @pytest.mark.parametrize("table, line", [

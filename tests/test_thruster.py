@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ionblimp.constants import BOLTZMANN, STANDARD_GRAVITY
+from ionblimp.dynamics import STANDARD_GRAVITY
 from ionblimp.thruster import (
+    BOLTZMANN,
     DEFAULT_ION_MOBILITY,
     DUAL_RING,
     ExtrapolatedThrustWarning,
