@@ -117,13 +117,8 @@ def test_criterion_04_collision_integral_oracle():
     _passed(4, "closed form within 1% of the 1e7-sample collision integral at 3 points")
 
 
-def test_criterion_05_linearization_fidelity():
-    # Jacobian check at the trim the bench numbers document: only the drag
-    # coefficient is reported, so the lift/moment slopes are zero here and
-    # every verbatim matrix entry is derivable from the nonlinear model.
-    params = AirshipParams(lift_slope=0.0, moment_slope=0.0, inertia_xz=0.0)
-    speed, thrust = 1.0, 0.05
-    model = linearize(params, speed, thrust)
+def _field_jacobian(params, speed, thrust):
+    """Central-difference A (du, dv, dw, dr) and B (thrust, delta_y, delta_p) of full_derivatives at level trim."""
     state_idx = [0, 1, 2, 5]  # du, dv, dw, dr
     x0 = BodyState(u=speed).as_array()
     cmd0 = ThrusterCommand(thrust=thrust)
@@ -142,16 +137,31 @@ def test_criterion_05_linearization_fidelity():
         plus = ThrusterCommand(thrust + d_t, d_y, d_p)
         minus = ThrusterCommand(thrust - d_t, -d_y, -d_p)
         b_fd[:, col] = (deriv(x0, plus) - deriv(x0, minus))[state_idx] / (2 * eps)
+    return a_fd, b_fd
 
+
+def _assert_jacobian_matches(model, a_fd, b_fd, skipped):
+    """Every B entry, and every A entry but the skipped slots, of the linear model is the field's at 1e-3."""
     assert np.allclose(b_fd, model.b, rtol=1e-3, atol=1e-9)
     for i in range(4):
         for j in range(4):
-            if (i, j) == (2, 2):
+            if (i, j) in skipped:
                 continue
             if model.a[i, j] != 0.0:
                 assert a_fd[i, j] == pytest.approx(model.a[i, j], rel=1e-3)
             else:
                 assert abs(a_fd[i, j]) < 1e-8
+
+
+def test_criterion_05_linearization_fidelity():
+    # Jacobian check at the trim the bench numbers document: only the drag
+    # coefficient is reported, so the lift/moment slopes are zero here and
+    # every verbatim matrix entry is derivable from the nonlinear model.
+    params = AirshipParams(lift_slope=0.0, moment_slope=0.0, inertia_xz=0.0)
+    speed, thrust = 1.0, 0.05
+    model = linearize(params, speed, thrust)
+    a_fd, b_fd = _field_jacobian(params, speed, thrust)
+    _assert_jacobian_matches(model, a_fd, b_fd, skipped={(2, 2)})
     # The (dw, dw) slot is the one spot the small-deviation matrix drops a
     # model term: the drag-tilt contribution 0.5*rho*V*C_D/m that rotating
     # the drag vector through alpha produces. Pin it so the difference is
@@ -160,6 +170,26 @@ def test_criterion_05_linearization_fidelity():
     assert a_fd[2, 2] == pytest.approx(drag_tilt, rel=1e-3)
     assert model.a[2, 2] == 0.0
     _passed(5, "finite-difference Jacobian matches every derivable A/B entry at 1e-3")
+
+
+def test_criterion_05_linearization_fidelity_at_trim_hold_slopes():
+    # trim_hold's [params] and trim, with non-zero lift and moment slopes. The field's aero side force and yaw
+    # moment scale with the angle of attack, so at w = 0 the flown hull has no sway or yaw response to sideslip:
+    # the verbatim A_vv and A_rv are not the field's. Its A_ww is the drag tilt less rho V C_La / (2 m), where the
+    # verbatim entry is +rho V C_La / (2 m). Every other A and B entry is the field's.
+    params = AirshipParams(drag_coeff=0.0071, lift_slope=0.01, moment_slope=0.005)
+    speed, thrust = 0.4, 0.03
+    model = linearize(params, speed, thrust)
+    a_fd, b_fd = _field_jacobian(params, speed, thrust)
+    pinned = {(1, 1): (0.00809, 0.0), (3, 1): (0.00797, 0.0), (2, 2): (0.00809, -0.00235)}  # (linearize, field)
+    _assert_jacobian_matches(model, a_fd, b_fd, skipped=set(pinned))
+    for (i, j), (linear, field) in pinned.items():
+        assert model.a[i, j] == pytest.approx(linear, abs=5e-6), (i, j)
+        assert a_fd[i, j] == pytest.approx(field, abs=5e-6), (i, j)
+    rho_v = params.air_density * speed
+    assert a_fd[2, 2] == pytest.approx(0.5 * rho_v * (params.drag_coeff - params.lift_slope) / params.mass, rel=1e-3)
+    _passed(5, "at trim_hold's slopes, linearize's A_vv, A_rv and A_ww differ from the field; every other entry "
+               "matches at 1e-3")
 
 
 def test_criterion_06_surge_gain_reproduction():

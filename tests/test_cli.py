@@ -229,48 +229,17 @@ thrust = 0.005
     assert header.startswith("t,u,v,w")
 
 
-# Runs blimpsim simulate in a fresh interpreter, then prints whether numpy.random was imported.
-_COLD_SIMULATE = """import sys
-from ionblimp.cli import main
-code = main(["simulate", sys.argv[1]])
-print("numpy.random" in sys.modules)
-sys.exit(code)
-"""
-
-
-@pytest.mark.parametrize("name", ["hover", "cruise", "heading_step", "trim_hold"])
-def test_simulate_never_imports_numpy_random(name):
-    # numpy loads numpy.random (with secrets, hashlib and hmac) on first use, an
-    # import that costs a cold run more than its draws; trim_hold's gimbal noise
-    # comes from ionblimp.pcg64 instead.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c", _COLD_SIMULATE, str(ROOT / "demos" / "scenarios" / f"{name}.cfg")],
-                         capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines()[-1] == "False"
-
-
-# Runs code with sys.argv[2:] as its arguments in a fresh interpreter, then prints which of the watched
-# modules it imported. ionblimp.constants no longer exists; it is watched so that no module brings it back.
-_COLD_IMPORTS = """import sys
-exec(sys.argv[1])
-watched = ("numpy", "ionblimp.smc", "ionblimp.inner_loop", "ionblimp.frames", "ionblimp.constants")
-print("imported:", *(name for name in watched if name in sys.modules))
-"""
-_MAIN = "from ionblimp.cli import main\nassert main(sys.argv[2:]) == 0"
-_SIMULATE = "from ionblimp.cli import main\nassert main(['simulate', *sys.argv[2:]]) == 0"
-
-
-def _cold_imports(code, *args) -> set:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c", _COLD_IMPORTS, code, *map(str, args)],
-                         capture_output=True, text=True, env=env, check=True)
-    last = run.stdout.splitlines()[-1].split()
-    assert last[0] == "imported:", run.stdout
-    return set(last[1:])
-
-
-def _imports_numpy(code, *args):
-    return "numpy" in _cold_imports(code, *args)
+SCRIPT_CFG = CONFIG_HEADER + "\n[scenario]\nduration = 1.0\ndt = 0.01\n[open_loop]\nscript = script.txt\n"
+SCRIPT_TABLE = "# t thrust delta_y delta_p\n0.0 0.01 0.0 0.0\n0.5\t+2e-2 -.1 5E-2\n"
+# Script tables the plain reader leaves to numpy, and the error line numpy's reader gives for each. numpy ends a
+# line at a CR, even one inside a comment, so a plain reader that took the CR into the comment would read one row.
+IRREGULAR_TABLES = {
+    "nan": ("0.0 0.01 0.0 0.0\n0.5 nan 0.0 0.0\n", "[open_loop] script must be finite, got nan"),
+    "underscore": ("0.0 0.01 0.0 0.0\n0.5 1_0 0.0 0.0\n",
+                   "[open_loop] {script}: could not convert string '1_0' to float64 at row 1, column 2."),
+    "crlf-ragged": ("0.0 0.01 0.0 0.0 # CR\r0.5 0.02 0.0\r\n", "[open_loop] {script}: the number of columns changed "
+                    "from 4 to 3 at row 2; use `usecols` to select a subset and avoid this error"),
+}
 
 
 def _perfbench_inputs(workload, out_dir):
@@ -281,88 +250,81 @@ def _perfbench_inputs(workload, out_dir):
     return gen.generate(workload, 0, out_dir)
 
 
-def test_import_cli_never_imports_numpy():
-    assert not _imports_numpy("import ionblimp.cli")
-
-
-@pytest.mark.parametrize("name", ["hover", "cruise", "trim_hold"])
-def test_table_free_demo_simulate_never_imports_numpy(name, tmp_path):
-    cfg = ROOT / "demos" / "scenarios" / f"{name}.cfg"
-    assert not _imports_numpy(_SIMULATE, cfg, "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt")
-
-
-@pytest.mark.parametrize("workload, plan_key", [("full_6dof", "scenario"), ("inner_loop_csv", "flight_base")])
-def test_table_free_perfbench_simulate_never_imports_numpy(workload, plan_key, tmp_path):
-    assert not _imports_numpy(_SIMULATE, _perfbench_inputs(workload, tmp_path)[plan_key])
-
-
-def test_lift_budget_never_imports_numpy():
-    assert not _imports_numpy("from ionblimp.buoyancy import EnvelopeGeometry, lift_budget\n"
-                              "assert lift_budget(EnvelopeGeometry(0.985, 0.255, 0.255)).net_lift_kg > 0.0")
-
-
-SCRIPT_CFG = CONFIG_HEADER + "\n[scenario]\nduration = 1.0\ndt = 0.01\n[open_loop]\nscript = script.txt\n"
-
-
 def _scenario_file(case, tmp_path):
-    """A demo scenario, a seed-0 perfbench input (perfbench_<workload>) or the scripted SCRIPT_CFG."""
+    """A demo scenario, a seed-0 perfbench input (perfbench_<workload>), or SCRIPT_CFG flying SCRIPT_TABLE
+    (script) or one of IRREGULAR_TABLES."""
     if case.startswith("perfbench_"):
         workload = case.removeprefix("perfbench_")
         return _perfbench_inputs(workload, tmp_path)["flight_base" if workload == "inner_loop_csv" else "scenario"]
-    if case != "script":
+    if case != "script" and case not in IRREGULAR_TABLES:
         return ROOT / "demos" / "scenarios" / f"{case}.cfg"
-    (tmp_path / "script.txt").write_text("# t thrust delta_y delta_p\n0.0 0.01 0.0 0.0\n0.5\t+2e-2 -.1 5E-2\n",
-                                         encoding="utf-8")
+    table = SCRIPT_TABLE if case == "script" else IRREGULAR_TABLES[case][0]
+    (tmp_path / "script.txt").write_text(table, encoding="utf-8", newline="")
     (tmp_path / "script.cfg").write_text(SCRIPT_CFG, encoding="utf-8")
     return tmp_path / "script.cfg"
 
 
-@pytest.mark.parametrize("case", ["heading_step", "perfbench_smc_tracking", "script"])
-def test_table_simulate_never_imports_numpy(case, tmp_path):
-    # A reference or script table in the plain grammar is read in Python, and a diagonal M is inverted there.
+# Runs sys.argv[1] in a fresh interpreter, with sys.argv[2:] as its arguments and its exit code in `code`, then
+# prints which of the watched modules it loaded. numpy.random is not watched: nothing loads it without numpy.
+# ionblimp.constants no longer exists; it is watched so that no module brings it back.
+WATCHED = ("numpy", "ionblimp.smc", "ionblimp.inner_loop", "ionblimp.thruster", "ionblimp.frames",
+           "ionblimp.constants")
+_COLD_RUN = f"""import sys
+code = 0
+exec(sys.argv[1])
+print("loaded:", *(name.removeprefix("ionblimp.") for name in {WATCHED!r} if name in sys.modules))
+sys.exit(code)
+"""
+_LIFT_BUDGET = ("from ionblimp.buoyancy import EnvelopeGeometry, lift_budget\n"
+                "assert lift_budget(EnvelopeGeometry(0.985, 0.255, 0.255)).net_lift_kg > 0.0")
+# Code, or a blimpsim argv (PARAMS is the params file, a simulate case is a _scenario_file case); its exit code;
+# and the watched modules it loads. numpy is loaded only for matrix work, a throttle map or a table the plain
+# reader leaves to it. smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop]
+# section, thruster for a thrust map; no run reads the matrix-form frames.
+COLD_RUNS = {
+    "import-cli": ("import ionblimp.cli", 0, set()),
+    "lift-budget": (_LIFT_BUDGET, 0, set()),
+    "hover": (["simulate", "hover"], 0, set()),
+    "cruise": (["simulate", "cruise"], 0, set()),
+    "perfbench-full-6dof": (["simulate", "perfbench_full_6dof"], 0, set()),
+    "trim-hold": (["simulate", "trim_hold"], 0, {"inner_loop"}),
+    "perfbench-inner-loop-csv": (["simulate", "perfbench_inner_loop_csv"], 0, {"inner_loop"}),
+    "heading-step": (["simulate", "heading_step"], 0, {"smc"}),
+    "perfbench-smc-tracking": (["simulate", "perfbench_smc_tracking"], 0, {"smc"}),
+    "script": (["simulate", "script"], 0, {"smc"}),
+    "linearize": (["linearize", "PARAMS"], 0, {"numpy", "inner_loop"}),
+    "certify-gains": (["certify-gains", "PARAMS", "--k1", "0.0", "--k2", "1.5"], 0, {"numpy", "inner_loop"}),
+    "step-response": (["step-response", "1.0"], 0, {"numpy", "inner_loop"}),
+    "thruster-map": (["thruster-map", "throttle", "--at", "0.5"], 0, {"numpy", "thruster"}),
+    **{f"irregular-{name}": (["simulate", name], 1, {"numpy", "smc"}) for name in IRREGULAR_TABLES},
+}
+
+
+@pytest.mark.parametrize("run, code, loaded", COLD_RUNS.values(), ids=COLD_RUNS)
+def test_a_cold_run_loads_only_the_watched_modules_it_needs(run, code, loaded, params_cfg, tmp_path):
+    args = []
+    if isinstance(run, list):
+        args = [params_cfg if arg == "PARAMS" else arg for arg in run]
+        if run[0] == "simulate":
+            args = ["simulate", _scenario_file(run[1], tmp_path),
+                    "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt"]
+        run = "from ionblimp.cli import main\ncode = main(sys.argv[2:])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", _COLD_RUN, run, *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == code, done.stderr
+    last = done.stdout.splitlines()[-1].split()
+    assert (last[0], set(last[1:])) == ("loaded:", loaded), done.stdout
+
+
+@pytest.mark.parametrize("case", IRREGULAR_TABLES)
+def test_a_table_the_plain_reader_defers_imports_numpy_and_keeps_its_error_line(case, tmp_path, capsys):
+    # numpy reads what the plain grammar leaves out, so its messages stay the specification (COLD_RUNS checks
+    # that these runs load numpy).
     cfg = _scenario_file(case, tmp_path)
-    assert not _imports_numpy(_SIMULATE, cfg, "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt")
-
-
-@pytest.mark.parametrize("case, modules", [
-    ("import", set()), ("hover", set()), ("cruise", set()), ("perfbench_full_6dof", set()),
-    ("trim_hold", {"ionblimp.inner_loop"}), ("perfbench_inner_loop_csv", {"ionblimp.inner_loop"}),
-    ("heading_step", {"ionblimp.smc"}), ("perfbench_smc_tracking", {"ionblimp.smc"}), ("script", {"ionblimp.smc"}),
-])
-def test_a_run_imports_smc_and_inner_loop_only_for_what_it_flies(case, modules, tmp_path):
-    # smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop] section; no run
-    # reads the matrix-form frames, or a constants module.
-    if case == "import":
-        loaded = _cold_imports("import ionblimp.cli")
-    else:
-        loaded = _cold_imports(_SIMULATE, _scenario_file(case, tmp_path), "--csv", tmp_path / "run.csv")
-    assert loaded - {"numpy"} == modules
-
-
-@pytest.mark.parametrize("argv", [
-    ["linearize", "PARAMS"], ["certify-gains", "PARAMS", "--k1", "0.0", "--k2", "1.5"],
-    ["thruster-map", "throttle", "--at", "0.5"], ["step-response", "1.0"],
-], ids=lambda argv: argv[0])
-def test_no_verb_loads_the_matrix_form_frames_or_a_constants_module(argv, params_cfg):
-    loaded = _cold_imports(_MAIN, *(params_cfg if arg == "PARAMS" else arg for arg in argv))
-    assert not loaded & {"ionblimp.frames", "ionblimp.constants"}
-
-
-@pytest.mark.parametrize("table, line", [
-    ("0.0 0.01 0.0 0.0\n0.5 nan 0.0 0.0\n", "[open_loop] script must be finite, got nan"),
-    ("0.0 0.01 0.0 0.0\n0.5 1_0 0.0 0.0\n", "[open_loop] {script}: could not convert string '1_0' to float64 at row 1, "
-                                            "column 2."),
-    ("0.0 0.01 0.0 0.0\r\n0.5 0.02 0.0\r\n", "[open_loop] {script}: the number of columns changed from 4 to 3 at row 2; "
-                                              "use `usecols` to select a subset and avoid this error"),
-], ids=["nan", "underscore", "crlf-ragged"])
-def test_a_table_the_plain_reader_defers_imports_numpy_and_keeps_its_error_line(table, line, tmp_path, capsys):
-    # numpy reads what the plain grammar leaves out, so its messages stay the specification.
-    (tmp_path / "script.txt").write_text(table, encoding="utf-8", newline="")
-    cfg = tmp_path / "script.cfg"
-    cfg.write_text(SCRIPT_CFG, encoding="utf-8")
     assert main(["simulate", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"error: ValueError: {cfg}: {line.format(script=tmp_path / 'script.txt')}\n"
-    assert _imports_numpy("from ionblimp.cli import main\nassert main(['simulate', sys.argv[2]]) == 1", cfg)
+    line = IRREGULAR_TABLES[case][1].format(script=tmp_path / "script.txt")
+    assert capsys.readouterr().err == f"error: ValueError: {cfg}: {line}\n"
 
 
 def test_a_yaw_jump_that_overflows_fails_on_one_stderr_line(tmp_path):
@@ -375,13 +337,6 @@ def test_a_yaw_jump_that_overflows_fails_on_one_stderr_line(tmp_path):
                           "simulate", str(cfg)], capture_output=True, text=True, env=env)
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr == f"error: ValueError: {cfg}: [smc] {ref}: pose slope from t=0.0 to t=1.0 is not finite\n"
-
-
-def test_bad_config_gives_error_line_and_nonzero_exit(tmp_path, capsys):
-    path = tmp_path / "broken.cfg"
-    path.write_text("[scenario]\n", encoding="utf-8")
-    assert main(["simulate", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _heading_step_with_c2(c2, tmp_path):
@@ -427,26 +382,20 @@ def test_a_huge_initial_surge_names_the_state_it_started_from(tmp_path, capsys):
                    "last finite state: (1e+200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.8, 0.0, 0.0, 0.0)\n")
 
 
-def test_a_c2_whose_reciprocal_overflows_fails_at_load(tmp_path, capsys):
-    # 1 / 1e-310 is inf: the run would fail at step 0 on a nan thrust naming neither c2 nor the cause.
-    path = _heading_step_with_c2("1e-310", tmp_path)
-    assert main(["simulate", str(path)]) == 1
+def _fails_at_load(verb, path, named, capsys):
+    """blimpsim VERB PATH exits 1 with nothing on stdout and one stderr line, which starts `error: ` and holds
+    NAMED; that line is returned. A simulate file must fail in load_scenario with the same line, so before step 0."""
+    extra = ["--k1", "0.0", "--k2", "1.5"] if verb == "certify-gains" else []
+    assert main([verb, str(path), *extra]) == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: ValueError: {path}: [smc] c2 must have a finite reciprocal 1 / c2, got 1e-310\n"
-
-
-def test_non_finite_param_error_names_the_key(tmp_path, capsys):
-    path = tmp_path / "nan_drag.cfg"
-    path.write_text(
-        CONFIG_HEADER + "\n[params]\ndrag_coeff = nan\n\n"
-        "[scenario]\nmodel = full\nduration = 0.1\ndt = 0.01\n",
-        encoding="utf-8",
-    )
-    assert main(["simulate", str(path)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and "drag_coeff" in lines[0]
+    assert (out, len(err.splitlines())) == ("", 1), err
+    line = err.splitlines()[0]
+    assert line.startswith("error: ") and named in line, line
+    if verb == "simulate":
+        with pytest.raises(ValueError) as raised:
+            load_scenario(path)
+        assert line == f"error: {type(raised.value).__name__}: {raised.value}"
+    return line
 
 
 # Every number a config file may hold, with the verb that reads it, and the other
@@ -470,27 +419,11 @@ def test_a_non_finite_number_fails_at_load_naming_its_key(verb, section, key, ba
     for name, values in NUMERIC_BASES.get(section, {}).items():
         sections.setdefault(name, {}).update(values)
     sections.setdefault(section, {})[key] = bad
-    (tmp_path / "ref.txt").write_text("0.0 0 0 0.5\n1.0 0 0 0.5\n", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text(REF_TABLE, encoding="utf-8")
     path = tmp_path / "bad.cfg"
     path.write_text(CONFIG_HEADER + "\n" + "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
                                                   for name, values in sections.items()), encoding="utf-8")
-    assert main([verb, str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and f"{path}: [{section}] {key}" in lines[0]
-
-
-def test_a_percent_reference_is_not_expanded(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text(CONFIG_HEADER + "\n[open_loop]\ndelta_y = 0.1\nthrust = %(delta_y)s\n", encoding="utf-8")
-    assert main(["simulate", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and f"{path}: [open_loop] thrust: " in lines[0]
+    _fails_at_load(verb, path, f"{path}: [{section}] {key}", capsys)
 
 
 def test_a_percent_sign_in_a_path_is_literal(tmp_path, capsys):
@@ -502,23 +435,9 @@ def test_a_percent_sign_in_a_path_is_literal(tmp_path, capsys):
     assert (tmp_path / "run%1.csv").read_text(encoding="utf-8").startswith("t,u,")
 
 
-@pytest.mark.parametrize("keys", [("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"),
-                                  ("script", "delta_y")],
-                         ids=["thrust-throttle", "script-thrust", "script-throttle", "script-delta-y"])
-def test_conflicting_open_loop_keys_fail_at_load(keys, tmp_path, capsys):
-    values = {"thrust": "0.05", "throttle": "0.0", "script": "script.txt", "delta_y": "0.3"}
-    path = tmp_path / "conflict.cfg"
-    path.write_text(
-        CONFIG_HEADER + "\n[open_loop]\n" + "".join(f"{key} = {values[key]}\n" for key in keys),
-        encoding="utf-8",
-    )
-    assert main(["simulate", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and "[open_loop]" in lines[0]
-    assert all(key in lines[0] for key in keys)
+def test_missing_file_error(capsys):
+    assert main(["linearize", "/nonexistent/params.cfg"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 SMC_SECTION = """[scenario]
@@ -531,88 +450,10 @@ epsilon = 0.05
 k = 1.0
 reference = ref.txt
 """
-
-
-@pytest.mark.filterwarnings("error")  # numpy's empty-input warning would be a second stderr line
-@pytest.mark.parametrize("extra, ref, named", [
-    ("t_max = -0.01\n", "0.0 0 0 0.5\n1.0 0 0 0.5\n", "smc.cfg: [smc] t_max"),
-    ("", "0.0 0 0 0.5\n1.0 0 0 nan\n", "ref.txt"),
-    ("", "# t x y psi\n", "ref.txt: no data rows"),
-    ("", "0.0 0 0 0.5\n1e-320 1 0 0.5\n", "ref.txt: pose slope from t=0.0 to t=1e-320 is not finite"),
-    ("", "-1e308 0 0 0\n1e308 1 0 0\n", "ref.txt: knot spacing from t=-1e+308 to t=1e+308 is not finite"),
-], ids=["negative-t-max", "nan-reference", "empty-reference", "subnormal-knot-spacing", "far-apart-knots"])
-def test_bad_smc_input_fails_at_load(extra, ref, named, tmp_path, capsys):
-    (tmp_path / "ref.txt").write_text(ref, encoding="utf-8")
-    path = tmp_path / "smc.cfg"
-    path.write_text(CONFIG_HEADER + "\n" + SMC_SECTION + extra, encoding="utf-8")
-    assert main(["simulate", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and named in lines[0]
-    assert "smc.cfg: [smc] " in lines[0]
-    assert "step 0" not in lines[0]
-    with pytest.raises(ValueError, match=re.escape(named)):  # at load, before any step runs
-        load_scenario(path)
-
-
-@pytest.mark.filterwarnings("error")  # numpy's empty-input warning would be a second stderr line
-@pytest.mark.parametrize("script, named", [
-    ("0.0 0.01 0.0 0\n0.005 0.01 2.0 0\n", "[open_loop] script row at t=0.005: |delta_y|"),
-    ("0.0 0.01 0.0 1.570796326794897\n", "[open_loop] script row at t=0.0: |delta_p|"),
-    ("0.0 0.01 0.0\n", "[open_loop] script needs rows"),
-    ("0 0.01 0 0\n2.0 0.03 0 0\n1.0 0.02 0 0\n", "[open_loop] script row at t=1.0: times must be strictly"),
-    ("1.0 0.01 0 0\n", "[open_loop] script row at t=1.0: the first row must be at t = 0"),
-    ("0 abc 0 0\n", "[open_loop] {script}: could not convert string 'abc'"),
-    ("", "[open_loop] {script}: no data rows"),
-    ("0 0.01 0 0\n20.0 0.02 0 0\n", "[scenario] open_loop: script row at t=20.0: after the end, duration=10.0"),
-], ids=["out-of-range-row", "delta-p-2-ulp-past-gimbal", "three-columns", "time-goes-back", "starts-after-zero", "unparsable", "empty",
-        "row-after-the-end"])
-def test_bad_open_loop_script_fails_at_load(script, named, tmp_path, capsys):
-    named = named.format(script=tmp_path / "script.txt")
-    (tmp_path / "script.txt").write_text(script, encoding="utf-8")
-    path = tmp_path / "open_loop.cfg"
-    path.write_text(CONFIG_HEADER + "\n[open_loop]\nscript = script.txt\n", encoding="utf-8")
-    assert main(["simulate", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and f"{path}: {named}" in lines[0]
-
-
-@pytest.mark.parametrize("section, config", [
-    ("open_loop", "[open_loop]\nscript = missing.txt\n"),
-    ("smc", SMC_SECTION.replace("ref.txt", "missing.txt")),
-], ids=["open-loop-script", "smc-reference"])
-def test_missing_table_file_is_named_once(section, config, tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text(CONFIG_HEADER + "\n" + config, encoding="utf-8")
-    assert main(["simulate", str(path)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].endswith(f"run.cfg: [{section}] {tmp_path / 'missing.txt'}: not found")
-    assert lines[0].count("missing.txt") == 1
-
-
-def test_missing_file_error(capsys):
-    assert main(["linearize", "/nonexistent/params.cfg"]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
+REF_TABLE = "0.0 0 0 0.5\n1.0 0 0 0.5\n"
 CRUISE_CFG = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "cruise.cfg"
-SMC_NAN_K = """[scenario]
-controller = smc
-
-[smc]
-c1 = 1.0
-c2 = 1.0
-epsilon = 0.05
-k = nan
-reference = ref.txt
-"""
-SMC_NO_K = SMC_NAN_K.replace("k = nan\n", "")
+SMC_NAN_K = SMC_SECTION.replace("k = 1.0\n", "k = nan\n")
+SMC_NO_K = SMC_SECTION.replace("k = 1.0\n", "")
 INNER_LOOP_NO_KU = """[scenario]
 controller = inner_loop
 
@@ -632,103 +473,154 @@ inertia_x = 0.00040220716137835504
 inertia_z = 0.004607612277157131
 inertia_xz = -0.001361328268540484
 """
-INNER_LOOP_FEEDFORWARD = """[scenario]
-controller = inner_loop
+INNER_LOOP_FEEDFORWARD = INNER_LOOP_NO_KU + "k_u = 0.5\nthrust_feedforward = 0.01\n"
+OPEN_LOOP_VALUES = {"thrust": "0.05", "throttle": "0.0", "script": "script.txt", "delta_y": "0.3"}
+SCRIPT_SECTION = "[open_loop]\nscript = script.txt\n"
+STEPS_MESSAGE = "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got "
 
-[inner_loop]
-trim_speed = 0.3
-trim_thrust = 0.01
-k_u = 0.5
-thrust_feedforward = 0.01
-"""
+# id: (verb, config, the text its error line holds[, (name, text) of a table file the config names]). A config
+# string is written after the header to bad.cfg; a Path is read as it is, relative to the test's directory. A
+# table file whose text is None is not written. In the text, {dir} is the test's directory and {table} the
+# table file's path.
+LOAD_ERRORS = {
+    "misspelt-key": ("simulate", "[scenario]\nmodle = full\n", "[scenario] modle"),
+    "misspelt-open-loop-key": ("simulate", "[open_loop]\nthurst = 0.05\n", "[open_loop] thurst"),
+    "misspelt-section": ("simulate", "[scenaro]\nduration = 1.0\n", "[scenaro]"),
+    "default-section": ("simulate", "[DEFAULT]\nmodle = full\n", "[DEFAULT]"),
+    "removed-feedforward": ("simulate", INNER_LOOP_FEEDFORWARD, "[inner_loop] thrust_feedforward"),
+    "linearize-scenario-file": ("linearize", CRUISE_CFG, "[scenario]"),
+    "misspelt-trim-key": ("certify-gains", "[trim]\nsped = 1.0\n", "[trim] sped"),
+    "nan-smc-gain": ("simulate", SMC_NAN_K, "[smc] k"),
+    "nan-initial": ("simulate", "[initial]\nh = nan\n", "[initial] h"),
+    "nan-thrust": ("simulate", "[open_loop]\nthrust = nan\n", "[open_loop] thrust"),
+    "nan-gimbal-noise": ("simulate", "[scenario]\ngimbal_noise = nan\n", "[scenario] gimbal_noise"),
+    "inf-dt": ("simulate", "[scenario]\ndt = inf\n", "[scenario] dt"),
+    "inf-trim-speed": ("linearize", "[trim]\nspeed = -inf\n", "[trim] speed"),
+    "negative-trim-speed": ("linearize", "[trim]\nspeed = -1\n",
+                            "bad.cfg: [trim] speed must be positive and finite, got -1.0"),
+    "zero-trim-thrust": ("certify-gains", "[trim]\nthrust = 0\n",
+                         "bad.cfg: [trim] thrust must be positive and finite, got 0.0"),
+    "empty-path": ("simulate", "[output]\ncsv =\n", "[output] csv"),
+    "negative-mass": ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
+    "linearize-negative-mass": ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
+    "certify-gains-negative-mass": ("certify-gains", "[params]\nmass = -1\n",
+                                    "bad.cfg: [params] mass must be positive"),
+    "negative-inertia-y": ("simulate", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
+    "linearize-negative-inertia-y": ("linearize", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
+    "certify-gains-negative-inertia-y": ("certify-gains", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
+    "huge-gimbal-noise": ("simulate", "[scenario]\ngimbal_noise = 1e308\n", "bad.cfg: [scenario] gimbal_noise"),
+    "negative-dt": ("simulate", "[scenario]\ndt = -1\n", "bad.cfg: [scenario] dt"),
+    "negative-thrust": ("simulate", "[open_loop]\nthrust = -0.1\n", "bad.cfg: [open_loop] thrust"),
+    "delta-y-beyond-gimbal": ("simulate", "[open_loop]\ndelta_y = 2.0\n", "bad.cfg: [open_loop] |delta_y|"),
+    "delta-p-beyond-gimbal": ("simulate", "[open_loop]\ndelta_p = -2.0\n", "bad.cfg: [open_loop] |delta_p|"),
+    "delta-p-2-ulp-past-gimbal": ("simulate", "[open_loop]\ndelta_p = 1.570796326794897\n",
+                                  "bad.cfg: [open_loop] |delta_p|"),
+    "zero-inertia-determinant": ("simulate", "[scenario]\nmodel = full\n" + SINGULAR_INERTIA,
+                                 "bad.cfg: [params] inertia tensor"),
+    "negative-inertia-determinant": ("simulate", "[scenario]\nmodel = full\n" + NEGATIVE_DETERMINANT,
+                                     "bad.cfg: [params] inertia tensor"),
+    "planar-initial-theta": ("simulate", "[initial]\ntheta = 0.1\n",
+                             "bad.cfg: [scenario] initial.theta: must be 0.0 with the planar model, got 0.1"),
+    "throttle-above-one": ("simulate", "[open_loop]\nthrottle = 1.5\n", "bad.cfg: [open_loop] throttle"),
+    "missing-smc-k": ("simulate", SMC_NO_K, "bad.cfg: [smc] k: required"),
+    "missing-inner-loop-k-u": ("simulate", INNER_LOOP_NO_KU, "bad.cfg: [inner_loop] k_u: required"),
+    "open-loop-section-under-smc": ("simulate", SMC_NO_K + "[open_loop]\nthrust = 0.01\n",
+                                    "bad.cfg: [open_loop]: not read by the smc"),
+    "smc-section-under-open-loop": ("simulate", "[smc]\nreference = missing.txt\n",
+                                    "bad.cfg: [smc]: not read by the open_loop"),
+    "open-loop-section-under-inner-loop": ("simulate", INNER_LOOP_NO_KU + "[open_loop]\n",
+                                           "bad.cfg: [open_loop]: not read by the inner_loop"),
+    "model-under-smc": ("simulate", "[scenario]\ncontroller = smc\nmodel = full\n",
+                        "bad.cfg: [scenario] model: not read"),
+    "gimbal-noise-under-smc": ("simulate", "[scenario]\ncontroller = smc\ngimbal_noise = 0.3\n",
+                               "bad.cfg: [scenario] gimbal_noise"),
+    "initial-w-under-smc": ("simulate", "[scenario]\ncontroller = smc\n[initial]\nw = 0.1\n",
+                            "bad.cfg: [initial] w: not read"),
+    "initial-theta-under-smc": ("simulate", "[scenario]\ncontroller = smc\n[initial]\ntheta = 0.1\n",
+                                "bad.cfg: [initial] theta"),
+    "unknown-controller-beside-section": ("simulate", "[scenario]\ncontroller = pid\n[open_loop]\n",
+                                          "unknown controller 'pid'"),
+    "negative-seed": ("simulate", "[scenario]\nseed = -1\n", "bad.cfg: [scenario] seed must be non-negative"),
+    "key-before-any-section": ("simulate", "mass = 0.3\n", "no section headers. file: '{dir}/bad.cfg', line: 2"),
+    "line-without-equals": ("simulate", "[params]\nmass\n", "parsing errors: '{dir}/bad.cfg' [line 3]: 'mass"),
+    "duplicate-key": ("simulate", "[params]\nmass = 0.3\nmass = 0.4\n",
+                      "'{dir}/bad.cfg' [line 4]: option 'mass' in section 'params' already exists"),
+    "duplicate-section": ("simulate", "[params]\nmass = 0.3\n[params]\n",
+                          "'{dir}/bad.cfg' [line 4]: section 'params' already exists"),
+    "huge-duration": ("simulate", "[scenario]\nduration = 1e300\ndt = 0.01\n",
+                      STEPS_MESSAGE + "duration=1e+300, dt=0.01"),
+    "tiny-dt": ("simulate", "[scenario]\nduration = 1.0\ndt = 1e-300\n", STEPS_MESSAGE + "duration=1.0, dt=1e-300"),
+    "subnormal-dt": ("simulate", "[scenario]\nduration = 1.0\ndt = 1e-320\n",
+                     STEPS_MESSAGE + "duration=1.0, dt=1e-320"),
+    "step-count-overflows": ("simulate", "[scenario]\nduration = 1e300\ndt = 1e-10\n",
+                             STEPS_MESSAGE + "duration=1e+300, dt=1e-10"),
+    "certify-gains-k-w-overflows": ("certify-gains", "[params]\nlift_slope = 0.1\n[trim]\nthrust = 1e-320\n",
+                                    "k_w bound at trim_speed=1.0, trim_thrust=1e-320 must be finite, got inf"),
+    "no-header": ("simulate", Path("broken.cfg"), "{table}: first line must be '# blimpsim-config v1', got '[scenario]'",
+                  ("broken.cfg", "[scenario]\n")),
+    "percent-reference": ("simulate", "[open_loop]\ndelta_y = 0.1\nthrust = %(delta_y)s\n",
+                          "bad.cfg: [open_loop] thrust: could not convert string to float: '%(delta_y)s'"),
+    **{f"conflicting-{a}-{b}".replace("_", "-"): (
+        "simulate", f"[open_loop]\n{a} = {OPEN_LOOP_VALUES[a]}\n{b} = {OPEN_LOOP_VALUES[b]}\n",
+        f"bad.cfg: [open_loop] {a} and {b} cannot both be set")
+       for a, b in [("thrust", "throttle"), ("script", "thrust"), ("script", "throttle"), ("script", "delta_y")]},
+    # 1 / 1e-310 is inf: the run would fail at step 0 on a nan thrust naming neither c2 nor the cause.
+    "c2-reciprocal-overflows": ("simulate", SMC_SECTION.replace("c2 = 1.0", "c2 = 1e-310"),
+                                "bad.cfg: [smc] c2 must have a finite reciprocal 1 / c2, got 1e-310",
+                                ("ref.txt", REF_TABLE)),
+    "negative-t-max": ("simulate", SMC_SECTION + "t_max = -0.01\n",
+                       "bad.cfg: [smc] t_max must be positive and finite, got -0.01", ("ref.txt", REF_TABLE)),
+    "nan-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] {table}: poses must be finite, got nan",
+                      ("ref.txt", "0.0 0 0 0.5\n1.0 0 0 nan\n")),
+    "empty-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] {table}: no data rows", ("ref.txt", "# t x y psi\n")),
+    "subnormal-knot-spacing": ("simulate", SMC_SECTION,
+                               "bad.cfg: [smc] {table}: pose slope from t=0.0 to t=1e-320 is not finite",
+                               ("ref.txt", "0.0 0 0 0.5\n1e-320 1 0 0.5\n")),
+    "far-apart-knots": ("simulate", SMC_SECTION,
+                        "bad.cfg: [smc] {table}: knot spacing from t=-1e+308 to t=1e+308 is not finite",
+                        ("ref.txt", "-1e308 0 0 0\n1e308 1 0 0\n")),
+    "missing-smc-reference": ("simulate", SMC_SECTION.replace("ref.txt", "missing.txt"),
+                              "bad.cfg: [smc] {table}: not found", ("missing.txt", None)),
+    "script-out-of-range-row": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script row at t=0.005: |delta_y|",
+                                ("script.txt", "0.0 0.01 0.0 0\n0.005 0.01 2.0 0\n")),
+    "script-delta-p-2-ulp-past-gimbal": ("simulate", SCRIPT_SECTION,
+                                         "bad.cfg: [open_loop] script row at t=0.0: |delta_p|",
+                                         ("script.txt", "0.0 0.01 0.0 1.570796326794897\n")),
+    "script-three-columns": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script needs rows",
+                             ("script.txt", "0.0 0.01 0.0\n")),
+    "script-time-goes-back": ("simulate", SCRIPT_SECTION,
+                              "bad.cfg: [open_loop] script row at t=1.0: times must be strictly",
+                              ("script.txt", "0 0.01 0 0\n2.0 0.03 0 0\n1.0 0.02 0 0\n")),
+    "script-starts-after-zero": ("simulate", SCRIPT_SECTION,
+                                 "bad.cfg: [open_loop] script row at t=1.0: the first row must be at t = 0",
+                                 ("script.txt", "1.0 0.01 0 0\n")),
+    "script-unparsable": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] {table}: could not convert string 'abc'",
+                          ("script.txt", "0 abc 0 0\n")),
+    "script-empty": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] {table}: no data rows", ("script.txt", "")),
+    "script-row-after-the-end": ("simulate", SCRIPT_SECTION,
+                                 "bad.cfg: [scenario] open_loop: script row at t=20.0: after the end, duration=10.0",
+                                 ("script.txt", "0 0.01 0 0\n20.0 0.02 0 0\n")),
+    "missing-script": ("simulate", "[open_loop]\nscript = missing.txt\n", "bad.cfg: [open_loop] {table}: not found",
+                       ("missing.txt", None)),
+}
 
 
-@pytest.mark.parametrize("verb, config, named", [
-    ("simulate", "[scenario]\nmodle = full\n", "[scenario] modle"),
-    ("simulate", "[open_loop]\nthurst = 0.05\n", "[open_loop] thurst"),
-    ("simulate", "[scenaro]\nduration = 1.0\n", "[scenaro]"),
-    ("simulate", "[DEFAULT]\nmodle = full\n", "[DEFAULT]"),
-    ("simulate", INNER_LOOP_FEEDFORWARD, "[inner_loop] thrust_feedforward"),
-    ("linearize", CRUISE_CFG, "[scenario]"),
-    ("certify-gains", "[trim]\nsped = 1.0\n", "[trim] sped"),
-    ("simulate", SMC_NAN_K, "[smc] k"),
-    ("simulate", "[initial]\nh = nan\n", "[initial] h"),
-    ("simulate", "[open_loop]\nthrust = nan\n", "[open_loop] thrust"),
-    ("simulate", "[scenario]\ngimbal_noise = nan\n", "[scenario] gimbal_noise"),
-    ("simulate", "[scenario]\ndt = inf\n", "[scenario] dt"),
-    ("linearize", "[trim]\nspeed = -inf\n", "[trim] speed"),
-    ("linearize", "[trim]\nspeed = -1\n", "bad.cfg: [trim] speed must be positive and finite, got -1.0"),
-    ("certify-gains", "[trim]\nthrust = 0\n", "bad.cfg: [trim] thrust must be positive and finite, got 0.0"),
-    ("simulate", "[output]\ncsv =\n", "[output] csv"),
-    ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
-    ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
-    ("certify-gains", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
-    ("simulate", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
-    ("linearize", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
-    ("certify-gains", "[params]\ninertia_y = -1\n", "bad.cfg: [params] inertia_y"),
-    ("simulate", "[scenario]\ngimbal_noise = 1e308\n", "bad.cfg: [scenario] gimbal_noise"),
-    ("simulate", "[scenario]\ndt = -1\n", "bad.cfg: [scenario] dt"),
-    ("simulate", "[open_loop]\nthrust = -0.1\n", "bad.cfg: [open_loop] thrust"),
-    ("simulate", "[open_loop]\ndelta_y = 2.0\n", "bad.cfg: [open_loop] |delta_y|"),
-    ("simulate", "[open_loop]\ndelta_p = -2.0\n", "bad.cfg: [open_loop] |delta_p|"),
-    ("simulate", "[open_loop]\ndelta_p = 1.570796326794897\n", "bad.cfg: [open_loop] |delta_p|"),
-    ("simulate", "[scenario]\nmodel = full\n" + SINGULAR_INERTIA, "bad.cfg: [params] inertia tensor"),
-    ("simulate", "[scenario]\nmodel = full\n" + NEGATIVE_DETERMINANT, "bad.cfg: [params] inertia tensor"),
-    ("simulate", "[initial]\ntheta = 0.1\n",
-     "bad.cfg: [scenario] initial.theta: must be 0.0 with the planar model, got 0.1"),
-    ("simulate", "[open_loop]\nthrottle = 1.5\n", "bad.cfg: [open_loop] throttle"),
-    ("simulate", SMC_NO_K, "bad.cfg: [smc] k: required"),
-    ("simulate", INNER_LOOP_NO_KU, "bad.cfg: [inner_loop] k_u: required"),
-    ("simulate", SMC_NO_K + "[open_loop]\nthrust = 0.01\n", "bad.cfg: [open_loop]: not read by the smc"),
-    ("simulate", "[smc]\nreference = missing.txt\n", "bad.cfg: [smc]: not read by the open_loop"),
-    ("simulate", INNER_LOOP_NO_KU + "[open_loop]\n", "bad.cfg: [open_loop]: not read by the inner_loop"),
-    ("simulate", "[scenario]\ncontroller = smc\nmodel = full\n", "bad.cfg: [scenario] model: not read"),
-    ("simulate", "[scenario]\ncontroller = smc\ngimbal_noise = 0.3\n", "bad.cfg: [scenario] gimbal_noise"),
-    ("simulate", "[scenario]\ncontroller = smc\n[initial]\nw = 0.1\n", "bad.cfg: [initial] w: not read"),
-    ("simulate", "[scenario]\ncontroller = smc\n[initial]\ntheta = 0.1\n", "bad.cfg: [initial] theta"),
-    ("simulate", "[scenario]\ncontroller = pid\n[open_loop]\n", "unknown controller 'pid'"),
-    ("simulate", "[scenario]\nseed = -1\n", "bad.cfg: [scenario] seed must be non-negative"),
-    ("simulate", "mass = 0.3\n", "no section headers. file: '{dir}/bad.cfg', line: 2"),
-    ("simulate", "[params]\nmass\n", "parsing errors: '{dir}/bad.cfg' [line 3]: 'mass"),
-    ("simulate", "[params]\nmass = 0.3\nmass = 0.4\n",
-     "'{dir}/bad.cfg' [line 4]: option 'mass' in section 'params' already exists"),
-    ("simulate", "[params]\nmass = 0.3\n[params]\n", "'{dir}/bad.cfg' [line 4]: section 'params' already exists"),
-    ("simulate", "[scenario]\nduration = 1e300\ndt = 0.01\n",
-     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1e+300, dt=0.01"),
-    ("simulate", "[scenario]\nduration = 1.0\ndt = 1e-300\n",
-     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1.0, dt=1e-300"),
-    ("simulate", "[scenario]\nduration = 1.0\ndt = 1e-320\n",
-     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1.0, dt=1e-320"),
-    ("simulate", "[scenario]\nduration = 1e300\ndt = 1e-10\n",
-     "bad.cfg: [scenario] duration / dt must be at most 10000000 steps, got duration=1e+300, dt=1e-10"),
-    ("certify-gains", "[params]\nlift_slope = 0.1\n[trim]\nthrust = 1e-320\n",
-     "k_w bound at trim_speed=1.0, trim_thrust=1e-320 must be finite, got inf"),
-], ids=["misspelt-key", "misspelt-open-loop-key", "misspelt-section", "default-section",
-        "removed-feedforward", "linearize-scenario-file", "misspelt-trim-key", "nan-smc-gain",
-        "nan-initial", "nan-thrust", "nan-gimbal-noise", "inf-dt", "inf-trim-speed", "negative-trim-speed",
-        "zero-trim-thrust", "empty-path",
-        "negative-mass", "linearize-negative-mass", "certify-gains-negative-mass", "negative-inertia-y",
-        "linearize-negative-inertia-y", "certify-gains-negative-inertia-y", "huge-gimbal-noise", "negative-dt",
-        "negative-thrust", "delta-y-beyond-gimbal",
-        "delta-p-beyond-gimbal", "delta-p-2-ulp-past-gimbal", "zero-inertia-determinant",
-        "negative-inertia-determinant", "planar-initial-theta", "throttle-above-one", "missing-smc-k", "missing-inner-loop-k-u",
-        "open-loop-section-under-smc", "smc-section-under-open-loop", "open-loop-section-under-inner-loop",
-        "model-under-smc", "gimbal-noise-under-smc", "initial-w-under-smc", "initial-theta-under-smc",
-        "unknown-controller-beside-section", "negative-seed", "key-before-any-section", "line-without-equals",
-        "duplicate-key", "duplicate-section", "huge-duration", "tiny-dt", "subnormal-dt", "step-count-overflows",
-        "certify-gains-k-w-overflows"])
-def test_bad_input_fails_at_load_naming_it(verb, config, named, tmp_path, capsys):
-    path, named = config, named.format(dir=tmp_path)
+@pytest.mark.filterwarnings("error")  # numpy's empty-input warning would be a second stderr line
+@pytest.mark.parametrize("row", LOAD_ERRORS.values(), ids=LOAD_ERRORS)
+def test_bad_input_fails_at_load_naming_it(row, tmp_path, capsys):
+    verb, config, named, *table = row
     if isinstance(config, str):
-        path = tmp_path / "bad.cfg"
-        path.write_text(CONFIG_HEADER + "\n" + config, encoding="utf-8")
-    extra = ["--k1", "0.0", "--k2", "1.5"] if verb == "certify-gains" else []
-    assert main([verb, str(path), *extra]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and named in lines[0]
+        (tmp_path / "bad.cfg").write_text(CONFIG_HEADER + "\n" + config, encoding="utf-8")
+        config = Path("bad.cfg")
+    table_path = None
+    for name, text in table:
+        table_path = tmp_path / name
+        if text is not None:
+            table_path.write_text(text, encoding="utf-8")
+    named = named.format(dir=tmp_path, table=table_path)
+    line = _fails_at_load(verb, tmp_path / config, named, capsys)
+    if table_path:  # a table file is named as often as the row's text names it: once, or not at all
+        assert line.count(str(table_path)) == named.count(str(table_path)), line
 
 
 # --- argument parsing ----------------------------------------------------------

@@ -490,7 +490,7 @@ def _work_over_step(params, state, thrust_wrench, dt, substeps=8):
 def test_rk4_energy_error_falls_32x_per_halving(params, cmd, states):
     # One RK4 step's local error is C dt^5 + O(dt^6), so its error in E against the work the wrench does over the
     # step falls by 2^5 = 32 from dt to dt/2. At one state the dt^5 term of that scalar can cancel, so the errors
-    # are summed over eight distinct states. The ratio read 28.8-35.9 over 800 derandomized draws, and about 2 with
+    # are summed over eight distinct states. The ratio read 25.7-34.8 over 800 derandomized draws, and about 2 with
     # any one RK4 stage weight changed. The 8-substep reference is off by about 1e-3 of either sum, alike at both dt.
     wrench = thruster_wrench(params, cmd)
 

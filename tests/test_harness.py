@@ -143,8 +143,8 @@ def _pendulum_at(state, end, steps):
 @given(theta=st.floats(-2.5, 2.5), omega=st.floats(-1.0, 1.0), end=st.floats(0.5, 2.0))
 def test_rk4_error_falls_16x_per_halving_on_a_pendulum(theta, omega, end):
     # On a smooth nonlinear field RK4's global error is C dt^4 + O(dt^5): from
-    # end/32 to end/64 it falls by 2^4 = 16, read here within [14, 18] (15.0-16.8
-    # over 500 seeded draws). The 2048-step reference is about 1e-6 of the
+    # end/32 to end/64 it falls by 2^4 = 16, read here within [14, 18] (15.7-16.6
+    # over 500 derandomized draws). The 2048-step reference is about 1e-6 of the
     # finer error. At rest (the equilibrium) every error is zero.
     assume(math.hypot(theta, omega) > 0.2)
     state = (theta, omega)
