@@ -300,21 +300,83 @@ COLD_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run, code, loaded", COLD_RUNS.values(), ids=COLD_RUNS)
-def test_a_cold_run_loads_only_the_watched_modules_it_needs(run, code, loaded, params_cfg, tmp_path):
-    args = []
-    if isinstance(run, list):
-        args = [params_cfg if arg == "PARAMS" else arg for arg in run]
-        if run[0] == "simulate":
-            args = ["simulate", _scenario_file(run[1], tmp_path),
-                    "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt"]
-        run = "from ionblimp.cli import main\ncode = main(sys.argv[2:])"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", _COLD_RUN, run, *map(str, args)],
-                          capture_output=True, text=True, env=env)
-    assert done.returncode == code, done.stderr
-    last = done.stdout.splitlines()[-1].split()
-    assert (last[0], set(last[1:])) == ("loaded:", loaded), done.stdout
+_COLD_DONE = {}
+
+
+def _cold_run(name, tmp_path_factory):
+    """Runs COLD_RUNS[name] once per session in a fresh interpreter; its exit code, stdout and stderr."""
+    if name not in _COLD_DONE:
+        run, tmp_path = COLD_RUNS[name][0], tmp_path_factory.mktemp(name)
+        args = []
+        if isinstance(run, list):
+            (tmp_path / "params.cfg").write_text(PARAMS_CFG, encoding="utf-8")
+            args = [tmp_path / "params.cfg" if arg == "PARAMS" else arg for arg in run]
+            if run[0] == "simulate":
+                args = ["simulate", _scenario_file(run[1], tmp_path),
+                        "--csv", tmp_path / "run.csv", "--summary", tmp_path / "run.txt"]
+            run = "from ionblimp.cli import main\ncode = main(sys.argv[2:])"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", _COLD_RUN, run, *map(str, args)],
+                              capture_output=True, text=True, env=env)
+        _COLD_DONE[name] = (done.returncode, done.stdout, done.stderr)
+    return _COLD_DONE[name]
+
+
+def _cold_loaded(name, tmp_path_factory) -> set:
+    """The watched modules COLD_RUNS[name] loaded."""
+    _, out, _ = _cold_run(name, tmp_path_factory)
+    last = out.splitlines()[-1].split()
+    assert last[0] == "loaded:", out
+    return set(last[1:])
+
+
+@pytest.mark.parametrize("name", COLD_RUNS)
+def test_a_cold_run_loads_only_the_watched_modules_it_needs(name, tmp_path_factory):
+    code, _, err = _cold_run(name, tmp_path_factory)
+    assert code == COLD_RUNS[name][1], err
+    assert _cold_loaded(name, tmp_path_factory) == COLD_RUNS[name][2]
+
+
+# The narrower rules COLD_RUNS pins, each read from the same session's runs, so no interpreter is spawned twice.
+@pytest.mark.parametrize("name", ["hover", "cruise", "heading_step", "trim_hold"])
+def test_simulate_never_imports_numpy_random(name, tmp_path_factory):
+    # numpy loads numpy.random (with secrets, hashlib and hmac) on first use, an
+    # import that costs a cold run more than its draws; trim_hold's gimbal noise
+    # comes from ionblimp.pcg64 instead. numpy.random cannot load without numpy.
+    assert "numpy" not in _cold_loaded(name.replace("_", "-"), tmp_path_factory)
+
+
+def test_import_cli_never_imports_numpy(tmp_path_factory):
+    assert "numpy" not in _cold_loaded("import-cli", tmp_path_factory)
+
+
+@pytest.mark.parametrize("name", ["hover", "cruise", "trim_hold"])
+def test_table_free_demo_simulate_never_imports_numpy(name, tmp_path_factory):
+    assert "numpy" not in _cold_loaded(name.replace("_", "-"), tmp_path_factory)
+
+
+@pytest.mark.parametrize("workload", [pytest.param("full_6dof", id="full_6dof-scenario"),
+                                      pytest.param("inner_loop_csv", id="inner_loop_csv-flight_base")])
+def test_table_free_perfbench_simulate_never_imports_numpy(workload, tmp_path_factory):
+    assert "numpy" not in _cold_loaded(f"perfbench-{workload.replace('_', '-')}", tmp_path_factory)
+
+
+@pytest.mark.parametrize("case", ["heading_step", "perfbench_smc_tracking", "script"])
+def test_table_simulate_never_imports_numpy(case, tmp_path_factory):
+    # A reference or script table in the plain grammar is read in Python, and a diagonal M is inverted there.
+    assert "numpy" not in _cold_loaded(case.replace("_", "-"), tmp_path_factory)
+
+
+@pytest.mark.parametrize("case, modules", [
+    ("import", set()), ("hover", set()), ("cruise", set()), ("perfbench_full_6dof", set()),
+    ("trim_hold", {"inner_loop"}), ("perfbench_inner_loop_csv", {"inner_loop"}),
+    ("heading_step", {"smc"}), ("perfbench_smc_tracking", {"smc"}), ("script", {"smc"}),
+])
+def test_a_run_imports_smc_and_inner_loop_only_for_what_it_flies(case, modules, tmp_path_factory):
+    # smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop] section; no run
+    # reads the matrix-form frames, or a constants module.
+    name = "import-cli" if case == "import" else case.replace("_", "-")
+    assert _cold_loaded(name, tmp_path_factory) & {"smc", "inner_loop", "frames", "constants"} == modules
 
 
 @pytest.mark.parametrize("case", IRREGULAR_TABLES)
@@ -396,6 +458,13 @@ def _fails_at_load(verb, path, named, capsys):
             load_scenario(path)
         assert line == f"error: {type(raised.value).__name__}: {raised.value}"
     return line
+
+
+def test_non_finite_param_error_names_the_key(tmp_path, capsys):
+    path = tmp_path / "nan_drag.cfg"
+    path.write_text(CONFIG_HEADER + "\n[params]\ndrag_coeff = nan\n\n"
+                    "[scenario]\nmodel = full\nduration = 0.1\ndt = 0.01\n", encoding="utf-8")
+    _fails_at_load("simulate", path, "drag_coeff", capsys)
 
 
 # Every number a config file may hold, with the verb that reads it, and the other
