@@ -182,19 +182,25 @@ def test_certify_gains_failure_is_machine_parseable(params_cfg, capsys):
     assert "no stabilizing" in err
 
 
-@pytest.mark.parametrize("option, grid", [
-    ("--k1", "nan"),  # a non-finite single value
-    ("--k2", "inf"),
-    ("--k1", "0:inf:3"),  # a non-finite stop
-    ("--k2", "-inf:1:3"),  # a non-finite start
-    ("--k1", "0:1:0"),  # a count below 1: an empty grid
-    ("--k2", "0:1:-2"),
+@pytest.mark.parametrize("option, grid, params", [
+    *(pytest.param(option, grid, PARAMS_CFG, id=f"{option}-{grid}") for option, grid in [
+        ("--k1", "nan"),  # a non-finite single value
+        ("--k2", "inf"),
+        ("--k1", "0:inf:3"),  # a non-finite stop
+        ("--k2", "-inf:1:3"),  # a non-finite start
+        ("--k1", "0:1:0"),  # a count below 1: an empty grid
+        ("--k2", "0:1:-2"),
+    ]),
+    # A params file of the header alone loads and linearizes at every default; the grid is refused all the same.
+    pytest.param("--k1", "0:inf:3", CONFIG_HEADER + "\n", id="--k1-0:inf:3-header-only"),
 ])
-def test_certify_gains_refuses_a_bad_grid_by_its_option(params_cfg, capsys, option, grid):
+def test_certify_gains_refuses_a_bad_grid_by_its_option(tmp_path, capsys, option, grid, params):
+    params_cfg = tmp_path / "params.cfg"
+    params_cfg.write_text(params, encoding="utf-8")
     grids = {"--k1": "0:5:11", "--k2": "0:5:11", option: grid}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's RuntimeWarning on a nan grid would fail here
-        assert main(["certify-gains", params_cfg, *(f"{k}={v}" for k, v in grids.items())]) == 1
+        assert main(["certify-gains", str(params_cfg), *(f"{k}={v}" for k, v in grids.items())]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: ValueError: {option} must be a finite value or start:stop:count with finite ends"
@@ -277,6 +283,8 @@ sys.exit(code)
 """
 _LIFT_BUDGET = ("from ionblimp.buoyancy import EnvelopeGeometry, lift_budget\n"
                 "assert lift_budget(EnvelopeGeometry(0.985, 0.255, 0.255)).net_lift_kg > 0.0")
+# The one owner of the import rules, for the installed blimpsim entry point too: its wrapper only calls cli.main,
+# which each argv row runs here in a fresh interpreter, so CI checks no import log of its own.
 # Code, or a blimpsim argv (PARAMS is the params file, a simulate case is a _scenario_file case); its exit code;
 # and the watched modules it loads. numpy is loaded only for matrix work, a throttle map or a table the plain
 # reader leaves to it. smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop]
