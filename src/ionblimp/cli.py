@@ -24,29 +24,12 @@ import sys
 import warnings
 
 from . import harness
-from .dynamics import AirshipParams, check_sign
 
 # Each preset's map and the function that reads thrust off it, by their names in ``thruster``.
 _MAP_PRESETS = {
     "throttle": ("THROTTLE_MAP", "throttle_to_thrust"),
     "spacing-dual": ("SPACING_MAP_DUAL_RING", "spacing_to_thrust"),
 }
-
-
-_PARAMS_SCHEMA = {"params": harness.SCENARIO_SCHEMA["params"], "trim": {"speed": float, "thrust": float}}
-
-
-def _trim(speed=1.0, thrust=0.05) -> tuple:
-    check_sign("speed", speed)
-    check_sign("thrust", thrust)
-    return speed, thrust
-
-
-def _load_params_config(path):
-    """Read [params] and optional [trim] (nothing else) from a versioned config file: (params, speed, thrust)."""
-    config = harness.read_config(path, _PARAMS_SCHEMA)
-    params = harness._section(path, "params", AirshipParams, config.get("params", {}))
-    return params, *harness._section(path, "trim", _trim, config.get("trim", {}))
 
 
 def _grid(option: str, text: str) -> np.ndarray:
@@ -66,14 +49,11 @@ def _grid(option: str, text: str) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     scenario = harness.load_scenario(args.scenario)
-    if args.csv or args.summary:
+    overrides = {f"{key}_path": harness.output_path(f"--{key}", value)
+                 for key, value in (("csv", args.csv), ("summary", args.summary)) if value}
+    if overrides:
         from dataclasses import replace
-
-        scenario = replace(
-            scenario,
-            csv_path=args.csv or scenario.csv_path,
-            summary_path=args.summary or scenario.summary_path,
-        )
+        scenario = replace(scenario, **overrides)
     result = harness.run_scenario(scenario)
     sys.stdout.write(harness.format_summary(result.summary))
     return 0
@@ -81,7 +61,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_linearize(args) -> int:
     from . import inner_loop
-    params, speed, thrust = _load_params_config(args.config)
+    params, speed, thrust = harness.load_params(args.config)
     model = inner_loop.linearize(params, speed, thrust)
     print(f"trim_speed={speed!r}")
     print(f"trim_thrust={thrust!r}")
@@ -101,7 +81,7 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_certify_gains(args) -> int:
     from . import inner_loop
-    params, speed, thrust = _load_params_config(args.config)
+    params, speed, thrust = harness.load_params(args.config)
     model = inner_loop.linearize(params, speed, thrust)
     k1_grid, k2_grid = _grid("--k1", args.k1), _grid("--k2", args.k2)
     if k1_grid.size == 1 and k2_grid.size == 1:

@@ -30,15 +30,17 @@ Every step's command is recorded with its servo angles from one fixed map
 valid ``ThrusterCommand`` is in the servos' range by construction.
 
 Runs are deterministic: a fixed scenario file and seed reproduce output
-files byte for byte. Scenario configs are plain-text INI-style files whose
-first line must read ``# blimpsim-config v1``; ``read_config`` checks every
-section and key against a schema table at load time, and ``smc.read_table``
-reads the open-loop script and SMC reference tables. A run's records are
-its CSV rows: each ``SimRecord`` is a named tuple whose fields are
-``CSV_COLUMNS``, so the column order is the record layout, defined once.
-Summaries are ``key=value`` text. A run imports numpy only for an irregular
-table, a non-diagonal M or a throttle, and ``thruster`` only for a throttle.
-It imports ``smc`` only for an ``[smc]`` section or an open-loop script,
+files byte for byte. This module reads every input file. Scenario configs,
+and the ``[params]``/``[trim]`` files of ``load_params``, are plain-text
+INI-style files whose first line must read ``# blimpsim-config v1``;
+``read_config`` checks every section and key against a schema table at load
+time, and ``read_table`` reads the open-loop script and SMC reference
+tables. An output path whose directory is missing fails at load. A run's
+records are its CSV rows: each ``SimRecord`` is a named tuple whose fields
+are ``CSV_COLUMNS``, so the column order is the record layout, defined
+once. Summaries are ``key=value`` text. A run imports numpy only for an
+irregular table, a non-diagonal M or a throttle, and ``thruster`` only for
+a throttle. It imports ``smc`` only for an ``[smc]`` section,
 ``inner_loop`` only for an ``[inner_loop]`` section, and never ``frames``.
 """
 
@@ -48,6 +50,7 @@ import bisect
 import configparser
 import functools
 import math
+import warnings
 from collections import namedtuple
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -59,6 +62,7 @@ from .dynamics import (
     AirshipParams,
     BodyState,
     ThrusterCommand,
+    check_sign,
     full_derivatives,
     planar_derivatives,
     store_floats,
@@ -566,6 +570,44 @@ def read_config(path, schema: dict) -> dict:
     return config
 
 
+def _plain_rows(path):
+    """The rows of a table file in the plain grammar, or None for ``np.loadtxt`` to read (or to word the failure)."""
+    if isinstance(path, (bytes, int)) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None  # np.loadtxt iterates a bytes or int argument, and decompresses a file with such a suffix
+    try:
+        with open(path, "rb") as file:
+            text = file.read()
+        bodies = [line.split(b"#", 1)[0] for line in text.split(b"\n")]
+        if not text.isascii() or b"\r" in text or any(body.translate(None, b"0123456789+-.eE \t") for body in bodies):
+            return None
+        rows = tuple(tuple(map(float, body.split())) for body in bodies if body.strip())
+    except (OSError, TypeError, ValueError):
+        return None
+    return rows if rows and len(set(map(len, rows))) == 1 else None
+
+
+def read_table(path) -> tuple:
+    """Rows of a plain-text numeric table with ``#`` comments, as float tuples; a failure names the file.
+
+    A file in the plain grammar (ASCII; ``\\n`` line ends; tokens of digits and ``+-.eE`` split by spaces or tabs;
+    rows of one length, at least one) is read in Python: float() parses such a token with PyOS_string_to_double,
+    as numpy does. An irregular file goes to ``np.loadtxt``, whose messages are the specification."""
+    if (rows := _plain_rows(path)) is not None:
+        return rows
+    import numpy as np
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input warning; raised below
+            rows = np.loadtxt(path, comments="#", ndmin=2)
+        if not rows.size:
+            raise ValueError("no data rows")
+    except OSError as exc:  # numpy's own message for a missing file repeats the path
+        raise ValueError(f"{path}: {exc.strerror or 'not found'}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return tuple(map(tuple, rows.tolist()))
+
+
 # Keys a section must set when it is present: the fields with no default.
 REQUIRED_KEYS = {
     "inner_loop": ["trim_speed", "trim_thrust", "k_u"],
@@ -585,10 +627,7 @@ def _section(path, name: str, make, values: dict):
 
 
 def _open_loop(script=None, **values) -> OpenLoopCommand:
-    if script is not None:
-        from .smc import read_table
-        script = read_table(script)
-    return OpenLoopCommand(script=script, **values)
+    return OpenLoopCommand(script=None if script is None else read_table(script), **values)
 
 
 def _inner_loop_config(**values):
@@ -599,7 +638,14 @@ def _inner_loop_config(**values):
 def _smc_config(reference, **values) -> SmcScenarioConfig:
     from .smc import ReferenceTrajectory, SmcGains
     gains = SmcGains(**{f.name: values.pop(f.name) for f in fields(SmcGains) if f.name in values})
-    return SmcScenarioConfig(gains=gains, reference=ReferenceTrajectory.from_file(reference), **values)
+    data = read_table(reference)
+    if len(data[0]) != 4:
+        raise ValueError(f"expected four columns (t, x, y, psi) in {reference}")
+    try:
+        trajectory = ReferenceTrajectory(times=tuple(row[0] for row in data), poses=tuple(row[1:] for row in data))
+    except ValueError as exc:
+        raise ValueError(f"{reference}: {exc}") from None
+    return SmcScenarioConfig(gains=gains, reference=trajectory, **values)
 
 
 def load_scenario(path) -> Scenario:
@@ -622,10 +668,30 @@ def load_scenario(path) -> Scenario:
     makers = {"params": AirshipParams, "initial": BodyState, "open_loop": _open_loop,
               "inner_loop": _inner_loop_config, "smc": _smc_config}
     built = {s: _section(path, s, make, config[s]) for s, make in makers.items() if s in config}
-    output = {key: str(value) for key, value in config.get("output", {}).items()}
-    return _section(path, "scenario", Scenario, dict(
-        csv_path=output.get("csv"),
-        summary_path=output.get("summary"),
-        **built,
-        **config.get("scenario", {}),
-    ))
+    output = {f"{key}_path": output_path(f"{path}: [output] {key}", value)
+              for key, value in config.get("output", {}).items()}
+    return _section(path, "scenario", Scenario, dict(**output, **built, **config.get("scenario", {})))
+
+
+def output_path(name: str, path) -> str:
+    """path as a string once its directory exists, so an output that cannot be written fails before step 0;
+    the ValueError otherwise starts with name, where the path was given."""
+    if not Path(path).parent.is_dir():
+        raise ValueError(f"{name}: no such directory: {Path(path).parent}")
+    return str(path)
+
+
+_PARAMS_SCHEMA = {"params": SCENARIO_SCHEMA["params"], "trim": {"speed": float, "thrust": float}}
+
+
+def _trim(speed=1.0, thrust=0.05) -> tuple:
+    check_sign("speed", speed)
+    check_sign("thrust", thrust)
+    return speed, thrust
+
+
+def load_params(path) -> tuple:
+    """Read [params] and optional [trim] (nothing else) from a versioned config file: (params, speed, thrust)."""
+    config = read_config(path, _PARAMS_SCHEMA)
+    params = _section(path, "params", AirshipParams, config.get("params", {}))
+    return params, *_section(path, "trim", _trim, config.get("trim", {}))

@@ -27,15 +27,14 @@ once) as three rows of three floats, and the per-step functions are
 straight-line float code over them, one expression per channel.
 
 The controller is a pure function of its arguments; the simulation harness
-owns all state. numpy is imported only for an irregular table file (one
-outside ``read_table``'s plain grammar) and a non-diagonal M_s.
+owns all state and reads the reference table. numpy is imported only for a
+non-diagonal M_s.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -219,44 +218,6 @@ def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
     return cmd, residual
 
 
-def _plain_rows(path):
-    """The rows of a table file in the plain grammar, or None for ``np.loadtxt`` to read (or to word the failure)."""
-    if isinstance(path, (bytes, int)) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
-        return None  # np.loadtxt iterates a bytes or int argument, and decompresses a file with such a suffix
-    try:
-        with open(path, "rb") as file:
-            text = file.read()
-        bodies = [line.split(b"#", 1)[0] for line in text.split(b"\n")]
-        if not text.isascii() or b"\r" in text or any(body.translate(None, b"0123456789+-.eE \t") for body in bodies):
-            return None
-        rows = tuple(tuple(map(float, body.split())) for body in bodies if body.strip())
-    except (OSError, TypeError, ValueError):
-        return None
-    return rows if rows and len(set(map(len, rows))) == 1 else None
-
-
-def read_table(path) -> tuple:
-    """Rows of a plain-text numeric table with ``#`` comments, as float tuples; a failure names the file.
-
-    A file in the plain grammar (ASCII; ``\\n`` line ends; tokens of digits and ``+-.eE`` split by spaces or tabs;
-    rows of one length, at least one) is read in Python: float() parses such a token with PyOS_string_to_double,
-    as numpy does. An irregular file goes to ``np.loadtxt``, whose messages are the specification."""
-    if (rows := _plain_rows(path)) is not None:
-        return rows
-    import numpy as np
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input warning; raised below
-            rows = np.loadtxt(path, comments="#", ndmin=2)
-        if not rows.size:
-            raise ValueError("no data rows")
-    except OSError as exc:  # numpy's own message for a missing file repeats the path
-        raise ValueError(f"{path}: {exc.strerror or 'not found'}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return tuple(map(tuple, rows.tolist()))
-
-
 @dataclass(frozen=True)
 class ReferenceTrajectory:
     """Sampled (t, x, y, psi) reference with linear interpolation.
@@ -296,24 +257,13 @@ class ReferenceTrajectory:
             segments.append((t0, dt, (x0, y0, psi0), dp, slope))
         object.__setattr__(self, "_segments", tuple(segments))
 
-    @classmethod
-    def from_file(cls, path) -> "ReferenceTrajectory":
-        data = read_table(path)
-        if len(data[0]) != 4:
-            raise ValueError(f"expected four columns (t, x, y, psi) in {path}")
-        try:
-            return cls(times=tuple(row[0] for row in data), poses=tuple(row[1:] for row in data))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
     def sample(self, t: float):
         """Pose and pose rate at time t as float tuples; held, at zero rate, beyond the table ends."""
         t, times = float(t), self.times
         if times[0] <= t < times[-1]:
             t0, dt, (x, y, psi), (dx, dy, dpsi), rate = self._segments[bisect.bisect_right(times, t) - 1]
-        else:
+        else:  # the end segment t is held at: frac is exactly 0.0 or 1.0, or nan for a nan t
+            (t0, dt, (x, y, psi), (dx, dy, dpsi), _), rate = self._segments[0 if t < times[0] else -1], (0.0, 0.0, 0.0)
             t = min(max(t, times[0]), times[-1])
-            idx = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
-            (t0, dt, (x, y, psi), (dx, dy, dpsi), _), rate = self._segments[idx], (0.0, 0.0, 0.0)
         frac = (t - t0) / dt
         return (x + frac * dx, y + frac * dy, psi + frac * dpsi), rate

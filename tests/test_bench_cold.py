@@ -15,7 +15,16 @@ def bench_cold(monkeypatch):
 
 
 def test_cases_are_the_demo_scenarios_and_the_cli_import(bench_cold):
-    assert list(bench_cold.cases()) == ["cruise", "heading_step", "hover", "trim_hold", "import_cli"]
+    assert list(bench_cold.cases(ROOT)) == ["cruise", "envelope", "heading_step", "hover", "trim_hold", "import_cli"]
+
+
+def test_cases_are_the_scenarios_every_tree_holds(bench_cold, tmp_path):
+    # A base that predates a scenario runs the others, not a file it lacks.
+    (tmp_path / "demos" / "scenarios").mkdir(parents=True)
+    for name in ("hover.cfg", "cruise.cfg", "old.cfg", "hover_ref.txt"):
+        (tmp_path / "demos" / "scenarios" / name).write_text("", encoding="utf-8")
+    assert list(bench_cold.cases(ROOT, tmp_path)) == ["cruise", "hover", "import_cli"]
+    assert bench_cold.cases(tmp_path, ROOT) == bench_cold.cases(ROOT, tmp_path)
 
 
 def test_run_case_times_a_fresh_interpreter_and_hashes_its_output(bench_cold):

@@ -287,8 +287,8 @@ _LIFT_BUDGET = ("from ionblimp.buoyancy import EnvelopeGeometry, lift_budget\n"
 # which each argv row runs here in a fresh interpreter, so CI checks no import log of its own.
 # Code, or a blimpsim argv (PARAMS is the params file, a simulate case is a _scenario_file case); its exit code;
 # and the watched modules it loads. numpy is loaded only for matrix work, a throttle map or a table the plain
-# reader leaves to it. smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop]
-# section, thruster for a thrust map; no run reads the matrix-form frames.
+# reader leaves to it. smc is read only for an [smc] section (harness reads every table), inner_loop for an
+# [inner_loop] section, thruster for a thrust map; no run reads the matrix-form frames.
 COLD_RUNS = {
     "import-cli": ("import ionblimp.cli", 0, set()),
     "lift-budget": (_LIFT_BUDGET, 0, set()),
@@ -299,12 +299,13 @@ COLD_RUNS = {
     "perfbench-inner-loop-csv": (["simulate", "perfbench_inner_loop_csv"], 0, {"inner_loop"}),
     "heading-step": (["simulate", "heading_step"], 0, {"smc"}),
     "perfbench-smc-tracking": (["simulate", "perfbench_smc_tracking"], 0, {"smc"}),
-    "script": (["simulate", "script"], 0, {"smc"}),
+    "script": (["simulate", "script"], 0, set()),
+    "envelope": (["simulate", "envelope"], 0, set()),
     "linearize": (["linearize", "PARAMS"], 0, {"numpy", "inner_loop"}),
     "certify-gains": (["certify-gains", "PARAMS", "--k1", "0.0", "--k2", "1.5"], 0, {"numpy", "inner_loop"}),
     "step-response": (["step-response", "1.0"], 0, {"numpy", "inner_loop"}),
     "thruster-map": (["thruster-map", "throttle", "--at", "0.5"], 0, {"numpy", "thruster"}),
-    **{f"irregular-{name}": (["simulate", name], 1, {"numpy", "smc"}) for name in IRREGULAR_TABLES},
+    **{f"irregular-{name}": (["simulate", name], 1, {"numpy"}) for name in IRREGULAR_TABLES},
 }
 
 
@@ -378,10 +379,10 @@ def test_table_simulate_never_imports_numpy(case, tmp_path_factory):
 @pytest.mark.parametrize("case, modules", [
     ("import", set()), ("hover", set()), ("cruise", set()), ("perfbench_full_6dof", set()),
     ("trim_hold", {"inner_loop"}), ("perfbench_inner_loop_csv", {"inner_loop"}),
-    ("heading_step", {"smc"}), ("perfbench_smc_tracking", {"smc"}), ("script", {"smc"}),
+    ("heading_step", {"smc"}), ("perfbench_smc_tracking", {"smc"}), ("script", set()),
 ])
 def test_a_run_imports_smc_and_inner_loop_only_for_what_it_flies(case, modules, tmp_path_factory):
-    # smc is read for an [smc] section or an [open_loop] script, inner_loop for an [inner_loop] section; no run
+    # smc is read only for an [smc] section, inner_loop for an [inner_loop] section; no run
     # reads the matrix-form frames, or a constants module.
     name = "import-cli" if case == "import" else case.replace("_", "-")
     assert _cold_loaded(name, tmp_path_factory) & {"smc", "inner_loop", "frames", "constants"} == modules
@@ -512,6 +513,15 @@ def test_a_percent_sign_in_a_path_is_literal(tmp_path, capsys):
     assert (tmp_path / "run%1.csv").read_text(encoding="utf-8").startswith("t,u,")
 
 
+@pytest.mark.parametrize("flag, other", [("--csv", "--summary"), ("--summary", "--csv")])
+def test_an_output_flag_in_a_missing_directory_fails_before_step_0(flag, other, tmp_path, capsys):
+    # The other output's path is good, and it is not written: the run fails before it starts.
+    good, bad = tmp_path / "run.out", tmp_path / "nodir" / "run.out"
+    assert main(["simulate", str(CRUISE_CFG), flag, str(bad), other, str(good)]) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: {flag}: no such directory: {bad.parent}\n")
+    assert not good.exists()
+
+
 def test_missing_file_error(capsys):
     assert main(["linearize", "/nonexistent/params.cfg"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -578,6 +588,10 @@ LOAD_ERRORS = {
     "zero-trim-thrust": ("certify-gains", "[trim]\nthrust = 0\n",
                          "bad.cfg: [trim] thrust must be positive and finite, got 0.0"),
     "empty-path": ("simulate", "[output]\ncsv =\n", "[output] csv"),
+    "csv-in-missing-directory": ("simulate", "[output]\ncsv = nodir/run.csv\n",
+                                 "bad.cfg: [output] csv: no such directory: {dir}/nodir"),
+    "summary-in-missing-directory": ("simulate", "[output]\ncsv = run.csv\nsummary = nodir/run.txt\n",
+                                     "bad.cfg: [output] summary: no such directory: {dir}/nodir"),
     "negative-mass": ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
     "linearize-negative-mass": ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
     "certify-gains-negative-mass": ("certify-gains", "[params]\nmass = -1\n",

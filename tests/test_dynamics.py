@@ -436,7 +436,7 @@ def test_fields_balance_power(params, airspeed, direction, rates, position, phi,
 
 # --- the RK4 step's energy ------------------------------------------------
 
-# Vehicle-like draws: the fastest motion (pendulum, pitch stiffness) stays below about 8 rad/s, so a 20 ms step
+# Vehicle-like draws: the fastest motion (pendulum, pitch stiffness) stays below about 8 rad/s, so a 40 ms step
 # is inside RK4's asymptotic range while the 10 ms step's energy error stays far above rounding. Thrust, drag and
 # yaw damping are kept off zero, and every state turns: a draw where nothing does work and nothing turns has an
 # energy error at rounding level, where no order shows.
@@ -484,22 +484,40 @@ def _work_over_step(params, state, thrust_wrench, dt, substeps=8):
     return h / 3.0 * (power[0] + power[-1] + 4.0 * sum(power[1::2]) + 2.0 * sum(power[2:-1:2]))
 
 
+# The rolled state of the example below (phi = 1, r = 1, p = 0), where the energy error's dt^5 coefficient
+# nearly cancels, among seven that turn.
+ROLLED_STATES = [(u, 0.0, 0.0, 0.0, q, r, 1.0, 2.0, 3.0, phi, 0.0, psi) for u, q, r, phi, psi in [
+    (1.0, 0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 1.0, 0.0), (1.0, 0.0, -1.0, 0.0, 0.0),
+    (1.0, 1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.5, 0.0, 0.0), (1.0, 0.0, 0.5, 0.0, 0.0), (2.0, 0.0, 1.0, 0.0, 0.0)]]
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(params=VEHICLE_PARAMS, cmd=WORKING_COMMANDS,
        states=st.lists(FLIGHT_STATES, min_size=8, max_size=8, unique=True))
+@example(params=AirshipParams(mass=0.5, inertia_x=0.03125, inertia_y=0.0625, inertia_z=0.0625, inertia_xz=0.0,
+                              cb_offset=0.09375, mount_x=0.0, mount_z=0.0, link_length=0.0, yaw_damping=0.03125,
+                              drag_coeff=0.25, lift_slope=0.0, moment_slope=0.0, ref_chord=1.0, air_density=1.0,
+                              net_lift=0.0, gravity=9.0),
+         cmd=ThrusterCommand(0.0625, 0.0, 0.0), states=ROLLED_STATES)
 def test_rk4_energy_error_falls_32x_per_halving(params, cmd, states):
-    # One RK4 step's local error is C dt^5 + O(dt^6), so its error in E against the work the wrench does over the
-    # step falls by 2^5 = 32 from dt to dt/2. At one state the dt^5 term of that scalar can cancel, so the errors
-    # are summed over eight distinct states. The ratio read 25.7-34.8 over 800 derandomized draws, and about 2 with
-    # any one RK4 stage weight changed. The 8-substep reference is off by about 1e-3 of either sum, alike at both dt.
+    # One RK4 step's local error is C5 dt^5 + C6 dt^6 + O(dt^7), and so is e(dt), its error in E against the work
+    # the wrench does over the step. Where C5 nearly cancels, the dt^6 term leads at these steps: at the example's
+    # rolled state e(20 ms) / e(10 ms) read 59 (55.9 at 10 / 5 ms), and 42.78 summed over its eight states. So the
+    # order is read from Richardson's difference 64 e(dt/2) - e(dt) = C5 dt^5 + O(dt^7), which falls by 2^5 = 32
+    # from dt = 40 ms to 20 ms; summing it over eight distinct states keeps a C5 that cancels at one state from
+    # deciding. The ratio read 29.6-32.9 over 2,000 derandomized draws (31.0-33.5 without tests/conftest.py), and
+    # about 2 with any one RK4 stage weight changed. The 8-substep reference is off by about 2e-3 of either sum,
+    # alike at each dt.
     wrench = thruster_wrench(params, cmd)
 
     def energy_error(state, dt):
         after = integrate_step(lambda y, u: full_derivatives(params, y, u), state, wrench, dt)
         change = _kinetic_energy(params, after) - _kinetic_energy(params, state)
-        return abs(change - _work_over_step(params, state, wrench, dt))
+        return change - _work_over_step(params, state, wrench, dt)
 
-    coarse, fine = (sum(energy_error(state, dt) for state in states) for dt in (0.02, 0.01))
+    errors = [[energy_error(state, dt) for dt in (0.04, 0.02, 0.01)] for state in states]
+    coarse = sum(abs(64.0 * e20 - e40) for e40, e20, _ in errors)
+    fine = sum(abs(64.0 * e10 - e20) for _, e20, e10 in errors)
     assert 24.0 < coarse / fine < 40.0, (coarse, fine)
 
 

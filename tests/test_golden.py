@@ -23,7 +23,7 @@ from ionblimp.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "demos" / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-NAMES = ("hover", "cruise", "heading_step", "trim_hold")
+NAMES = ("hover", "cruise", "heading_step", "trim_hold", "envelope")
 STRIDE = 100
 TOL = 1e-9
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ionblimp.dynamics import GIMBAL_LIMIT
+from ionblimp.harness import CONFIG_HEADER, load_scenario
 from ionblimp.smc import (
     ReferenceTrajectory,
     SmcGains,
@@ -342,17 +343,42 @@ def test_reference_trajectory_refuses_knots_whose_spacing_overflows():
     assert ref.sample(0.0)[0] == (0.5, 0.0, 0.0)
 
 
+# Samples at and beyond the table's ends, held at zero rate, pinned as reprs so that the bits and nan are compared.
+HELD = ReferenceTrajectory(times=(0.5, 1.25, 3.0), poses=((0.1, -0.2, 0.3), (0.7, 0.4, -2.9), (1.3, -1.1, 3.1)))
+HELD_SAMPLES = {
+    -0.5: "((0.1, -0.2, 0.3), (0.0, 0.0, 0.0))",
+    3.0: "((1.3, -1.1, 3.1), (0.0, 0.0, 0.0))",
+    4.0: "((1.3, -1.1, 3.1), (0.0, 0.0, 0.0))",
+    math.inf: "((1.3, -1.1, 3.1), (0.0, 0.0, 0.0))",
+    -math.inf: "((0.1, -0.2, 0.3), (0.0, 0.0, 0.0))",
+    math.nan: "((nan, nan, nan), (0.0, 0.0, 0.0))",
+}
+
+
+@pytest.mark.parametrize("t", HELD_SAMPLES, ids=repr)
+def test_reference_trajectory_holds_its_end_poses(t):
+    assert repr(HELD.sample(t)) == HELD_SAMPLES[t]
+
+
+def _loaded_reference(path):
+    """The reference load_scenario builds from the table file at path, named by a minimal [smc] section."""
+    cfg = path.with_name("smc.cfg")
+    cfg.write_text(f"{CONFIG_HEADER}\n[scenario]\ncontroller = smc\n[smc]\nc1 = 1.0\nc2 = 1.0\nepsilon = 0.05\n"
+                   f"k = 1.0\nreference = {path.name}\n", encoding="utf-8")
+    return load_scenario(cfg).smc.reference
+
+
 def test_reference_trajectory_file_error_names_the_file(tmp_path):
     path = tmp_path / "ref.txt"
     path.write_text("0.0 0.0 0.0 0.0\n10.0 nan 0.0 0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="ref.txt: poses must be finite"):
-        ReferenceTrajectory.from_file(path)
+        _loaded_reference(path)
 
 
 def test_reference_trajectory_file_load(tmp_path):
     path = tmp_path / "ref.txt"
     path.write_text("# t x y psi\n0.0 0.0 0.0 0.0\n10.0 1.0 0.0 0.5\n", encoding="utf-8")
-    ref = ReferenceTrajectory.from_file(path)
+    ref = _loaded_reference(path)
     pose, rate = ref.sample(5.0)
     assert np.allclose(pose, [0.5, 0.0, 0.25])
     assert np.allclose(rate, [0.1, 0.0, 0.05])

@@ -1,6 +1,6 @@
-"""The SMC load path without numpy, against the numpy calls it replaced, bit for bit.
+"""The table and SMC load path without numpy, against the numpy calls it replaced, bit for bit.
 
-``read_table`` reads a table in its plain grammar in Python and leaves
+``harness.read_table`` reads a table in its plain grammar in Python and leaves
 every other file to ``np.loadtxt``; ``numpy_read_table`` below is the
 numpy-only reader it replaced, verbatim but for its name, so the two must
 return the same rows or raise the same message. ``ReferenceTrajectory``
@@ -17,8 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionblimp import smc
-from ionblimp.smc import ReferenceTrajectory, SmcModel, read_table
+from ionblimp import harness
+from ionblimp.harness import read_table
+from ionblimp.smc import ReferenceTrajectory, SmcModel
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=500, deadline=None)
 
@@ -125,7 +126,7 @@ def test_read_table_is_numpys_reader(drawn, tmp_path_factory):
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(read_table, path) == _outcome(numpy_read_table, path)
     if plain:  # read without numpy
-        assert smc._plain_rows(path) is not None
+        assert harness._plain_rows(path) is not None
 
 
 def test_read_table_keeps_numpys_message_for_a_missing_file_and_a_bad_argument(tmp_path):
@@ -136,7 +137,7 @@ def test_read_table_keeps_numpys_message_for_a_missing_file_and_a_bad_argument(t
 def test_read_table_leaves_a_compressed_suffix_to_numpy(tmp_path):
     path = tmp_path / "table.gz"  # numpy decompresses it, so plain text there is not a table
     path.write_text("0 1\n", encoding="ascii")
-    assert smc._plain_rows(path) is None
+    assert harness._plain_rows(path) is None
     assert _outcome(read_table, path) == _outcome(numpy_read_table, path)
 
 

@@ -3,8 +3,9 @@
     python3 tools/bench_cold.py --base REV --label N [--runs R]
 
 Each case is one fresh interpreter, timed from spawn to exit: ``blimpsim
-simulate`` on each demo scenario (``demos/scenarios/*.cfg``), CSV and summary
-written to a temporary directory, and ``import ionblimp.cli`` alone. The
+simulate`` on each demo scenario that both trees hold
+(``demos/scenarios/*.cfg``), CSV and summary written to a temporary
+directory, and ``import ionblimp.cli`` alone. The
 simulate case calls ``ionblimp.cli.main`` as the ``blimpsim`` console script
 does. Both sides run from exports made as ``tools/bench_ab.py`` makes them:
 ``git archive REV`` for the base, a snapshot tree of the working tree for the
@@ -37,9 +38,11 @@ from bench_ab import ROOT, _quartiles, export, head_identity
 SIMULATE = "import sys\nfrom ionblimp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
 
-def cases() -> dict:
-    """Each case's ``python -c`` arguments, with paths relative to the tree it runs in."""
-    scenarios = sorted(path.stem for path in (ROOT / "demos" / "scenarios").glob("*.cfg"))
+def cases(*trees: Path) -> dict:
+    """Each case's ``python -c`` arguments, with paths relative to the tree it runs in: a demo scenario only if
+    every one of trees holds it, so a base that predates a scenario runs the others."""
+    held = [{path.stem for path in (tree / "demos" / "scenarios").glob("*.cfg")} for tree in trees]
+    scenarios = sorted(set.intersection(*held))
     table = {name: [SIMULATE, "simulate", f"demos/scenarios/{name}.cfg", "--csv", "{out}/run.csv",
                     "--summary", "{out}/run.summary"] for name in scenarios}
     return {**table, "import_cli": ["import ionblimp.cli"]}
@@ -88,7 +91,7 @@ def main(argv=None) -> int:
     head = head_identity()
     trees = {"base": export(args.base), "head": export(head["tree"], "tree")}
     results = {}
-    for name, command in cases().items():
+    for name, command in cases(*trees.values()).items():
         for tree in trees.values():
             run_case(tree, command)  # untimed: lets each side write its bytecode, if it may
         case = results[name] = summarize([_pair(trees, command, i % 2 == 0) for i in range(args.runs)])
