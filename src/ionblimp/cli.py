@@ -48,12 +48,7 @@ def _grid(option: str, text: str) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = harness.load_scenario(args.scenario)
-    overrides = {f"{key}_path": harness.output_path(f"--{key}", value)
-                 for key, value in (("csv", args.csv), ("summary", args.summary)) if value}
-    if overrides:
-        from dataclasses import replace
-        scenario = replace(scenario, **overrides)
+    scenario = harness.load_scenario(args.scenario, args.csv, args.summary)
     result = harness.run_scenario(scenario)
     sys.stdout.write(harness.format_summary(result.summary))
     return 0
@@ -63,19 +58,14 @@ def _cmd_linearize(args) -> int:
     from . import inner_loop
     params, speed, thrust = harness.load_params(args.config)
     model = inner_loop.linearize(params, speed, thrust)
-    print(f"trim_speed={speed!r}")
-    print(f"trim_thrust={thrust!r}")
-    for i in range(4):
-        for j in range(4):
-            print(f"a_{i + 1}{j + 1}={float(model.a[i, j])!r}")
-    for i in range(4):
-        for j in range(3):
-            print(f"b_{i + 1}{j + 1}={float(model.b[i, j])!r}")
     # Two surge poles are reported on purpose: the drag entry of the model
     # above, and the fitted reference-plant pole used by step-response.
-    print(f"u_pole_model={float(-model.a[0, 0])!r}")
-    print(f"u_pole_reference_plant={inner_loop.U_CHANNEL_POLE!r}")
-    print(f"u_gain_reference_plant={inner_loop.U_CHANNEL_GAIN!r}")
+    report = {"trim_speed": speed, "trim_thrust": thrust,
+              **{f"a_{i + 1}{j + 1}": float(model.a[i, j]) for i in range(4) for j in range(4)},
+              **{f"b_{i + 1}{j + 1}": float(model.b[i, j]) for i in range(4) for j in range(3)},
+              "u_pole_model": float(-model.a[0, 0]), "u_pole_reference_plant": inner_loop.U_CHANNEL_POLE,
+              "u_gain_reference_plant": inner_loop.U_CHANNEL_GAIN}
+    sys.stdout.write(harness.format_summary(report))
     return 0
 
 
@@ -100,21 +90,21 @@ def _cmd_certify_gains(args) -> int:
     k_u = inner_loop.design_ku_unity_dc(inner_loop.U_CHANNEL_GAIN, inner_loop.U_CHANNEL_POLE)
     k_w = args.k_w if args.k_w is not None else inner_loop.kw_lower_bound(params, speed, thrust)
     design = inner_loop.InnerLoopConfig(trim_speed=speed, trim_thrust=thrust, k_u=k_u, k_w=k_w, k1=k1, k2=k2)
-    sys.stdout.write(inner_loop.gain_report(design, cert) + ("certificate_valid=false\n" if cert is None else ""))
+    sys.stdout.write(harness.format_summary(inner_loop.gain_report(design, cert)))
     return 0
 
 
 def _cmd_thruster_map(args) -> int:
     from . import thruster
     tmap, to_thrust = (getattr(thruster, name) for name in _MAP_PRESETS[args.preset])
-    text = thruster.dump_thrust_map(tmap)
+    text = harness.format_table("input  thrust_grams", zip(tmap.inputs, tmap.thrust_grams))
     if args.at is not None:  # evaluated before anything is written, so a refused query writes no map
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             thrust = float(to_thrust(tmap, args.at))
         for w in caught:  # one line each, without the source location
             print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
-        text += f"# thrust_newtons_at_{args.at!r}={thrust!r}\n"
+        text += "# " + harness.format_summary({f"thrust_newtons_at_{args.at!r}": thrust})
     sys.stdout.write(text)
     return 0
 

@@ -501,7 +501,8 @@ def write_records_csv(records, path) -> None:
 
 
 def format_summary(summary: dict) -> str:
-    """key=value lines, one per summary entry, stable order; floats as their repr."""
+    """key=value lines, one per entry in order, a float as its repr: a run's summary, and the ``linearize`` and
+    ``certify-gains`` reports, whose first six lines ``read_config`` reads as an ``[inner_loop]`` section."""
     return "".join(f"{key}={repr(val) if isinstance(val, float) else val}\n" for key, val in summary.items())
 
 
@@ -608,6 +609,11 @@ def read_table(path) -> tuple:
     return tuple(map(tuple, rows.tolist()))
 
 
+def format_table(header: str, rows) -> str:
+    """A table in read_table's plain grammar: a ``# header`` line, then each row's float reprs two spaces apart."""
+    return "".join([f"# {header}\n", *("  ".join(repr(float(x)) for x in row) + "\n" for row in rows)])
+
+
 # Keys a section must set when it is present: the fields with no default.
 REQUIRED_KEYS = {
     "inner_loop": ["trim_speed", "trim_thrust", "k_u"],
@@ -648,8 +654,9 @@ def _smc_config(reference, **values) -> SmcScenarioConfig:
     return SmcScenarioConfig(gains=gains, reference=trajectory, **values)
 
 
-def load_scenario(path) -> Scenario:
-    """Parse a versioned scenario config file into a Scenario (see read_config)."""
+def load_scenario(path, csv=None, summary=None) -> Scenario:
+    """Parse a versioned scenario config file into a Scenario (see read_config); a csv or summary path given
+    here (blimpsim's --csv and --summary) replaces the file's [output] key."""
     config = read_config(path, SCENARIO_SCHEMA)
     controller = config.get("scenario", {}).get("controller", Scenario.controller)
     unread = [f"[{s}]" for s in CONTROLLERS if s != controller and s in config]
@@ -668,14 +675,21 @@ def load_scenario(path) -> Scenario:
     makers = {"params": AirshipParams, "initial": BodyState, "open_loop": _open_loop,
               "inner_loop": _inner_loop_config, "smc": _smc_config}
     built = {s: _section(path, s, make, config[s]) for s, make in makers.items() if s in config}
-    output = {f"{key}_path": output_path(f"{path}: [output] {key}", value)
-              for key, value in config.get("output", {}).items()}
+    # Every output path given is checked, each named where it was given; a flag, given last, replaces the key.
+    given = [(key, f"{path}: [output] {key}", value) for key, value in config.get("output", {}).items()]
+    given += [(key, f"--{key}", value) for key, value in (("csv", csv), ("summary", summary)) if value]
+    outputs = {key: (name, output_path(name, value)) for key, name, value in given}
+    if len(outputs) == 2 and (same := Path(outputs["csv"][1]).resolve()) == Path(outputs["summary"][1]).resolve():
+        raise ValueError(f"{outputs['csv'][0]} and {outputs['summary'][0]} name one file: {same}")
+    output = {f"{key}_path": value for key, (_, value) in outputs.items()}
     return _section(path, "scenario", Scenario, dict(**output, **built, **config.get("scenario", {})))
 
 
 def output_path(name: str, path) -> str:
-    """path as a string once its directory exists, so an output that cannot be written fails before step 0;
-    the ValueError otherwise starts with name, where the path was given."""
+    """path as a string once it names a file in a directory that exists, so an output that cannot be written fails
+    before step 0; the ValueError otherwise starts with name, where the path was given."""
+    if Path(path).is_dir():
+        raise ValueError(f"{name}: is a directory: {path}")
     if not Path(path).parent.is_dir():
         raise ValueError(f"{name}: no such directory: {Path(path).parent}")
     return str(path)

@@ -54,7 +54,7 @@ class InnerLoopConfig:
     """An inner-loop design: a level trim and the feedback gains about it.
 
     The fields are the ``[inner_loop]`` keys of a scenario file, in the
-    order ``gain_report`` prints them.
+    order ``gain_report`` lists them.
     """
 
     trim_speed: float
@@ -231,16 +231,11 @@ def step_response(tf: FirstOrderTf, duration: float, dt: float):
     return t, y
 
 
-def gain_report(design: InnerLoopConfig, cert: LyapunovCertificate | None) -> str:
-    """Plain-text key=value report: the design's fields in order, then the certificate."""
-    lines = [f"{f.name}={getattr(design, f.name)!r}" for f in fields(design)]
+def gain_report(design: InnerLoopConfig, cert: LyapunovCertificate | None) -> dict:
+    """The design's fields in order, then the certificate; certificate_valid is "false" without one."""
+    report = {f.name: getattr(design, f.name) for f in fields(design)}
     if cert is not None:
-        lines += [
-            f"lyapunov_m1={float(cert.m[0, 0])!r}",
-            f"lyapunov_m2={float(cert.m[0, 1])!r}",
-            f"lyapunov_m4={float(cert.m[1, 1])!r}",
-            f"lyapunov_residual={cert.residual!r}",
-            f"lyapunov_min_eig={cert.min_eigenvalue!r}",
-            f"certificate_valid={str(cert.is_valid).lower()}",
-        ]
-    return "\n".join(lines) + "\n"
+        report.update(lyapunov_m1=float(cert.m[0, 0]), lyapunov_m2=float(cert.m[0, 1]),
+                      lyapunov_m4=float(cert.m[1, 1]), lyapunov_residual=cert.residual,
+                      lyapunov_min_eig=cert.min_eigenvalue)
+    return {**report, "certificate_valid": "true" if cert is not None and cert.is_valid else "false"}

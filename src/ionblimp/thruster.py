@@ -317,10 +317,3 @@ def thrust_to_weight(thrust: float, dry_mass: float) -> float:
     check_sign("dry_mass", dry_mass)
     return _floats(f"thrust_to_weight at thrust={thrust!r}, dry_mass={dry_mass!r}", thrust / dry_mass, False)
 
-
-def dump_thrust_map(tmap: ThrustMap) -> str:
-    """Serialize a ThrustMap as two-column (input, thrust-grams) text under a '#' header line."""
-    lines = ["# input  thrust_grams"]
-    for x, g in zip(tmap.inputs, tmap.thrust_grams):
-        lines.append(f"{x!r}  {g!r}")
-    return "\n".join(lines) + "\n"

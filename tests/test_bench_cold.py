@@ -1,6 +1,7 @@
-"""tools/bench_cold.py: its case table, one fresh-interpreter run, and the per-case summary."""
+"""tools/bench_cold.py: its case table, one fresh-interpreter run, the per-case summary and the env block."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,16 @@ def test_summarize_counts_wins_and_output_identity(bench_cold):
     assert case["median_head_minus_base"] == pytest.approx(-0.05)
     assert not bench_cold.summarize([*pairs, {**pairs[0], "digest": None}])["identical_outputs"]
     assert not bench_cold.summarize([*pairs, {**pairs[0], "digest": "b"}])["identical_outputs"]
+
+
+def test_the_env_block_is_bench_abs_plus_the_load_after(bench_cold, monkeypatch, tmp_path):
+    # Both BENCH files record the environment their runs inherited under the same keys.
+    monkeypatch.setattr(bench_cold, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_cold, "export", lambda rev, kind="commit": tmp_path / rev)
+    monkeypatch.setattr(bench_cold, "head_identity", lambda: {"tree": "head"})
+    monkeypatch.setattr(bench_cold, "cases", lambda *trees: {})
+    assert bench_cold.main(["--base", "base", "--label", "T"]) == 0
+    doc = json.loads((tmp_path / "BENCH_T_cold.json").read_text(encoding="utf-8"))
+    bench_ab = importlib.import_module("bench_ab")
+    assert list(doc["env"]) == [*bench_ab.run_env(), "loadavg_after"]
+    assert {key: doc["env"][key] for key in bench_ab.run_env()} == bench_ab.run_env()

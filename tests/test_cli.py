@@ -13,9 +13,9 @@ import pytest
 
 from ionblimp import cli
 from ionblimp.cli import main
-from ionblimp.harness import CONFIG_HEADER, SCENARIO_SCHEMA, load_scenario
+from ionblimp.harness import CONFIG_HEADER, SCENARIO_SCHEMA, format_summary, format_table, load_scenario
 from ionblimp.inner_loop import InnerLoopConfig, gain_report
-from ionblimp.thruster import SPACING_MAP_DUAL_RING, THROTTLE_MAP, dump_thrust_map, spacing_to_thrust
+from ionblimp.thruster import SPACING_MAP_DUAL_RING, THROTTLE_MAP, spacing_to_thrust
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,7 +78,8 @@ def test_thruster_map_extrapolation_is_one_warning_line(capsys):
         out, err = capsys.readouterr()
         assert err == ("warning: ExtrapolatedThrustWarning: spacing 0.0280 m below measured range, "
                        "thrust extrapolated\n")
-        assert out == dump_thrust_map(SPACING_MAP_DUAL_RING) + f"# thrust_newtons_at_0.028={thrust!r}\n"
+        table = zip(SPACING_MAP_DUAL_RING.inputs, SPACING_MAP_DUAL_RING.thrust_grams)
+        assert out == format_table("input  thrust_grams", table) + f"# thrust_newtons_at_0.028={thrust!r}\n"
 
 
 def test_thruster_map_refuses_a_nan_spacing(capsys):
@@ -159,7 +160,7 @@ def test_certify_gains_report_loads_as_the_inner_loop_section(params_cfg, tmp_pa
                     encoding="utf-8")
     loaded = load_scenario(path).inner_loop
     assert loaded == InnerLoopConfig(**{key: float(value) for key, value in parsed_kv("".join(design)).items()})
-    assert gain_report(loaded, None) == "".join(design)
+    assert format_summary(gain_report(loaded, None)) == "".join(design) + "certificate_valid=false\n"
 
 
 def test_certify_gains_singular_pair_is_reported_not_certified(tmp_path, capsys):
@@ -515,11 +516,42 @@ def test_a_percent_sign_in_a_path_is_literal(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, other", [("--csv", "--summary"), ("--summary", "--csv")])
 def test_an_output_flag_in_a_missing_directory_fails_before_step_0(flag, other, tmp_path, capsys):
-    # The other output's path is good, and it is not written: the run fails before it starts.
-    good, bad = tmp_path / "run.out", tmp_path / "nodir" / "run.out"
-    assert main(["simulate", str(CRUISE_CFG), flag, str(bad), other, str(good)]) == 1
-    assert capsys.readouterr() == ("", f"error: ValueError: {flag}: no such directory: {bad.parent}\n")
-    assert not good.exists()
+    # The other output's path is good, and it is not written: the run fails before it starts. So does a flag
+    # naming a directory, which the run would otherwise fail to open after its last step.
+    good = tmp_path / "run.out"
+    for bad, error in [(tmp_path / "nodir" / "run.out", f"no such directory: {tmp_path / 'nodir'}"),
+                       (tmp_path, f"is a directory: {tmp_path}")]:
+        assert main(["simulate", str(CRUISE_CFG), flag, str(bad), other, str(good)]) == 1
+        assert capsys.readouterr() == ("", f"error: ValueError: {flag}: {error}\n")
+        assert not good.exists()
+
+
+@pytest.mark.parametrize("output, flags, named", [
+    ("", ["--csv", "same.out", "--summary", "same.out"], "--csv and --summary"),
+    ("csv = same.out\n", ["--summary", "same.out"], "{cfg}: [output] csv and --summary"),
+    ("summary = same.out\n", ["--csv", "./same.out"], "--csv and {cfg}: [output] summary"),
+    ("csv = same.out\nsummary = other.out\n", ["--summary", "same.out"], "{cfg}: [output] csv and --summary"),
+], ids=["both-flags", "key-and-flag", "flag-and-key", "flag-replaces-key"])
+def test_csv_and_summary_naming_one_file_fail_before_step_0(output, flags, named, tmp_path, capsys, monkeypatch):
+    # The summary would overwrite the CSV: the run fails at load, naming both outputs where they were set.
+    monkeypatch.chdir(tmp_path)  # the flags' relative paths name the files beside the config's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_HEADER + "\n[scenario]\nduration = 0.01\ndt = 0.01\n[output]\n" + output, encoding="utf-8")
+    assert main(["simulate", str(cfg), *flags]) == 1
+    named, same = named.format(cfg=cfg), (tmp_path / "same.out").resolve()
+    assert capsys.readouterr() == ("", f"error: ValueError: {named} name one file: {same}\n")
+    assert not (tmp_path / "same.out").exists()
+
+
+def test_a_flag_that_replaces_the_clashing_key_runs(tmp_path, capsys):
+    # Both keys name one file, but --csv replaces one of them, so the run writes two files.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_HEADER + "\n[scenario]\nduration = 0.01\ndt = 0.01\n[output]\ncsv = same.out\n"
+                   "summary = same.out\n", encoding="utf-8")
+    assert main(["simulate", str(cfg), "--csv", str(tmp_path / "run.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "run.csv").read_text(encoding="utf-8").startswith("t,u,")
+    assert (tmp_path / "same.out").read_text(encoding="utf-8").startswith("model=")
 
 
 def test_missing_file_error(capsys):
@@ -592,6 +624,11 @@ LOAD_ERRORS = {
                                  "bad.cfg: [output] csv: no such directory: {dir}/nodir"),
     "summary-in-missing-directory": ("simulate", "[output]\ncsv = run.csv\nsummary = nodir/run.txt\n",
                                      "bad.cfg: [output] summary: no such directory: {dir}/nodir"),
+    "csv-is-a-directory": ("simulate", "[output]\ncsv = .\n", "bad.cfg: [output] csv: is a directory: {dir}"),
+    "summary-is-a-directory": ("simulate", "[output]\ncsv = run.csv\nsummary = .\n",
+                               "bad.cfg: [output] summary: is a directory: {dir}"),
+    "csv-and-summary-one-file": ("simulate", "[output]\ncsv = run.out\nsummary = ./run.out\n",
+                                 "bad.cfg: [output] csv and {dir}/bad.cfg: [output] summary name one file: "),
     "negative-mass": ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
     "linearize-negative-mass": ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
     "certify-gains-negative-mass": ("certify-gains", "[params]\nmass = -1\n",

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from ionblimp.cli import main
-from ionblimp.harness import SCENARIO_SCHEMA, read_config
+from ionblimp.harness import _PARAMS_SCHEMA, SCENARIO_SCHEMA, read_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "demos" / "scenarios"
@@ -36,8 +36,8 @@ NAMES = ("hover", "cruise", "heading_step", "trim_hold", "envelope")
 STRIDE = 100
 TOL = 1e-9
 
-# Each report command's argv; a demos/ path is relative to the repository root. {header_only} is a params file of the config
-# header alone: every default, under which the (0, 1.5) pair's Lyapunov system is singular.
+# Each report command's argv; a demos/ path is relative to the repository root. {header_only} is a params file
+# of the config header alone: every default, under which the (0, 1.5) pair's Lyapunov system is singular.
 REPORTS = {
     "linearize": ["linearize", PARAMS],
     "certify-gains-grid": ["certify-gains", PARAMS, "--k1=-2:4:7", "--k2=-2:4:7"],
@@ -111,7 +111,7 @@ def test_the_trim_hold_grid_search_is_the_scenarios_inner_loop(tmp_path):
     # The design loop, linearize -> certify -> fly: the grid search on trim_hold's params and trim prints, as
     # its first six lines, the [inner_loop] section demos/scenarios/trim_hold.cfg flies.
     scenario = read_config(SCENARIOS / "trim_hold.cfg", SCENARIO_SCHEMA)
-    params = read_config(ROOT / PARAMS, {"params": SCENARIO_SCHEMA["params"], "trim": {"speed": float, "thrust": float}})
+    params = read_config(ROOT / PARAMS, _PARAMS_SCHEMA)
     assert params["params"] == scenario["params"]
     assert (params["trim"]["speed"], params["trim"]["thrust"]) == (scenario["inner_loop"]["trim_speed"],
                                                                    scenario["inner_loop"]["trim_thrust"])

@@ -27,6 +27,7 @@ from ionblimp.harness import (
     SimRecord,
     SmcScenarioConfig,
     format_summary,
+    format_table,
     integrate_step,
     load_scenario,
     run_scenario,
@@ -577,7 +578,8 @@ def test_a_table_field_follows_the_number_rule(cls, valid, name, table):
 
 
 def test_an_int_thrust_map_is_dumped_as_floats():
-    text = thruster.dump_thrust_map(thruster.ThrustMap((0, 1), (0, 2)))
+    tmap = thruster.ThrustMap((0, 1), (0, 2))
+    text = format_table("input  thrust_grams", zip(tmap.inputs, tmap.thrust_grams))
     assert text == "# input  thrust_grams\n0.0  0.0\n1.0  2.0\n"
 
 

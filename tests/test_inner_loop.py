@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from ionblimp.dynamics import AirshipParams
+from ionblimp.harness import format_summary
 from ionblimp.inner_loop import (
     FirstOrderTf,
     InnerLoopConfig,
@@ -294,7 +295,7 @@ def test_gain_report_is_key_value_text():
     model = linearize(BENCH, 1.0, 0.05)
     cert = lyapunov_certify(closed_loop_vr(model, 0.0, 1.5))
     design = InnerLoopConfig(trim_speed=1.0, trim_thrust=0.05, k_u=0.9828, k_w=1.3, k1=0.0, k2=1.5)
-    text = gain_report(design, cert)
+    text = format_summary(gain_report(design, cert))
     parsed = dict(line.split("=", 1) for line in text.strip().splitlines())
     assert parsed["certificate_valid"] == "true"
     assert float(parsed["k2"]) == 1.5

@@ -6,7 +6,8 @@ numpy-only reader it replaced, verbatim but for its name, so the two must
 return the same rows or raise the same message. ``ReferenceTrajectory``
 unwraps its yaw column with a loop of ``np.unwrap``'s steps, and
 ``SmcModel`` inverts a diagonal M as reciprocals; both must give numpy's
-bits, signed zeros and nan included.
+bits, signed zeros and nan included. ``harness.format_table`` writes the
+plain grammar, so every table it writes is read back without numpy.
 """
 
 import math
@@ -127,6 +128,24 @@ def test_read_table_is_numpys_reader(drawn, tmp_path_factory):
     assert _outcome(read_table, path) == _outcome(numpy_read_table, path)
     if plain:  # read without numpy
         assert harness._plain_rows(path) is not None
+
+
+# Finite floats, with the ends of the range drawn often: signed zeros, subnormals and exponents near +-308.
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                   st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+                   st.floats(1e300, 1.7976931348623157e308), st.floats(-1.7976931348623157e308, -1e300))
+
+
+@PROPERTY
+@given(header=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
+       rows=st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(*[FINITE] * n), min_size=1, max_size=6)))
+def test_format_table_writes_the_plain_grammar_read_table_reads(header, rows, tmp_path_factory):
+    # The one table writer and its neighbour reader agree: what format_table writes is read without numpy,
+    # and read back bit for bit.
+    path = tmp_path_factory.getbasetemp() / "written.txt"
+    path.write_bytes(harness.format_table(header, rows).encode("ascii"))
+    assert harness._plain_rows(path) is not None
+    assert _outcome(read_table, path) == ("rows", repr(tuple(rows)))
 
 
 def test_read_table_keeps_numpys_message_for_a_missing_file_and_a_bad_argument(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ionblimp.dynamics import STANDARD_GRAVITY
+from ionblimp.harness import format_table
 from ionblimp.thruster import (
     BOLTZMANN,
     DEFAULT_ION_MOBILITY,
@@ -21,7 +22,6 @@ from ionblimp.thruster import (
     ThrustMap,
     collision_force_density,
     collision_force_density_mc,
-    dump_thrust_map,
     einstein_diffusivity,
     grams_force_to_newtons,
     ion_mobility,
@@ -343,7 +343,8 @@ def test_thrust_to_weight_cases():
 
 def test_thrust_map_file_round_trip(tmp_path):
     path = tmp_path / "map.txt"
-    path.write_text(dump_thrust_map(THROTTLE_MAP), encoding="utf-8")
+    path.write_text(format_table("input  thrust_grams", zip(THROTTLE_MAP.inputs, THROTTLE_MAP.thrust_grams)),
+                    encoding="utf-8")
     data = np.loadtxt(path, comments="#", ndmin=2)
     loaded = ThrustMap(inputs=tuple(data[:, 0].tolist()), thrust_grams=tuple(data[:, 1].tolist()))
     assert loaded.inputs == THROTTLE_MAP.inputs

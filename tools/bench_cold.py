@@ -17,8 +17,9 @@ Per case the file holds every pair, each side's median and quartiles, the
 median of the paired differences (head minus base, which cancels load that
 drifts slower than a pair), the pairs the head won and lost (lower is
 better), and whether both sides wrote the same stdout, CSV and summary bytes
-on every run. Whether ``PYTHONDONTWRITEBYTECODE`` was set is recorded: when
-it is, every run compiles ionblimp from source. The file is separate from
+on every run. Its ``env`` is ``bench_ab.run_env()`` plus the load average
+after the runs: whether ``PYTHONDONTWRITEBYTECODE`` was set is recorded, and
+when it is, every run compiles ionblimp from source. The file is separate from
 BENCH_<label>.json, whose top-level keys ``bench_ab`` rewrites.
 """
 
@@ -33,7 +34,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_ab import ROOT, _quartiles, export, head_identity
+from bench_ab import ROOT, _quartiles, export, head_identity, run_env
 
 SIMULATE = "import sys\nfrom ionblimp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
@@ -99,8 +100,7 @@ def main(argv=None) -> int:
               f"paired={case['median_head_minus_base'] * 1e3:+.1f}ms wins={case['wins']}/{args.runs} "
               f"identical={case['identical_outputs']}", flush=True)
     doc = {"label": args.label, "base": trees["base"].name, "head": head,
-           "env": {"python": sys.version.split()[0], "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-                   "nproc": os.cpu_count(), "loadavg_after": os.getloadavg()},
+           "env": {**run_env(), "loadavg_after": os.getloadavg()},
            "cases": results}
     out = ROOT / f"BENCH_{args.label}_cold.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
