@@ -30,17 +30,22 @@ Every step's command is recorded with its servo angles from one fixed map
 valid ``ThrusterCommand`` is in the servos' range by construction.
 
 Runs are deterministic: a fixed scenario file and seed reproduce output
-files byte for byte. This module reads every input file. Scenario configs,
-and the ``[params]``/``[trim]`` files of ``load_params``, are plain-text
-INI-style files whose first line must read ``# blimpsim-config v1``;
-``read_config`` checks every section and key against a schema table at load
-time, and ``read_table`` reads the open-loop script and SMC reference
-tables. An output path whose directory is missing fails at load. A run's
-records are its CSV rows: each ``SimRecord`` is a named tuple whose fields
-are ``CSV_COLUMNS``, so the column order is the record layout, defined
-once. Summaries are ``key=value`` text. A run imports numpy only for an
-irregular table, a non-diagonal M or a throttle, and ``thruster`` only for
-a throttle. It imports ``smc`` only for an ``[smc]`` section,
+files byte for byte. This module reads every input file, and writes every
+output file and every key=value report and plain table the CLI prints.
+Scenario configs, and the ``[params]``/``[trim]`` files of
+``load_params``, are plain-text INI-style files whose first line must read
+``# blimpsim-config v1``; ``read_config`` checks every section and key
+against a schema table at load time. ``read_table`` reads the open-loop
+script and SMC reference tables in the plain grammar that ``format_table``
+writes. An output path that is a directory or in a missing one, or a CSV
+and summary naming one file, fails at load. A run's records are its CSV
+rows: each ``SimRecord`` is a named tuple whose fields are
+``CSV_COLUMNS``, so the column order is the record layout, defined once.
+``format_summary`` writes ``key=value`` text: a run's summary and the
+``linearize`` and ``certify-gains`` reports, whose design lines are the
+``[inner_loop]`` keys ``read_config`` reads. A run imports numpy only for
+an irregular table, a non-diagonal M or a throttle, and ``thruster`` only
+for a throttle. It imports ``smc`` only for an ``[smc]`` section,
 ``inner_loop`` only for an ``[inner_loop]`` section, and never ``frames``.
 """
 
