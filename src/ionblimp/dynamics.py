@@ -16,11 +16,11 @@ The state layout is ``BodyState``'s fields, in order (``STATE_LABELS``):
 tuple or list of 12 floats the RK4 step hands them (``dataclasses.astuple``
 gives it from a ``BodyState``) and return a 12-float tuple. Each wrench
 term is defined once, as a public ``*_wrench`` function returning its
-body-frame (fx, fy, fz, mx, my, mz) as a 6-float tuple. The thrust command is
-held over an RK4 step, so both fields take the step's thrust wrench
-(``thruster_wrench`` of the command, computed once per step by the caller),
-and one scalar kernel, ``_body_wrench``, sums the aero, gravity/buoyancy and
-yaw-damping terms onto it for both models.
+body-frame (fx, fy, fz, mx, my, mz) as a 6-float tuple. Both fields take the
+thrust wrench held over an RK4 step, which the caller computes with
+``thruster_wrench`` once per held command (per row without noise, per step
+otherwise), and one scalar kernel, ``_body_wrench``, sums the aero,
+gravity/buoyancy and yaw-damping terms onto it for both models.
 
 Both derivative fields include a net vertical lift force (buoyancy minus
 weight, a single configurable number) and a linear yaw-damping moment

@@ -1,24 +1,24 @@
 """Fixed-step scenario engine, config ingestion and time-series output.
 
 ``run_scenario`` steps every scenario through one loop over a plant: a
-derivative field, stepped by RK4 over Python floats (``integrate_step``),
-its initial state as a tuple, and a controller giving the recorded
-state, the thruster command, the integrator input ``u`` and whether the
-actuators saturated. In both plants ``u`` is a generalized force held over
-the step: the rigid-body plant's is the command's ``thruster_wrench``,
-computed once per step, and the pose plant's the SMC force demand. The
-recorded state is laid out as ``BodyState``'s fields (``STATE_LABELS``).
-The RK4 step runs one unrolled kernel per state length (12 or 6),
-compiled from a source template the first time that length is stepped. A
-step that leaves a non-finite state fails naming the components, the
-input ``u`` held over it and the last finite state.
+derivative field, stepped by RK4 over Python floats (``integrate_step``), its
+initial state as a tuple, and a controller giving the recorded state, the
+thruster command, the integrator input ``u`` and whether the actuators
+saturated. In both plants ``u`` is a generalized force held over the step: the
+rigid-body plant's is the command's ``thruster_wrench``, computed once per
+held command (per row without noise, per step otherwise), and the pose plant's
+the SMC force demand. The recorded state is laid out as ``BodyState``'s fields
+(``STATE_LABELS``). The RK4 step runs one unrolled kernel per state length (12
+or 6), compiled from a source template the first time that length is stepped.
+A step that leaves a non-finite state fails naming the components, the input
+``u`` held over it and the last finite state.
 The ``CONTROLLERS`` table maps each controller name to the function that
 builds its run's plant, once, before the loop:
 
 * ``open_loop`` and ``inner_loop``: ``_rigid_body_plant``, model ``full``
   or ``planar``, under the command law ``demand(t, y)``: the scripted or
   constant command, or the trim feedback. Seeded yaw-gimbal noise and the
-  actuator clamp act on either law.
+  actuator clamp act on either law; without noise a script row is held.
 * ``smc``: ``_pose_plant``, the lateral pose model the tracker is designed
   for (position/heading plus their rates). The single-thruster allocation
   is evaluated and recorded at every step (command, saturation, residual)
@@ -37,8 +37,8 @@ Scenario configs, and the ``[params]``/``[trim]`` files of
 ``# blimpsim-config v1``; ``read_config`` checks every section and key
 against a schema table at load time. ``read_table`` reads the open-loop
 script and SMC reference tables in the plain grammar that ``format_table``
-writes. An output path that is a directory or in a missing one, or a CSV
-and summary naming one file, fails at load. A run's records are its CSV
+writes. An output path that is a directory or in a missing one, or that
+names an input file or the other output, fails at load. A run's records are its CSV
 rows: each ``SimRecord`` is a named tuple whose fields are
 ``CSV_COLUMNS``, so the column order is the record layout, defined once.
 ``format_summary`` writes ``key=value`` text: a run's summary and the
@@ -338,12 +338,17 @@ class SimResult:
 Plant = namedtuple("Plant", "derivative y0 labels control")
 
 
-def _rigid_body_plant(sc: Scenario, demand) -> Plant:
-    """Full or planar field under demand(t, y) -> (thrust, delta_y, delta_p), with seeded gimbal noise."""
+def _rigid_body_plant(sc: Scenario, demand, held=None) -> Plant:
+    """Full or planar field under demand(t, y) -> (thrust, delta_y, delta_p), with seeded gimbal noise and the
+    actuator clamp; or, given held (each command's thrust wrench by id), under the command demand(t) as it is."""
     deriv = full_derivatives if sc.model == "full" else planar_derivatives
     noise = uniform_stream(sc.seed) if sc.gimbal_noise > 0.0 else None  # a zero-width draw would turn -0.0 into 0.0
 
     def control(t, y):
+        state = (*y[:9], wrap_angle(y[9]), wrap_angle(y[10]), wrap_angle(y[11]))  # the angles wrapped
+        if held is not None:  # a valid command: the clamp would change nothing, so it is held with its wrench
+            cmd = demand(t)
+            return state, cmd, held[id(cmd)], False, (None,) * 5
         thrust, dy, dp = demand(t, y)
         if noise is not None:
             dy = dy + noise(-sc.gimbal_noise, sc.gimbal_noise)
@@ -354,20 +359,23 @@ def _rigid_body_plant(sc: Scenario, demand) -> Plant:
                    -lim if dy < -lim else lim if dy > lim else dy,
                    -lim if dp < -lim else lim if dp > lim else dp)
         cmd = ThrusterCommand(*limited)
-        state = (*y[:9], wrap_angle(y[9]), wrap_angle(y[10]), wrap_angle(y[11]))  # the angles wrapped
         return state, cmd, thruster_wrench(sc.params, cmd), limited != (thrust, dy, dp), (None,) * 5
 
-    return Plant(lambda vec, wrench: deriv(sc.params, vec, wrench), astuple(sc.initial), STATE_LABELS, control)
+    return Plant(functools.partial(deriv, sc.params), astuple(sc.initial), STATE_LABELS, control)
 
 
 def _open_loop_plant(sc: Scenario) -> Plant:
-    """Open loop: the scripted or constant command at t."""
+    """Open loop: the scripted or constant command at t. Without noise each row's command is held, its thrust
+    wrench computed once, here; keyed by id, as ThrusterCommand(0.0) == ThrusterCommand(-0.0) but not their wrenches."""
+    ol = sc.open_loop
 
     def demand(t, y):
-        cmd = sc.open_loop.command_at(t)
+        cmd = ol.command_at(t)
         return cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection
 
-    return _rigid_body_plant(sc, demand)
+    if sc.gimbal_noise > 0.0:
+        return _rigid_body_plant(sc, demand)
+    return _rigid_body_plant(sc, ol.command_at, {id(cmd): thruster_wrench(sc.params, cmd) for cmd in ol._commands})
 
 
 def _inner_loop_plant(sc: Scenario) -> Plant:
@@ -431,15 +439,17 @@ CONTROLLERS = {"open_loop": _open_loop_plant, "inner_loop": _inner_loop_plant, "
 def run_scenario(sc: Scenario) -> SimResult:
     """Run a scenario to completion and, if paths are set, write its outputs."""
     plant = CONTROLLERS[sc.controller](sc)
-    n_steps = int(round(sc.duration / sc.dt))
+    control, derivative, labels, dt = plant.control, plant.derivative, plant.labels, sc.dt
+    n_steps = int(round(sc.duration / dt))
     y = plant.y0
     records = []
+    append = records.append
     for step in range(n_steps + 1):
-        t = step * sc.dt
+        t = step * dt
         try:  # one failure path: the controller's and the integrator's errors carry the step
-            state, cmd, u, saturated, internals = plant.control(t, y)
+            state, cmd, u, saturated, internals = control(t, y)
             if step < n_steps:
-                y = integrate_step(plant.derivative, y, u, sc.dt, plant.labels)
+                y = integrate_step(derivative, y, u, dt, labels)
         except NonFiniteState as exc:  # the state blew up under the input held over it: name both
             held, last = ", ".join(map(repr, u)), ", ".join(map(repr, y))
             raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}; input held over the step: ({held}); "
@@ -447,8 +457,8 @@ def run_scenario(sc: Scenario) -> SimResult:
         except Exception as exc:
             raise ScenarioError(f"step {step} (t={t:.6f} s): {exc}") from exc
         flags = ("ground",) * (state[8] < 0.0) + ("saturation",) * saturated  # sorted
-        records.append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
-                                 *servo_map(cmd), *internals, flags))
+        append(SimRecord(t, *state, cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection,
+                         *servo_map(cmd), *internals, flags))
     result = SimResult(records=records, summary=_summarize(sc, records))
     if sc.csv_path:
         write_records_csv(result.records, sc.csv_path)
@@ -684,8 +694,14 @@ def load_scenario(path, csv=None, summary=None) -> Scenario:
     given = [(key, f"{path}: [output] {key}", value) for key, value in config.get("output", {}).items()]
     given += [(key, f"--{key}", value) for key, value in (("csv", csv), ("summary", summary)) if value]
     outputs = {key: (name, output_path(name, value)) for key, name, value in given}
-    if len(outputs) == 2 and (same := Path(outputs["csv"][1]).resolve()) == Path(outputs["summary"][1]).resolve():
-        raise ValueError(f"{outputs['csv'][0]} and {outputs['summary'][0]} name one file: {same}")
+    # An output may name no file the run reads, nor the other output: a clash names both where each was given.
+    named = {Path(path).resolve(): f"the scenario file {path}"}
+    named.update((Path(config[s][k]).resolve(), f"{path}: [{s}] {k}")
+                 for s, k in (("open_loop", "script"), ("smc", "reference")) if k in config.get(s, {}))
+    for name, value in (outputs[key] for key in ("csv", "summary") if key in outputs):
+        if (same := Path(value).resolve()) in named:
+            raise ValueError(f"{named[same]} and {name} name one file: {same}")
+        named[same] = name
     output = {f"{key}_path": value for key, (_, value) in outputs.items()}
     return _section(path, "scenario", Scenario, dict(**output, **built, **config.get("scenario", {})))
 

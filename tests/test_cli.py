@@ -454,18 +454,19 @@ def test_a_huge_initial_surge_names_the_state_it_started_from(tmp_path, capsys):
                    "last finite state: (1e+200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.8, 0.0, 0.0, 0.0)\n")
 
 
-def _fails_at_load(verb, path, named, capsys):
-    """blimpsim VERB PATH exits 1 with nothing on stdout and one stderr line, which starts `error: ` and holds
-    NAMED; that line is returned. A simulate file must fail in load_scenario with the same line, so before step 0."""
+def _fails_at_load(verb, path, named, capsys, flags=()):
+    """blimpsim VERB PATH [FLAGS] exits 1 with nothing on stdout and one stderr line, which starts `error: ` and
+    holds NAMED; that line is returned. A simulate file must fail in load_scenario, given the same --csv and
+    --summary flags, with the same line, so before step 0."""
     extra = ["--k1", "0.0", "--k2", "1.5"] if verb == "certify-gains" else []
-    assert main([verb, str(path), *extra]) == 1
+    assert main([verb, str(path), *extra, *flags]) == 1
     out, err = capsys.readouterr()
     assert (out, len(err.splitlines())) == ("", 1), err
     line = err.splitlines()[0]
     assert line.startswith("error: ") and named in line, line
     if verb == "simulate":
         with pytest.raises(ValueError) as raised:
-            load_scenario(path)
+            load_scenario(path, **{flag[2:]: value for flag, value in zip(flags[::2], flags[1::2])})
         assert line == f"error: {type(raised.value).__name__}: {raised.value}"
     return line
 
@@ -599,8 +600,8 @@ STEPS_MESSAGE = "bad.cfg: [scenario] duration / dt must be at most 10000000 step
 
 # id: (verb, config, the text its error line holds[, (name, text) of a table file the config names]). A config
 # string is written after the header to bad.cfg; a Path is read as it is, relative to the test's directory. A
-# table file whose text is None is not written. In the text, {dir} is the test's directory and {table} the
-# table file's path.
+# table file whose text is None is not written. A verb may be a tuple of the verb and its --csv/--summary flags.
+# In the text and the flags, {dir} is the test's directory and {table} the table file's path.
 LOAD_ERRORS = {
     "misspelt-key": ("simulate", "[scenario]\nmodle = full\n", "[scenario] modle"),
     "misspelt-open-loop-key": ("simulate", "[open_loop]\nthurst = 0.05\n", "[open_loop] thurst"),
@@ -629,6 +630,17 @@ LOAD_ERRORS = {
                                "bad.cfg: [output] summary: is a directory: {dir}"),
     "csv-and-summary-one-file": ("simulate", "[output]\ncsv = run.out\nsummary = ./run.out\n",
                                  "bad.cfg: [output] csv and {dir}/bad.cfg: [output] summary name one file: "),
+    "csv-flag-names-the-scenario": (("simulate", "--csv", "{dir}/bad.cfg"), "[scenario]\nduration = 0.01\n",
+                                    "the scenario file {dir}/bad.cfg and --csv name one file: {dir}/bad.cfg"),
+    "summary-flag-names-the-smc-reference": (("simulate", "--summary", "{table}"), SMC_SECTION,
+                                             "bad.cfg: [smc] reference and --summary name one file: {table}",
+                                             ("ref.txt", REF_TABLE)),
+    "output-csv-names-the-script": ("simulate", SCRIPT_SECTION + "[output]\ncsv = ./script.txt\n",
+                                    "bad.cfg: [open_loop] script and {dir}/bad.cfg: [output] csv name one file: "
+                                    "{table}", ("script.txt", "0 0.01 0 0\n")),
+    "output-summary-names-the-scenario": ("simulate", "[output]\ncsv = run.csv\nsummary = bad.cfg\n",
+                                          "the scenario file {dir}/bad.cfg and {dir}/bad.cfg: [output] summary name "
+                                          "one file: {dir}/bad.cfg"),
     "negative-mass": ("simulate", "[params]\nmass = -1\n", "bad.cfg: [params] mass"),
     "linearize-negative-mass": ("linearize", "[params]\nmass = -1\n", "bad.cfg: [params] mass must be positive"),
     "certify-gains-negative-mass": ("certify-gains", "[params]\nmass = -1\n",
@@ -737,6 +749,7 @@ LOAD_ERRORS = {
 @pytest.mark.parametrize("row", LOAD_ERRORS.values(), ids=LOAD_ERRORS)
 def test_bad_input_fails_at_load_naming_it(row, tmp_path, capsys):
     verb, config, named, *table = row
+    verb, *flags = (verb,) if isinstance(verb, str) else verb
     if isinstance(config, str):
         (tmp_path / "bad.cfg").write_text(CONFIG_HEADER + "\n" + config, encoding="utf-8")
         config = Path("bad.cfg")
@@ -746,7 +759,10 @@ def test_bad_input_fails_at_load_naming_it(row, tmp_path, capsys):
         if text is not None:
             table_path.write_text(text, encoding="utf-8")
     named = named.format(dir=tmp_path, table=table_path)
-    line = _fails_at_load(verb, tmp_path / config, named, capsys)
+    flags = [flag.format(dir=tmp_path, table=table_path) for flag in flags]
+    before = {file: file.read_bytes() for file in tmp_path.iterdir()}
+    line = _fails_at_load(verb, tmp_path / config, named, capsys, flags)
+    assert {file: file.read_bytes() for file in tmp_path.iterdir()} == before  # no input overwritten, no output made
     if table_path:  # a table file is named as often as the row's text names it: once, or not at all
         assert line.count(str(table_path)) == named.count(str(table_path)), line
 

@@ -888,9 +888,8 @@ def test_a_blown_up_step_names_the_wrench_it_held():
                                "0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)")
 
 
-@pytest.mark.parametrize("model", ["full", "planar"])
-def test_the_thrust_wrench_is_computed_once_per_step(model, monkeypatch):
-    # The command is held over the step, so its wrench is computed by the plant, not in each RK4 stage.
+def _counted_wrench_calls(monkeypatch):
+    """The commands harness hands thruster_wrench from now on, in call order; a field calling it would fail."""
     calls, thruster_wrench = [], dynamics.thruster_wrench
 
     def counted(params, cmd):
@@ -898,11 +897,94 @@ def test_the_thrust_wrench_is_computed_once_per_step(model, monkeypatch):
         return thruster_wrench(params, cmd)
 
     monkeypatch.setattr(harness, "thruster_wrench", counted)
-    monkeypatch.setattr(dynamics, "thruster_wrench", None)  # a field calling it would fail
+    monkeypatch.setattr(dynamics, "thruster_wrench", None)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["full", "planar"])
+def test_a_noiseless_constant_command_computes_its_wrench_once_per_run(model, monkeypatch):
+    # The command is valid as it stands and held over every step, so its wrench is computed once, at the start.
+    calls = _counted_wrench_calls(monkeypatch)
     sc = hover_scenario(model=model, duration=0.05, open_loop=OpenLoopCommand(thrust=0.01, delta_y=0.2))
     records = run_scenario(sc).records
-    assert len(records) == 51 and len(calls) == 50 + 1  # one per recorded step, the last included
-    assert all(cmd.thrust == 0.01 and cmd.yaw_deflection == 0.2 for cmd in calls)
+    assert len(records) == 51 and calls == [ThrusterCommand(0.01, 0.2, 0.0)]
+    assert all((rec.thrust, rec.delta_y, rec.delta_p) == (0.01, 0.2, 0.0) for rec in records)
+
+
+@pytest.mark.parametrize("model", ["full", "planar"])
+def test_a_noiseless_script_computes_each_rows_wrench_once(model, monkeypatch, tmp_path):
+    # Rows 0 and 2 differ only in the sign of a zero thrust: equal as commands, but each row keeps its own
+    # wrench and its own CSV cell.
+    script = ((0.0, 0.0, 0.1, 0.0), (0.02, 0.01, 0.1, 0.0), (0.04, -0.0, 0.1, 0.0))
+    assert ThrusterCommand(0.0, 0.1, 0.0) == ThrusterCommand(-0.0, 0.1, 0.0)
+    wrenches = [dynamics.thruster_wrench(AirshipParams(), ThrusterCommand(*row[1:])) for row in script]
+    assert [x.hex() for x in wrenches[0]] != [x.hex() for x in wrenches[2]]  # in the sign of a zero
+    calls = _counted_wrench_calls(monkeypatch)
+    sc = hover_scenario(model=model, duration=0.05, open_loop=OpenLoopCommand(script=script))
+    records = run_scenario(sc).records
+    assert [[x.hex() for x in (c.thrust, c.yaw_deflection, c.pitch_deflection)] for c in calls] == \
+        [[x.hex() for x in row[1:]] for row in script]
+    plant = harness._open_loop_plant(sc)
+    for (t, *_), wrench in zip(script, wrenches):  # each row holds its own wrench, signs of zero included
+        _, _, u, saturated, _ = plant.control(t, plant.y0)
+        assert not saturated and [x.hex() for x in u] == [x.hex() for x in wrench]
+    write_records_csv(records, tmp_path / "run.csv")
+    thrust_cells = [line.split(",")[CSV_COLUMNS.index("thrust")]
+                    for line in (tmp_path / "run.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert thrust_cells == ["0.0"] * 20 + ["0.01"] * 20 + ["-0.0"] * 11
+
+
+THROUGH_THE_CLAMP = {
+    "noisy-open-loop-full": lambda: hover_scenario(model="full", gimbal_noise=0.05, seed=3, duration=0.05,
+                                                   open_loop=OpenLoopCommand(thrust=0.01)),
+    "noisy-open-loop-planar": lambda: hover_scenario(model="planar", gimbal_noise=0.05, seed=3, duration=0.05,
+                                                     open_loop=OpenLoopCommand(thrust=0.01)),
+    "inner-loop": lambda: hover_scenario(controller="inner_loop", duration=0.05,
+                                         inner_loop=InnerLoopConfig(trim_speed=0.3, trim_thrust=0.01, k_u=0.5)),
+}
+
+
+@pytest.mark.parametrize("make", THROUGH_THE_CLAMP.values(), ids=THROUGH_THE_CLAMP)
+def test_a_command_through_the_clamp_computes_its_wrench_once_per_step(make, monkeypatch):
+    # Noise or feedback makes a new command at every step, so its wrench is computed per step, the last included.
+    calls = _counted_wrench_calls(monkeypatch)
+    records = run_scenario(make()).records
+    assert len(records) == 51 and len(calls) == 50 + 1
+    assert [(c.thrust, c.yaw_deflection, c.pitch_deflection) for c in calls] == \
+        [(rec.thrust, rec.delta_y, rec.delta_p) for rec in records]
+
+
+def _general_law(sc):
+    """The rigid-body plant under the open-loop command at t, through the clamp and per-step wrench."""
+    def demand(t, y):
+        cmd = sc.open_loop.command_at(t)
+        return cmd.thrust, cmd.yaw_deflection, cmd.pitch_deflection
+
+    return harness._rigid_body_plant(sc, demand)
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+HELD_ROW = st.tuples(SIGNED_ZEROS | st.floats(0.0, 0.1),
+                     *[SIGNED_ZEROS | st.sampled_from([-GIMBAL_LIMIT, GIMBAL_LIMIT]) | DEFLECTIONS] * 2)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(model=st.sampled_from(["full", "planar"]), rows=st.lists(HELD_ROW, min_size=1, max_size=5),
+       constant=st.booleans(), initial=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)))
+def test_a_held_command_records_what_the_general_law_records(model, rows, constant, initial):
+    # A noiseless open loop holds each row's command and wrench; the clamp and a per-step wrench give every
+    # record cell the same bits, -0.0 included. Rows fall two steps apart, so every row is flown.
+    if constant and len(rows) == 1:
+        open_loop = OpenLoopCommand(rows[0][0], delta_y=rows[0][1], delta_p=rows[0][2])
+    else:
+        open_loop = OpenLoopCommand(script=tuple((0.002 * i, *row) for i, row in enumerate(rows)))
+    u, v, r = initial
+    sc = hover_scenario(model=model, duration=0.01, open_loop=open_loop, initial=BodyState(u=u, v=v, r=r, h=1.8))
+    held = run_scenario(sc).records
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(harness.CONTROLLERS, "open_loop", _general_law)
+        general = run_scenario(sc).records
+    assert [list(map(repr, rec)) for rec in held] == [list(map(repr, rec)) for rec in general]
 
 
 # --- outputs -----------------------------------------------------------------
