@@ -29,22 +29,22 @@ Every step's command is recorded with its servo angles from one fixed map
 (``servo_map``): a 90 deg center and travel equal to the gimbal limit, so a
 valid ``ThrusterCommand`` is in the servos' range by construction.
 
-Runs are deterministic: a fixed scenario file and seed reproduce output
-files byte for byte. This module reads every input file, and writes every
-output file and every key=value report and plain table the CLI prints.
-Scenario configs, and the ``[params]``/``[trim]`` files of
-``load_params``, are plain-text INI-style files whose first line must read
-``# blimpsim-config v1``; ``read_config`` checks every section and key
-against a schema table at load time. ``read_table`` reads the open-loop
-script and SMC reference tables in the plain grammar that ``format_table``
-writes. An output path that is a directory or in a missing one, or that
-names an input file or the other output, fails at load. A run's records are its CSV
-rows: each ``SimRecord`` is a named tuple whose fields are
-``CSV_COLUMNS``, so the column order is the record layout, defined once.
-``format_summary`` writes ``key=value`` text: a run's summary and the
-``linearize`` and ``certify-gains`` reports, whose design lines are the
-``[inner_loop]`` keys ``read_config`` reads. A run imports numpy only for
-an irregular table, a non-diagonal M or a throttle, and ``thruster`` only
+Runs are deterministic: a fixed scenario file and seed reproduce output files
+byte for byte. This module reads every input file, and writes every output
+file and every key=value report and plain table the CLI prints. Scenario
+configs, and the ``[params]``/``[trim]`` files of ``load_params``, are
+plain-text INI-style files whose first line must read
+``# blimpsim-config v1``; ``read_config`` checks every section and key against
+a schema table at load time. ``read_table`` reads the open-loop script and SMC
+reference tables in Python, as ``np.loadtxt`` reads them, and ``format_table``
+writes them. An input that cannot be read fails at load naming the file, as
+does an output path that is a directory, in a missing one, or names an input
+or the other output. A run's records are its CSV rows: each ``SimRecord`` is a
+named tuple whose fields are ``CSV_COLUMNS``, so the column order is the
+record layout, defined once. ``format_summary`` writes ``key=value`` text: a
+run's summary and the ``linearize`` and ``certify-gains`` reports, whose
+design lines are the ``[inner_loop]`` keys ``read_config`` reads. A run
+imports numpy only for a non-diagonal M or a throttle, and ``thruster`` only
 for a throttle. It imports ``smc`` only for an ``[smc]`` section,
 ``inner_loop`` only for an ``[inner_loop]`` section, and never ``frames``.
 """
@@ -55,7 +55,6 @@ import bisect
 import configparser
 import functools
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -560,7 +559,7 @@ def read_config(path, schema: dict) -> dict:
     ValueError naming it. Paths resolve against the file's own directory.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     first_line = text.splitlines()[0].strip() if text.strip() else ""
     if first_line != CONFIG_HEADER:
         raise ValueError(f"{path}: first line must be {CONFIG_HEADER!r}, got {first_line!r}")
@@ -586,42 +585,44 @@ def read_config(path, schema: dict) -> dict:
     return config
 
 
-def _plain_rows(path):
-    """The rows of a table file in the plain grammar, or None for ``np.loadtxt`` to read (or to word the failure)."""
-    if isinstance(path, (bytes, int)) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
-        return None  # np.loadtxt iterates a bytes or int argument, and decompresses a file with such a suffix
+def _read_text(path) -> str:
+    """A UTF-8 file's text, read in text mode (LF, CRLF and CR each end a line); a failure is one ValueError that
+    starts with the path."""
     try:
-        with open(path, "rb") as file:
-            text = file.read()
-        bodies = [line.split(b"#", 1)[0] for line in text.split(b"\n")]
-        if not text.isascii() or b"\r" in text or any(body.translate(None, b"0123456789+-.eE \t") for body in bodies):
-            return None
-        rows = tuple(tuple(map(float, body.split())) for body in bodies if body.strip())
-    except (OSError, TypeError, ValueError):
-        return None
-    return rows if rows and len(set(map(len, rows))) == 1 else None
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror.lower()}") from None
+    except UnicodeDecodeError as exc:  # read() decodes the whole file: the byte's line is one past the ends before it
+        raise ValueError(f"{path}: line {len((exc.object[:exc.start] + b'.').splitlines())}: not UTF-8") from None
 
 
 def read_table(path) -> tuple:
-    """Rows of a plain-text numeric table with ``#`` comments, as float tuples; a failure names the file.
+    """Rows of a plain-text numeric table as float tuples, read as ``np.loadtxt(path, comments="#", ndmin=2)`` reads
+    them: ``#`` starts a comment, whitespace splits tokens, every row has one length and there is at least one row.
+    float() parses a token as numpy does once it is ASCII without ``_``. A failure names the file and the line."""
+    rows = []
+    for number, line in enumerate(_read_text(path).split("\n"), 1):
+        if not (tokens := line.split("#", 1)[0].split()):
+            continue
+        try:
+            if odd := [token for token in tokens if not token.isascii() or "_" in token]:
+                raise ValueError(f"could not convert string to float: {odd[0]!r}")
+            rows.append(tuple(map(float, tokens)))
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{len(rows[-1])} values, where the rows above have {len(rows[0])}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return tuple(rows)
 
-    A file in the plain grammar (ASCII; ``\\n`` line ends; tokens of digits and ``+-.eE`` split by spaces or tabs;
-    rows of one length, at least one) is read in Python: float() parses such a token with PyOS_string_to_double,
-    as numpy does. An irregular file goes to ``np.loadtxt``, whose messages are the specification."""
-    if (rows := _plain_rows(path)) is not None:
-        return rows
-    import numpy as np
+
+def _prefixed(prefix: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError is prefixed with prefix, a config key or a file that it read."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input warning; raised below
-            rows = np.loadtxt(path, comments="#", ndmin=2)
-        if not rows.size:
-            raise ValueError("no data rows")
-    except OSError as exc:  # numpy's own message for a missing file repeats the path
-        raise ValueError(f"{path}: {exc.strerror or 'not found'}") from None
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return tuple(map(tuple, rows.tolist()))
+        raise ValueError(f"{prefix}: {exc}") from None
 
 
 def format_table(header: str, rows) -> str:
@@ -648,7 +649,7 @@ def _section(path, name: str, make, values: dict):
 
 
 def _open_loop(script=None, **values) -> OpenLoopCommand:
-    return OpenLoopCommand(script=None if script is None else read_table(script), **values)
+    return OpenLoopCommand(script=None if script is None else _prefixed("script", read_table, script), **values)
 
 
 def _inner_loop_config(**values):
@@ -659,13 +660,11 @@ def _inner_loop_config(**values):
 def _smc_config(reference, **values) -> SmcScenarioConfig:
     from .smc import ReferenceTrajectory, SmcGains
     gains = SmcGains(**{f.name: values.pop(f.name) for f in fields(SmcGains) if f.name in values})
-    data = read_table(reference)
+    data = _prefixed("reference", read_table, reference)
     if len(data[0]) != 4:
         raise ValueError(f"expected four columns (t, x, y, psi) in {reference}")
-    try:
-        trajectory = ReferenceTrajectory(times=tuple(row[0] for row in data), poses=tuple(row[1:] for row in data))
-    except ValueError as exc:
-        raise ValueError(f"{reference}: {exc}") from None
+    times, poses = tuple(row[0] for row in data), tuple(row[1:] for row in data)
+    trajectory = _prefixed(reference, ReferenceTrajectory, times, poses)
     return SmcScenarioConfig(gains=gains, reference=trajectory, **values)
 
 

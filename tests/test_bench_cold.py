@@ -16,15 +16,26 @@ def bench_cold(monkeypatch):
 
 
 def test_cases_are_the_demo_scenarios_and_the_cli_import(bench_cold):
-    assert list(bench_cold.cases(ROOT)) == ["cruise", "envelope", "heading_step", "hover", "trim_hold", "import_cli"]
+    names = list(bench_cold.cases(ROOT))
+    assert names[:5] + names[-1:] == ["cruise", "envelope", "heading_step", "hover", "trim_hold", "import_cli"]
+    assert names[5:-1] == list(bench_cold.REPORTS)
+
+
+def test_the_report_cases_are_the_golden_reports_commands(bench_cold, monkeypatch):
+    # The four REPORTS verbs that import numpy, as tests/test_golden.py runs them.
+    monkeypatch.syspath_prepend(str(ROOT / "tests"))
+    golden = importlib.import_module("test_golden").REPORTS
+    for name, argv in bench_cold.REPORTS.items():
+        assert golden[name.replace("_", "-")] == argv
+        assert bench_cold.cases(ROOT)[name] == [bench_cold.BLIMPSIM, *argv]
 
 
 def test_cases_are_the_scenarios_every_tree_holds(bench_cold, tmp_path):
-    # A base that predates a scenario runs the others, not a file it lacks.
+    # A base that predates a scenario or the params file runs the others, not a file it lacks.
     (tmp_path / "demos" / "scenarios").mkdir(parents=True)
     for name in ("hover.cfg", "cruise.cfg", "old.cfg", "hover_ref.txt"):
         (tmp_path / "demos" / "scenarios" / name).write_text("", encoding="utf-8")
-    assert list(bench_cold.cases(ROOT, tmp_path)) == ["cruise", "hover", "import_cli"]
+    assert list(bench_cold.cases(ROOT, tmp_path)) == ["cruise", "hover", "step_response", "import_cli"]
     assert bench_cold.cases(tmp_path, ROOT) == bench_cold.cases(ROOT, tmp_path)
 
 

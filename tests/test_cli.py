@@ -1,3 +1,4 @@
+import gzip
 import importlib.util
 import json
 import os
@@ -238,14 +239,14 @@ thrust = 0.005
 
 SCRIPT_CFG = CONFIG_HEADER + "\n[scenario]\nduration = 1.0\ndt = 0.01\n[open_loop]\nscript = script.txt\n"
 SCRIPT_TABLE = "# t thrust delta_y delta_p\n0.0 0.01 0.0 0.0\n0.5\t+2e-2 -.1 5E-2\n"
-# Script tables the plain reader leaves to numpy, and the error line numpy's reader gives for each. numpy ends a
-# line at a CR, even one inside a comment, so a plain reader that took the CR into the comment would read one row.
+# Script tables that format_table never writes, and the error line each fails on. A CR ends a line, even one
+# inside a comment, as it does for numpy's reader, so a reader that took the CR into the comment would read one row.
 IRREGULAR_TABLES = {
     "nan": ("0.0 0.01 0.0 0.0\n0.5 nan 0.0 0.0\n", "[open_loop] script must be finite, got nan"),
     "underscore": ("0.0 0.01 0.0 0.0\n0.5 1_0 0.0 0.0\n",
-                   "[open_loop] {script}: could not convert string '1_0' to float64 at row 1, column 2."),
-    "crlf-ragged": ("0.0 0.01 0.0 0.0 # CR\r0.5 0.02 0.0\r\n", "[open_loop] {script}: the number of columns changed "
-                    "from 4 to 3 at row 2; use `usecols` to select a subset and avoid this error"),
+                   "[open_loop] script: {script}: line 2: could not convert string to float: '1_0'"),
+    "crlf-ragged": ("0.0 0.01 0.0 0.0 # CR\r0.5 0.02 0.0\r\n",
+                    "[open_loop] script: {script}: line 2: 3 values, where the rows above have 4"),
 }
 
 
@@ -287,8 +288,8 @@ _LIFT_BUDGET = ("from ionblimp.buoyancy import EnvelopeGeometry, lift_budget\n"
 # The one owner of the import rules, for the installed blimpsim entry point too: its wrapper only calls cli.main,
 # which each argv row runs here in a fresh interpreter, so CI checks no import log of its own.
 # Code, or a blimpsim argv (PARAMS is the params file, a simulate case is a _scenario_file case); its exit code;
-# and the watched modules it loads. numpy is loaded only for matrix work, a throttle map or a table the plain
-# reader leaves to it. smc is read only for an [smc] section (harness reads every table), inner_loop for an
+# and the watched modules it loads. numpy is loaded only for matrix work or a throttle map, never for a table,
+# even one that fails. smc is read only for an [smc] section (harness reads every table), inner_loop for an
 # [inner_loop] section, thruster for a thrust map; no run reads the matrix-form frames.
 COLD_RUNS = {
     "import-cli": ("import ionblimp.cli", 0, set()),
@@ -306,7 +307,7 @@ COLD_RUNS = {
     "certify-gains": (["certify-gains", "PARAMS", "--k1", "0.0", "--k2", "1.5"], 0, {"numpy", "inner_loop"}),
     "step-response": (["step-response", "1.0"], 0, {"numpy", "inner_loop"}),
     "thruster-map": (["thruster-map", "throttle", "--at", "0.5"], 0, {"numpy", "thruster"}),
-    **{f"irregular-{name}": (["simulate", name], 1, {"numpy"}) for name in IRREGULAR_TABLES},
+    **{f"irregular-{name}": (["simulate", name], 1, set()) for name in IRREGULAR_TABLES},
 }
 
 
@@ -373,7 +374,7 @@ def test_table_free_perfbench_simulate_never_imports_numpy(workload, tmp_path_fa
 
 @pytest.mark.parametrize("case", ["heading_step", "perfbench_smc_tracking", "script"])
 def test_table_simulate_never_imports_numpy(case, tmp_path_factory):
-    # A reference or script table in the plain grammar is read in Python, and a diagonal M is inverted there.
+    # A reference or script table is read in Python, and a diagonal M is inverted there.
     assert "numpy" not in _cold_loaded(case.replace("_", "-"), tmp_path_factory)
 
 
@@ -390,9 +391,8 @@ def test_a_run_imports_smc_and_inner_loop_only_for_what_it_flies(case, modules, 
 
 
 @pytest.mark.parametrize("case", IRREGULAR_TABLES)
-def test_a_table_the_plain_reader_defers_imports_numpy_and_keeps_its_error_line(case, tmp_path, capsys):
-    # numpy reads what the plain grammar leaves out, so its messages stay the specification (COLD_RUNS checks
-    # that these runs load numpy).
+def test_an_irregular_table_fails_on_one_error_line(case, tmp_path, capsys):
+    # The line names the key, the file and the line in it (COLD_RUNS checks that these runs load no numpy).
     cfg = _scenario_file(case, tmp_path)
     assert main(["simulate", str(cfg)]) == 1
     line = IRREGULAR_TABLES[case][1].format(script=tmp_path / "script.txt")
@@ -409,6 +409,22 @@ def test_a_yaw_jump_that_overflows_fails_on_one_stderr_line(tmp_path):
                           "simulate", str(cfg)], capture_output=True, text=True, env=env)
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr == f"error: ValueError: {cfg}: [smc] {ref}: pose slope from t=0.0 to t=1.0 is not finite\n"
+
+
+def test_a_crlf_script_flies_as_its_lf_copy(tmp_path, capsys):
+    # CRLF line ends read as LF: envelope's script, rewritten with them, writes the demo's stdout, CSV and summary.
+    scenarios, written = ROOT / "demos" / "scenarios", {}
+    for name, end in (("lf", b"\n"), ("crlf", b"\r\n")):
+        (tmp_path / name).mkdir()
+        script = (scenarios / "envelope_script.txt").read_bytes()
+        assert b"\r" not in script
+        (tmp_path / name / "envelope_script.txt").write_bytes(script.replace(b"\n", end))
+        (tmp_path / name / "envelope.cfg").write_bytes((scenarios / "envelope.cfg").read_bytes())
+        outputs = [tmp_path / name / "run.csv", tmp_path / name / "run.txt"]
+        assert main(["simulate", str(tmp_path / name / "envelope.cfg"),
+                     "--csv", str(outputs[0]), "--summary", str(outputs[1])]) == 0
+        written[name] = [capsys.readouterr().out.encode(), *(path.read_bytes() for path in outputs)]
+    assert written["crlf"] == written["lf"]
 
 
 def _heading_step_with_c2(c2, tmp_path):
@@ -600,7 +616,8 @@ STEPS_MESSAGE = "bad.cfg: [scenario] duration / dt must be at most 10000000 step
 
 # id: (verb, config, the text its error line holds[, (name, text) of a table file the config names]). A config
 # string is written after the header to bad.cfg; a Path is read as it is, relative to the test's directory. A
-# table file whose text is None is not written. A verb may be a tuple of the verb and its --csv/--summary flags.
+# table file's text is written as UTF-8, its bytes as they are, and one whose text is None is not written. A
+# verb may be a tuple of the verb and its --csv/--summary flags.
 # In the text and the flags, {dir} is the test's directory and {table} the table file's path.
 LOAD_ERRORS = {
     "misspelt-key": ("simulate", "[scenario]\nmodle = full\n", "[scenario] modle"),
@@ -696,6 +713,13 @@ LOAD_ERRORS = {
                              STEPS_MESSAGE + "duration=1e+300, dt=1e-10"),
     "certify-gains-k-w-overflows": ("certify-gains", "[params]\nlift_slope = 0.1\n[trim]\nthrust = 1e-320\n",
                                     "k_w bound at trim_speed=1.0, trim_thrust=1e-320 must be finite, got inf"),
+    "not-utf8": ("simulate", Path("latin1.cfg"), "{table}: line 2: not UTF-8",
+                 ("latin1.cfg", (CONFIG_HEADER + "\n# caf\xe9\n").encode("latin-1"))),
+    "linearize-not-utf8": ("linearize", Path("latin1.cfg"), "{table}: line 3: not UTF-8",
+                           ("latin1.cfg", (CONFIG_HEADER + "\n[params]\n# caf\xe9\n").encode("latin-1"))),
+    "scenario-is-a-directory": ("simulate", Path("."), "error: ValueError: {dir}: is a directory"),
+    "linearize-directory": ("linearize", Path("."), "error: ValueError: {dir}: is a directory"),
+    "missing-scenario": ("simulate", Path("missing.cfg"), "error: ValueError: {dir}/missing.cfg: no such file"),
     "no-header": ("simulate", Path("broken.cfg"), "{table}: first line must be '# blimpsim-config v1', got '[scenario]'",
                   ("broken.cfg", "[scenario]\n")),
     "percent-reference": ("simulate", "[open_loop]\ndelta_y = 0.1\nthrust = %(delta_y)s\n",
@@ -710,9 +734,16 @@ LOAD_ERRORS = {
                                 ("ref.txt", REF_TABLE)),
     "negative-t-max": ("simulate", SMC_SECTION + "t_max = -0.01\n",
                        "bad.cfg: [smc] t_max must be positive and finite, got -0.01", ("ref.txt", REF_TABLE)),
+    "reference-underscore": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: line 2: could not convert "
+                             "string to float: '1_0'", ("ref.txt", "0.0 0 0 0.5\n1.0 1_0 0 0.5\n")),
+    "reference-ragged-after-cr": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: line 3: 3 values, "
+                                  "where the rows above have 4", ("ref.txt", b"0.0 0 0 0.5\r# t x y\r1.0 0 0\r")),
+    "reference-gzip": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: line 1: not UTF-8",
+                       ("ref.txt", gzip.compress(REF_TABLE.encode("ascii")))),
     "nan-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] {table}: poses must be finite, got nan",
                       ("ref.txt", "0.0 0 0 0.5\n1.0 0 0 nan\n")),
-    "empty-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] {table}: no data rows", ("ref.txt", "# t x y psi\n")),
+    "empty-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: no data rows",
+                        ("ref.txt", "# t x y psi\n")),
     "subnormal-knot-spacing": ("simulate", SMC_SECTION,
                                "bad.cfg: [smc] {table}: pose slope from t=0.0 to t=1e-320 is not finite",
                                ("ref.txt", "0.0 0 0 0.5\n1e-320 1 0 0.5\n")),
@@ -720,7 +751,7 @@ LOAD_ERRORS = {
                         "bad.cfg: [smc] {table}: knot spacing from t=-1e+308 to t=1e+308 is not finite",
                         ("ref.txt", "-1e308 0 0 0\n1e308 1 0 0\n")),
     "missing-smc-reference": ("simulate", SMC_SECTION.replace("ref.txt", "missing.txt"),
-                              "bad.cfg: [smc] {table}: not found", ("missing.txt", None)),
+                              "bad.cfg: [smc] reference: {table}: no such file or directory", ("missing.txt", None)),
     "script-out-of-range-row": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script row at t=0.005: |delta_y|",
                                 ("script.txt", "0.0 0.01 0.0 0\n0.005 0.01 2.0 0\n")),
     "script-delta-p-2-ulp-past-gimbal": ("simulate", SCRIPT_SECTION,
@@ -734,14 +765,25 @@ LOAD_ERRORS = {
     "script-starts-after-zero": ("simulate", SCRIPT_SECTION,
                                  "bad.cfg: [open_loop] script row at t=1.0: the first row must be at t = 0",
                                  ("script.txt", "1.0 0.01 0 0\n")),
-    "script-unparsable": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] {table}: could not convert string 'abc'",
-                          ("script.txt", "0 abc 0 0\n")),
-    "script-empty": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] {table}: no data rows", ("script.txt", "")),
+    "script-unparsable": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script: {table}: line 2: could not "
+                          "convert string to float: 'abc'", ("script.txt", "# t thrust delta_y delta_p\n0 abc 0 0\n")),
+    "script-underscore": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script: {table}: line 1: could not "
+                          "convert string to float: '1_0'", ("script.txt", "0 1_0 0 0\n")),
+    "script-ragged-after-cr": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script: {table}: line 2: 3 values, "
+                               "where the rows above have 4", ("script.txt", b"0 0.01 0 0 # CR\r0.5 0.02 0\r\n")),
+    "script-bom": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script: {table}: line 1: could not convert "
+                   "string to float: '\\ufeff0'", ("script.txt", "\ufeff0 0.01 0 0\n")),
+    "script-gzip": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script: {table}: line 1: not UTF-8",
+                    ("script.txt", gzip.compress(b"0 0.01 0 0\n"))),
+    "script-empty": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script: {table}: no data rows",
+                     ("script.txt", "")),
+    "script-comments-only": ("simulate", SCRIPT_SECTION, "bad.cfg: [open_loop] script: {table}: no data rows",
+                             ("script.txt", "# t thrust delta_y delta_p\r\n\r\n# end\r\n")),
     "script-row-after-the-end": ("simulate", SCRIPT_SECTION,
                                  "bad.cfg: [scenario] open_loop: script row at t=20.0: after the end, duration=10.0",
                                  ("script.txt", "0 0.01 0 0\n20.0 0.02 0 0\n")),
-    "missing-script": ("simulate", "[open_loop]\nscript = missing.txt\n", "bad.cfg: [open_loop] {table}: not found",
-                       ("missing.txt", None)),
+    "missing-script": ("simulate", "[open_loop]\nscript = missing.txt\n",
+                       "bad.cfg: [open_loop] script: {table}: no such file or directory", ("missing.txt", None)),
 }
 
 
@@ -757,7 +799,7 @@ def test_bad_input_fails_at_load_naming_it(row, tmp_path, capsys):
     for name, text in table:
         table_path = tmp_path / name
         if text is not None:
-            table_path.write_text(text, encoding="utf-8")
+            table_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     named = named.format(dir=tmp_path, table=table_path)
     flags = [flag.format(dir=tmp_path, table=table_path) for flag in flags]
     before = {file: file.read_bytes() for file in tmp_path.iterdir()}

@@ -1,15 +1,16 @@
 """The table and SMC load path without numpy, against the numpy calls it replaced, bit for bit.
 
-``harness.read_table`` reads a table in its plain grammar in Python and leaves
-every other file to ``np.loadtxt``; ``numpy_read_table`` below is the
-numpy-only reader it replaced, verbatim but for its name, so the two must
-return the same rows or raise the same message. ``ReferenceTrajectory``
-unwraps its yaw column with a loop of ``np.unwrap``'s steps, and
-``SmcModel`` inverts a diagonal M as reciprocals; both must give numpy's
-bits, signed zeros and nan included. ``harness.format_table`` writes the
-plain grammar, so every table it writes is read back without numpy.
+``harness.read_table`` is one Python reader for every table file.
+``numpy_read_table`` below is the numpy-only reader it replaced, verbatim but
+for its name: on every file numpy reads, the two must return the same rows,
+and on every file numpy refuses, ``read_table`` must refuse naming the file.
+``ReferenceTrajectory`` unwraps its yaw column with a loop of ``np.unwrap``'s
+steps, and ``SmcModel`` inverts a diagonal M as reciprocals; both must give
+numpy's bits, signed zeros and nan included. ``harness.format_table`` writes
+the grammar ``read_table`` reads, so every table it writes is read back.
 """
 
+import gzip
 import math
 import struct
 import warnings
@@ -66,18 +67,21 @@ NUMBERS = st.one_of(
     st.sampled_from(["0", "-0", "+0.0", ".5", "5.", "-.5e-3", "1e308", "1e309", "-1e400", "1e-330", "00012"]),
 )
 # Each edit may take a file out of the plain grammar. float() takes some of these tokens that numpy refuses
-# ("1_0"), numpy takes some that the plain grammar leaves out ("nan", "\v"), and some neither takes.
+# ("1_0", "１"), both take some that format_table never writes ("nan", "\v"), and some neither takes.
 ODD_TOKENS = ["1_0", "2e1_0", "nan", "-Infinity", "１", "1e", "--1", "0x1", "1\x00", "1.2.3"]
 ODD_SEPARATORS = ["\v", "\f", "\x1c", "\x1f", "\r", "\xa0", ",", "\x00", "\v\t"]
 ODD_ENDS = ["\r\n", "\r", "\v\n", "\x1c\n", "\f\n"]
 ODD_COMMENTS = ["# \r 5", "#\r\n", "# é", "# ５", "#\x1c", "#\v1", "# \x00"]
+ODD_BYTES = [b"\xe9", b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]  # none of them UTF-8
 
 
 @st.composite
 def table_files(draw):
-    """A file in read_table's plain grammar and, in most draws, one or two edits that may take it out.
+    """The bytes of a file in format_table's plain grammar and, in most draws, one or two edits that may take it
+    out; and whether it is left unedited with at least one row.
 
-    Each line is [lead, tokens, separators, tail, end]; a line without tokens is a blank or comment line.
+    Each line is [lead, tokens, separators, tail, end]; a line without tokens is a blank or comment line. A "bom"
+    edit starts the file with a byte order mark, an "undecodable" edit puts a byte that is not UTF-8 anywhere.
     """
     width = draw(st.integers(1, 5))
     lines = []
@@ -89,8 +93,8 @@ def table_files(draw):
             "", "   ", "\t", "# " + draw(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8))]))
         lines.append([draw(st.sampled_from(["", " ", "\t"])), tokens, separators, tail, "\n"])
     rows = [line for line in lines if line[1]]
-    edits = draw(st.lists(st.sampled_from(["token"] * 3 + ["separator"] * 2 + ["end", "comment", "ragged", "no rows",
-                                                                                "blank"]), max_size=2))
+    edits = draw(st.lists(st.sampled_from(["token"] * 3 + ["separator"] * 2 + [
+        "end", "comment", "ragged", "no rows", "blank", "bom", "undecodable"]), max_size=2))
     for edit in edits:
         line = draw(st.sampled_from(rows or lines))
         if edit == "token" and line[1]:
@@ -116,18 +120,25 @@ def table_files(draw):
                    + tail + end for lead, tokens, separators, tail, end in lines)
     if draw(st.booleans()):
         text = text[:-1] if text.endswith("\n") else text  # no line end after the last line
-    return text, not edits and bool(rows)
+    data = ("\ufeff" * ("bom" in edits) + text).encode("utf-8")
+    if "undecodable" in edits:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(ODD_BYTES)) + data[at:]
+    return data, not edits and bool(rows)
 
 
 @settings(PROPERTY, max_examples=600)
 @given(drawn=table_files())
 def test_read_table_is_numpys_reader(drawn, tmp_path_factory):
-    text, plain = drawn
+    # The same rows wherever numpy reads the file, and a refusal naming the file wherever numpy refuses it.
+    data, plain = drawn
     path = tmp_path_factory.getbasetemp() / "table.txt"
-    path.write_bytes(text.encode("utf-8"))
-    assert _outcome(read_table, path) == _outcome(numpy_read_table, path)
-    if plain:  # read without numpy
-        assert harness._plain_rows(path) is not None
+    path.write_bytes(data)
+    ours, numpys = _outcome(read_table, path), _outcome(numpy_read_table, path)
+    if numpys[0] == "rows" or plain:
+        assert ours == numpys
+    else:
+        assert ours[0] == "error" and ours[1].startswith(f"{path}: "), ours
 
 
 # Finite floats, with the ends of the range drawn often: signed zeros, subnormals and exponents near +-308.
@@ -140,24 +151,25 @@ FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_
 @given(header=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
        rows=st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(*[FINITE] * n), min_size=1, max_size=6)))
 def test_format_table_writes_the_plain_grammar_read_table_reads(header, rows, tmp_path_factory):
-    # The one table writer and its neighbour reader agree: what format_table writes is read without numpy,
-    # and read back bit for bit.
+    # The one table writer and its neighbour reader agree: what format_table writes is read back bit for bit.
     path = tmp_path_factory.getbasetemp() / "written.txt"
     path.write_bytes(harness.format_table(header, rows).encode("ascii"))
-    assert harness._plain_rows(path) is not None
     assert _outcome(read_table, path) == ("rows", repr(tuple(rows)))
 
 
-def test_read_table_keeps_numpys_message_for_a_missing_file_and_a_bad_argument(tmp_path):
-    for path in (tmp_path / "missing.txt", tmp_path, str(tmp_path / "missing.txt"), ["1 2", "3 4"]):
-        assert _outcome(read_table, path) == _outcome(numpy_read_table, path)
+def test_read_table_names_a_file_it_cannot_open(tmp_path):
+    for path in (tmp_path / "missing.txt", str(tmp_path / "missing.txt")):
+        assert _outcome(read_table, path) == ("error", f"{path}: no such file or directory")
+    assert _outcome(read_table, tmp_path) == ("error", f"{tmp_path}: is a directory")
 
 
-def test_read_table_leaves_a_compressed_suffix_to_numpy(tmp_path):
-    path = tmp_path / "table.gz"  # numpy decompresses it, so plain text there is not a table
+def test_read_table_reads_a_gz_suffix_as_text_and_refuses_a_gzip_file(tmp_path):
+    # No suffix decompresses: a table named .gz is read as the text it holds, and gzip's bytes are not UTF-8.
+    path = tmp_path / "table.gz"
     path.write_text("0 1\n", encoding="ascii")
-    assert harness._plain_rows(path) is None
-    assert _outcome(read_table, path) == _outcome(numpy_read_table, path)
+    assert _outcome(read_table, path) == ("rows", repr(((0.0, 1.0),)))
+    path.write_bytes(gzip.compress(b"0 1\n"))
+    assert _outcome(read_table, path) == ("error", f"{path}: line 1: not UTF-8")
 
 
 # --- the yaw unwrap -----------------------------------------------------------------

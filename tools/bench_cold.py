@@ -4,14 +4,17 @@
 
 Each case is one fresh interpreter, timed from spawn to exit: ``blimpsim
 simulate`` on each demo scenario that both trees hold
-(``demos/scenarios/*.cfg``), CSV and summary written to a temporary
-directory, and ``import ionblimp.cli`` alone. The
-simulate case calls ``ionblimp.cli.main`` as the ``blimpsim`` console script
-does. Both sides run from exports made as ``tools/bench_ab.py`` makes them:
-``git archive REV`` for the base, a snapshot tree of the working tree for the
-head. For every case, each side runs once untimed (so that, where bytecode may
-be written, every timed run reads it), then ``--runs`` pairs in alternating
-order, the first pair starting with the base.
+(``demos/scenarios/*.cfg``), CSV and summary written to a temporary directory;
+the report verbs of ``tests/test_golden.py``'s ``REPORTS`` that import numpy
+(``linearize``, the ``certify-gains`` grid and pair, on
+``demos/params/trim_hold.cfg`` where both trees hold it, and
+``step-response``); and ``import ionblimp.cli`` alone. Every verb case calls
+``ionblimp.cli.main`` as the ``blimpsim`` console script does. Both sides run
+from exports made as ``tools/bench_ab.py`` makes them: ``git archive REV`` for
+the base, a snapshot tree of the working tree for the head. For every case,
+each side runs once untimed (so that, where bytecode may be written, every
+timed run reads it), then ``--runs`` pairs in alternating order, the first
+pair starting with the base.
 
 Per case the file holds every pair, each side's median and quartiles, the
 median of the paired differences (head minus base, which cancels load that
@@ -36,16 +39,26 @@ from pathlib import Path
 
 from bench_ab import ROOT, _quartiles, export, head_identity, run_env
 
-SIMULATE = "import sys\nfrom ionblimp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+BLIMPSIM = "import sys\nfrom ionblimp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+PARAMS = "demos/params/trim_hold.cfg"
+# tests/test_golden.py's REPORTS commands that import numpy: the first three read PARAMS.
+REPORTS = {
+    "linearize": ["linearize", PARAMS],
+    "certify_gains_grid": ["certify-gains", PARAMS, "--k1=-2:4:7", "--k2=-2:4:7"],
+    "certify_gains_pair": ["certify-gains", PARAMS, "--k1", "0.0", "--k2", "1.5"],
+    "step_response": ["step-response", "0.9828"],
+}
 
 
 def cases(*trees: Path) -> dict:
-    """Each case's ``python -c`` arguments, with paths relative to the tree it runs in: a demo scenario only if
-    every one of trees holds it, so a base that predates a scenario runs the others."""
+    """Each case's ``python -c`` arguments, with paths relative to the tree it runs in: a demo scenario or a report
+    on PARAMS only if every one of trees holds its file, so a base that predates a file runs the others."""
     held = [{path.stem for path in (tree / "demos" / "scenarios").glob("*.cfg")} for tree in trees]
     scenarios = sorted(set.intersection(*held))
-    table = {name: [SIMULATE, "simulate", f"demos/scenarios/{name}.cfg", "--csv", "{out}/run.csv",
+    table = {name: [BLIMPSIM, "simulate", f"demos/scenarios/{name}.cfg", "--csv", "{out}/run.csv",
                     "--summary", "{out}/run.summary"] for name in scenarios}
+    params = all((tree / PARAMS).is_file() for tree in trees)
+    table.update((name, [BLIMPSIM, *argv]) for name, argv in REPORTS.items() if params or PARAMS not in argv)
     return {**table, "import_cli": ["import ionblimp.cli"]}
 
 
