@@ -260,13 +260,12 @@ class Scenario:
     summary_path: str | None = None
 
     def __post_init__(self):
-        store_floats(self, ("duration", "dt", "gimbal_noise"), positive=("dt",), non_negative=("gimbal_noise",))
+        store_floats(self, ("duration", "dt", "gimbal_noise"), positive=("dt", "duration"),
+                     non_negative=("gimbal_noise",))
         if self.model not in ("full", "planar"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if self.duration < self.dt:
-            raise ValueError("duration must be at least one step")
         if not self.duration / self.dt <= MAX_STEPS:  # a quotient that overflows to inf fails too
             raise ValueError(f"duration / dt must be at most {MAX_STEPS} steps, got duration={self.duration!r}, "
                              f"dt={self.dt!r}")
@@ -660,11 +659,8 @@ def _inner_loop_config(**values):
 def _smc_config(reference, **values) -> SmcScenarioConfig:
     from .smc import ReferenceTrajectory, SmcGains
     gains = SmcGains(**{f.name: values.pop(f.name) for f in fields(SmcGains) if f.name in values})
-    data = _prefixed("reference", read_table, reference)
-    if len(data[0]) != 4:
-        raise ValueError(f"expected four columns (t, x, y, psi) in {reference}")
-    times, poses = tuple(row[0] for row in data), tuple(row[1:] for row in data)
-    trajectory = _prefixed(reference, ReferenceTrajectory, times, poses)
+    times, poses = zip(*((row[0], row[1:]) for row in _prefixed("reference", read_table, reference)))
+    trajectory = _prefixed(f"reference: {reference}", ReferenceTrajectory, times, poses)
     return SmcScenarioConfig(gains=gains, reference=trajectory, **values)
 
 

@@ -159,9 +159,7 @@ def lyapunov_certify(a_cl: np.ndarray) -> LyapunovCertificate:
     try:
         m1, m2, m4 = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularLyapunov(
-            "Lyapunov system singular (closed loop not certifiable)"
-        ) from exc
+        raise SingularLyapunov("Lyapunov system singular (closed loop not certifiable)") from exc
     m = np.array([[m1, m2], [m2, m4]])
     residual = float(np.max(np.abs(a_cl.T @ m + m @ a_cl + np.eye(2))))
     min_eig = float(np.min(np.linalg.eigvalsh(m)))
@@ -211,7 +209,9 @@ class FirstOrderTf:
 
 def close_u_loop(k_u: float, gain: float = U_CHANNEL_GAIN, pole: float = U_CHANNEL_POLE) -> FirstOrderTf:
     """Closed surge loop gain/(s + pole + gain*k_u) under dT = -k_u*du + dT1."""
-    return FirstOrderTf(gain=gain, pole=pole + gain * k_u)
+    gain, pole = _floats("gain", gain, False), _floats("pole", pole, False)  # each input named before the sum
+    return FirstOrderTf(gain=gain, pole=_floats(f"closed-loop pole at k_u={k_u!r}, gain={gain!r}, pole={pole!r}",
+                                                pole + gain * k_u, False))
 
 
 def step_response(tf: FirstOrderTf, duration: float, dt: float):

@@ -94,9 +94,7 @@ class SmcGains:
 
     def __post_init__(self):
         store_floats(self, positive=("k",), non_negative=("epsilon", "boundary_layer"))
-        if self.c2 == 0.0:
-            raise ValueError("c2 must be nonzero")
-        if not math.isfinite(1.0 / self.c2):  # the control law's gain -(1 / c2) overflows
+        if not (self.c2 and math.isfinite(1.0 / self.c2)):  # the control law's gain -(1 / c2) is undefined or overflows
             raise ValueError(f"c2 must have a finite reciprocal 1 / c2, got {self.c2!r}")
 
 
@@ -235,8 +233,8 @@ class ReferenceTrajectory:
     def __post_init__(self):
         store_floats(self, tables=("times", "poses"))
         times = self.times
-        if len(table_shape(times)) != 1 or table_shape(self.poses) != (len(times), 3):
-            raise ValueError("times must be (n,) and poses (n, 3)")
+        if (shape := table_shape(self.poses)) != (len(times), 3) or len(table_shape(times)) != 1:
+            raise ValueError(f"need times (n,) and poses (n, 3) of x, y, psi, got {table_shape(times)} and {shape}")
         if len(times) < 2 or any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("need at least two strictly increasing sample times")
         poses, total, pi = [self.poses[0]], 0.0, math.pi

@@ -19,5 +19,6 @@ sys.path.insert(0, str(ROOT / "tools"))
 try:
     importlib.import_module("bench_ab")
     importlib.import_module("bench_cold")
+    importlib.import_module("unreached")
 finally:
     sys.path.remove(str(ROOT / "tools"))

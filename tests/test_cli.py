@@ -113,7 +113,8 @@ def test_step_response_output(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["nan"], "pole must be finite, got nan"),
+    (["nan"], "closed-loop pole at k_u=nan, gain=3.358, pole=0.0575 must be finite, got nan"),
+    (["1e308"], "closed-loop pole at k_u=1e+308, gain=3.358, pole=0.0575 must be finite, got inf"),
     (["1", "--gain", "nan"], "gain must be finite, got nan"),
     (["1", "--pole", "nan"], "pole must be finite, got nan"),
     (["1", "--duration", "nan"], "duration must be positive and finite, got nan"),
@@ -121,7 +122,8 @@ def test_step_response_output(capsys):
     (["1", "--dt", "nan"], "dt must be positive and finite, got nan"),
     (["1", "--dt", "inf"], "dt must be positive and finite, got inf"),
     (["1", "--dt", "0"], "dt must be positive and finite, got 0.0"),
-], ids=["k-u-nan", "gain-nan", "pole-nan", "duration-nan", "duration-inf", "dt-nan", "dt-inf", "dt-zero"])
+], ids=["k-u-nan", "k-u-overflows-the-pole", "gain-nan", "pole-nan", "duration-nan", "duration-inf", "dt-nan",
+        "dt-inf", "dt-zero"])
 def test_step_response_refuses_a_nan_input(argv, message, capsys):
     assert main(["step-response", *argv]) == 1
     out, err = capsys.readouterr()
@@ -192,6 +194,7 @@ def test_certify_gains_failure_is_machine_parseable(params_cfg, capsys):
         ("--k2", "-inf:1:3"),  # a non-finite start
         ("--k1", "0:1:0"),  # a count below 1: an empty grid
         ("--k2", "0:1:-2"),
+        ("--k1", "0:1:x"),  # a count that is not an int
     ]),
     # A params file of the header alone loads and linearizes at every default; the grid is refused all the same.
     pytest.param("--k1", "0:inf:3", CONFIG_HEADER + "\n", id="--k1-0:inf:3-header-only"),
@@ -408,7 +411,8 @@ def test_a_yaw_jump_that_overflows_fails_on_one_stderr_line(tmp_path):
     run = subprocess.run([sys.executable, "-c", "import sys\nfrom ionblimp.cli import main\nsys.exit(main(sys.argv[1:]))",
                           "simulate", str(cfg)], capture_output=True, text=True, env=env)
     assert (run.returncode, run.stdout) == (1, "")
-    assert run.stderr == f"error: ValueError: {cfg}: [smc] {ref}: pose slope from t=0.0 to t=1.0 is not finite\n"
+    assert run.stderr == (f"error: ValueError: {cfg}: [smc] reference: {ref}: pose slope from t=0.0 to t=1.0 "
+                          "is not finite\n")
 
 
 def test_a_crlf_script_flies_as_its_lf_copy(tmp_path, capsys):
@@ -711,6 +715,13 @@ LOAD_ERRORS = {
                      STEPS_MESSAGE + "duration=1.0, dt=1e-320"),
     "step-count-overflows": ("simulate", "[scenario]\nduration = 1e300\ndt = 1e-10\n",
                              STEPS_MESSAGE + "duration=1e+300, dt=1e-10"),
+    # A positive duration and the whole-step rule leave no run of zero steps.
+    "zero-duration": ("simulate", "[scenario]\nduration = 0\ndt = 0.001\n",
+                      "bad.cfg: [scenario] duration must be positive and finite, got 0.0"),
+    "negative-duration": ("simulate", "[scenario]\nduration = -1\ndt = 0.001\n",
+                          "bad.cfg: [scenario] duration must be positive and finite, got -1.0"),
+    "part-of-one-step": ("simulate", "[scenario]\nduration = 0.0004\ndt = 0.001\n",
+                         "bad.cfg: [scenario] duration 0.0004 s is not a whole number of dt=0.001 s steps"),
     "certify-gains-k-w-overflows": ("certify-gains", "[params]\nlift_slope = 0.1\n[trim]\nthrust = 1e-320\n",
                                     "k_w bound at trim_speed=1.0, trim_thrust=1e-320 must be finite, got inf"),
     "not-utf8": ("simulate", Path("latin1.cfg"), "{table}: line 2: not UTF-8",
@@ -740,15 +751,25 @@ LOAD_ERRORS = {
                                   "where the rows above have 4", ("ref.txt", b"0.0 0 0 0.5\r# t x y\r1.0 0 0\r")),
     "reference-gzip": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: line 1: not UTF-8",
                        ("ref.txt", gzip.compress(REF_TABLE.encode("ascii")))),
-    "nan-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] {table}: poses must be finite, got nan",
+    "nan-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: poses must be finite, got nan",
                       ("ref.txt", "0.0 0 0 0.5\n1.0 0 0 nan\n")),
     "empty-reference": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: no data rows",
                         ("ref.txt", "# t x y psi\n")),
+    # A table of other than four columns, or fewer than two increasing times, is refused by ReferenceTrajectory.
+    "reference-three-columns": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: need times (n,) and "
+                                "poses (n, 3) of x, y, psi, got (2,) and (2, 2)", ("ref.txt", "0.0 0 0\n1.0 0 0\n")),
+    "reference-five-columns": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: need times (n,) and "
+                               "poses (n, 3) of x, y, psi, got (2,) and (2, 4)",
+                               ("ref.txt", "0.0 0 0 0.5 1\n1.0 0 0 0.5 1\n")),
+    "reference-one-row": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: need at least two strictly "
+                          "increasing sample times", ("ref.txt", "0.0 0 0 0.5\n")),
+    "reference-repeated-time": ("simulate", SMC_SECTION, "bad.cfg: [smc] reference: {table}: need at least two "
+                                "strictly increasing sample times", ("ref.txt", "0.0 0 0 0.5\n0.0 1 0 0.5\n")),
     "subnormal-knot-spacing": ("simulate", SMC_SECTION,
-                               "bad.cfg: [smc] {table}: pose slope from t=0.0 to t=1e-320 is not finite",
+                               "bad.cfg: [smc] reference: {table}: pose slope from t=0.0 to t=1e-320 is not finite",
                                ("ref.txt", "0.0 0 0 0.5\n1e-320 1 0 0.5\n")),
     "far-apart-knots": ("simulate", SMC_SECTION,
-                        "bad.cfg: [smc] {table}: knot spacing from t=-1e+308 to t=1e+308 is not finite",
+                        "bad.cfg: [smc] reference: {table}: knot spacing from t=-1e+308 to t=1e+308 is not finite",
                         ("ref.txt", "-1e308 0 0 0\n1e308 1 0 0\n")),
     "missing-smc-reference": ("simulate", SMC_SECTION.replace("ref.txt", "missing.txt"),
                               "bad.cfg: [smc] reference: {table}: no such file or directory", ("missing.txt", None)),

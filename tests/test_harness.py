@@ -818,6 +818,14 @@ def test_scenario_rejects_duration_off_the_step_grid():
     assert len(run_scenario(hover_scenario(duration=0.03, dt=0.01)).records) == 4
 
 
+def test_a_duration_within_the_step_rule_of_one_step_runs_one_step():
+    # 0.0009999999999 is 1e-10 of dt short of one 0.001 s step: the whole-step rule's 1e-9 takes it as one step,
+    # as it takes every other step count. Zero, negative and part-step durations are test_cli's load-error rows.
+    result = run_scenario(hover_scenario(duration=0.0009999999999, dt=0.001))
+    assert [rec.t for rec in result.records] == [0.0, 0.001]
+    assert result.summary["steps"] == 1
+
+
 # --- rigid-body plant: actuator clamp and thrust wrench ----------------------
 
 def _min_max_clamp(thrust, dy, dp):

@@ -207,6 +207,15 @@ def test_lyapunov_singular_system():
         lyapunov_certify(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("a_cl, message", [
+    (np.eye(3), "a_cl must be 2x2"),
+    (np.array([[-1.0, 0.0], [math.nan, -2.0]]), "a_cl must be finite"),
+], ids=["3x3", "nan"])
+def test_lyapunov_certify_refuses_a_matrix_it_cannot_solve(a_cl, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lyapunov_certify(a_cl)
+
+
 def test_lyapunov_random_hurwitz_matches_scipy():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -255,6 +264,16 @@ def test_search_is_deterministic_and_first_hit():
                 pass
 
 
+def test_search_steps_past_a_singular_pair():
+    # Without lift or moment slope (every default), k1 = 0 leaves a zero eigenvalue: (0, 1.5)'s Lyapunov system is
+    # singular, as certify-gains reports for it. The search goes on to the next pair, which certifies.
+    model = linearize(AirshipParams(), 1.0, 0.05)
+    with pytest.raises(SingularLyapunov):
+        lyapunov_certify(closed_loop_vr(model, 0.0, 1.5))
+    k1, k2, cert = search_stabilizing_gains(model, [0.0, -1.0], [1.5])
+    assert (k1, k2, cert.is_valid) == (-1.0, 1.5, True)
+
+
 def test_search_returns_none_when_nothing_stabilizes():
     model = linearize(BENCH, 1.0, 0.05)
     assert search_stabilizing_gains(model, [50.0, 80.0], [50.0, 80.0]) is None
@@ -282,6 +301,17 @@ def test_step_response_open_loop_dc():
 def test_step_response_pole_at_origin_ramps():
     t, y = step_response(FirstOrderTf(gain=2.0, pole=0.0), duration=1.0, dt=0.25)
     assert np.allclose(y, 2.0 * t)
+
+
+def test_dc_gain_is_refused_for_a_pole_at_the_origin():
+    with pytest.raises(ZeroDivisionError, match="^DC gain undefined for a pole at the origin$"):
+        FirstOrderTf(gain=2.0, pole=0.0).dc_gain
+
+
+@pytest.mark.parametrize("pole", [0.0, -0.5])
+def test_time_constant_is_refused_for_a_pole_that_is_not_stable(pole):
+    with pytest.raises(ValueError, match="^time constant defined only for a stable pole$"):
+        FirstOrderTf(gain=2.0, pole=pole).time_constant
 
 
 def test_step_response_argument_validation():

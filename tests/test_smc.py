@@ -91,9 +91,9 @@ def test_smc_gains_validation():
         SmcGains(c1=1.0, c2=1.0, epsilon=0.1, k=0.0)
 
 
-@pytest.mark.parametrize("c2", [1e-310, -1e-310, 5e-324])
+@pytest.mark.parametrize("c2", [1e-310, -1e-310, 5e-324, 0.0, -0.0])
 def test_smc_gains_refuse_a_c2_whose_reciprocal_overflows(c2):
-    # smc_control's gain -(1 / c2) would be inf, and the first demand nan.
+    # smc_control's gain -(1 / c2) would be inf, and the first demand nan; at c2 = 0 the division fails outright.
     with pytest.raises(ValueError, match=rf"^c2 must have a finite reciprocal 1 / c2, got {c2!r}$"):
         SmcGains(c1=1.0, c2=c2, epsilon=0.1, k=1.0)
 
