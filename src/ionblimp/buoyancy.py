@@ -7,16 +7,14 @@ buoyancy sitting above the center of mass) is
 """
 
 import math
-from dataclasses import dataclass
 
-from .dynamics import check_sign, store_floats
+from .dynamics import Record, check_sign, store_floats
 
 # Buoyant lift of helium at room conditions, kg per liter of displaced air.
 DEFAULT_LIFT_PER_LITER = 0.00111
 
 
-@dataclass(frozen=True)
-class EnvelopeGeometry:
+class EnvelopeGeometry(Record):
     """Ellipsoid semi-axes (m) and envelope fabric mass (kg)."""
 
     semi_axis_a: float
@@ -28,8 +26,7 @@ class EnvelopeGeometry:
         store_floats(self, positive=("semi_axis_a", "semi_axis_b", "semi_axis_c"), non_negative=("envelope_mass",))
 
 
-@dataclass(frozen=True)
-class LiftBudget:
+class LiftBudget(Record):
     """Envelope volume and the gross/net lifting capacity in kg."""
 
     volume_m3: float

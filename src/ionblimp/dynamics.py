@@ -13,8 +13,8 @@ The state layout is ``BodyState``'s fields, in order (``STATE_LABELS``):
     [u, v, w, p, q, r, x, y, h, phi, theta, psi]
 
 ``BodyState.as_array``/``from_array`` follow it. Both fields take it as the
-tuple or list of 12 floats the RK4 step hands them (``dataclasses.astuple``
-gives it from a ``BodyState``) and return a 12-float tuple. Each wrench
+tuple or list of 12 floats the RK4 step hands them (``BodyState._astuple()``
+gives it) and return a 12-float tuple. Each wrench
 term is defined once, as a public ``*_wrench`` function returning its
 body-frame (fx, fy, fz, mx, my, mz) as a 6-float tuple. Both fields take the
 thrust wrench held over an RK4 step, which the caller computes with
@@ -32,7 +32,41 @@ planar manifold. The angle rules every run applies (``wrap_angle``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+
+
+class Record:
+    """A frozen dataclass without the cost of importing and running ``dataclasses``: a subclass's annotated names,
+    in order, are its ``_fields``, its class body's values their defaults. Its ``__init__`` is compiled from them,
+    as dataclasses compiles one: it stores each field with object.__setattr__ (a store through ``__dict__`` would
+    materialize the instance dict and make every field read 3-4x slower), then calls ``__post_init__`` if the class
+    has one. The repr is dataclass's; equality (same class) and the hash are over the fields only, not what a record
+    stores beside them; setting or deleting an attribute raises AttributeError."""
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__annotations__)
+        args = "".join(f", {n}=_cls.{n}" if n in vars(cls) else f", {n}" for n in names)
+        steps = [f"_set(self, {n!r}, {n})" for n in names] + ["self.__post_init__()"] * hasattr(cls, "__post_init__")
+        source = (f"def __init__(self{args}):\n {'; '.join(steps) or 'pass'}\n"
+                  f"def _astuple(self): return ({''.join(f'self.{n}, ' for n in names)})")
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+        namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__, cls._astuple = namespace["__init__"], namespace["_astuple"]
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._astuple()))})"
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, *value):  # __delattr__ passes no value
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, also the gram-force <-> newton conversion
 
@@ -87,11 +121,11 @@ def check_sign(name: str, value, positive: bool = True) -> None:
 
 
 def store_floats(instance, names=None, tables=(), positive=(), non_negative=()) -> None:
-    """Store each named field (default: all but the tables) of a frozen parameter dataclass as a finite Python
+    """Store each named field (default: all but the tables) of a frozen parameter record as a finite Python
     float, and each table field (a matrix, a column or rows) as nested tuples of them; None stays None. A string
     or what float() refuses raises TypeError naming the field; nan, +-inf or an int past float range, ValueError.
     Then check_sign bounds each field named in positive= or non_negative= (a flat table: each of its entries)."""
-    for name in (*(names or [f.name for f in fields(instance) if f.name not in tables]), *tables):
+    for name in (*(names or [n for n in instance._fields if n not in tables]), *tables):
         if getattr(instance, name) is not None:
             object.__setattr__(instance, name, _floats(name, getattr(instance, name), name in tables))
     for name in (*positive, *non_negative):
@@ -107,8 +141,7 @@ def table_shape(table) -> tuple:
     return (len(table), *shapes.pop()) if len(shapes) == 1 else (len(table),)
 
 
-@dataclass(frozen=True)
-class AirshipParams:
+class AirshipParams(Record):
     """Physical constants of the vehicle (SI units).
 
     Aero coefficients use the folded convention: the reference area is
@@ -143,8 +176,7 @@ class AirshipParams:
             raise ValueError("inertia tensor (with Ixz coupling) must be positive definite")
 
 
-@dataclass(frozen=True)
-class BodyState:
+class BodyState(Record):
     """12-component rigid-body state; its fields, in order, are the state vector's layout.
 
     u, v, w are body-frame velocities (m/s); p, q, r body rates (rad/s); x, y
@@ -179,11 +211,10 @@ class BodyState:
         return cls(**dict(zip(STATE_LABELS, vec, strict=True)))  # a length other than 12 raises ValueError
 
 
-STATE_LABELS = tuple(f.name for f in fields(BodyState))
+STATE_LABELS = BodyState._fields
 
 
-@dataclass(frozen=True)
-class ThrusterCommand:
+class ThrusterCommand(Record):
     """Thrust (N) and the gimbal deflections delta_y/delta_p from forward (rad), each within GIMBAL_LIMIT."""
 
     thrust: float = 0.0

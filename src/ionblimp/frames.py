@@ -20,17 +20,15 @@ All functions are pure and safe to call from any thread, and import numpy when c
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .dynamics import FLOW_ANGLE_LIMIT, V_EPS, wrap_angle  # noqa: F401  (wrap_angle is re-exported)
+from .dynamics import FLOW_ANGLE_LIMIT, V_EPS, Record, wrap_angle  # noqa: F401  (wrap_angle is re-exported)
 
 
 class StagnantFlow(ValueError):
     """Airspeed below V_EPS: aero angles undefined, forces must be zeroed."""
 
 
-@dataclass(frozen=True)
-class FlowAngles:
+class FlowAngles(Record):
     """Angle of attack and sideslip (rad), both strictly inside (-pi/2, pi/2)."""
 
     alpha: float = 0.0

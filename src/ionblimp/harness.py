@@ -56,7 +56,6 @@ import configparser
 import functools
 import math
 from collections import namedtuple
-from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import (
@@ -65,6 +64,7 @@ from .dynamics import (
     STATE_LABELS,
     AirshipParams,
     BodyState,
+    Record,
     ThrusterCommand,
     check_sign,
     full_derivatives,
@@ -125,7 +125,7 @@ def _wrong_length(k, n: int):
 # One RK4 step with the state y and the stages a, b, c, d unpacked into locals, each {placeholder} a line of n
 # components. Written out, a component costs no zip, comprehension or call; for the pose model's 6-float state
 # those cost as much as its field. The length is checked before each unpacking. The source is generated because
-# Python has no loop unrolling; only n and fixed names enter it, as in namedtuple and dataclasses.
+# Python has no loop unrolling; only n and fixed names enter it, as in namedtuple and dynamics.Record.
 _RK4_TEMPLATE = """\
 def rk4(f, state, u, dt):
     half, h6 = 0.5 * dt, dt / 6.0
@@ -181,8 +181,7 @@ OPEN_LOOP_CONFLICTS = (
 )
 
 
-@dataclass(frozen=True)
-class OpenLoopCommand:
+class OpenLoopCommand(Record):
     """Constant command, or a (t, thrust, delta_y, delta_p) script with ZOH, prebuilt as ThrusterCommands."""
 
     thrust: float = 0.0
@@ -225,8 +224,7 @@ class OpenLoopCommand:
         return self._commands[max(bisect.bisect_right(self._times, t) - 1, 0)]
 
 
-@dataclass(frozen=True)
-class SmcScenarioConfig:
+class SmcScenarioConfig(Record):
     """Gains, plant components and reference for a tracking scenario."""
 
     gains: SmcGains
@@ -243,17 +241,16 @@ class SmcScenarioConfig:
                      positive=("t_max",))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    params: AirshipParams = field(default_factory=AirshipParams)
-    initial: BodyState = field(default_factory=BodyState)
+class Scenario(Record):
+    params: AirshipParams = AirshipParams()
+    initial: BodyState = BodyState()
     model: str = "planar"
     controller: str = "open_loop"
     duration: float = 10.0
     dt: float = 0.001
     seed: int = 0
     gimbal_noise: float = 0.0  # rad, uniform zero-mean yaw-command noise
-    open_loop: OpenLoopCommand = field(default_factory=OpenLoopCommand)
+    open_loop: OpenLoopCommand = OpenLoopCommand()
     inner_loop: InnerLoopConfig | None = None
     smc: SmcScenarioConfig | None = None
     csv_path: str | None = None
@@ -315,8 +312,7 @@ class SimRecord(namedtuple("SimRecord", CSV_COLUMNS)):
         return None if self.s_x is None else np.array((self.s_x, self.s_y, self.s_psi))
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(Record):
     records: list
     summary: dict
 
@@ -359,7 +355,7 @@ def _rigid_body_plant(sc: Scenario, demand, held=None) -> Plant:
         cmd = ThrusterCommand(*limited)
         return state, cmd, thruster_wrench(sc.params, cmd), limited != (thrust, dy, dp), (None,) * 5
 
-    return Plant(functools.partial(deriv, sc.params), astuple(sc.initial), STATE_LABELS, control)
+    return Plant(functools.partial(deriv, sc.params), sc.initial._astuple(), STATE_LABELS, control)
 
 
 def _open_loop_plant(sc: Scenario) -> Plant:
@@ -538,10 +534,10 @@ _SMC_KEYS = ("c1", "c2", "epsilon", "k", "boundary_layer",
 
 # Everything a scenario file may contain: section -> key -> converter.
 # A converter returning a Path marks a file name, resolved by read_config.
-# A float is checked once, as finite, by store_floats in the dataclass its section builds.
+# A float is checked once, as finite, by store_floats in the record its section builds.
 SCENARIO_SCHEMA = {
     "scenario": {"model": str, "controller": str, "duration": float, "dt": float, "seed": int, "gimbal_noise": float},
-    "params": dict.fromkeys((f.name for f in fields(AirshipParams)), float),
+    "params": dict.fromkeys(AirshipParams._fields, float),
     "initial": dict.fromkeys(STATE_LABELS, float),
     "open_loop": {"thrust": float, "throttle": float, "delta_y": float, "delta_p": float, "script": _path},
     "inner_loop": dict.fromkeys(_INNER_LOOP_KEYS, float),
@@ -658,7 +654,7 @@ def _inner_loop_config(**values):
 
 def _smc_config(reference, **values) -> SmcScenarioConfig:
     from .smc import ReferenceTrajectory, SmcGains
-    gains = SmcGains(**{f.name: values.pop(f.name) for f in fields(SmcGains) if f.name in values})
+    gains = SmcGains(**{n: values.pop(n) for n in SmcGains._fields if n in values})
     times, poses = zip(*((row[0], row[1:]) for row in _prefixed("reference", read_table, reference)))
     trajectory = _prefixed(f"reference: {reference}", ReferenceTrajectory, times, poses)
     return SmcScenarioConfig(gains=gains, reference=trajectory, **values)

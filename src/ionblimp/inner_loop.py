@@ -24,9 +24,7 @@ imported by the functions that use it, not by this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-from .dynamics import AirshipParams, _floats, check_sign, store_floats
+from .dynamics import AirshipParams, Record, _floats, check_sign, store_floats
 
 # Fitted surge-channel plant for the 297.8 g prototype: du/dT1 = g / (s + a)
 # once the k_u loop is closed, with g and a below for the open loop.
@@ -41,16 +39,14 @@ class SingularLyapunov(ValueError):  # ValueError is numpy's LinAlgError's own b
     """The Lyapunov system is singular: the closed loop has mirrored eigenvalues."""
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(Record):
     """4x4 state matrix and 4x3 input matrix about a level trim."""
 
     a: np.ndarray
     b: np.ndarray
 
 
-@dataclass(frozen=True)
-class InnerLoopConfig:
+class InnerLoopConfig(Record):
     """An inner-loop design: a level trim and the feedback gains about it.
 
     The fields are the ``[inner_loop]`` keys of a scenario file, in the
@@ -68,8 +64,7 @@ class InnerLoopConfig:
         store_floats(self)
 
 
-@dataclass(frozen=True)
-class LyapunovCertificate:
+class LyapunovCertificate(Record):
     """Solution of A'M + MA = -I plus the quantities that make it checkable."""
 
     m: np.ndarray
@@ -184,8 +179,7 @@ def search_stabilizing_gains(model: LinearModel, k1_values, k2_values):
     return None
 
 
-@dataclass(frozen=True)
-class FirstOrderTf:
+class FirstOrderTf(Record):
     """First-order transfer function gain / (s + pole)."""
 
     gain: float
@@ -233,7 +227,7 @@ def step_response(tf: FirstOrderTf, duration: float, dt: float):
 
 def gain_report(design: InnerLoopConfig, cert: LyapunovCertificate | None) -> dict:
     """The design's fields in order, then the certificate; certificate_valid is "false" without one."""
-    report = {f.name: getattr(design, f.name) for f in fields(design)}
+    report = dict(zip(design._fields, design._astuple()))
     if cert is not None:
         report.update(lyapunov_m1=float(cert.m[0, 0]), lyapunov_m2=float(cert.m[0, 1]),
                       lyapunov_m4=float(cert.m[1, 1]), lyapunov_residual=cert.residual,

@@ -36,13 +36,10 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-
-from .dynamics import GIMBAL_LIMIT, ThrusterCommand, store_floats, table_shape, wrap_angle
+from .dynamics import GIMBAL_LIMIT, Record, ThrusterCommand, store_floats, table_shape, wrap_angle
 
 
-@dataclass(frozen=True)
-class SmcModel:
+class SmcModel(Record):
     """Lateral-plane plant matrices M and A for controller synthesis, and M^-1 (``_m_inv``): rows of three floats."""
 
     mass_matrix: tuple
@@ -78,8 +75,7 @@ class SmcModel:
                                 (-mass * cg_y, mass * cg_x, inertia_z + m66)), aero_matrix=aero_matrix)
 
 
-@dataclass(frozen=True)
-class SmcGains:
+class SmcGains(Record):
     """Sliding-surface weights, reaching gains and optional sgn smoothing.
 
     boundary_layer > 0 replaces sgn(s) with s/(|s|+boundary_layer); the
@@ -216,8 +212,7 @@ def allocate_actuation(u_forces, t_max: float, mount_arm_x: float = 0.0):
     return cmd, residual
 
 
-@dataclass(frozen=True)
-class ReferenceTrajectory:
+class ReferenceTrajectory(Record):
     """Sampled (t, x, y, psi) reference with linear interpolation.
 
     The yaw column is unwrapped on construction so interpolation never
@@ -232,8 +227,9 @@ class ReferenceTrajectory:
 
     def __post_init__(self):
         store_floats(self, tables=("times", "poses"))
-        times = self.times
-        if (shape := table_shape(self.poses)) != (len(times), 3) or len(table_shape(times)) != 1:
+        times, shape = self.times, table_shape(self.poses)
+        # table_shape gives (n,) for rows of unequal shapes too, so each time must also be a number.
+        if table_shape(times) != shape[:1] or shape[1:] != (3,) or any(map(table_shape, times)):
             raise ValueError(f"need times (n,) and poses (n, 3) of x, y, psi, got {table_shape(times)} and {shape}")
         if len(times) < 2 or any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("need at least two strictly increasing sample times")

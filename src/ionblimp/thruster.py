@@ -16,11 +16,10 @@ Two complementary views of the same device live here:
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import STANDARD_GRAVITY, _floats, check_sign, store_floats
+from .dynamics import STANDARD_GRAVITY, Record, _floats, check_sign, store_floats
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -45,8 +44,7 @@ class ExtrapolatedThrustWarning(UserWarning):
     """Thrust was extrapolated outside the measured sample range."""
 
 
-@dataclass(frozen=True)
-class GasIonParams:
+class GasIonParams(Record):
     """Kinetic parameters of the ion and neutral populations (SI units)."""
 
     ion_mass: float  # kg
@@ -58,15 +56,14 @@ class GasIonParams:
     neutral_density: float  # 1/m^3
 
     def __post_init__(self):
-        store_floats(self, positive=[f.name for f in fields(self)])
+        store_floats(self, positive=self._fields)
 
     @property
     def reduced_mass(self) -> float:
         return self.ion_mass * self.neutral_mass / (self.ion_mass + self.neutral_mass)
 
 
-@dataclass(frozen=True)
-class ThrusterGeometry:
+class ThrusterGeometry(Record):
     """Ring-thruster build geometry and dry mass."""
 
     electrode_gap: float  # m, emitter wire to collector foil
@@ -236,8 +233,7 @@ def thrust_from_current(gap: float, current: float, mobility: float) -> float:
     return gap * current / mobility
 
 
-@dataclass(frozen=True)
-class ThrustMap:
+class ThrustMap(Record):
     """Measured (input, thrust-grams) samples with linear interpolation.
 
     Inputs must be strictly increasing; thrust readings are grams-force as

@@ -19,6 +19,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 try:
     importlib.import_module("bench_ab")
     importlib.import_module("bench_cold")
+    importlib.import_module("bench_suite")
     importlib.import_module("unreached")
 finally:
     sys.path.remove(str(ROOT / "tools"))

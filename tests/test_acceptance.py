@@ -5,7 +5,6 @@ criterion; any assertion failure marks that criterion red.
 """
 
 import inspect
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -272,8 +271,8 @@ def test_criterion_09_model_equivalence():
         st = random_planar(rng)
         cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
         wrench = thruster_wrench(null_coupling, cmd)
-        full = full_derivatives(null_coupling, astuple(st), wrench)
-        planar = planar_derivatives(null_coupling, astuple(st), wrench)
+        full = full_derivatives(null_coupling, st._astuple(), wrench)
+        planar = planar_derivatives(null_coupling, st._astuple(), wrench)
         assert np.allclose(full, planar, atol=1e-9)
 
     # (b) with aero moments and a hanging thruster the models still agree on
@@ -285,8 +284,8 @@ def test_criterion_09_model_equivalence():
         st = random_planar(rng)
         cmd = ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5))
         wrench = thruster_wrench(rich, cmd)
-        full = np.array(full_derivatives(rich, astuple(st), wrench))
-        planar = np.array(planar_derivatives(rich, astuple(st), wrench))
+        full = np.array(full_derivatives(rich, st._astuple(), wrench))
+        planar = np.array(planar_derivatives(rich, st._astuple(), wrench))
         assert np.allclose(full[planar_components], planar[planar_components], atol=1e-9)
     _passed(9, "100 random planar states agree componentwise within 1e-9")
 

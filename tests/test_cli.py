@@ -277,9 +277,10 @@ def _scenario_file(case, tmp_path):
 
 # Runs sys.argv[1] in a fresh interpreter, with sys.argv[2:] as its arguments and its exit code in `code`, then
 # prints which of the watched modules it loaded. numpy.random is not watched: nothing loads it without numpy.
-# ionblimp.constants no longer exists; it is watched so that no module brings it back.
+# ionblimp.constants no longer exists; it is watched so that no module brings it back. dataclasses and the inspect
+# it imports cost every run a third of its set-up; the records are dynamics.Record, and only numpy loads inspect.
 WATCHED = ("numpy", "ionblimp.smc", "ionblimp.inner_loop", "ionblimp.thruster", "ionblimp.frames",
-           "ionblimp.constants")
+           "ionblimp.constants", "dataclasses", "inspect")
 _COLD_RUN = f"""import sys
 code = 0
 exec(sys.argv[1])
@@ -306,10 +307,10 @@ COLD_RUNS = {
     "perfbench-smc-tracking": (["simulate", "perfbench_smc_tracking"], 0, {"smc"}),
     "script": (["simulate", "script"], 0, set()),
     "envelope": (["simulate", "envelope"], 0, set()),
-    "linearize": (["linearize", "PARAMS"], 0, {"numpy", "inner_loop"}),
-    "certify-gains": (["certify-gains", "PARAMS", "--k1", "0.0", "--k2", "1.5"], 0, {"numpy", "inner_loop"}),
-    "step-response": (["step-response", "1.0"], 0, {"numpy", "inner_loop"}),
-    "thruster-map": (["thruster-map", "throttle", "--at", "0.5"], 0, {"numpy", "thruster"}),
+    "linearize": (["linearize", "PARAMS"], 0, {"numpy", "inspect", "inner_loop"}),
+    "certify-gains": (["certify-gains", "PARAMS", "--k1", "0.0", "--k2", "1.5"], 0, {"numpy", "inspect", "inner_loop"}),
+    "step-response": (["step-response", "1.0"], 0, {"numpy", "inspect", "inner_loop"}),
+    "thruster-map": (["thruster-map", "throttle", "--at", "0.5"], 0, {"numpy", "inspect", "thruster"}),
     **{f"irregular-{name}": (["simulate", name], 1, set()) for name in IRREGULAR_TABLES},
 }
 

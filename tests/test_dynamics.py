@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -146,20 +145,20 @@ def test_thruster_force_norm_equals_thrust():
 
 def test_full_hover_equilibrium():
     # Neutral buoyancy, at rest, level, no thrust: exact equilibrium.
-    d = full_derivatives(PARAMS, astuple(BodyState()), thruster_wrench(PARAMS, ThrusterCommand()))
+    d = full_derivatives(PARAMS, BodyState()._astuple(), thruster_wrench(PARAMS, ThrusterCommand()))
     assert np.allclose(d, 0.0, atol=1e-15)
 
 
 def test_full_not_equilibrium_when_heavy():
     heavy = AirshipParams(net_lift=-0.05)
-    d = full_derivatives(heavy, astuple(BodyState()), thruster_wrench(heavy, ThrusterCommand()))
+    d = full_derivatives(heavy, BodyState()._astuple(), thruster_wrench(heavy, ThrusterCommand()))
     assert d[2] == pytest.approx(0.05 / heavy.mass)  # sinks: positive w (body z down)
 
 
 def test_full_pure_yaw_torque():
     p = AirshipParams(inertia_xz=0.0)
     cmd = ThrusterCommand(thrust=0.03, yaw_deflection=0.2)
-    d = full_derivatives(p, astuple(BodyState()), thruster_wrench(p, cmd))
+    d = full_derivatives(p, BodyState()._astuple(), thruster_wrench(p, cmd))
     expected_rdot = p.mount_x * 0.03 * np.sin(0.2) / p.inertia_z
     assert d[5] == pytest.approx(expected_rdot, rel=1e-12)
 
@@ -172,7 +171,7 @@ def test_full_position_rates_are_rotated_velocity():
             p=rng.uniform(-1, 1), q=rng.uniform(-1, 1), r=rng.uniform(-1, 1),
             phi=rng.uniform(-1, 1), theta=rng.uniform(-1, 1), psi=rng.uniform(-3, 3),
         )
-        d = full_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand()))
+        d = full_derivatives(PARAMS, st._astuple(), thruster_wrench(PARAMS, ThrusterCommand()))
         ground_vel = ground_to_body(st).T @ velocity(st)
         assert np.allclose(d[6:8], ground_vel[0:2], atol=1e-13)
         assert d[8] == pytest.approx(-ground_vel[2], abs=1e-13)
@@ -181,7 +180,7 @@ def test_full_position_rates_are_rotated_velocity():
 def test_full_position_rate_finite_difference_consistency():
     # d/dt of position from a tiny explicit-Euler step matches the derivative.
     st = BodyState(u=0.5, v=0.1, w=-0.2, phi=0.1, theta=-0.2, psi=0.8)
-    d = np.array(full_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand())))
+    d = np.array(full_derivatives(PARAMS, st._astuple(), thruster_wrench(PARAMS, ThrusterCommand())))
     dt = 1e-7
     moved = st.as_array() + dt * d
     fd = (moved[6:9] - st.as_array()[6:9]) / dt
@@ -198,7 +197,7 @@ def test_fields_reject_a_state_without_12_components(field, state):
 @pytest.mark.parametrize("field", [full_derivatives, planar_derivatives])
 def test_fields_return_one_float_tuple_for_every_state_form(field):
     # The two forms are the tuple and the list of 12 floats the RK4 step hands a field.
-    y = astuple(BodyState(u=0.5, v=0.1, w=-0.2, r=0.3, x=1.0, y=-2.0, h=1.5, psi=0.8))
+    y = BodyState(u=0.5, v=0.1, w=-0.2, r=0.3, x=1.0, y=-2.0, h=1.5, psi=0.8)._astuple()
     wrench = thruster_wrench(PARAMS, ThrusterCommand(thrust=0.02, yaw_deflection=0.3))
     want = field(PARAMS, y, wrench)
     assert type(want) is tuple and len(want) == 12 and all(type(c) is float for c in want)
@@ -239,7 +238,7 @@ def test_inertia_rule_is_the_kernel_determinant(ix, iz, iy, sign, ulps):
     assert ix * iz - ixz * ixz > 0.0
     state = BodyState(u=0.4, p=0.3, q=-0.2, r=0.5, phi=0.1, theta=-0.2)
     derivative = full_derivatives(
-        params, astuple(state), thruster_wrench(params, ThrusterCommand(thrust=0.05, yaw_deflection=0.3))
+        params, state._astuple(), thruster_wrench(params, ThrusterCommand(thrust=0.05, yaw_deflection=0.3))
     )
     assert np.all(np.isfinite(derivative))
 
@@ -253,7 +252,7 @@ def test_airship_params_validation():
         AirshipParams(yaw_damping=-0.1)
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(AirshipParams)])
+@pytest.mark.parametrize("name", AirshipParams._fields)
 def test_airship_params_reject_non_finite(name):
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -264,35 +263,35 @@ def test_airship_params_reject_non_finite(name):
 
 def test_planar_straight_cruise_no_yaw_rate():
     st = BodyState(u=0.8)
-    d = planar_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand(thrust=0.01)))
+    d = planar_derivatives(PARAMS, st._astuple(), thruster_wrench(PARAMS, ThrusterCommand(thrust=0.01)))
     assert d[5] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_planar_kinematics_heading_east():
     st = BodyState(u=1.0, psi=np.pi / 2)
-    d = planar_derivatives(PARAMS, astuple(st), thruster_wrench(PARAMS, ThrusterCommand()))
+    d = planar_derivatives(PARAMS, st._astuple(), thruster_wrench(PARAMS, ThrusterCommand()))
     assert d[6] == pytest.approx(0.0, abs=1e-12)
     assert d[7] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_planar_rejects_off_manifold_state():
     with pytest.raises(ConstraintViolation):
-        planar_derivatives(PARAMS, astuple(BodyState(theta=1e-6)), thruster_wrench(PARAMS, ThrusterCommand()))
+        planar_derivatives(PARAMS, BodyState(theta=1e-6)._astuple(), thruster_wrench(PARAMS, ThrusterCommand()))
     with pytest.raises(ConstraintViolation):
-        planar_derivatives(PARAMS, astuple(BodyState(q=1e-6)), thruster_wrench(PARAMS, ThrusterCommand()))
+        planar_derivatives(PARAMS, BodyState(q=1e-6)._astuple(), thruster_wrench(PARAMS, ThrusterCommand()))
 
 
 def test_planar_yaw_damping_decays_rate():
     p = AirshipParams(yaw_damping=0.01)
     st = BodyState(r=0.5)
-    d = planar_derivatives(p, astuple(st), thruster_wrench(p, ThrusterCommand()))
+    d = planar_derivatives(p, st._astuple(), thruster_wrench(p, ThrusterCommand()))
     assert d[5] == pytest.approx(-0.01 * 0.5 / p.inertia_z, rel=1e-12)
     # integrate: r decays monotonically toward zero
     r = 0.5
     dt = 0.01
     values = [r]
     for _ in range(2000):
-        k = planar_derivatives(p, astuple(BodyState(r=r)), thruster_wrench(p, ThrusterCommand()))[5]
+        k = planar_derivatives(p, BodyState(r=r)._astuple(), thruster_wrench(p, ThrusterCommand()))[5]
         r = r + dt * k
         values.append(r)
     assert all(b <= a for a, b in zip(values, values[1:]))
@@ -300,7 +299,7 @@ def test_planar_yaw_damping_decays_rate():
 
 
 def test_planar_equilibrium_at_rest():
-    d = planar_derivatives(PARAMS, astuple(BodyState()), thruster_wrench(PARAMS, ThrusterCommand()))
+    d = planar_derivatives(PARAMS, BodyState()._astuple(), thruster_wrench(PARAMS, ThrusterCommand()))
     assert np.allclose(d, 0.0, atol=1e-15)
 
 
@@ -317,8 +316,8 @@ def test_full_matches_planar_on_manifold():
         wrench = thruster_wrench(p, ThrusterCommand(
             thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5)
         ))
-        df = np.array(full_derivatives(p, astuple(st), wrench))
-        dp = np.array(planar_derivatives(p, astuple(st), wrench))
+        df = np.array(full_derivatives(p, st._astuple(), wrench))
+        dp = np.array(planar_derivatives(p, st._astuple(), wrench))
         assert np.allclose(df[compare], dp[compare], atol=1e-9)
         assert dp[3] == dp[4] == 0.0
 
@@ -347,7 +346,7 @@ COMMANDS = st.builds(ThrusterCommand, thrust=st.floats(0.0, 0.1), yaw_deflection
 def test_full_matches_planar_on_manifold_property(params, state, cmd):
     # On phi = theta = p = q = 0 with Ixz = 0 the two fields agree on every component both
     # evolve: all but p_dot and q_dot, whatever the parameters and both gimbal deflections.
-    y, wrench = astuple(state), thruster_wrench(params, cmd)
+    y, wrench = state._astuple(), thruster_wrench(params, cmd)
     full, planar = full_derivatives(params, y, wrench), planar_derivatives(params, y, wrench)
     for i in (0, 1, 2, 5, 6, 7, 8, 9, 10, 11):
         assert math.isclose(full[i], planar[i], rel_tol=1e-12, abs_tol=1e-12), (STATE_LABELS[i], full, planar)
@@ -367,7 +366,7 @@ def test_full_matches_planar_all_components_with_null_coupling():
         st = random_planar_state(rng)
         wrench = thruster_wrench(p, ThrusterCommand(thrust=rng.uniform(0, 0.05), yaw_deflection=rng.uniform(-1.5, 1.5)))
         assert np.allclose(
-            full_derivatives(p, astuple(st), wrench), planar_derivatives(p, astuple(st), wrench), atol=1e-9
+            full_derivatives(p, st._astuple(), wrench), planar_derivatives(p, st._astuple(), wrench), atol=1e-9
         )
 
 
@@ -581,7 +580,7 @@ def test_gravity_buoyancy_restoring_moment_scales_with_weight():
 
 def test_body_state_array_round_trip():
     st = BodyState(u=1, v=2, w=3, p=4e-3, q=5e-3, r=6e-3, x=7, y=8, h=9, phi=0.1, theta=0.2, psi=0.3)
-    assert BodyState.from_array(st.as_array()) == st == BodyState.from_array(astuple(st))
+    assert BodyState.from_array(st.as_array()) == st == BodyState.from_array(st._astuple())
     for short_or_long in ((0.0,) * 11, [0.0] * 13):
         with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
             BodyState.from_array(short_or_long)

@@ -3,7 +3,6 @@ import io
 import math
 import re
 import sys
-from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 
@@ -466,14 +465,14 @@ VALID_GAINS = {"c1": 1.0, "c2": 1.0, "epsilon": 0.05, "k": 1.0}
 VALID_INNER = {"trim_speed": 0.3, "trim_thrust": 0.01, "k_u": 0.5}
 VALID_REFERENCE = {"times": [0.0, 1.0], "poses": [[0, 0, 0], [0, 0, 0.5]]}
 VALID_SMC = {"gains": SmcGains(**VALID_GAINS), "reference": ReferenceTrajectory(**VALID_REFERENCE)}
-VALID_GAS = dict(zip([f.name for f in fields(thruster.GasIonParams)],
+VALID_GAS = dict(zip(thruster.GasIonParams._fields,
                      (4.65e-26, 4.65e-26, 300.0, 1.602176634e-19, 1e-19, 1e15, 2.5e25)))
 VALID_MAP = {"inputs": (0.0, 1.0), "thrust_grams": (0.0, 1.0)}
-# Each parameter dataclass, a valid base and its numeric fields. Every float field
+# Each parameter record, a valid base and its numeric fields. Every float field
 # also takes the int 1 (a throttle is at most 1, a gimbal deflection at most pi/2);
 # AirshipParams' base has inertias large enough for inertia_xz = 1.
 NUMERIC_CLASSES = [
-    (AirshipParams, {"inertia_x": 10.0, "inertia_z": 10.0}, [f.name for f in fields(AirshipParams)]),
+    (AirshipParams, {"inertia_x": 10.0, "inertia_z": 10.0}, AirshipParams._fields),
     (BodyState, {}, STATE_LABELS),
     (OpenLoopCommand, {}, ("thrust", "throttle", "delta_y", "delta_p", "script")),
     (SmcScenarioConfig, VALID_SMC, ("t_max", "added_mass_x", "added_mass_y", "added_inertia_z", "cg_x", "cg_y")),
@@ -788,19 +787,20 @@ def test_scenario_fields_are_what_a_scenario_file_sets():
     # a config object, or an [output] path: none is settable only from Python.
     sections = ("params", "initial", "open_loop", "inner_loop", "smc")
     expected = {*SCENARIO_SCHEMA["scenario"], *sections, "csv_path", "summary_path"}
-    assert {f.name for f in fields(Scenario)} == expected
+    assert set(Scenario._fields) == expected
 
 
 def test_the_written_out_section_keys_are_the_fields_they_build():
     # harness lists the [smc] and [inner_loop] keys itself, so that loading a scenario imports neither module.
-    smc = [*fields(SmcGains), *(f for f in fields(SmcScenarioConfig) if f.name != "gains")]
-    inner = fields(InnerLoopConfig)
-    assert list(SCENARIO_SCHEMA["smc"]) == [f.name for f in smc]
+    # A field is required when its class body gives it no default.
+    smc = [(cls, n) for cls in (SmcGains, SmcScenarioConfig) for n in cls._fields if n != "gains"]
+    inner = [(InnerLoopConfig, n) for n in InnerLoopConfig._fields]
+    assert list(SCENARIO_SCHEMA["smc"]) == [n for _, n in smc]
     assert [key for key, convert in SCENARIO_SCHEMA["smc"].items() if isinstance(convert("1"), Path)] == ["reference"]
-    assert list(SCENARIO_SCHEMA["inner_loop"]) == [f.name for f in inner]
+    assert list(SCENARIO_SCHEMA["inner_loop"]) == [n for _, n in inner]
     assert set(SCENARIO_SCHEMA["inner_loop"].values()) == {float}
-    assert harness.REQUIRED_KEYS == {"inner_loop": [f.name for f in inner if f.default is MISSING],
-                                     "smc": [f.name for f in smc if f.default is MISSING]}
+    assert harness.REQUIRED_KEYS == {"inner_loop": [n for cls, n in inner if n not in vars(cls)],
+                                     "smc": [n for cls, n in smc if n not in vars(cls)]}
 
 
 def test_scenario_refuses_one_step_more_than_max_steps():

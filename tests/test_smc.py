@@ -326,6 +326,19 @@ def test_reference_trajectory_rejects_non_finite(times, poses, name):
         ReferenceTrajectory(times=times, poses=poses)
 
 
+@pytest.mark.parametrize("times, poses, got", [
+    (((0.0,), (1.0, 2.0)), ((0, 0, 0), (1, 0, 0)), "(2,) and (2, 3)"),
+    ((0.0, (1.0,)), ((0, 0, 0), (1, 0, 0)), "(2,) and (2, 3)"),
+    (((0.0,), (1.0,)), ((0, 0, 0), (1, 0, 0)), "(2, 1) and (2, 3)"),
+    (1.0, ((0, 0, 0),), "() and (1, 3)"),
+    ((0.0, 1.0), ((0, 0, 0), (1, 0)), "(2,) and (2,)"),
+], ids=["ragged-times", "mixed-times", "column-times", "scalar-time", "ragged-poses"])
+def test_reference_trajectory_refuses_times_that_are_not_one_number_per_pose(times, poses, got):
+    # table_shape reads rows of unequal shapes as (n,), so ragged times pass a shape test alone.
+    with pytest.raises(ValueError, match=re.escape(f"need times (n,) and poses (n, 3) of x, y, psi, got {got}")):
+        ReferenceTrajectory(times=times, poses=poses)
+
+
 @pytest.mark.parametrize("times, poses, t0, t1", [
     ([0.0, 1e-320], [[0, 0, 0], [1, 0, 0]], "0.0", "1e-320"),
     ([0.0, 1.0, 1.0 + 2e-16], [[0, 0, 0], [0, 0, 0], [0, 1e300, 0]], "1.0", "1.0000000000000002"),
