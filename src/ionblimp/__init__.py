@@ -11,7 +11,6 @@ _EXPORTS = {
     "buoyancy": "EnvelopeGeometry LiftBudget ellipsoid_volume lift_budget",
     "dynamics": "AirshipParams BodyState ThrusterCommand aero_wrench full_derivatives gravity_buoyancy_wrench"
                 " planar_derivatives thruster_wrench",
-    "frames": "FlowAngles airflow_to_body flow_angles_from_velocity ground_to_body",
     "harness": "Scenario SimRecord SimResult integrate_step load_scenario run_scenario",
     "inner_loop": "InnerLoopConfig LinearModel LyapunovCertificate closed_loop_vr design_ku_unity_dc kw_lower_bound"
                   " linearize lyapunov_certify search_stabilizing_gains step_response",

@@ -57,6 +57,7 @@ def test_summarize_counts_wins_and_output_identity(bench_cold):
     assert case["base"]["median"] == 0.40 and case["head"]["median"] == 0.36
     assert case["head_over_base"] == pytest.approx(0.9) and case["identical_outputs"]
     assert case["median_head_minus_base"] == pytest.approx(-0.05)
+    assert case["runs"] == pairs and case["pairs"] == 3  # the pairs are stored as runs, as bench_suite stores them
     assert not bench_cold.summarize([*pairs, {**pairs[0], "digest": None}])["identical_outputs"]
     assert not bench_cold.summarize([*pairs, {**pairs[0], "digest": "b"}])["identical_outputs"]
 

@@ -1,4 +1,4 @@
-"""The package's lazy export table: every name it has always exported still resolves."""
+"""The package's lazy export table: every name it exports resolves, and the frames names are their module's alone."""
 
 import importlib
 
@@ -6,12 +6,11 @@ import pytest
 
 import ionblimp
 
-# The public names ``ionblimp`` exported when it imported every submodule eagerly.
+# The public names ``ionblimp`` exported when it imported every submodule eagerly, less FRAMES.
 EXPORTS = {
     "buoyancy": ["EnvelopeGeometry", "LiftBudget", "ellipsoid_volume", "lift_budget"],
     "dynamics": ["AirshipParams", "BodyState", "ThrusterCommand", "aero_wrench", "full_derivatives",
                  "gravity_buoyancy_wrench", "planar_derivatives", "thruster_wrench"],
-    "frames": ["FlowAngles", "airflow_to_body", "flow_angles_from_velocity", "ground_to_body"],
     "harness": ["Scenario", "SimRecord", "SimResult", "integrate_step", "load_scenario", "run_scenario"],
     "inner_loop": ["InnerLoopConfig", "LinearModel", "LyapunovCertificate", "closed_loop_vr", "design_ku_unity_dc",
                    "kw_lower_bound", "linearize", "lyapunov_certify", "search_stabilizing_gains", "step_response"],
@@ -23,11 +22,21 @@ EXPORTS = {
                  "thrust_from_current", "thrust_to_weight"],
 }
 PAIRS = [(module, name) for module, names in EXPORTS.items() for name in names]
+# frames' matrix-form names: only the benchmark's tracer and the test oracles use them, by module path.
+FRAMES = ["FlowAngles", "airflow_to_body", "flow_angles_from_velocity", "ground_to_body"]
 
 
 @pytest.mark.parametrize("module, name", PAIRS)
 def test_export_is_its_module_attribute(module, name):
     assert getattr(ionblimp, name) is getattr(importlib.import_module(f"ionblimp.{module}"), name)
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_frames_name_is_its_modules_alone(name):
+    namespace = {}
+    exec(f"from ionblimp.frames import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module("ionblimp.frames"), name)
+    assert name not in ionblimp.__all__ and not hasattr(ionblimp, name)
 
 
 def test_star_import_gives_every_export():

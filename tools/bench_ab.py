@@ -8,23 +8,25 @@ The head is the working tree: its files, tracked and untracked but not
 ignored, are written to a git tree through a temporary index and exported
 the same way into ``.bench_build/<tree>/``, so both sides run from a copy
 at the same depth. For every seed, each tree runs its own ``perfbench/run.py
---trace 0`` once, the two in alternating order (the first pair starts with
-the base). A ``--held-out`` seed adds one more pair per workload, marked as
-such. The last JSON line of each run gives its end-to-end metrics,
-``correct``, ``attempted`` and ``failed``.
+--trace 0`` once, as one pair of ``alternate``. A ``--held-out`` seed adds
+one more pair per workload, marked as such. The last JSON line of each run
+gives its end-to-end metrics, ``correct``, ``attempted`` and ``failed``.
 
-Per workload the file holds every pair, each side's median and quartiles
-of each end-to-end metric, the pairs the head won, lost and tied on it
-(direction and bound from ``BENCHMARK.json``), and whether the difference
-passes the gain rule (wins in at least nine tenths of the pairs and a
-median difference beyond the base's quartile spread) or stays within the
-metric's bound. An existing file with the same label, base, head source
-and run length keeps its other workloads, so one file can collect several
-invocations. Each workload also records the environment its runs inherited,
-as ``tools/bench_cold.py`` records it: the Python version, the CPU count and
-``PYTHONDONTWRITEBYTECODE`` (when set, the exports hold no bytecode, so every
-run compiles ionblimp from source inside ``setup_s``). It is kept out of the
-header, so a workload measured in another environment is kept beside them.
+The pair order and the gain rule of every bench tool here live in this
+module: ``alternate`` runs the base first in the first pair and in every
+other pair after it, and ``compare`` claims a gain when the head wins at
+least ``GAIN_SHARE`` (nine tenths) of the pairs and the medians differ by
+more than the base's quartile spread. Per workload the file holds every pair
+and, per end-to-end metric, its ``compare`` result (direction from
+``BENCHMARK.json``) and whether it stays within the metric's bound. An
+existing file with the same label, base, head source and run length keeps
+its other workloads, so one file can collect several invocations. Each
+workload also records the environment its runs inherited, as
+``tools/bench_cold.py`` records it: the Python version, the CPU count and
+``PYTHONDONTWRITEBYTECODE`` (when set, the exports hold no bytecode, so
+every run compiles ionblimp from source inside ``setup_s``). It is kept out
+of the header, so a workload measured in another environment is kept beside
+them.
 """
 
 import argparse
@@ -35,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,13 +51,19 @@ def _git(*args, root: Path = ROOT, env: dict | None = None) -> str:
 
 
 def export(rev: str, kind: str = "commit") -> Path:
-    """The tree of rev (a commit, or a tree with kind="tree"), exported once into .bench_build/<id>/."""
-    rev_id = _git("rev-parse", "--verify", f"{rev}^{{{kind}}}")
+    """The tree of rev (a commit, or a tree with kind="tree"), exported once into .bench_build/<id>/.
+
+    It is extracted into a temporary sibling and renamed into place, so an
+    extraction that stops partway leaves no tree for a later run to reuse.
+    """
+    rev_id = _git("rev-parse", "--verify", f"{rev}^{{{kind}}}", root=ROOT)
     tree = BUILD / rev_id
-    if not (tree / "perfbench" / "run.py").is_file():
-        tree.mkdir(parents=True, exist_ok=True)
-        archive = subprocess.run(["git", "archive", rev_id], cwd=ROOT, check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    if not tree.is_dir():
+        BUILD.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=BUILD, prefix=f"{rev_id}.") as part:
+            archive = subprocess.run(["git", "archive", rev_id], cwd=ROOT, check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", part], input=archive, check=True)
+            os.rename(part, tree)  # the cleanup on exit then finds nothing to remove
     return tree
 
 
@@ -106,33 +115,54 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return parse_run(proc.stdout)
 
 
+def spawn(tree: Path, args: list) -> tuple:
+    """(wall seconds, completed process) of one fresh interpreter, this one, running args in tree with PYTHONPATH
+    set to the tree's src; timed by perf_counter from spawn to exit, its output captured as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True)
+    return time.perf_counter() - start, proc
+
+
+def alternate(trees: dict, run, items):
+    """Yield one pair per item, {"first", "base", "head"}, each side being run(trees[side], item); the base runs
+    first in the first pair and in every other pair after it."""
+    for i, item in enumerate(items):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        sides = {side: run(trees[side], item) for side in order}
+        yield {"first": order[0], "base": sides["base"], "head": sides["head"]}
+
+
 def _quartiles(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(pairs: list, spec: list) -> dict:
-    """Per-metric statistics, wins and verdicts of one workload's pairs.
+def compare(base: list, head: list, better: str) -> dict:
+    """Each side's quartiles, the paired differences and the gain rule of base[i] against head[i]. A pair is won
+    when the head is better in the direction better ("higher" or "lower"); ``gain`` needs at least GAIN_SHARE of
+    the pairs won and a median better than the base's by more than the base's quartile spread."""
+    sign = 1.0 if better == "higher" else -1.0
+    paired = [y - x for x, y in zip(base, head)]  # head minus base
+    b, h = _quartiles(base), _quartiles(head)
+    wins = sum(sign * d > 0 for d in paired)
+    return {"base": b, "head": h, "head_over_base": h["median"] / b["median"],
+            "median_head_minus_base": statistics.median(paired),
+            "wins": wins, "losses": sum(sign * d < 0 for d in paired), "ties": sum(d == 0 for d in paired),
+            "pairs": len(paired),
+            "gain": wins >= GAIN_SHARE * len(paired) and sign * (h["median"] - b["median"]) > b["q3"] - b["q1"]}
 
-    ``spec`` is BENCHMARK.json's ``end_to_end`` list. A pair is won when the
-    head's value is better than the base's in the metric's direction.
-    """
+
+def summarize(pairs: list, spec: list) -> dict:
+    """Per-metric ``compare`` results and bound verdicts of one workload's pairs; ``spec`` is BENCHMARK.json's
+    ``end_to_end`` list, which gives each metric's direction and bound."""
     metrics = {}
     for metric in spec:
-        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
-        base = [pair["base"][name] for pair in pairs]
-        head = [pair["head"][name] for pair in pairs]
-        diffs = [sign * (h - b) for b, h in zip(base, head)]
-        b, h = _quartiles(base), _quartiles(head)
-        gain = sign * (h["median"] - b["median"])
-        metrics[name] = {
-            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-            "base": b, "head": h, "head_over_base": h["median"] / b["median"],
-            "wins": sum(d > 0 for d in diffs), "losses": sum(d < 0 for d in diffs),
-            "ties": sum(d == 0 for d in diffs), "pairs": len(pairs),
-            "gain": sum(d > 0 for d in diffs) >= GAIN_SHARE * len(pairs) and gain > b["q3"] - b["q1"],
-            "within_bound": -gain <= metric["bound"] * abs(b["median"]),
-        }
+        name, better = metric["name"], metric["better"]
+        stats = compare([pair["base"][name] for pair in pairs], [pair["head"][name] for pair in pairs], better)
+        worse = (1.0 if better == "higher" else -1.0) * (stats["base"]["median"] - stats["head"]["median"])
+        metrics[name] = {"unit": metric["unit"], "better": better, "bound": metric["bound"], **stats,
+                         "within_bound": worse <= metric["bound"] * abs(stats["base"]["median"])}
     sides = {side: {"correct": all(pair[side]["correct"] for pair in pairs),
                     "attempted": sum(pair[side]["attempted"] for pair in pairs),
                     "failed": sum(pair[side]["failed"] for pair in pairs)} for side in ("base", "head")}
@@ -156,17 +186,6 @@ def _seeds(text: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _pair(trees: dict, workload: str, seed: int, seconds: int, base_first: bool, held_out: bool) -> dict:
-    sides = {}
-    for side in ("base", "head") if base_first else ("head", "base"):
-        sides[side] = run_side(trees[side], workload, seed, seconds)
-    print(f"{workload} seed={seed} first={'base' if base_first else 'head'} "
-          f"base={sides['base']['work_per_s']:.6g} head={sides['head']['work_per_s']:.6g} work_per_s",
-          flush=True)
-    return {"seed": seed, "held_out": held_out, "first": "base" if base_first else "head",
-            "base": sides["base"], "head": sides["head"]}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -182,8 +201,14 @@ def main(argv=None) -> int:
     trees = {"base": export(args.base), "head": export(head["tree"], "tree")}
     seeds = [(seed, False) for seed in _seeds(args.seeds)]
     seeds += [(args.held_out, True)] if args.held_out is not None else []
-    workload_pairs = {w: [_pair(trees, w, seed, args.seconds, i % 2 == 0, held)
-                          for i, (seed, held) in enumerate(seeds)] for w in args.workloads}
+    workload_pairs = {}
+    for w in args.workloads:
+        runs = alternate(trees, lambda tree, seed: run_side(tree, w, seed, args.seconds), [seed for seed, _ in seeds])
+        pairs = workload_pairs[w] = []
+        for (seed, held), pair in zip(seeds, runs):
+            pairs.append({"seed": seed, "held_out": held, **pair})
+            print(f"{w} seed={seed} first={pair['first']} base={pair['base']['work_per_s']:.6g} "
+                  f"head={pair['head']['work_per_s']:.6g} work_per_s", flush=True)
     header = {"label": args.label, "base": trees["base"].name, "head": head,
               "command": ["python3", "perfbench/run.py", "--trace", "0", "--seconds", str(args.seconds)]}
     out = ROOT / f"BENCH_{args.label}.json"

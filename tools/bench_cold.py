@@ -10,34 +10,27 @@ the report verbs of ``tests/test_golden.py``'s ``REPORTS`` that import numpy
 ``demos/params/trim_hold.cfg`` where both trees hold it, and
 ``step-response``); and ``import ionblimp.cli`` alone. Every verb case calls
 ``ionblimp.cli.main`` as the ``blimpsim`` console script does. Both sides run
-from exports made as ``tools/bench_ab.py`` makes them: ``git archive REV`` for
-the base, a snapshot tree of the working tree for the head. For every case,
+from ``bench_ab``'s exports of the base and the working tree. For every case,
 each side runs once untimed (so that, where bytecode may be written, every
-timed run reads it), then ``--runs`` pairs in alternating order, the first
-pair starting with the base.
+timed run reads it), then ``--runs`` pairs in ``bench_ab``'s alternating order.
 
-Per case the file holds every pair, each side's median and quartiles, the
-median of the paired differences (head minus base, which cancels load that
-drifts slower than a pair), the pairs the head won and lost (lower is
-better), and whether both sides wrote the same stdout, CSV and summary bytes
-on every run. Its ``env`` is ``bench_ab.run_env()`` plus the load average
-after the runs: whether ``PYTHONDONTWRITEBYTECODE`` was set is recorded, and
-when it is, every run compiles ionblimp from source. The file is separate from
-BENCH_<label>.json, whose top-level keys ``bench_ab`` rewrites.
+Per case the file holds every pair (``runs``), ``bench_ab``'s paired
+comparison of the wall times (lower is better; its gain rule included), and
+whether both sides wrote the same stdout, CSV and summary bytes on every run.
+Its ``env`` is ``bench_ab.run_env()`` plus the load average after the runs.
+The file is separate from BENCH_<label>.json, whose top-level keys
+``bench_ab`` rewrites.
 """
 
 import argparse
 import hashlib
 import json
 import os
-import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from bench_ab import ROOT, _quartiles, export, head_identity, run_env
+from bench_ab import ROOT, alternate, compare, export, head_identity, run_env, spawn
 
 BLIMPSIM = "import sys\nfrom ionblimp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 PARAMS = "demos/params/trim_hold.cfg"
@@ -65,13 +58,9 @@ def cases(*trees: Path) -> dict:
 def run_case(tree: Path, args: list) -> tuple:
     """One fresh interpreter in tree: (wall seconds, sha256 of its stdout and output files)."""
     with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "-c", *(arg.replace("{out}", out) for arg in args)]
-        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        start = time.perf_counter()
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True)
-        wall = time.perf_counter() - start
+        wall, proc = spawn(tree, ["-c", *(arg.replace("{out}", out) for arg in args)])
         if proc.returncode != 0:
-            raise RuntimeError(f"{tree}: {' '.join(cmd[2:])} exited {proc.returncode}: {proc.stderr[-500:]!r}")
+            raise RuntimeError(f"{tree}: {' '.join(proc.args[2:])} exited {proc.returncode}: {proc.stderr[-500:]!r}")
         digest = hashlib.sha256(proc.stdout)
         for path in sorted(Path(out).iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -79,20 +68,10 @@ def run_case(tree: Path, args: list) -> tuple:
 
 
 def summarize(pairs: list) -> dict:
-    """Quartiles of each side, wins and losses (lower wall time wins) and output identity of one case."""
-    base, head = [p["base"] for p in pairs], [p["head"] for p in pairs]
-    b, h, digests = _quartiles(base), _quartiles(head), {p["digest"] for p in pairs}
-    return {"unit": "s", "better": "lower", "base": b, "head": h, "head_over_base": h["median"] / b["median"],
-            "median_head_minus_base": statistics.median(hw - bw for bw, hw in zip(base, head)),
-            "wins": sum(hw < bw for bw, hw in zip(base, head)), "losses": sum(hw > bw for bw, hw in zip(base, head)),
-            "pairs": pairs, "identical_outputs": len(digests) == 1 and None not in digests}
-
-
-def _pair(trees: dict, args: list, base_first: bool) -> dict:
-    sides = {side: run_case(trees[side], args) for side in (("base", "head") if base_first else ("head", "base"))}
-    digests = {digest for _, digest in sides.values()}
-    return {"first": "base" if base_first else "head", "base": sides["base"][0], "head": sides["head"][0],
-            "digest": digests.pop() if len(digests) == 1 else None}
+    """``bench_ab.compare`` of one case's wall times (lower wins), its pairs and whether its outputs were identical."""
+    digests = {p["digest"] for p in pairs}
+    return {"unit": "s", "better": "lower", **compare([p["base"] for p in pairs], [p["head"] for p in pairs], "lower"),
+            "runs": pairs, "identical_outputs": len(digests) == 1 and None not in digests}
 
 
 def main(argv=None) -> int:
@@ -108,7 +87,10 @@ def main(argv=None) -> int:
     for name, command in cases(*trees.values()).items():
         for tree in trees.values():
             run_case(tree, command)  # untimed: lets each side write its bytecode, if it may
-        case = results[name] = summarize([_pair(trees, command, i % 2 == 0) for i in range(args.runs)])
+        runs = alternate(trees, lambda tree, _: run_case(tree, command), range(args.runs))
+        case = results[name] = summarize([{**p, "base": p["base"][0], "head": p["head"][0],
+                                           "digest": p["base"][1] if p["base"][1] == p["head"][1] else None}
+                                          for p in runs])
         print(f"{name} base={case['base']['median']:.4f}s head={case['head']['median']:.4f}s "
               f"paired={case['median_head_minus_base'] * 1e3:+.1f}ms wins={case['wins']}/{args.runs} "
               f"identical={case['identical_outputs']}", flush=True)
